@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race stress test-debug vet lint lint-sarif smoke systab-smoke trace-smoke server-smoke profile-smoke bench-smoke check clean
+.PHONY: all build test race stress test-debug vet lint lint-sarif smoke systab-smoke trace-smoke server-smoke profile-smoke bench-smoke benchmark benchmark-compare check clean
 
 all: build
 
@@ -22,10 +22,13 @@ race:
 # Just the DML-vs-vacuum and concurrency stress tests, under the race
 # detector with the pcdebug assertions compiled in — the harshest setting.
 # The kernel equivalence oracles ride along: they hammer the pooled scan
-# scratch and the encoded/decoded split from many goroutines.
+# scratch and the encoded/decoded split from many goroutines; so do the
+# kernel fuzz target's seed corpus and the block-loop tests. CI runs this
+# target, not a copy of its commands.
 stress:
 	$(GO) test -race -tags pcdebug -run 'TestDMLVacuumRace|TestConcurrentQueriesAndDML|TestRaceStressParallelScans|TestRaceStressParallelOperators|TestKernel' -count=2 .
-	$(GO) test -race -tags pcdebug -run 'TestKernel|TestEvalPredRanges|TestReadIntRange|TestReadFloatRange' ./internal/storage ./internal/expr
+	$(GO) test -race -tags pcdebug -run 'TestKernel|TestEvalPredRanges|TestReadIntRange|TestReadFloatRange|FuzzEvalPred' ./internal/storage ./internal/expr
+	$(GO) test -race -tags pcdebug -run 'TestScanHitVisitsOnlyCandidateBlocks|TestScanCancelAmortisedAndCacheSafe' ./internal/engine
 
 # Tests with the pcdebug build tag: runtime invariant assertions (row-range
 # shape, zone-map bounds, MVCC monotonicity) are compiled in and panic on
@@ -84,11 +87,29 @@ profile-smoke:
 # the benchmark harness without paying full measurement time. The Table4
 # run exercises the morsel-parallel join/agg path at 1 and 4 procs, and the
 # engine equivalence tests fail the target on any serial-vs-parallel result
-# divergence (bit-exact, including float payloads).
+# divergence (bit-exact, including float payloads). The kernel micro-benchmarks
+# (2,048 distinct random blocks each) and the one-candidate-block hit ride
+# along at one iteration.
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkScan -benchtime=1x .
+	$(GO) test -run=NONE -bench=BenchmarkEvalPred -benchtime=1x ./internal/storage
+	$(GO) test -run=NONE -bench=BenchmarkScanHitOneBlock -benchtime=1x ./internal/engine
 	$(GO) test -run=NONE -bench=BenchmarkTable4TPCHSkewed -benchtime=1x -cpu 1,4 .
 	$(GO) test -run 'TestJoinParallelSerialIdentical|TestAggParallelSerialIdentical' -cpu 1,4 ./internal/engine
+
+# The benchmark of record (BENCHMARK.json, benchmark/README.md): every
+# workload, RUNS untraced runs with consecutive seeds plus one traced pass
+# each, every run in its own process, written to OUT (about 2.5 minutes per
+# run of the four workloads). benchmark-compare checks set B against set A
+# with the bounds in BENCHMARK.json and exits 1 on a regression.
+RUNS ?= 10
+OUT ?= benchmark/results/latest.json
+benchmark:
+	bash benchmark/run.sh -seed 1 -runs $(RUNS) -out $(OUT)
+
+benchmark-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make benchmark-compare A=parent.json B=change.json"; exit 2; }
+	bash benchmark/run.sh -compare $(A) $(B)
 
 # Everything CI runs.
 check: build vet lint test race stress test-debug bench-smoke smoke systab-smoke trace-smoke server-smoke profile-smoke

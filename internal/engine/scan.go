@@ -65,6 +65,7 @@ type sliceScanResult struct {
 	rowsScanned       int64
 	rowsQualified     int64
 	blocksAccessed    int64
+	blocksVisited     int64 // iterations of the block loop: blocks holding a candidate row
 	blocksZonePruned  int64 // zone maps eliminated the block (step 1)
 	blocksCachePruned int64 // cached candidate ranges excluded the block entirely
 	blocksDecoded     int64 // (column, block) pairs actually decompressed
@@ -328,6 +329,7 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 		tot.rowsScanned += results[i].rowsScanned
 		tot.rowsQualified += results[i].rowsQualified
 		tot.blocksAccessed += results[i].blocksAccessed
+		tot.blocksVisited += results[i].blocksVisited
 		tot.blocksZonePruned += results[i].blocksZonePruned
 		tot.blocksCachePruned += results[i].blocksCachePruned
 		tot.blocksDecoded += results[i].blocksDecoded
@@ -356,6 +358,7 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 		sp.SetInt("rows.scanned", tot.rowsScanned)
 		sp.SetInt("rows.qualified", tot.rowsQualified)
 		sp.SetInt("blocks.accessed", tot.blocksAccessed)
+		sp.SetInt("blocks.visited", tot.blocksVisited)
 		sp.SetInt("blocks.pruned.zonemap", tot.blocksZonePruned)
 		sp.SetInt("blocks.pruned.cache", tot.blocksCachePruned)
 		sp.SetInt("blocks.decoded", tot.blocksDecoded)
@@ -514,19 +517,21 @@ func (r *rangeRecorder) addSel(base int, sel []int) {
 }
 
 // scanSlice performs the two-step scan of one slice over the candidate
-// ranges, block by block:
+// ranges, visiting only blocks that hold a candidate row:
 //
-//  1. zone-map elimination (bound.Prune);
-//  2. encoded-domain kernels narrow the candidate spans directly on each
-//     block's compressed form (no decode); kernels without support for a
-//     block's encoding are collected as per-block fallback leaves;
-//  3. when nothing needs row-at-a-time work (no residual, no fallbacks, no
-//     semi-joins), the dense fast path records the surviving spans outright —
-//     bypassing rangeRecorder.addSel — and gathers projections straight from
-//     the compressed blocks via partial decode;
-//  4. otherwise a selection vector is built from the surviving spans, the
-//     needed columns are partially decoded over just those spans, and the
-//     residual + fallbacks + semi-joins run vectorized as before.
+//  1. the block's candidates seed a selection bitmap (storage.BlockMask);
+//     zone-map elimination (bound.Prune) may drop the block;
+//  2. every encoded-domain kernel ANDs its predicate into the bitmap directly
+//     on the block's compressed form (no decode); kernels without support for
+//     a block's encoding are collected as per-block fallback leaves;
+//  3. the bitmap is turned into row ranges once. When nothing needs
+//     row-at-a-time work (no residual, no fallbacks, no semi-joins), the
+//     dense fast path records those ranges outright — bypassing
+//     rangeRecorder.addSel — and gathers projections straight from the
+//     compressed blocks via partial decode;
+//  4. otherwise the bitmap also becomes a selection vector, the needed
+//     columns are partially decoded over just the surviving ranges, and the
+//     residual + fallbacks + semi-joins run vectorized.
 //
 // scanSlice is the per-slice hot loop: everything it touches works out of the
 // pooled scanScratch, so a steady-state warm scan allocates nothing here (see
@@ -579,54 +584,70 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 	var plainRec, sjRec rangeRecorder
 	numRows := res.numRows
 	insXIDs := slice.InsertXIDs()
-	delXIDs := slice.DeleteXIDs()
+	delXIDs := slice.DeleteXIDs() // nil: no row of this slice was ever deleted
 	snap := ec.Snapshot
 	kernels := plan.Kernels
 	scr.bp.slice = slice
+	mask := &scr.mask
 
-	ci := 0 // candidate cursor
-	numBlocks := (numRows + storage.BlockSize - 1) / storage.BlockSize
-	for blk := 0; blk < numBlocks; blk++ {
-		// Per-block cancellation check: Execute surfaces res.err before any
-		// cache insert/extend, so an aborted slice never pollutes the cache
-		// with partial ranges.
-		if cerr := ec.Cancelled(); cerr != nil {
-			res.err = cerr
-			return
+	// The loop is candidate-driven: it jumps from one block that holds
+	// candidate rows to the next, so a hit that leaves three candidate blocks
+	// runs three iterations however many blocks the slice has. pos is the
+	// first row not yet covered; candidates before it are spent.
+	//
+	// sinceCheck counts the candidate rows scanned since the last
+	// cancellation check; it starts full so the first block checks, and a
+	// check runs whenever the next block would take it past cancelCheckRows.
+	// Execute surfaces res.err before any cache insert/extend, so an aborted
+	// slice never pollutes the cache with partial ranges.
+	sinceCheck := cancelCheckRows
+	ci, pos := 0, 0
+	for ci < len(candidates) {
+		if candidates[ci].End <= pos {
+			ci++
+			continue
 		}
+		if candidates[ci].Start > pos {
+			pos = candidates[ci].Start
+		}
+		if pos >= numRows {
+			break
+		}
+		blk := pos / storage.BlockSize
 		base := blk * storage.BlockSize
 		blkEnd := base + storage.BlockSize
 		if blkEnd > numRows {
 			blkEnd = numRows
 		}
-		// Advance past candidates entirely before this block; collect the
-		// candidate spans intersecting it (block-relative).
-		for ci < len(candidates) && candidates[ci].End <= base {
-			ci++
-		}
-		spans := scr.spansA[:0]
+		// Seed the block's selection bitmap from the candidates inside it.
+		*mask = storage.BlockMask{}
 		candRows := 0
 		for j := ci; j < len(candidates) && candidates[j].Start < blkEnd; j++ {
-			lo := candidates[j].Start
-			if lo < base {
-				lo = base
+			lo, hi := candidates[j].Start, candidates[j].End
+			if lo < pos {
+				lo = pos
 			}
-			hi := candidates[j].End
 			if hi > blkEnd {
 				hi = blkEnd
 			}
 			if lo < hi {
-				spans = append(spans, storage.RowRange{Start: lo - base, End: hi - base})
+				mask.SetRange(lo-base, hi-base)
 				candRows += hi - lo
 			}
 		}
-		scr.spansA = spans
+		pos = blkEnd
 		if candRows == 0 {
-			// The candidate ranges (a predicate-cache hit) excluded every row
-			// of this block: the cache saved the block outright.
-			res.blocksCachePruned++
-			continue
+			continue // only empty candidate ranges fell in this block
 		}
+		res.blocksVisited++
+		if sinceCheck+candRows > cancelCheckRows {
+			if cerr := ec.Cancelled(); cerr != nil {
+				res.err = cerr
+				return
+			}
+			sinceCheck = 0
+		}
+		sinceCheck += candRows
 
 		// Step (1 of the two-step scan): zone-map block elimination.
 		scr.bp.block = blk
@@ -639,30 +660,30 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 		scr.resetBlock()
 		ctx.N = blkEnd - base
 
-		// Step (2a): encoded-domain kernels narrow the spans in compressed
-		// form. A kernel that lacks support for this block's encoding joins
-		// the fallback list and re-runs vectorized below.
+		// Step (2a): every encoded-domain kernel ANDs its predicate into the
+		// bitmap in compressed form. A kernel that lacks support for this
+		// block's encoding joins the fallback list and re-runs vectorized
+		// below.
 		failed := scr.failed[:0]
-		other := scr.spansB
 		for ki := range kernels {
-			if len(spans) == 0 {
+			if mask.Empty() {
 				break
 			}
 			k := &kernels[ki]
-			got, ok := slice.Column(k.Col).EvalPredRanges(blk, &k.Pred, spans, other[:0])
-			if ok {
+			if slice.Column(k.Col).EvalPredMask(blk, &k.Pred, mask) {
 				scr.markAccessed(k.Col, res)
 				res.blocksKernel++
-				spans, other = got, spans
 			} else {
 				failed = append(failed, ki)
 			}
 		}
 		scr.failed = failed
-		scr.spansA, scr.spansB = spans, other
-		if len(spans) == 0 {
+		if mask.Empty() {
 			continue // kernels proved no candidate row qualifies
 		}
+		// The bitmap becomes row ranges exactly once, here.
+		spans := mask.AppendRanges(scr.spans[:0], 0)
+		scr.spans = spans
 
 		if plan.Residual == nil && len(failed) == 0 && len(sjs) == 0 {
 			// Step (2b), dense fast path: the surviving spans are exactly the
@@ -676,7 +697,7 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 				runStart := -1
 				for r := sp.Start; r < sp.End; r++ {
 					row := base + r
-					if insXIDs[row] <= snap && (delXIDs[row] == 0 || delXIDs[row] > snap) {
+					if insXIDs[row] <= snap && (delXIDs == nil || delXIDs[row] == 0 || delXIDs[row] > snap) {
 						if runStart < 0 {
 							runStart = r
 						}
@@ -694,14 +715,9 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 			continue
 		}
 
-		// Step (2c), vectorized path: build the selection vector from the
-		// surviving spans and run fallbacks, the residual, and semi-joins.
-		sel := scr.sel[:0]
-		for _, sp := range spans {
-			for r := sp.Start; r < sp.End; r++ {
-				sel = append(sel, r)
-			}
-		}
+		// Step (2c), vectorized path: the bitmap also becomes a selection
+		// vector, and fallbacks, the residual, and semi-joins run over it.
+		sel := mask.AppendRows(scr.sel[:0])
 		scr.sel = sel[:0]
 		for _, ki := range failed {
 			if len(sel) == 0 {
@@ -762,7 +778,7 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 		k := 0
 		for _, r := range sel {
 			row := base + r
-			if insXIDs[row] <= snap && (delXIDs[row] == 0 || delXIDs[row] > snap) {
+			if insXIDs[row] <= snap && (delXIDs == nil || delXIDs[row] == 0 || delXIDs[row] > snap) {
 				sel[k] = r
 				k++
 			}
@@ -802,6 +818,9 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 		}
 	}
 
+	// Every block the loop did not visit held no candidate row: the cached
+	// ranges (a predicate-cache hit) saved it outright.
+	res.blocksCachePruned = int64((numRows+storage.BlockSize-1)/storage.BlockSize) - res.blocksVisited
 	res.plainRanges = plainRec.ranges
 	res.sjRanges = sjRec.ranges
 }

@@ -11,9 +11,10 @@ import (
 
 // scanScratch owns every per-slice scan buffer: the BlockCtx and its
 // per-column decode vectors, per-block bookkeeping flags, the selection
-// vector, the kernel span buffers, the candidate list, and the relBuilder
-// with its output backing arrays. Instances are recycled through a
-// sync.Pool, so a steady-state warm scan allocates nothing per execution.
+// vector, the block selection bitmap and its range form, the candidate list,
+// and the relBuilder with its output backing arrays. Instances are recycled
+// through a sync.Pool, so a steady-state warm scan allocates nothing per
+// execution.
 //
 // Ownership discipline: a scratch is private to one slice scan goroutine
 // from acquire until release. Execute releases it only after the per-slice
@@ -28,9 +29,9 @@ type scanScratch struct {
 	counted []bool      // column counted in blocks.accessed this block
 	decoded []bool      // column counted in blocks.decoded this block
 
-	sel    []int
-	spansA []storage.RowRange // kernel ping-pong buffer / candidate spans
-	spansB []storage.RowRange // kernel ping-pong buffer
+	mask   storage.BlockMask  // the current block's selection bitmap
+	sel    []int              // mask as a selection vector (vectorized path only)
+	spans  []storage.RowRange // mask as block-relative ranges
 	qspans []storage.RowRange // qualifying runs for late materialization
 	cands  []storage.RowRange // per-slice candidate ranges
 	failed []int              // kernel indexes needing fallback this block

@@ -7,7 +7,7 @@ import (
 )
 
 // Kernel planning: split a bound predicate tree into leaves that can run as
-// encoded-domain kernels (storage.ColumnStore.EvalPredRanges, operating on a
+// encoded-domain kernels (storage.ColumnStore.EvalPredMask, operating on a
 // block's compressed form) and a residual that still needs decode-then-Eval.
 // Only top-level AND conjuncts that are plain integer-domain leaf predicates
 // (comparison, BETWEEN, IN — including dictionary-code equality on strings)
@@ -93,7 +93,7 @@ func collectKernels(b Bound, p *ScanPlan, residual *[]Bound) {
 	case *boundInInt:
 		p.Kernels = append(p.Kernels, KernelLeaf{
 			Col:      t.col,
-			Pred:     storage.IntPred{Kind: storage.IntPredSet, Set: t.set, SetVals: t.vals},
+			Pred:     storage.NewIntSetPred(t.set, t.vals),
 			Fallback: t,
 		})
 	default:

@@ -430,3 +430,53 @@ func TestServerThousandConcurrentSessions(t *testing.T) {
 		t.Fatalf("%d rejections with the default queue", st.Rejected)
 	}
 }
+
+// tornConn records what a session writes and can fail one write half-way.
+type tornConn struct {
+	net.Conn
+	out  strings.Builder
+	tear bool
+}
+
+func (c *tornConn) Write(p []byte) (int, error) {
+	if c.tear {
+		c.tear = false
+		c.out.Write(p[:len(p)/2])
+		return len(p) / 2, fmt.Errorf("torn write")
+	}
+	return c.out.Write(p)
+}
+
+// One buffered writer serves every result of a session, and a result whose
+// flush fails leaves nothing behind in it: the next frame — an error line
+// written straight to the connection, or another result — starts clean.
+func TestSessionResultWriterReuse(t *testing.T) {
+	db := testDB(t, 10)
+	res, err := db.Query("select id from t where id < 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := &tornConn{}
+	s := &session{conn: conn}
+	const frame = "ok 3 1\nid\n0\n1\n2\n.\n"
+
+	s.writeResult(res)
+	w := s.resultW
+	s.writeResult(res)
+	if s.resultW != w {
+		t.Fatal("second result allocated a new writer")
+	}
+	if got := conn.out.String(); got != frame+frame {
+		t.Fatalf("two results wrote %q", got)
+	}
+
+	conn.out.Reset()
+	conn.tear = true
+	s.writeResult(res)
+	torn := conn.out.Len()
+	s.writeLine("err boom")
+	s.writeResult(res)
+	if got := conn.out.String()[torn:]; got != "err boom\n"+frame {
+		t.Fatalf("frames after a torn write = %q", got)
+	}
+}

@@ -61,6 +61,10 @@ type session struct {
 	// writeMu serializes response writes: the executor goroutine writes
 	// results while the reader goroutine may write \cancel acknowledgements.
 	writeMu sync.Mutex
+	// resultW buffers result frames; guarded by writeMu and allocated by the
+	// session's first result. It is empty whenever writeMu is free, so a line
+	// written straight to the connection never lands inside a buffered frame.
+	resultW *bufio.Writer
 
 	// cancel aborts the in-flight statement's context; nil when idle.
 	cancelMu sync.Mutex
@@ -223,7 +227,10 @@ func (s *session) execute(sql string) {
 func (s *session) writeResult(res *predcache.Result) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
-	w := bufio.NewWriterSize(s.conn, 32<<10)
+	if s.resultW == nil {
+		s.resultW = bufio.NewWriterSize(s.conn, 32<<10)
+	}
+	w := s.resultW
 	fmt.Fprintf(w, "ok %d %d\n", res.NumRows(), res.NumCols())
 	w.WriteString(strings.Join(res.ColumnNames(), "\t"))
 	w.WriteByte('\n')
@@ -237,10 +244,16 @@ func (s *session) writeResult(res *predcache.Result) {
 		w.WriteByte('\n')
 	}
 	w.WriteString(".\n")
-	w.Flush()
+	if err := w.Flush(); err != nil {
+		// The connection is gone (the reader goroutine ends the session).
+		// Drop the unsent bytes and the sticky error, so that whatever is
+		// written next does not start in the middle of this frame.
+		w.Reset(s.conn)
+	}
 }
 
-// writeLine writes one response line under the write mutex.
+// writeLine writes one response line under the write mutex, unbuffered:
+// resultW holds nothing between frames.
 func (s *session) writeLine(line string) {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()

@@ -58,9 +58,10 @@ func assertMVCCRow(ins, del uint64, row int, ctx string) {
 }
 
 // assertMVCCHeaders panics unless the slice's MVCC header arrays match its
-// row count.
+// row count; the deletion headers may also be absent altogether (no row was
+// ever deleted).
 func assertMVCCHeaders(s *Slice, ctx string) {
-	if len(s.insertXID) != s.numRows || len(s.deleteXID) != s.numRows {
+	if len(s.insertXID) != s.numRows || (s.deleteXID != nil && len(s.deleteXID) != s.numRows) {
 		panic(fmt.Sprintf("pcdebug: %s: MVCC headers out of sync: %d insert / %d delete xids for %d rows",
 			ctx, len(s.insertXID), len(s.deleteXID), s.numRows))
 	}
@@ -71,7 +72,7 @@ func assertMVCCHeaders(s *Slice, ctx string) {
 func assertSliceMVCC(s *Slice, ctx string) {
 	assertMVCCHeaders(s, ctx)
 	for row := 0; row < s.numRows; row++ {
-		assertMVCCRow(s.insertXID[row], s.deleteXID[row], row, ctx)
+		assertMVCCRow(s.insertXID[row], s.deletedAt(row), row, ctx)
 	}
 }
 

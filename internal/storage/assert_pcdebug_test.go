@@ -52,8 +52,9 @@ func TestAssertMVCCPanics(t *testing.T) {
 
 	s := &Slice{insertXID: []uint64{1}, deleteXID: []uint64{0}, numRows: 1}
 	assertSliceMVCC(s, "test")
+	assertSliceMVCC(&Slice{insertXID: []uint64{1}, numRows: 1}, "test") // never deleted from: no deletion headers
 	mustPanic(t, "header length mismatch", func() {
-		bad := &Slice{insertXID: []uint64{1}, deleteXID: nil, numRows: 1}
+		bad := &Slice{insertXID: []uint64{1}, deleteXID: []uint64{0, 0}, numRows: 1}
 		assertMVCCHeaders(bad, "test")
 	})
 }

@@ -105,6 +105,17 @@ func packBits(dst []uint64, vals []int64, base int64, width int) {
 	}
 }
 
+// forField extracts the width-bit field that starts at bit bitPos of src;
+// mask is the field's width in ones. A field may straddle two words.
+func forField(src []uint64, bitPos, width uint, mask uint64) uint64 {
+	word, off := bitPos>>6, bitPos&63
+	d := src[word] >> off
+	if off+width > 64 {
+		d |= src[word+1] << ((64 - off) & 63)
+	}
+	return d & mask
+}
+
 // unpackBits reads n width-bit fields from src and writes base+field to dst.
 func unpackBits(dst []int64, src []uint64, base int64, width, n int) {
 	if width == 0 {
@@ -113,35 +124,18 @@ func unpackBits(dst []int64, src []uint64, base int64, width, n int) {
 		}
 		return
 	}
-	mask := ^uint64(0) >> (64 - width)
-	bitPos := 0
-	for i := 0; i < n; i++ {
-		word := bitPos >> 6
-		off := bitPos & 63
-		d := src[word] >> off
-		if off+width > 64 {
-			d |= src[word+1] << (64 - off)
-		}
-		dst[i] = base + int64(d&mask)
-		bitPos += width
-	}
+	unpackBitsFrom(dst, src, base, width, 0, n)
 }
 
 // unpackBitsFrom reads n width-bit fields starting at field index start and
 // writes base+field to dst. width must be > 0 (callers handle constant
 // blocks). Seeking is O(1): the first field's bit offset is start*width.
 func unpackBitsFrom(dst []int64, src []uint64, base int64, width, start, n int) {
-	mask := ^uint64(0) >> (64 - width)
-	bitPos := start * width
+	mask := ^uint64(0) >> (64 - uint(width))
+	bitPos := uint(start * width)
 	for i := 0; i < n; i++ {
-		word := bitPos >> 6
-		off := bitPos & 63
-		d := src[word] >> off
-		if off+width > 64 {
-			d |= src[word+1] << (64 - off)
-		}
-		dst[i] = base + int64(d&mask)
-		bitPos += width
+		dst[i] = base + int64(forField(src, bitPos, uint(width), mask))
+		bitPos += uint(width)
 	}
 }
 

@@ -47,7 +47,7 @@ func (t *Table) DeleteRowsAtEpoch(rows [][]int, xid, epoch uint64) (int, bool) {
 		s := t.slices[si]
 		assertRowsInSlice(rs, s.numRows, "Table.DeleteRowsAtEpoch")
 		for _, r := range rs {
-			if s.deleteXID[r] == 0 {
+			if s.deletedAt(r) == 0 {
 				deleted++
 			}
 			s.deleteRow(r, xid)

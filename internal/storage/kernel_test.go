@@ -223,13 +223,35 @@ func rangesEqual(a, b []RowRange) bool {
 }
 
 // spanShapes returns candidate-span layouts for a block of bn rows: full
-// block, fragments, singletons, and empty.
+// block, nothing, empty spans, single rows, 63/64/65-row spans at and across
+// mask-word boundaries, and random fragments.
 func spanShapes(bn int, r *rand.Rand) [][]RowRange {
+	clip := func(spans ...RowRange) []RowRange {
+		var out []RowRange
+		prevEnd := 0
+		for _, sp := range spans {
+			if sp.End > bn {
+				sp.End = bn
+			}
+			if sp.Start >= prevEnd && sp.Start <= sp.End && sp.Start < bn {
+				out = append(out, sp)
+				prevEnd = sp.End
+			}
+		}
+		return out
+	}
 	shapes := [][]RowRange{
 		{{Start: 0, End: bn}},
-		{{Start: 0, End: 1}, {Start: bn / 2, End: bn/2 + 3}, {Start: bn - 1, End: bn}},
-		{{Start: 17, End: 17}}, // empty span
 		nil,
+		clip(RowRange{Start: 17, End: 17}),
+		clip(RowRange{Start: 0, End: 1}, RowRange{Start: bn / 2, End: bn/2 + 3}, RowRange{Start: bn - 1, End: bn}),
+		clip(RowRange{Start: 63, End: 64}, RowRange{Start: 64, End: 65}, RowRange{Start: 127, End: 129}),
+		clip(RowRange{Start: 60, End: 70}, RowRange{Start: 120, End: 200}),
+	}
+	for _, n := range []int{63, 64, 65} {
+		for _, at := range []int{0, 1, 64, 100} {
+			shapes = append(shapes, clip(RowRange{Start: at, End: at + n}))
+		}
 	}
 	for i := 0; i < 6; i++ {
 		var spans []RowRange
@@ -247,75 +269,205 @@ func spanShapes(bn int, r *rand.Rand) [][]RowRange {
 	return shapes
 }
 
+// oraclePreds returns the predicate shapes the kernels must agree with the
+// oracle on for a block holding full[:bn] with bounds [min, max]: every
+// comparison operator at boundary and member constants, intervals (narrow,
+// covering, empty) and their negations, and IN-sets — built literally (map
+// probe) and through NewIntSetPred (bitset probe), with and without SetVals,
+// narrow and wider than maxSetBits, plain and negated.
+func oraclePreds(full []int64, bn int, min, max int64, r *rand.Rand) []IntPred {
+	mid := min/2 + max/2
+	consts := []int64{min, max, mid, math.MinInt64, math.MaxInt64, full[r.Intn(bn)], full[r.Intn(bn)]}
+	if min > math.MinInt64 {
+		consts = append(consts, min-1)
+	}
+	if max < math.MaxInt64 {
+		consts = append(consts, max+1)
+	}
+	var preds []IntPred
+	for _, cst := range consts {
+		for _, op := range []string{"eq", "ne", "lt", "le", "gt", "ge"} {
+			preds = append(preds, predForOp(op, cst))
+		}
+	}
+	a, b := full[r.Intn(bn)], full[r.Intn(bn)]
+	if a > b {
+		a, b = b, a
+	}
+	for _, iv := range [][2]int64{{min, max}, {a, b}, {mid, mid}, {10, -10}, {math.MinInt64, math.MaxInt64}} {
+		preds = append(preds,
+			IntPred{Kind: IntPredRange, Lo: iv[0], Hi: iv[1]},
+			IntPred{Kind: IntPredRange, Lo: iv[0], Hi: iv[1], Not: true})
+	}
+	sets := []map[int64]struct{}{
+		{full[0]: {}, full[bn/2]: {}, min: {}},
+		{full[bn-1]: {}, full[bn-1] + 1: {}, full[bn-1] + 70: {}},
+		{min: {}, max: {}}, // as wide as the block: the map path once the span passes maxSetBits
+		{},
+	}
+	for _, set := range sets {
+		var vals []int64
+		for v := range set {
+			vals = append(vals, v)
+		}
+		for _, not := range []bool{false, true} {
+			for _, withVals := range []bool{false, true} {
+				sv := vals
+				if !withVals {
+					sv = nil
+				} else if sv == nil {
+					sv = []int64{}
+				}
+				lit := IntPred{Kind: IntPredSet, Set: set, SetVals: sv, Not: not}
+				built := NewIntSetPred(set, sv)
+				built.Not = not
+				preds = append(preds, lit, built)
+			}
+		}
+	}
+	return preds
+}
+
+// checkKernels compares both kernel entry points — the mask primitive and the
+// ranges adapter — with decode-then-Match on block blk of c, for every
+// predicate and candidate shape. It returns how many evaluations a kernel
+// (rather than the ok=false fallback) answered.
+func checkKernels(t *testing.T, name string, c *ColumnStore, blk int, preds []IntPred, shapes [][]RowRange) (kernelEvals int) {
+	t.Helper()
+	full := make([]int64, BlockSize)
+	c.ReadIntBlock(blk, full)
+	for _, spans := range shapes {
+		var seed BlockMask
+		for _, sp := range spans {
+			seed.SetRange(sp.Start, sp.End)
+		}
+		for pi := range preds {
+			p := &preds[pi]
+			want := refRanges(full, spans, p.Match)
+
+			got, ok := c.EvalPredRanges(blk, p, spans, nil)
+			m := seed
+			if maskOK := c.EvalPredMask(blk, p, &m); maskOK != ok {
+				t.Fatalf("%s: pred %+v: EvalPredMask ok=%v, EvalPredRanges ok=%v", name, *p, maskOK, ok)
+			}
+			if !ok {
+				if m != seed {
+					t.Fatalf("%s: pred %+v: unsupported block changed the mask", name, *p)
+				}
+				continue // decode-then-filter fallback; nothing to verify
+			}
+			kernelEvals++
+			if !rangesEqual(got, want) {
+				t.Fatalf("%s: pred %+v spans %v: adapter = %v, want %v", name, *p, spans, got, want)
+			}
+			if fromMask := m.AppendRanges(nil, 0); !rangesEqual(fromMask, want) {
+				t.Fatalf("%s: pred %+v spans %v: mask = %v, want %v", name, *p, spans, fromMask, want)
+			}
+			var rows []int
+			for _, sp := range want {
+				for r := sp.Start; r < sp.End; r++ {
+					rows = append(rows, r)
+				}
+			}
+			if sel := m.AppendRows(nil); len(sel) != len(rows) {
+				t.Fatalf("%s: pred %+v spans %v: %d selected rows, want %d", name, *p, spans, len(sel), len(rows))
+			} else {
+				for i := range sel {
+					if sel[i] != rows[i] {
+						t.Fatalf("%s: pred %+v spans %v: selection vector = %v, want %v", name, *p, spans, sel, rows)
+					}
+				}
+			}
+		}
+	}
+	return kernelEvals
+}
+
+// forBlockColumn hand-packs vals as one FOR block whatever encodeInts would
+// have chosen, so every width up to 64 reaches the FOR kernel.
+func forBlockColumn(vals []int64) *ColumnStore {
+	min, max := vals[0], vals[0]
+	for _, v := range vals {
+		if v < min {
+			min = v
+		}
+		if v > max {
+			max = v
+		}
+	}
+	width := forWidth(min, max)
+	words := make([]uint64, (len(vals)*width+63)/64+1)
+	words[0] = uint64(min)
+	if width > 0 {
+		packBits(words[1:], vals, min, width)
+	}
+	c := newColumnStore(Int64, nil)
+	c.blocks = append(c.blocks, &Block{N: len(vals), Enc: EncFOR, Words: words, MinI: min, MaxI: max})
+	return c
+}
+
 // TestEvalPredRangesEquivalence proves the encoded-domain kernels equivalent
-// to decode-then-filter for all comparison shapes on every encoding,
-// including boundary constants at block min/max and empty intervals.
+// to decode-then-filter: on every encoding encodeInts picks; on FOR blocks of
+// every width 1–64 (fields straddling payload words, bases at both int64
+// extremes, and max-min overflowing int64 at width 64); and on short blocks,
+// for all predicate shapes of oraclePreds and candidate shapes of spanShapes.
 func TestEvalPredRangesEquivalence(t *testing.T) {
-	const n = BlockSize
 	r := rand.New(rand.NewSource(11))
-	ops := []string{"eq", "ne", "lt", "le", "gt", "ge"}
-	for name, vals := range kernelTestPatterns(n) {
+	for name, vals := range kernelTestPatterns(BlockSize) {
 		c := makeIntColumn(t, vals)
 		full := make([]int64, BlockSize)
 		bn := c.ReadIntBlock(0, full)
 		min, max, _ := c.IntBounds(0)
-
-		consts := []int64{min, max, (min + max) / 2, math.MinInt64, math.MaxInt64}
-		if min > math.MinInt64 {
-			consts = append(consts, min-1)
-		}
-		if max < math.MaxInt64 {
-			consts = append(consts, max+1)
-		}
-		consts = append(consts, full[r.Intn(bn)], full[r.Intn(bn)])
-
-		var preds []IntPred
-		for _, cst := range consts {
-			for _, op := range ops {
-				preds = append(preds, predForOp(op, cst))
-			}
-		}
-		// Between shapes, including inverted (empty) and clamping intervals.
-		preds = append(preds,
-			IntPred{Kind: IntPredRange, Lo: min, Hi: max},
-			IntPred{Kind: IntPredRange, Lo: (min+max)/2 - 3, Hi: (min+max)/2 + 3},
-			IntPred{Kind: IntPredRange, Lo: 10, Hi: -10}, // empty
-			IntPred{Kind: IntPredRange, Lo: 10, Hi: -10, Not: true},
-			IntPred{Kind: IntPredRange, Lo: (min+max)/2 - 3, Hi: (min+max)/2 + 3, Not: true},
-		)
-		// In sets: present values, absent values, and NOT IN.
-		set := map[int64]struct{}{full[0]: {}, full[bn/2]: {}, min: {}}
-		var setVals []int64
-		for v := range set {
-			setVals = append(setVals, v)
-		}
-		preds = append(preds,
-			IntPred{Kind: IntPredSet, Set: set, SetVals: setVals},
-			IntPred{Kind: IntPredSet, Set: set, SetVals: setVals, Not: true},
-			IntPred{Kind: IntPredSet, Set: map[int64]struct{}{}, SetVals: []int64{}},
-		)
-
-		for _, spans := range spanShapes(bn, r) {
-			for pi := range preds {
-				p := &preds[pi]
-				got, ok := c.EvalPredRanges(0, p, spans, nil)
-				if !ok {
-					continue // decode-then-filter fallback; nothing to verify
-				}
-				want := refRanges(full, spans, p.Match)
-				if !rangesEqual(got, want) {
-					t.Fatalf("%s: pred %+v spans %v: kernel = %v, want %v", name, *p, spans, got, want)
-				}
-			}
-		}
-
+		evals := checkKernels(t, name, c, 0, oraclePreds(full, bn, min, max, r), spanShapes(bn, r))
 		// Kernel coverage: RLE and FOR sealed blocks must have kernels.
-		if enc := c.blocks[0].Enc; enc == EncRLE || enc == EncFOR {
-			p := predForOp("ge", min)
-			if _, ok := c.EvalPredRanges(0, &p, []RowRange{{Start: 0, End: bn}}, nil); !ok {
-				t.Fatalf("%s: expected kernel support for %v block", name, enc)
+		if enc := c.blocks[0].Enc; (enc == EncRLE || enc == EncFOR) && evals == 0 {
+			t.Fatalf("%s: no kernel evaluated a %v block", name, enc)
+		}
+	}
+
+	for width := 1; width <= 64; width++ {
+		for _, bn := range []int{BlockSize, 1, 63, 64, 65, 999} {
+			if width > 1 && bn != BlockSize && width%7 != 0 {
+				continue // short blocks at a sample of widths
+			}
+			// Bases at both int64 extremes, around zero, and arbitrary; at
+			// width 64 only MinInt64 leaves room for the widest delta.
+			top := ^uint64(0) >> uint(64-width)
+			bases := []int64{math.MinInt64}
+			if width < 64 {
+				high := math.MaxInt64 - int64(top)
+				bases = append(bases, high, -int64(top/2), high/3)
+			}
+			for _, base := range bases {
+				vals := make([]int64, bn)
+				for i := range vals {
+					vals[i] = int64(uint64(base) + r.Uint64()&top)
+				}
+				if bn > 1 {
+					// Pin both ends so the block has exactly this width.
+					vals[r.Intn(bn)] = int64(uint64(base) + top)
+					vals[0] = base
+					if bn > 2 {
+						vals[1+r.Intn(bn-1)] = int64(uint64(base) + top)
+					}
+				}
+				c := forBlockColumn(vals)
+				b := c.blocks[0]
+				if bn > 1 && forWidth(b.MinI, b.MaxI) != width {
+					t.Fatalf("width %d base %d: block width = %d", width, base, forWidth(b.MinI, b.MaxI))
+				}
+				name := "for" + string(rune('0'+width/10)) + string(rune('0'+width%10))
+				checkKernels(t, name, c, 0, oraclePreds(vals, bn, b.MinI, b.MaxI, r), spanShapes(bn, r))
 			}
 		}
+	}
+
+	// A sealed short block of each encoding (what vacuum leaves behind).
+	for name, vals := range kernelTestPatterns(437) {
+		c := makeIntColumn(t, vals)
+		c.seal()
+		min, max, _ := c.IntBounds(0)
+		checkKernels(t, name+"-short", c, 0, oraclePreds(vals, len(vals), min, max, r), spanShapes(len(vals), r))
 	}
 }
 

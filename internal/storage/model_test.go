@@ -136,7 +136,7 @@ func TestTableMatchesModelUnderRandomOps(t *testing.T) {
 						}
 						s.Column(0).ReadIntBlock(blk, buf)
 						for i := 0; i < n; i++ {
-							if del[buf[i]] && s.DeleteXIDs()[base+i] == 0 {
+							if del[buf[i]] && !s.HasDeletionsIn(base+i, base+i+1) {
 								locs = append(locs, loc{si, base + i})
 							}
 						}

@@ -8,7 +8,9 @@ type Slice struct {
 	cols []*ColumnStore
 
 	// MVCC row headers (§4.3.2): creation and deletion transaction ids.
-	// deleteXID == 0 means the row is live.
+	// deleteXID is nil until the slice's first deletion — rows that were
+	// never deleted carry no deletion header — and holds one id per row from
+	// then on, 0 meaning the row is live.
 	insertXID []uint64
 	deleteXID []uint64
 
@@ -40,11 +42,20 @@ func (s *Slice) Column(i int) *ColumnStore { return s.cols[i] }
 // pclint:recycled
 func (s *Slice) InsertXIDs() []uint64 { return s.insertXID }
 
-// DeleteXIDs exposes the per-row deletion timestamps (read-only). Same
-// aliasing rules as InsertXIDs.
+// DeleteXIDs exposes the per-row deletion timestamps (read-only); nil means
+// no row of the slice has ever been deleted. Same aliasing rules as
+// InsertXIDs.
 //
 // pclint:recycled
 func (s *Slice) DeleteXIDs() []uint64 { return s.deleteXID }
+
+// deletedAt returns the transaction that deleted row, or 0 if it is live.
+func (s *Slice) deletedAt(row int) uint64 {
+	if s.deleteXID == nil {
+		return 0
+	}
+	return s.deleteXID[row]
+}
 
 // Visible reports whether row is visible to a snapshot: the row was created
 // at or before the snapshot and not deleted at or before it.
@@ -52,13 +63,16 @@ func (s *Slice) Visible(row int, snapshot uint64) bool {
 	if s.insertXID[row] > snapshot {
 		return false
 	}
-	d := s.deleteXID[row]
+	d := s.deletedAt(row)
 	return d == 0 || d > snapshot
 }
 
 // HasDeletionsIn reports whether any row in [start, end) carries a deletion
 // timestamp; scans use it to fast-path fully-live blocks.
 func (s *Slice) HasDeletionsIn(start, end int) bool {
+	if s.deleteXID == nil {
+		return false
+	}
 	for i := start; i < end; i++ {
 		if s.deleteXID[i] != 0 {
 			return true
@@ -79,7 +93,9 @@ func (s *Slice) appendRow(vals []int64, fvals []float64, xid uint64) {
 		}
 	}
 	s.insertXID = append(s.insertXID, xid)
-	s.deleteXID = append(s.deleteXID, 0)
+	if s.deleteXID != nil {
+		s.deleteXID = append(s.deleteXID, 0)
+	}
 	s.numRows++
 	assertMVCCHeaders(s, "Slice.appendRow")
 }
@@ -87,6 +103,9 @@ func (s *Slice) appendRow(vals []int64, fvals []float64, xid uint64) {
 // deleteRow marks a row deleted at xid. Idempotent for already-deleted rows
 // (keeps the earliest deletion).
 func (s *Slice) deleteRow(row int, xid uint64) {
+	if s.deleteXID == nil {
+		s.deleteXID = make([]uint64, s.numRows, cap(s.insertXID))
+	}
 	if s.deleteXID[row] == 0 {
 		s.deleteXID[row] = xid
 	}
@@ -96,7 +115,7 @@ func (s *Slice) deleteRow(row int, xid uint64) {
 // MemBytes approximates the slice's memory footprint (blocks + MVCC
 // headers), excluding shared dictionaries.
 func (s *Slice) MemBytes() int {
-	n := len(s.insertXID)*16 + 48
+	n := (len(s.insertXID)+len(s.deleteXID))*8 + 48
 	for _, c := range s.cols {
 		n += c.MemBytes()
 	}

@@ -379,7 +379,7 @@ func (t *Table) Vacuum(horizon uint64) {
 			}
 			for r := 0; r < n; r++ {
 				row := base + r
-				d := s.deleteXID[row]
+				d := s.deletedAt(row)
 				if d != 0 && d <= horizon {
 					continue // globally invisible: reclaim
 				}
@@ -469,7 +469,7 @@ func (t *Table) Vacuum(horizon uint64) {
 			}
 			sl.appendRow(rowVals, rowFloats, xids[r])
 			if delXIDs[r] != 0 {
-				sl.deleteXID[sl.numRows-1] = delXIDs[r]
+				sl.deleteRow(sl.numRows-1, delXIDs[r])
 			}
 		}
 	}

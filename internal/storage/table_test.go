@@ -127,7 +127,15 @@ func TestMVCCVisibility(t *testing.T) {
 	if !s.Visible(0, 5) || !s.Visible(0, 100) {
 		t.Fatal("row invisible after insert xid")
 	}
+	// A slice nothing was deleted from carries no deletion headers.
+	if s.DeleteXIDs() != nil || s.HasDeletionsIn(0, 10) {
+		t.Fatal("deletion headers before the first delete")
+	}
+	liveBytes := s.MemBytes()
 	tbl.DeleteRows(0, []int{3}, 7)
+	if got := s.MemBytes() - liveBytes; got != 10*8 {
+		t.Fatalf("first delete added %d header bytes, want 80", got)
+	}
 	if !s.Visible(3, 6) {
 		t.Fatal("deleted row invisible before delete xid")
 	}
@@ -144,6 +152,18 @@ func TestMVCCVisibility(t *testing.T) {
 	tbl.DeleteRows(0, []int{3}, 9)
 	if s.DeleteXIDs()[3] != 7 {
 		t.Fatal("re-delete overwrote xid")
+	}
+	// Rows appended afterwards get a header too, and are live.
+	if err := tbl.Append(fillBatch(5, 4), 10); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.DeleteXIDs()); n != 15 || !s.Visible(12, 10) {
+		t.Fatalf("%d deletion headers for 15 rows", n)
+	}
+	// A vacuum that reclaims every deleted row leaves none behind.
+	tbl.Vacuum(100)
+	if s := tbl.Slice(0); s.NumRows() != 14 || s.DeleteXIDs() != nil {
+		t.Fatalf("after vacuum: %d rows, %d deletion headers", s.NumRows(), len(s.DeleteXIDs()))
 	}
 }
 

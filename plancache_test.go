@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -280,6 +281,70 @@ func TestQueryCtxCancelMidQuery(t *testing.T) {
 	t.Skip("query always completed before cancellation; machine too fast for this workload")
 }
 
+// countdownCtx cancels itself on its n-th Done call. The engine polls Done at
+// every cancellation check (once per cancelCheckRows rows in the scan loop,
+// once per morsel above it), so n picks the check that sees the cancellation
+// without any timing.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+	once sync.Once
+	done chan struct{}
+}
+
+func newCountdownCtx(n int64) *countdownCtx {
+	c := &countdownCtx{Context: context.Background(), done: make(chan struct{})}
+	c.left.Store(n)
+	return c
+}
+
+func (c *countdownCtx) Done() <-chan struct{} {
+	if c.left.Add(-1) <= 0 {
+		c.once.Do(func() { close(c.done) })
+	}
+	return c.done
+}
+
+func (c *countdownCtx) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+// Cancelling at any of the engine's amortised checks — the first few and then
+// ever later ones, until the query outruns the countdown — aborts with the
+// context's error and is recorded as a failure.
+func TestQueryCtxCancelAtEveryCheck(t *testing.T) {
+	db := openWithData(t, 200000)
+	q := "select count(*) as n from t a, t b where a.id = b.id"
+	cancelled := 0
+	for n, next := int64(1), int64(2); ; n, next = next, n+next {
+		res, err := db.QueryCtx(newCountdownCtx(n), q)
+		if err == nil {
+			if got := intCell(t, res, 0, "n"); got != 200000 {
+				t.Fatalf("completed run counted %d", got)
+			}
+			break
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at check %d: err = %v", n, err)
+		}
+		recs := db.QueryLog()
+		if last := recs[len(recs)-1]; last.SQL != q || !strings.Contains(last.Error, "cancel") {
+			t.Fatalf("cancel at check %d: record = %+v", n, last)
+		}
+		cancelled++
+	}
+	// 400,000 scanned rows alone are ~100 checks: Fibonacci steps reach
+	// that after ten cancelled runs.
+	if cancelled < 8 {
+		t.Fatalf("only %d runs were cancelled: the engine polls the context too rarely", cancelled)
+	}
+}
+
 // A cancelled scan must not leave a partial entry in the predicate cache:
 // the next uncancelled run would serve wrong results from it.
 func TestCancelDoesNotPoisonPredicateCache(t *testing.T) {
@@ -294,5 +359,60 @@ func TestCancelDoesNotPoisonPredicateCache(t *testing.T) {
 	res := one(t, db, q)
 	if got := intCell(t, res, 0, "n"); got != 100000 {
 		t.Fatalf("count after cancelled runs = %d, want 100000", got)
+	}
+
+	// The same without timing: cancel a fresh database's query at each of its
+	// checks in turn. While the cancellation lands inside the scan, the run
+	// must fail and leave the cache as it was — no entry inserted, and, once
+	// one exists and rows have been added past its watermark, none extended.
+	// The sweep ends when the scan gets through (the cache changes, whether
+	// or not a later operator still sees the cancellation); the entry it
+	// left must then answer correctly.
+	db = openWithData(t, 200000)
+	sweep := func(want int64, unchanged func(predcache.CacheStats) bool) {
+		t.Helper()
+		for n := int64(1); ; n++ {
+			_, err := db.QueryCtx(newCountdownCtx(n), q)
+			if err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancel at check %d: err = %v", n, err)
+			}
+			if unchanged(db.CacheStats()) {
+				if err == nil {
+					t.Fatalf("run %d completed without touching the cache", n)
+				}
+				continue
+			}
+			if n < 3 {
+				t.Fatalf("scan completed under a context cancelled at check %d", n)
+			}
+			break
+		}
+		if got := intCell(t, one(t, db, q), 0, "n"); got != want {
+			t.Fatalf("count = %d, want %d", got, want)
+		}
+	}
+	sweep(100000, func(st predcache.CacheStats) bool { return st.Inserts == 0 })
+	if st := db.CacheStats(); st.Inserts != 1 {
+		t.Fatalf("completed scan: %+v", st)
+	}
+	more := predcache.NewBatch(predcache.Schema{
+		{Name: "id", Type: predcache.Int64},
+		{Name: "grp", Type: predcache.String},
+		{Name: "val", Type: predcache.Float64},
+		{Name: "day", Type: predcache.Date},
+	})
+	for i := 0; i < 50000; i++ {
+		more.Cols[0].Ints = append(more.Cols[0].Ints, int64(200000+i))
+		more.Cols[1].Strings = append(more.Cols[1].Strings, "a")
+		more.Cols[2].Floats = append(more.Cols[2].Floats, float64(i%100))
+		more.Cols[3].Ints = append(more.Cols[3].Ints, 20000)
+	}
+	more.N = 50000
+	if err := db.Insert("t", more); err != nil {
+		t.Fatal(err)
+	}
+	sweep(125000, func(st predcache.CacheStats) bool { return st.Inserts == 1 && st.Extends == 0 })
+	if st := db.CacheStats(); st.Extends == 0 {
+		t.Fatalf("completed scan did not extend: %+v", st)
 	}
 }

@@ -591,6 +591,12 @@ func (db *DB) Vacuum(table string) error {
 		return fmt.Errorf("predcache: unknown table %s", table)
 	}
 	tbl.Vacuum(db.cat.Snapshot())
+	// The new layout epoch makes every entry of the table stale. Lookups
+	// would drop them one by one, but an entry whose predicate never comes
+	// back is never looked up again and would stay for good.
+	if db.cache != nil {
+		db.cache.InvalidateTable(table)
+	}
 	db.observeDML(start)
 	db.logger.Load().Info("vacuum",
 		"table", table, "wall_us", time.Since(start).Microseconds(),
@@ -616,8 +622,8 @@ func (db *DB) Query(query string) (*Result, error) {
 }
 
 // QueryCtx is Query with cooperative cancellation: when ctx is cancelled the
-// executing plan stops at its next check point (every scan block and every
-// cancelCheckRows rows inside join/aggregation loops) and the query returns
+// executing plan stops at its next check point (every cancelCheckRows rows
+// inside scan, join and aggregation loops) and the query returns
 // ctx's error. Cancelled executions are recorded in pc.query_log like any
 // other failure, and never install partial predicate-cache entries. A ctx
 // that can never be cancelled (context.Background) costs nothing: the

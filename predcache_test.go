@@ -1,6 +1,7 @@
 package predcache_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -297,5 +298,31 @@ func TestLakeAPI(t *testing.T) {
 	}
 	if _, _, err := predcache.LakeScan(tbl, "not valid (((", cache); err == nil {
 		t.Fatal("bad predicate accepted")
+	}
+}
+
+// Vacuum renumbers rows, so every entry of the table is stale afterwards. It
+// drops them on the spot: waiting for the next lookup of each key would keep
+// the entries of predicates that never come back for ever.
+func TestVacuumDropsTableEntries(t *testing.T) {
+	db := openWithData(t, 5000)
+	for i := 0; i < 20; i++ {
+		one(t, db, fmt.Sprintf("select count(*) as n from t where id < %d", 100+i))
+	}
+	if st := db.CacheStats(); st.Entries != 20 {
+		t.Fatalf("entries before vacuum = %d, want 20", st.Entries)
+	}
+	if _, err := db.DeleteWhere("t", mustPred(t, "id < 10")); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Vacuum("t"); err != nil {
+		t.Fatal(err)
+	}
+	st := db.CacheStats()
+	if st.Entries != 0 || st.MemBytes != 0 || st.Invalidations != 20 {
+		t.Fatalf("after vacuum: %+v", st)
+	}
+	if got := intCell(t, one(t, db, "select count(*) as n from t where id < 100"), 0, "n"); got != 90 {
+		t.Fatalf("count after vacuum = %d, want 90", got)
 	}
 }
