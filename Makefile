@@ -4,12 +4,17 @@
 
 GO ?= go
 
-.PHONY: all build test race stress test-debug vet lint lint-sarif smoke systab-smoke trace-smoke server-smoke profile-smoke bench-smoke benchmark benchmark-compare check clean
+.PHONY: all build fmt test race stress test-debug vet lint lint-sarif smoke systab-smoke trace-smoke server-smoke profile-smoke bench-smoke benchmark benchmark-compare check clean
 
 all: build
 
 build:
 	$(GO) build ./...
+
+# gofmt must have nothing to say about any file in the tree, lint fixtures
+# included.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # Unit tests (tier-1 verification).
 test:
@@ -52,46 +57,35 @@ lint:
 lint-sarif:
 	$(GO) run ./cmd/pclint -matrix=';pcdebug' -sarif pclint.sarif ./...
 
-# End-to-end metrics check: starts pcsh with -metrics, runs a query, and
-# validates the Prometheus exposition with cmd/pcsmoke.
+# End-to-end smoke suites (scripts/smoke.sh <suite>; `scripts/smoke.sh all`
+# runs the five in one go). Each boots the shipped binaries and asserts
+# through SQL, the wire protocol, HTTP or files on disk:
+#   smoke          pcsh -metrics: the Prometheus exposition validates (cmd/pcsmoke)
+#   systab-smoke   pcsh: pc.query_log / pc.cache_stats / pc.table_storage answer
+#   trace-smoke    pcsh -slow 1ns -log: trace retention (pc.traces /
+#                  pc.trace_spans), pc.slo, pc.runtime, trace-correlated log lines
+#   server-smoke   pcserver on an ephemeral port driven by cmd/pcclient: queries,
+#                  prepared statements, error recovery, pc.sessions /
+#                  pc.plan_cache, SIGTERM drain
+#   profile-smoke  pcserver -admin -slow 1ms -profile-dir: pc.query_shapes,
+#                  query_id/shape pprof labels on /profile/cpu, the slow-query
+#                  captor's profile on disk, /profile/heap
 smoke:
-	./scripts/metrics_smoke.sh
+	./scripts/smoke.sh metrics
 
-# End-to-end system-table check: boots pcsh, runs a workload, and asserts
-# pc.query_log / pc.cache_stats / pc.table_storage answer through SQL.
-systab-smoke:
-	./scripts/systab_smoke.sh
-
-# End-to-end observability check: boots pcsh with a 1ns slow threshold and a
-# JSON log file, runs a workload with a failing query, and asserts trace
-# retention (pc.traces / pc.trace_spans), SLO histograms (pc.slo), runtime
-# health (pc.runtime) and trace-correlated log lines.
-trace-smoke:
-	./scripts/trace_smoke.sh
-
-# End-to-end network check: boots pcserver on an ephemeral TCP port, drives
-# the wire protocol with cmd/pcclient (queries, prepared statements, error
-# recovery, pc.sessions / pc.plan_cache visibility), and SIGTERM-drains.
-server-smoke:
-	./scripts/server_smoke.sh
-
-# End-to-end attribution check: boots pcserver with an admin endpoint, a 1ms
-# slow threshold and a profile directory, then asserts pc.query_shapes
-# aggregates attributed CPU, /profile/cpu captured under load carries the
-# query_id/shape pprof labels, a slow query leaves a rate-limited profile on
-# disk, and /profile/heap parses.
-profile-smoke:
-	./scripts/profile_smoke.sh
+systab-smoke trace-smoke server-smoke profile-smoke:
+	./scripts/smoke.sh $(@:-smoke=)
 
 # One-iteration compile-and-run of the scan benchmarks: catches bit-rot in
 # the benchmark harness without paying full measurement time. The Table4
 # run exercises the morsel-parallel join/agg path at 1 and 4 procs, and the
 # engine equivalence tests fail the target on any serial-vs-parallel result
 # divergence (bit-exact, including float payloads). The kernel micro-benchmarks
-# (2,048 distinct random blocks each) and the one-candidate-block hit ride
+# (2,048 distinct random blocks each), the one-candidate-block hit and the
+# per-sink cost of the observability tail (BenchmarkEmit, DESIGN.md §16) ride
 # along at one iteration.
 bench-smoke:
-	$(GO) test -run=NONE -bench=BenchmarkScan -benchtime=1x .
+	$(GO) test -run=NONE -bench='BenchmarkScan|BenchmarkEmit' -benchtime=1x .
 	$(GO) test -run=NONE -bench=BenchmarkEvalPred -benchtime=1x ./internal/storage
 	$(GO) test -run=NONE -bench=BenchmarkScanHitOneBlock -benchtime=1x ./internal/engine
 	$(GO) test -run=NONE -bench=BenchmarkTable4TPCHSkewed -benchtime=1x -cpu 1,4 .
@@ -112,7 +106,7 @@ benchmark-compare:
 	bash benchmark/run.sh -compare $(A) $(B)
 
 # Everything CI runs.
-check: build vet lint test race stress test-debug bench-smoke smoke systab-smoke trace-smoke server-smoke profile-smoke
+check: build fmt vet lint test race stress test-debug bench-smoke smoke systab-smoke trace-smoke server-smoke profile-smoke
 
 clean:
 	$(GO) clean ./...

@@ -2,7 +2,6 @@ package predcache
 
 import (
 	"context"
-	"strconv"
 
 	"github.com/predcache/predcache/internal/obs"
 )
@@ -19,9 +18,6 @@ type (
 	ShapeRow = obs.ShapeRow
 	// Alert is one pc.alerts row: a leak-sentinel transition.
 	Alert = obs.Alert
-	// SentinelConfig sets the leak-sentinel thresholds for
-	// WithSentinelConfig (zero fields keep their defaults).
-	SentinelConfig = obs.SentinelConfig
 )
 
 // Sentinel names appearing in pc.alerts.sentinel.
@@ -30,28 +26,6 @@ const (
 	SentinelHeap       = obs.SentinelHeap
 	SentinelPoolChurn  = obs.SentinelPoolChurn
 )
-
-// WithQueryShapeCapacity bounds the pc.query_shapes ledger to n shapes
-// (0 keeps the default, obs.DefaultShapeCapacity). When full, observing a
-// new shape evicts the retained shape with the least total CPU.
-func WithQueryShapeCapacity(n int) Option {
-	return func(db *DB) { db.shapeCap = n }
-}
-
-// WithSentinelConfig overrides the leak-sentinel thresholds evaluated by the
-// runtime sampler (zero fields keep their defaults). The sentinels only run
-// while StartRuntimeSampler is active.
-func WithSentinelConfig(cfg SentinelConfig) Option {
-	return func(db *DB) { db.sentinelCfg = cfg }
-}
-
-// WithProfileCapture enables automatic, rate-limited CPU profile capture on
-// slow queries: profiles land in dir as cpu-NNN-q<seq>.pprof and carry the
-// query_id/shape/session labels. An unusable directory logs an error at Open
-// and disables capture rather than failing.
-func WithProfileCapture(dir string) Option {
-	return func(db *DB) { db.profileDir = dir }
-}
 
 // QueryShapes returns the per-shape resource ledger ranked by total
 // attributed CPU, heaviest first — the same rows served by pc.query_shapes.
@@ -93,13 +67,4 @@ func sessionFromCtx(ctx context.Context) string {
 		return s
 	}
 	return ""
-}
-
-// queryIDLabel renders the query_id pprof label for a reserved sequence
-// number ("q17"); unreserved executions (query logging disabled) are "q-".
-func queryIDLabel(seq int64) string {
-	if seq < 0 {
-		return "q-"
-	}
-	return "q" + strconv.FormatInt(seq, 10)
 }

@@ -142,25 +142,6 @@ func TestShapeNormalizationFoldsLiterals(t *testing.T) {
 	}
 }
 
-// TestShapeCapacityOption verifies WithQueryShapeCapacity bounds the ledger.
-func TestShapeCapacityOption(t *testing.T) {
-	db := predcache.Open(predcache.WithQueryShapeCapacity(2))
-	// Four distinct shapes against the system tables; the ledger must hold
-	// only the configured two.
-	queries := []string{
-		"select count(*) from pc.query_log",
-		"select count(*) from pc.alerts",
-		"select count(*) from pc.metrics",
-		"select count(*) from pc.cache_stats",
-	}
-	for _, q := range queries {
-		one(t, db, q)
-	}
-	if got := len(db.QueryShapes()); got != 2 {
-		t.Fatalf("shapes = %d, want 2 (capacity)", got)
-	}
-}
-
 // TestAlertsTableEmpty checks pc.alerts exists and is empty in a healthy
 // process (no sampler running, nothing fired).
 func TestAlertsTableEmpty(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"github.com/predcache/predcache/internal/bench"
 	"github.com/predcache/predcache/internal/obs"
@@ -22,8 +21,6 @@ import (
 func main() {
 	cfg := bench.DefaultConfig()
 	fast := flag.Bool("fast", false, "run at the small test scale")
-	jsonPath := flag.String("json", "", "run the scan micro-benchmarks and write per-benchmark ns/op, allocs/op and rows-scanned as JSON to this path")
-	comparePaths := flag.String("compare", "", "old.json,new.json: diff two recordings produced by -json and print the per-benchmark deltas")
 	metricsAddr := flag.String("metrics", "", "serve runtime metrics/pprof on this address while experiments run; empty disables")
 	flag.Float64Var(&cfg.TpchSF, "tpch-sf", cfg.TpchSF, "TPC-H scale factor")
 	flag.Float64Var(&cfg.SSBSF, "ssb-sf", cfg.SSBSF, "SSB scale factor")
@@ -41,20 +38,6 @@ func main() {
 	flag.Parse()
 	if *fast {
 		cfg = bench.FastConfig()
-	}
-	if *comparePaths != "" {
-		if err := compareRecordings(*comparePaths); err != nil {
-			fmt.Fprintf(os.Stderr, "pcbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonPath != "" {
-		if err := recordMicro(*jsonPath); err != nil {
-			fmt.Fprintf(os.Stderr, "pcbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 	args := flag.Args()
 	if len(args) == 0 {
@@ -90,46 +73,4 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// recordMicro runs the scan micro-benchmarks and writes the recording.
-func recordMicro(path string) error {
-	results, err := bench.RunMicro(os.Stderr)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := bench.WriteMicroJSON(f, results); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-	return nil
-}
-
-// compareRecordings diffs two -json recordings given as "old.json,new.json".
-func compareRecordings(spec string) error {
-	parts := strings.SplitN(spec, ",", 2)
-	if len(parts) != 2 {
-		return fmt.Errorf("-compare wants old.json,new.json, got %q", spec)
-	}
-	oldData, err := os.ReadFile(parts[0])
-	if err != nil {
-		return err
-	}
-	newData, err := os.ReadFile(parts[1])
-	if err != nil {
-		return err
-	}
-	report, err := bench.CompareMicroJSON(oldData, newData)
-	// A regression still comes with a rendered report: print it first so the
-	// failing run shows which benchmark moved, then exit non-zero.
-	fmt.Print(report)
-	return err
 }

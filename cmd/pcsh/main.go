@@ -192,7 +192,7 @@ func main() {
 				fmt.Printf("trace %d is not retained (never kept, or evicted)\n", id)
 			} else {
 				fmt.Printf("trace %d: class=%s shape=%s reason=%s wall=%v cache_hit=%v\n",
-					rt.TraceID, rt.Class, rt.Shape, rt.Reason, rt.Wall, rt.CacheHit)
+					rt.Seq, rt.Class, rt.ShapeID, rt.Reason, rt.Wall(), rt.CacheHit)
 				if rt.Error != "" {
 					fmt.Printf("error: %s\n", rt.Error)
 				}

@@ -1,0 +1,90 @@
+package predcache
+
+import (
+	"io"
+	"testing"
+
+	"github.com/predcache/predcache/internal/obs"
+)
+
+// BenchmarkEmit prices the per-statement observability tail sink by sink:
+// one prebuilt event of a warm point query, handed to each sink alone and
+// then to emit as a whole (DESIGN.md §16 carries the resulting table). The
+// trace store is measured in both its cases: "drop" is the steady state (the
+// shape's head-sample quota is full, so Offer decides and returns) and
+// "admit" an errored statement, which is always kept — finalize, detach the
+// spans, allocate the RetainedTrace, evict the oldest when over budget.
+func BenchmarkEmit(b *testing.B) {
+	ev := obs.QueryEvent{
+		SQL:      "select id, val from t where id = 123456",
+		ShapeKey: "select id , val from t where id = ?",
+		Class:    obs.ClassPoint,
+		Session:  "s1",
+		Executed: true, CacheHit: true,
+		WallMicros: 24, ParseMicros: 3, ExecMicros: 12, CPUMicros: 12,
+		Rows: 1, RowsScanned: 1000, RowsQualified: 1, RowsDecoded: 2,
+		BlocksAccessed: 2, BlocksKernel: 1, BlocksPrunedCache: 1999, CacheHits: 1,
+		AllocObjects: 60, AllocBytes: 19000,
+	}
+	ev.ShapeID = obs.ShapeID(ev.ShapeKey)
+	failed := ev
+	failed.Error = "boom"
+	// newTrace records the spans of a warm point query: plan-cache and
+	// execute phases, one scan node, one slice, one cache lookup.
+	newTrace := func() *obs.Trace {
+		tr := obs.NewTrace()
+		tr.Begin(obs.KindPhase, "plan-cache").End()
+		ex := tr.Begin(obs.KindPhase, "execute")
+		n := tr.Begin(obs.KindNode, "Scan t")
+		tr.Begin(obs.KindCache, "cache lookup").End()
+		tr.BeginChild(n, obs.KindSlice, "slice 0").End()
+		n.End()
+		ex.End()
+		return tr
+	}
+	open := func() *DB {
+		db := Open(WithLogger(NewJSONLogger(io.Discard, 0)))
+		db.EnableMetrics(NewMetrics())
+		for i := 0; i < obs.DefaultShapeQuota; i++ {
+			e := ev
+			db.traces.Offer(&e, newTrace()) // fill the shape's quota
+		}
+		return db
+	}
+	each := func(name string, fn func(db *DB, e *obs.QueryEvent)) {
+		b.Run(name, func(b *testing.B) {
+			db := open()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e := ev
+				e.Seq = int64(i)
+				fn(db, &e)
+			}
+		})
+	}
+	tr := newTrace()
+	each("trace-drop", func(db *DB, e *obs.QueryEvent) { db.traces.Offer(e, tr) })
+	b.Run("trace-admit", func(b *testing.B) {
+		db := open()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			e, t := failed, newTrace()
+			e.Seq = int64(i)
+			b.StartTimer()
+			db.traces.Offer(&e, t)
+		}
+	})
+	each("query-log", func(db *DB, e *obs.QueryEvent) { db.qlog.Append(e) })
+	each("slo", func(db *DB, e *obs.QueryEvent) {
+		db.slo.Observe(e.Class, e.CacheHit, e.Wall(), e.Seq, e.Retained)
+	})
+	each("shape-ledger", func(db *DB, e *obs.QueryEvent) { db.shapes.Observe(e) })
+	each("metrics", func(db *DB, e *obs.QueryEvent) { db.metrics.Load().record(e) })
+	each("emit", func(db *DB, e *obs.QueryEvent) { db.emit(e, tr) })
+	each("emit-failed-logged", func(db *DB, e *obs.QueryEvent) {
+		e.Error = "boom"
+		db.emit(e, nil)
+	})
+}

@@ -1,0 +1,476 @@
+package predcache_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"regexp"
+	"runtime/pprof"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	predcache "github.com/predcache/predcache"
+	"github.com/predcache/predcache/internal/engine"
+	"github.com/predcache/predcache/internal/storage"
+)
+
+// probeTable is a one-column virtual table whose Snapshot runs a hook on the
+// executing goroutine: tests use it to sleep (a deterministic slow
+// statement), to fail (an execution error) and to read the pprof labels the
+// statement runs under.
+type probeTable struct {
+	name string
+	hook func() error
+}
+
+var probeSchema = storage.Schema{{Name: "x", Type: storage.Int64}}
+
+func (p *probeTable) Name() string           { return p.name }
+func (p *probeTable) Schema() storage.Schema { return probeSchema }
+func (p *probeTable) NumRows() int           { return 1 }
+func (p *probeTable) Snapshot() (*engine.Relation, error) {
+	if err := p.hook(); err != nil {
+		return nil, err
+	}
+	return engine.NewRelation([]engine.RelCol{{Name: "x", Type: storage.Int64, Ints: []int64{1}}})
+}
+
+// goroutineLabels returns the pprof label set of the calling goroutine as
+// the goroutine profile prints it ({"query_id":"q3", ...}): the first
+// labelled record whose stack contains this function.
+func goroutineLabels() string {
+	var buf bytes.Buffer
+	_ = pprof.Lookup("goroutine").WriteTo(&buf, 1)
+	for _, rec := range strings.Split(buf.String(), "\n\n") {
+		if !strings.Contains(rec, "goroutineLabels") {
+			continue
+		}
+		for _, line := range strings.Split(rec, "\n") {
+			if rest, ok := strings.CutPrefix(line, "# labels: "); ok {
+				return rest
+			}
+		}
+	}
+	return ""
+}
+
+// labelProbe registers pc.labels on db; every scan of it stores the labels
+// of the goroutine executing the statement.
+func labelProbe(t *testing.T, db *predcache.DB) *string {
+	t.Helper()
+	var labels string
+	if err := db.RegisterSystemTable(&probeTable{name: "pc.labels", hook: func() error {
+		labels = goroutineLabels()
+		return nil
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	return &labels
+}
+
+// With the query log disabled the statement sequence still runs: retained
+// traces get distinct non-negative ids that TraceByID resolves, and the SLO
+// exemplars and the query_id pprof label carry the same ids. (The log ring
+// used to own the sequence, so all of them were -1.)
+func TestTraceIDsWithQueryLogDisabled(t *testing.T) {
+	db := openWithData(t, 1000, predcache.WithQueryLogCapacity(0))
+	labels := labelProbe(t, db)
+	queries := []string{
+		"select count(*) from t where id < 10",
+		"select id from t where id = 7",
+		"select x from pc.labels",
+	}
+	for _, q := range queries {
+		one(t, db, q)
+	}
+	if got := db.QueryLog(); got != nil {
+		t.Fatalf("query log holds %d records with capacity 0", len(got))
+	}
+	res := one(t, db, "select trace_id, query_text from pc.traces order by trace_id")
+	if res.NumRows() != len(queries) {
+		t.Fatalf("retained %d traces, want %d:\n%s", res.NumRows(), len(queries), res.Format(10))
+	}
+	ids := map[int64]bool{}
+	var labelsID int64
+	for i := 0; i < res.NumRows(); i++ {
+		id := intCell(t, res, i, "trace_id")
+		if id < 0 || ids[id] {
+			t.Fatalf("trace ids not distinct and non-negative:\n%s", res.Format(10))
+		}
+		ids[id] = true
+		if db.TraceByID(id) == nil {
+			t.Errorf("TraceByID(%d) = nil for a row of pc.traces", id)
+		}
+		if strCell(t, res, i, "query_text") == "select x from pc.labels" {
+			labelsID = id
+		}
+	}
+	if want := fmt.Sprintf(`"query_id":"q%d"`, labelsID); !strings.Contains(*labels, want) {
+		t.Errorf("pprof labels %s lack %s", *labels, want)
+	}
+	exemplars := 0
+	for _, r := range db.SLOReports() {
+		if r.Count == 0 {
+			continue
+		}
+		exemplars++
+		if !ids[r.ExemplarTraceID] {
+			t.Errorf("pc.slo %s exemplar %d is not a retained trace id %v", r.Class, r.ExemplarTraceID, ids)
+		}
+	}
+	if exemplars == 0 {
+		t.Fatal("no populated SLO class")
+	}
+}
+
+// EXPLAIN ANALYZE through QueryCtx is the statement it wraps as far as
+// attribution goes: it runs under the caller's session label and is shaped by
+// the normalized inner statement, so N literal variants share one
+// pc.query_shapes row, while pc.query_log keeps the full text.
+func TestExplainAnalyzeShapedAndLabelled(t *testing.T) {
+	db := openWithData(t, 1000)
+	labels := labelProbe(t, db)
+	ctx := predcache.ContextWithSession(context.Background(), "s42")
+	const n = 5
+	for i := 0; i < n; i++ {
+		q := fmt.Sprintf("explain analyze select count(*) from t where id = %d", i)
+		if _, err := db.QueryCtx(ctx, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shapes := db.QueryShapes()
+	if len(shapes) != 1 || shapes[0].Calls != n {
+		t.Fatalf("%d literal variants of one EXPLAIN ANALYZE made %d shapes: %+v", n, len(shapes), shapes)
+	}
+	if strings.Contains(shapes[0].Key, "explain") {
+		t.Errorf("shape key %q keeps the EXPLAIN prefix", shapes[0].Key)
+	}
+	// The plain statement is the same shape.
+	one(t, db, "select count(*) from t where id = 99")
+	if shapes = db.QueryShapes(); len(shapes) != 1 || shapes[0].Calls != n+1 {
+		t.Fatalf("plain statement did not join its EXPLAIN ANALYZE shape: %+v", shapes)
+	}
+	log := db.QueryLog()
+	if len(log) != n+1 {
+		t.Fatalf("query log has %d records, want %d", len(log), n+1)
+	}
+	var cpu int64
+	for i, rec := range log {
+		if i < n && !strings.HasPrefix(rec.SQL, "explain analyze select") {
+			t.Errorf("pc.query_log.query_text lost the prefix: %q", rec.SQL)
+		}
+		if rec.ShapeID != shapes[0].ID {
+			t.Errorf("record %d shape_id %q, ledger %q", i, rec.ShapeID, shapes[0].ID)
+		}
+		cpu += rec.CPUMicros
+	}
+	if cpu != shapes[0].CPUMicros {
+		t.Errorf("sum(cpu_us) over pc.query_log = %d, pc.query_shapes = %d", cpu, shapes[0].CPUMicros)
+	}
+	if _, err := db.QueryCtx(ctx, "explain analyze select x from pc.labels"); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(*labels, `"session":"s42"`) {
+		t.Errorf("EXPLAIN ANALYZE ran under labels %s, want session s42", *labels)
+	}
+}
+
+// sinkStream is the statement mix of the "every sink agrees" tests: each kind
+// of outcome emit sees, with what the statement's event must look like.
+var sinkStream = []struct {
+	name     string
+	sql      string // empty: hand-built plan through db.Run
+	cancel   bool   // run under a context that cancels at the first check
+	executed bool
+	failed   bool
+	slow     bool // must be slow (the others may be, on a stalled host)
+	class    string
+}{
+	{name: "ok", sql: "select count(*) from t where id < 10", executed: true, class: "agg"},
+	{name: "ok-repeat", sql: "select count(*) from t where id < 20", executed: true, class: "agg"},
+	{name: "point", sql: "select id from t where id = 7", executed: true, class: "point"},
+	{name: "parse-error", sql: "select from from from", failed: true},
+	{name: "plan-error", sql: "select nope from t", failed: true},
+	{name: "exec-error", sql: "select x from pc.fail", executed: true, failed: true, class: "range"},
+	{name: "cancelled", sql: "select count(*) from t a, t b where a.id = b.id", cancel: true, executed: true, failed: true, class: "agg"},
+	{name: "slow", sql: "select x from pc.sleep", executed: true, slow: true, class: "range"},
+	{name: "explain-analyze", sql: "explain analyze select count(*) from t where id < 30", executed: true, class: "agg"},
+	{name: "explain-analyze-error", sql: "explain analyze select nope from t", failed: true},
+	{name: "explain-error", sql: "explain select nope from t", failed: true},
+	{name: "hand-built", executed: true},
+}
+
+// sinkDB opens a database wired to every sink: a metrics registry, a JSON
+// logger on the returned buffer, a 40ms slow threshold, and the probe tables
+// sinkStream uses.
+func sinkDB(t *testing.T) (*predcache.DB, *predcache.Metrics, *syncBuffer) {
+	t.Helper()
+	logs := &syncBuffer{}
+	db := openWithData(t, 5000,
+		predcache.WithSlowQueryThreshold(40*time.Millisecond),
+		predcache.WithLogger(predcache.NewJSONLogger(logs, 0)))
+	m := predcache.NewMetrics()
+	db.EnableMetrics(m)
+	for _, p := range []*probeTable{
+		{name: "pc.fail", hook: func() error { return errors.New("probe failed") }},
+		{name: "pc.sleep", hook: func() error { time.Sleep(60 * time.Millisecond); return nil }},
+	} {
+		if err := db.RegisterSystemTable(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db, m, logs
+}
+
+// syncBuffer is a bytes.Buffer safe for the concurrent writes of a shared
+// logger.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// runSinkStatement runs one sinkStream entry and checks only its error.
+func runSinkStatement(t *testing.T, db *predcache.DB, i int, session string) {
+	s := sinkStream[i]
+	var err error
+	switch {
+	case s.sql == "":
+		var plan engine.Node
+		if plan, err = db.Plan("select count(*) from t where id < 40"); err == nil {
+			_, err = db.Run(plan)
+		}
+	case s.cancel:
+		_, err = db.QueryCtx(newCountdownCtx(1), s.sql)
+	default:
+		_, err = db.QueryCtx(predcache.ContextWithSession(context.Background(), session), s.sql)
+	}
+	if (err != nil) != s.failed {
+		t.Errorf("%s: err = %v, want failure %v", s.name, err, s.failed)
+	}
+}
+
+// logLine is the subset of a structured query line the sinks must agree on.
+type logLine struct {
+	Msg     string `json:"msg"`
+	QueryID int64  `json:"query_id"`
+	TraceID int64  `json:"trace_id"`
+	ShapeID string `json:"shape_id"`
+	Class   string `json:"class"`
+	Slow    bool   `json:"slow"`
+	Error   string `json:"error"`
+}
+
+// checkSinksAgree takes the query log as the list of emitted events and
+// asserts that every other sink saw the same statements: retained traces
+// carry the event's seq, shape, class, slow flag and error; the SLO counts,
+// the shape ledger and the pushed counters add up to exactly the executed
+// events; and the logger wrote one line per failed or slow SQL statement
+// with the event's fields.
+func checkSinksAgree(t *testing.T, db *predcache.DB, m *predcache.Metrics, logs string) {
+	t.Helper()
+	type shapeSum struct{ calls, errors, cpu int64 }
+	var executed, failedExec float64
+	slo := map[string]uint64{}
+	shapes := map[string]*shapeSum{}
+	wantLines := map[int64]predcache.QueryRecord{}
+	seqs := map[int64]bool{}
+	for _, ev := range db.QueryLog() {
+		if seqs[ev.Seq] {
+			t.Errorf("seq %d emitted twice", ev.Seq)
+		}
+		seqs[ev.Seq] = true
+		if ev.SQL != "" && (ev.Error != "" || ev.Slow) {
+			wantLines[ev.Seq] = ev
+		}
+		rt := db.TraceByID(ev.Seq)
+		if (rt != nil) != ev.Retained {
+			t.Errorf("seq %d: event says retained=%v, trace store has it: %v", ev.Seq, ev.Retained, rt != nil)
+		}
+		if rt != nil {
+			reason := "sampled"
+			switch {
+			case ev.Error != "":
+				reason = "error"
+			case ev.Slow:
+				reason = "slow"
+			}
+			if rt.ShapeID != ev.ShapeID || rt.Class != ev.Class || rt.Slow != ev.Slow || rt.Error != ev.Error || rt.Reason != reason {
+				t.Errorf("seq %d: trace (shape %q class %q slow %v error %q reason %q) disagrees with event (shape %q class %q slow %v error %q)",
+					ev.Seq, rt.ShapeID, rt.Class, rt.Slow, rt.Error, rt.Reason, ev.ShapeID, ev.Class, ev.Slow, ev.Error)
+			}
+		}
+		if !ev.Executed {
+			if ev.Error == "" || ev.ShapeID != "" || ev.Class != "" {
+				t.Errorf("seq %d: unexecuted event %+v", ev.Seq, ev)
+			}
+			continue
+		}
+		executed++
+		if ev.Error != "" {
+			failedExec++
+		}
+		if ev.SQL == "" {
+			if ev.ShapeID != "" || ev.Class != "" || ev.Retained {
+				t.Errorf("seq %d: hand-built plan carries attribution: %+v", ev.Seq, ev)
+			}
+			continue
+		}
+		outcome := "miss"
+		if ev.CacheHit {
+			outcome = "hit"
+		}
+		slo[ev.Class+"/"+outcome]++
+		s := shapes[ev.ShapeID]
+		if s == nil {
+			s = &shapeSum{}
+			shapes[ev.ShapeID] = s
+		}
+		s.calls++
+		s.cpu += ev.CPUMicros
+		if ev.Error != "" {
+			s.errors++
+		}
+	}
+
+	for _, r := range db.SLOReports() {
+		outcome := "miss"
+		if r.CacheHit {
+			outcome = "hit"
+		}
+		if want := slo[r.Class+"/"+outcome]; r.Count != want {
+			t.Errorf("pc.slo %s/%s counts %d, events say %d", r.Class, outcome, r.Count, want)
+		}
+	}
+	ledger := db.QueryShapes()
+	if len(ledger) != len(shapes) {
+		t.Errorf("pc.query_shapes has %d shapes, events have %d", len(ledger), len(shapes))
+	}
+	for _, r := range ledger {
+		s := shapes[r.ID]
+		if s == nil {
+			t.Errorf("pc.query_shapes has shape %s no event carries", r.ID)
+			continue
+		}
+		if r.Calls != s.calls || r.Errors != s.errors || r.CPUMicros != s.cpu {
+			t.Errorf("pc.query_shapes %s: calls %d errors %d cpu %d, events say %d/%d/%d",
+				r.ID, r.Calls, r.Errors, r.CPUMicros, s.calls, s.errors, s.cpu)
+		}
+	}
+	for _, sm := range m.Samples() {
+		switch sm.Name {
+		case "predcache_queries_total":
+			if sm.Value != executed {
+				t.Errorf("predcache_queries_total = %v, executed events %v", sm.Value, executed)
+			}
+		case "predcache_query_errors_total":
+			if sm.Value != failedExec {
+				t.Errorf("predcache_query_errors_total = %v, failed executed events %v", sm.Value, failedExec)
+			}
+		case "predcache_query_seconds_count":
+			if sm.Value != executed-failedExec {
+				t.Errorf("predcache_query_seconds_count = %v, successful events %v", sm.Value, executed-failedExec)
+			}
+		}
+	}
+	for _, raw := range strings.Split(strings.TrimSpace(logs), "\n") {
+		var l logLine
+		if err := json.Unmarshal([]byte(raw), &l); err != nil {
+			t.Fatalf("log line %q: %v", raw, err)
+		}
+		ev, ok := wantLines[l.QueryID]
+		if !ok {
+			t.Errorf("log line for seq %d, which is neither failed nor slow: %s", l.QueryID, raw)
+			continue
+		}
+		delete(wantLines, l.QueryID)
+		msg := "slow query"
+		if ev.Error != "" {
+			msg = "query failed"
+		}
+		if l.Msg != msg || l.TraceID != ev.Seq || l.ShapeID != ev.ShapeID || l.Class != ev.Class || l.Slow != ev.Slow || l.Error != ev.Error {
+			t.Errorf("log line %s disagrees with event %+v", raw, ev)
+		}
+	}
+	for seq, ev := range wantLines {
+		t.Errorf("no log line for seq %d (%q, error %q, slow %v)", seq, ev.SQL, ev.Error, ev.Slow)
+	}
+}
+
+// TestEverySinkAgrees runs the statement mix serially, checks each
+// statement's event against what that kind of statement must emit, and then
+// checks every sink against the events.
+func TestEverySinkAgrees(t *testing.T) {
+	db, m, logs := sinkDB(t)
+	for i, s := range sinkStream {
+		runSinkStatement(t, db, i, "s1")
+		log := db.QueryLog()
+		if len(log) != i+1 {
+			t.Fatalf("%s: query log has %d records, want %d", s.name, len(log), i+1)
+		}
+		ev := log[i]
+		if ev.Seq != int64(i) || ev.SQL != s.sql || ev.Executed != s.executed || (ev.Error != "") != s.failed || ev.Class != s.class {
+			t.Errorf("%s: event %+v", s.name, ev)
+		}
+		if s.slow && !ev.Slow {
+			t.Errorf("%s: a %dµs statement is not slow at 40ms", s.name, ev.WallMicros)
+		}
+		if s.cancel && ev.Error != context.Canceled.Error() {
+			t.Errorf("%s: error %q", s.name, ev.Error)
+		}
+		if wantShape := s.executed && s.sql != ""; (ev.ShapeID != "") != wantShape {
+			t.Errorf("%s: shape_id %q", s.name, ev.ShapeID)
+		}
+		// Few enough statements per shape that every SQL trace is kept.
+		if ev.Retained != (s.sql != "" && s.name != "explain-error") {
+			t.Errorf("%s: retained = %v", s.name, ev.Retained)
+		}
+	}
+	checkSinksAgree(t, db, m, logs.String())
+
+	// pc.traces.shape is the shape_id: it joins pc.query_shapes.
+	res := one(t, db, `select count(*) as n from pc.traces tr, pc.query_shapes s where tr.shape = s.shape_id`)
+	if n := intCell(t, res, 0, "n"); n == 0 {
+		t.Error("pc.traces.shape joins no pc.query_shapes.shape_id")
+	}
+	if !regexp.MustCompile(`^s[0-9a-f]{16}$`).MatchString(db.RetainedTraces()[0].ShapeID) {
+		t.Errorf("pc.traces.shape = %q, want a shape_id", db.RetainedTraces()[0].ShapeID)
+	}
+}
+
+// TestEverySinkAgreesConcurrent runs the same mix from 8 goroutines (under
+// -race in make race / CI) and checks the sinks against each other.
+func TestEverySinkAgreesConcurrent(t *testing.T) {
+	db, m, logs := sinkDB(t)
+	const workers = 8
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range sinkStream {
+				runSinkStatement(t, db, i, fmt.Sprintf("s%d", g))
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, want := len(db.QueryLog()), workers*len(sinkStream); got != want {
+		t.Fatalf("query log has %d records, want %d", got, want)
+	}
+	checkSinksAgree(t, db, m, logs.String())
+}

@@ -1,9 +1,6 @@
 package engine
 
 import (
-	"sort"
-	"strings"
-
 	"github.com/predcache/predcache/internal/expr"
 	"github.com/predcache/predcache/internal/obs"
 )
@@ -40,30 +37,6 @@ func Classify(node Node) string {
 	default:
 		return obs.ClassRange
 	}
-}
-
-// Shape derives the sampling-quota key for trace retention: the query class
-// plus the sorted base tables it touches. Two queries with the same shape
-// compete for the same head-sample slots, so a bursty repeated query cannot
-// crowd every other table's traces out of the store.
-func Shape(node Node) string {
-	var tables []string
-	walkNodes(node, func(n Node) {
-		switch t := n.(type) {
-		case *Scan:
-			tables = append(tables, t.Table)
-		case *VirtualScan:
-			tables = append(tables, t.Source.Name())
-		}
-	})
-	sort.Strings(tables)
-	uniq := tables[:0]
-	for i, t := range tables {
-		if i == 0 || tables[i-1] != t {
-			uniq = append(uniq, t)
-		}
-	}
-	return Classify(node) + ":" + strings.Join(uniq, ",")
 }
 
 // pointPred reports whether p is a pure equality predicate (conjunctions of

@@ -202,9 +202,9 @@ func attributeBad(c *attrCounters, scr *attrScratch, morsels []int64) {
 	for _, m := range morsels {
 		labels := map[string]string{"query_id": "q"} // want — map literal per morsel
 		_ = labels
-		tag := "shape" + "=" + "s"             // constant-folded: no allocation
-		scr.labels = append(scr.labels, tag)   // ok: amortized into caller-owned scratch
-		c.workerExtraNanos += m                // the actual accounting is free
-		sink(c.workerExtraNanos)               // want — boxing int64 into any
+		tag := "shape" + "=" + "s"           // constant-folded: no allocation
+		scr.labels = append(scr.labels, tag) // ok: amortized into caller-owned scratch
+		c.workerExtraNanos += m              // the actual accounting is free
+		sink(c.workerExtraNanos)             // want — boxing int64 into any
 	}
 }

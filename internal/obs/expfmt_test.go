@@ -34,7 +34,7 @@ func TestValidateExpositionRejectsUnescapableNames(t *testing.T) {
 
 func TestEmptyHistogramExposition(t *testing.T) {
 	m := NewMetrics()
-	m.NewHistogram("idle_seconds", "Never observed.", []float64{0.1, 1})
+	m.NewHistogramFunc("idle_seconds", "Never observed.", (&SLOHistogram{}).Snapshot)
 	var buf bytes.Buffer
 	if err := m.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -36,46 +35,11 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Histogram is a cumulative-bucket histogram (Prometheus semantics: each
-// bucket counts observations less than or equal to its upper bound).
-type Histogram struct {
-	mu     sync.Mutex
-	bounds []float64 // immutable after construction
-	counts []uint64  // guarded by mu; len(bounds)+1, last is +Inf
-	sum    float64   // guarded by mu
-	n      uint64    // guarded by mu
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i]++
-	h.sum += v
-	h.n++
-	h.mu.Unlock()
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
-}
-
-// DefBuckets are the default histogram bounds for query latencies in
-// seconds: 100µs to 10s, roughly ×2.5 per step.
-var DefBuckets = []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
-
-// HistSnapshot is a point-in-time histogram state for pull-style histogram
-// metrics (NewHistogramFunc): per-bucket counts (not cumulative; the last
-// entry is the +Inf overflow), the upper bounds, and the running sum/count.
+// HistSnapshot is a point-in-time histogram state for the registry's
+// pull-style histograms (NewHistogramFunc; SLOHistogram.Snapshot produces
+// one): per-bucket counts (not cumulative; the last entry is the +Inf
+// overflow), the upper bounds, and the running sum/count. The exposition
+// renders cumulative buckets (Prometheus semantics).
 type HistSnapshot struct {
 	Bounds []float64 // ascending upper bounds, +Inf implicit
 	Counts []uint64  // len(Bounds)+1 per-bucket counts, last is overflow
@@ -89,7 +53,6 @@ type metric struct {
 	counter         *Counter
 	counterFn       func() int64
 	gaugeFn         func() float64
-	hist            *Histogram
 	histFn          func() HistSnapshot
 }
 
@@ -148,25 +111,9 @@ func (m *Metrics) NewGauge(name, help string, fn func() float64) {
 	m.registerLocked(name, &metric{name: name, help: help, typ: "gauge", gaugeFn: fn})
 }
 
-// NewHistogram registers (or returns the existing) histogram with the given
-// upper bounds (ascending; +Inf is implicit).
-func (m *Metrics) NewHistogram(name, help string, bounds []float64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("obs: histogram " + name + ": bounds not ascending")
-		}
-	}
-	h := &Histogram{bounds: append([]float64(nil), bounds...)}
-	h.counts = make([]uint64, len(bounds)+1)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mt := m.registerLocked(name, &metric{name: name, help: help, typ: "histogram", hist: h})
-	return mt.hist
-}
-
-// NewHistogramFunc registers a pull-style histogram: fn is read at scrape
-// time. Use for components that already maintain bucketed state internally
-// (the SLO histograms), so observations never pay registry overhead.
+// NewHistogramFunc registers a histogram read through fn at scrape time.
+// SLOHistogram is the one histogram implementation; it keeps its own
+// buckets, so observations never pay registry overhead.
 func (m *Metrics) NewHistogramFunc(name, help string, fn func() HistSnapshot) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -202,8 +149,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 			_, err = fmt.Fprintf(w, "%s %d\n", mt.name, mt.counterFn())
 		case mt.gaugeFn != nil:
 			_, err = fmt.Fprintf(w, "%s %s\n", mt.name, formatFloat(mt.gaugeFn()))
-		case mt.hist != nil:
-			err = writeHistogram(w, mt.name, mt.hist.snapshot())
 		case mt.histFn != nil:
 			err = writeHistogram(w, mt.name, mt.histFn())
 		}
@@ -212,18 +157,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// snapshot captures the push-style histogram as a HistSnapshot.
-func (h *Histogram) snapshot() HistSnapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return HistSnapshot{
-		Bounds: h.bounds,
-		Counts: append([]uint64(nil), h.counts...),
-		Sum:    h.sum,
-		N:      h.n,
-	}
 }
 
 func writeHistogram(w io.Writer, name string, s HistSnapshot) error {
@@ -260,8 +193,6 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 			obj[mt.name] = mt.counterFn()
 		case mt.gaugeFn != nil:
 			obj[mt.name] = mt.gaugeFn()
-		case mt.hist != nil:
-			obj[mt.name] = histJSON(mt.hist.snapshot())
 		case mt.histFn != nil:
 			obj[mt.name] = histJSON(mt.histFn())
 		}
@@ -317,13 +248,6 @@ func (m *Metrics) Samples() []MetricSample {
 			out = append(out, MetricSample{mt.name, mt.typ, mt.help, float64(mt.counterFn())})
 		case mt.gaugeFn != nil:
 			out = append(out, MetricSample{mt.name, mt.typ, mt.help, mt.gaugeFn()})
-		case mt.hist != nil:
-			mt.hist.mu.Lock()
-			n, sum := mt.hist.n, mt.hist.sum
-			mt.hist.mu.Unlock()
-			out = append(out,
-				MetricSample{mt.name + "_count", mt.typ, mt.help, float64(n)},
-				MetricSample{mt.name + "_sum", mt.typ, mt.help, sum})
 		case mt.histFn != nil:
 			s := mt.histFn()
 			out = append(out,

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestTraceNesting(t *testing.T) {
@@ -98,10 +99,9 @@ func newTestRegistry() *Metrics {
 	c.Add(3)
 	m.NewCounterFunc("test_pull_total", "Pull counter.", func() int64 { return 7 })
 	m.NewGauge("test_entries", "Entries right now.", func() float64 { return 2.5 })
-	h := m.NewHistogram("test_seconds", "Latencies.", []float64{0.01, 0.1, 1})
-	h.Observe(0.005)
-	h.Observe(0.05)
-	h.Observe(5)
+	m.NewHistogramFunc("test_seconds", "Latencies.", func() HistSnapshot {
+		return HistSnapshot{Bounds: []float64{0.01, 0.1, 1}, Counts: []uint64{1, 1, 0, 1}, Sum: 5.055, N: 3}
+	})
 	return m
 }
 
@@ -236,9 +236,10 @@ func TestHTTPServer(t *testing.T) {
 
 func TestHistogramBuckets(t *testing.T) {
 	m := NewMetrics()
-	h := m.NewHistogram("h_seconds", "h", DefBuckets)
-	for _, v := range []float64{0.00005, 0.0001, 0.3, 100} {
-		h.Observe(v)
+	h := &SLOHistogram{}
+	m.NewHistogramFunc("h_seconds", "h", h.Snapshot)
+	for _, d := range []time.Duration{50 * time.Microsecond, 64 * time.Microsecond, 300 * time.Millisecond, 100 * time.Second} {
+		h.Observe(d, -1, false)
 	}
 	if h.Count() != 4 {
 		t.Fatalf("count = %d", h.Count())
@@ -248,8 +249,9 @@ func TestHistogramBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	// 0.00005 and 0.0001 both land in the le="0.0001" bucket (cumulative).
-	if !strings.Contains(out, `h_seconds_bucket{le="0.0001"} 2`) {
+	// 50µs and 64µs both land in the le="6.4e-05" bucket (bounds are
+	// inclusive powers of two of a microsecond, cumulative); 100s overflows.
+	if !strings.Contains(out, `h_seconds_bucket{le="6.4e-05"} 2`) {
 		t.Fatalf("bucket boundaries wrong:\n%s", out)
 	}
 	if !strings.Contains(out, `h_seconds_bucket{le="+Inf"} 4`) {

@@ -20,24 +20,6 @@ import (
 // DefaultShapeCapacity bounds the shape ledger unless configured otherwise.
 const DefaultShapeCapacity = 256
 
-// ShapeObservation is one finished query's contribution to its shape.
-type ShapeObservation struct {
-	Key   string // normalized-SQL shape key (raw SQL when not normalizable)
-	ID    string // ShapeID(Key), precomputed by the caller
-	Class string // query class (point/range/agg)
-	// CPUMicros is the query's attributed CPU: exec wall plus the busy time
-	// spawned morsel workers contributed beyond the coordinator's wait.
-	CPUMicros    int64
-	WallMicros   int64
-	AllocObjects int64
-	AllocBytes   int64
-	Rows         int64
-	Hit          bool // predicate-cache hit
-	Err          bool
-	TraceID      int64
-	Retained     bool // trace was admitted to the trace store
-}
-
 // shapeEntry accumulates one shape's ledger.
 type shapeEntry struct {
 	id    string
@@ -82,41 +64,44 @@ func NewShapeStats(capacity int) *ShapeStats {
 	}
 }
 
-// Observe folds one finished query into its shape's ledger.
-func (s *ShapeStats) Observe(o ShapeObservation) {
-	if s == nil || o.Key == "" {
+// Observe folds one executed statement into its shape's ledger. It adds the
+// same CPUMicros the query log stores, so summing cpu_us over pc.query_log by
+// shape_id reproduces pc.query_shapes.cpu_us exactly (while both fit the
+// log's window). Events without a shape key (hand-built plans) are dropped.
+func (s *ShapeStats) Observe(ev *QueryEvent) {
+	if s == nil || ev.ShapeKey == "" {
 		return
 	}
 	s.mu.Lock()
-	e, ok := s.shapes[o.Key]
+	e, ok := s.shapes[ev.ShapeKey]
 	if !ok {
 		if len(s.shapes) >= s.capacity {
 			s.evictMinLocked()
 		}
-		e = &shapeEntry{id: o.ID, key: o.Key, class: o.Class, cpu: &SLOHistogram{}, exemplar: -1}
-		s.shapes[o.Key] = e
+		e = &shapeEntry{id: ev.ShapeID, key: ev.ShapeKey, cpu: &SLOHistogram{}, exemplar: -1}
+		s.shapes[ev.ShapeKey] = e
 	}
 	e.calls++
-	if o.Err {
+	if ev.Error != "" {
 		e.errors++
 	}
-	if o.Hit {
+	if ev.CacheHit {
 		e.hits++
 	}
-	e.class = o.Class
-	e.cpuMicros += o.CPUMicros
-	e.wallMicros += o.WallMicros
-	e.allocObjects += o.AllocObjects
-	e.allocBytes += o.AllocBytes
-	e.rows += o.Rows
-	if o.Retained {
-		e.exemplar = o.TraceID
+	e.class = ev.Class
+	e.cpuMicros += ev.CPUMicros
+	e.wallMicros += ev.WallMicros
+	e.allocObjects += ev.AllocObjects
+	e.allocBytes += ev.AllocBytes
+	e.rows += ev.Rows
+	if ev.Retained {
+		e.exemplar = ev.Seq
 	}
 	cpu := e.cpu
 	s.mu.Unlock()
 	// The histogram has its own lock; observing outside s.mu keeps the
 	// ledger lock's hold time to the counter folds above.
-	cpu.Observe(time.Duration(o.CPUMicros)*time.Microsecond, o.TraceID, o.Retained)
+	cpu.Observe(time.Duration(ev.CPUMicros)*time.Microsecond, ev.Seq, ev.Retained)
 }
 
 // evictMinLocked drops the retained shape with the least total CPU.

@@ -9,23 +9,23 @@ import (
 func TestShapeStatsAggregates(t *testing.T) {
 	s := NewShapeStats(0)
 	// Shape A: 3 calls, one a cache hit, one an error.
-	for i, obs := range []ShapeObservation{
-		{CPUMicros: 100, AllocObjects: 10, AllocBytes: 1000, Rows: 5, Hit: true},
+	for i, ev := range []QueryEvent{
+		{CPUMicros: 100, AllocObjects: 10, AllocBytes: 1000, Rows: 5, CacheHit: true},
 		{CPUMicros: 300, AllocObjects: 20, AllocBytes: 2000, Rows: 7},
-		{CPUMicros: 200, AllocObjects: 30, AllocBytes: 3000, Rows: 9, Err: true},
+		{CPUMicros: 200, AllocObjects: 30, AllocBytes: 3000, Rows: 9, Error: "boom"},
 	} {
-		obs.Key = "select a"
-		obs.ID = ShapeID(obs.Key)
-		obs.Class = "agg"
-		obs.WallMicros = obs.CPUMicros + 50
-		obs.TraceID = int64(i)
-		s.Observe(obs)
+		ev.ShapeKey = "select a"
+		ev.ShapeID = ShapeID(ev.ShapeKey)
+		ev.Class = "agg"
+		ev.WallMicros = ev.CPUMicros + 50
+		ev.Seq = int64(i)
+		s.Observe(&ev)
 	}
 	// Shape B: 1 cheap call.
-	s.Observe(ShapeObservation{
-		Key: "select b", ID: ShapeID("select b"), Class: "point",
+	s.Observe(&QueryEvent{
+		ShapeKey: "select b", ShapeID: ShapeID("select b"), Class: "point",
 		CPUMicros: 50, WallMicros: 60, AllocObjects: 1, AllocBytes: 64, Rows: 1,
-		TraceID: 7, Retained: true,
+		Seq: 7, Retained: true,
 	})
 
 	rows := s.Snapshot()
@@ -61,9 +61,9 @@ func TestShapeStatsAggregates(t *testing.T) {
 
 func TestShapeStatsEvictsMinCPU(t *testing.T) {
 	s := NewShapeStats(2)
-	s.Observe(ShapeObservation{Key: "expensive", CPUMicros: 1000})
-	s.Observe(ShapeObservation{Key: "cheap", CPUMicros: 1})
-	s.Observe(ShapeObservation{Key: "medium", CPUMicros: 500})
+	s.Observe(&QueryEvent{ShapeKey: "expensive", CPUMicros: 1000})
+	s.Observe(&QueryEvent{ShapeKey: "cheap", CPUMicros: 1})
+	s.Observe(&QueryEvent{ShapeKey: "medium", CPUMicros: 500})
 	if s.Len() != 2 {
 		t.Fatalf("len = %d, want 2", s.Len())
 	}
@@ -79,7 +79,7 @@ func TestShapeStatsEvictsMinCPU(t *testing.T) {
 func TestShapeStatsTieBreakDeterministic(t *testing.T) {
 	s := NewShapeStats(0)
 	for _, k := range []string{"zz", "aa", "mm"} {
-		s.Observe(ShapeObservation{Key: k, CPUMicros: 100})
+		s.Observe(&QueryEvent{ShapeKey: k, CPUMicros: 100})
 	}
 	rows := s.Snapshot()
 	if rows[0].Key != "aa" || rows[1].Key != "mm" || rows[2].Key != "zz" {
@@ -89,12 +89,12 @@ func TestShapeStatsTieBreakDeterministic(t *testing.T) {
 
 func TestShapeStatsNilAndEmptyKey(t *testing.T) {
 	var s *ShapeStats
-	s.Observe(ShapeObservation{Key: "x"}) // must not panic
+	s.Observe(&QueryEvent{ShapeKey: "x"}) // must not panic
 	if s.Snapshot() != nil || s.Len() != 0 || s.Evictions() != 0 {
 		t.Fatal("nil ShapeStats retained something")
 	}
 	s2 := NewShapeStats(0)
-	s2.Observe(ShapeObservation{Key: ""})
+	s2.Observe(&QueryEvent{})
 	if s2.Len() != 0 {
 		t.Fatal("empty key was retained")
 	}
@@ -109,8 +109,8 @@ func TestShapeStatsConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				s.Observe(ShapeObservation{
-					Key:       fmt.Sprintf("shape-%d", (g+i)%16),
+				s.Observe(&QueryEvent{
+					ShapeKey:  fmt.Sprintf("shape-%d", (g+i)%16),
 					CPUMicros: int64(i),
 				})
 				if i%50 == 0 {

@@ -184,9 +184,9 @@ func (h *SLOHistogram) Exemplar(i int) (traceID int64, d time.Duration, ok bool)
 	return e.traceID, time.Duration(e.micros) * time.Microsecond, e.set
 }
 
-// snapshot renders the histogram as a metrics-registry HistSnapshot in
-// seconds (Prometheus convention).
-func (h *SLOHistogram) snapshot() HistSnapshot {
+// Snapshot renders the histogram as a metrics-registry HistSnapshot in
+// seconds (Prometheus convention); pass it to Metrics.NewHistogramFunc.
+func (h *SLOHistogram) Snapshot() HistSnapshot {
 	if h == nil {
 		return HistSnapshot{}
 	}
@@ -405,7 +405,7 @@ func (s *SLOSet) RegisterMetrics(m *Metrics) {
 			m.NewHistogramFunc(
 				"predcache_slo_"+c+"_"+outcome+"_seconds",
 				"Query wall time for class "+c+" (cache "+outcome+").",
-				h.snapshot)
+				h.Snapshot)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Retention reasons attached to retained traces (pc.traces.reason).
 const (
@@ -12,20 +9,13 @@ const (
 	RetainSampled = "sampled" // head-sampled within the trace's shape quota
 )
 
-// RetainedTrace is one completed query trace the store decided to keep:
-// the spans plus enough query metadata to join it against pc.query_log
-// (TraceID equals the query's pc.query_log.seq).
+// RetainedTrace is one completed query trace the store decided to keep: the
+// statement's event (Seq is the trace id and joins pc.query_log.seq; ShapeID
+// is the sampling-quota key), why it was kept, and its spans.
 type RetainedTrace struct {
-	TraceID     int64
-	StartMicros int64
-	Wall        time.Duration
-	SQL         string
-	Error       string
-	Class       string // query class: point, range, agg, dml
-	Shape       string // sampling-quota key: class + base tables
-	CacheHit    bool
-	Reason      string // RetainError, RetainSlow or RetainSampled
-	Spans       []Span
+	QueryEvent
+	Reason string // RetainError, RetainSlow or RetainSampled
+	Spans  []Span
 }
 
 // TraceStoreConfig bounds the trace store. The zero value selects defaults.
@@ -39,9 +29,6 @@ type TraceStoreConfig struct {
 	// "sampled" reason at a time (default DefaultShapeQuota). Errored and
 	// slow traces bypass the quota: the tail is what the store is for.
 	ShapeQuota int
-	// Slow is the wall-time threshold at or over which a trace is always
-	// admitted (0 disables the slow criterion).
-	Slow time.Duration
 }
 
 // DefaultSpanBudget bounds retained spans; at ~100 bytes per span the
@@ -95,34 +82,42 @@ func NewTraceStore(cfg TraceStoreConfig) *TraceStore {
 	}
 }
 
-// Offer submits a completed trace for retention and reports whether it was
-// kept. The store takes ownership of rt and its span slice; the caller must
-// not touch either afterwards. Traces without spans are never retained.
-func (ts *TraceStore) Offer(rt *RetainedTrace) bool {
-	if ts == nil || rt == nil || len(rt.Spans) == 0 {
-		return false
+// Offer submits a finished statement's trace for retention. The decision
+// comes first and reads only the event — errored and slow statements are
+// always admitted, the rest while their shape has head-sample quota left —
+// so a dropped trace costs a lock and a map lookup. Only an admitted trace
+// is finalized (open spans ended, the error stamped on the root span),
+// detached from tr without copying and wrapped in a RetainedTrace; Offer
+// then sets ev.Retained. Traces without spans are never retained.
+func (ts *TraceStore) Offer(ev *QueryEvent, tr *Trace) {
+	if ts == nil || tr == nil {
+		return
 	}
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	ts.offered++
+	reason := RetainSampled
 	switch {
-	case rt.Error != "":
-		rt.Reason = RetainError
-	case ts.cfg.Slow > 0 && rt.Wall >= ts.cfg.Slow:
-		rt.Reason = RetainSlow
-	case ts.byShape[rt.Shape] < ts.cfg.ShapeQuota:
-		rt.Reason = RetainSampled
-	default:
-		return false
+	case ev.Error != "":
+		reason = RetainError
+	case ev.Slow:
+		reason = RetainSlow
+	case ts.byShape[ev.ShapeID] >= ts.cfg.ShapeQuota:
+		return
 	}
-	if len(rt.Spans) > ts.cfg.SpanBudget {
-		rt.Spans = rt.Spans[:ts.cfg.SpanBudget]
+	tr.FinishOpen(ev.Error)
+	spans := tr.TakeSpans()
+	if len(spans) == 0 {
+		return
 	}
-	for ts.spanCount+len(rt.Spans) > ts.cfg.SpanBudget {
+	if len(spans) > ts.cfg.SpanBudget {
+		spans = spans[:ts.cfg.SpanBudget]
+	}
+	for ts.spanCount+len(spans) > ts.cfg.SpanBudget {
 		ts.evictOldestLocked()
 	}
-	ts.admitLocked(rt)
-	return true
+	ev.Retained = true
+	ts.admitLocked(&RetainedTrace{QueryEvent: *ev, Reason: reason, Spans: spans})
 }
 
 // admitLocked appends rt to the ring: O(1) pointer moves, no allocation —
@@ -136,7 +131,7 @@ func (ts *TraceStore) admitLocked(rt *RetainedTrace) {
 	ts.n++
 	ts.spanCount += len(rt.Spans)
 	if rt.Reason == RetainSampled {
-		ts.byShape[rt.Shape]++ // pclint:allow noalloc: amortized once per new query shape
+		ts.byShape[rt.ShapeID]++ // pclint:allow noalloc: amortized once per new query shape
 	}
 	ts.retained++
 }
@@ -152,10 +147,10 @@ func (ts *TraceStore) evictOldestLocked() {
 	ts.n--
 	ts.spanCount -= len(old.Spans)
 	if old.Reason == RetainSampled {
-		if c := ts.byShape[old.Shape]; c <= 1 {
-			delete(ts.byShape, old.Shape)
+		if c := ts.byShape[old.ShapeID]; c <= 1 {
+			delete(ts.byShape, old.ShapeID)
 		} else {
-			ts.byShape[old.Shape] = c - 1
+			ts.byShape[old.ShapeID] = c - 1
 		}
 	}
 	ts.evicted++
@@ -184,7 +179,7 @@ func (ts *TraceStore) Trace(id int64) *RetainedTrace {
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	for i := 0; i < ts.n; i++ {
-		if rt := ts.ring[(ts.head+i)%len(ts.ring)]; rt.TraceID == id {
+		if rt := ts.ring[(ts.head+i)%len(ts.ring)]; rt.Seq == id {
 			return rt
 		}
 	}

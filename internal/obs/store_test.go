@@ -6,46 +6,49 @@ import (
 	"time"
 )
 
-// span returns a minimal n-span slice for retention tests.
-func spans(n int) []Span {
-	out := make([]Span, n)
-	for i := range out {
-		out[i] = Span{ID: i, Parent: -1, Kind: KindPhase, Name: "s", Dur: 1}
+// traceOf returns a live trace with n closed root spans.
+func traceOf(n int) *Trace {
+	tr := NewTrace()
+	for i := 0; i < n; i++ {
+		tr.Begin(KindPhase, "s").End()
 	}
-	return out
+	return tr
 }
 
-func offer(ts *TraceStore, id int64, shape, errMsg string, wall time.Duration, n int) bool {
-	return ts.Offer(&RetainedTrace{
-		TraceID: id, Shape: shape, Error: errMsg, Wall: wall, Spans: spans(n),
-	})
+// offer submits an n-span trace for the statement (id, shape, error, slow)
+// and reports whether the store kept it.
+func offer(ts *TraceStore, id int64, shape, errMsg string, slow bool, n int) bool {
+	ev := QueryEvent{Seq: id, ShapeID: shape, Error: errMsg, Slow: slow}
+	ts.Offer(&ev, traceOf(n))
+	return ev.Retained
 }
 
 func TestTraceStoreAdmission(t *testing.T) {
-	ts := NewTraceStore(TraceStoreConfig{SpanBudget: 100, ShapeQuota: 2, Slow: time.Second})
+	ts := NewTraceStore(TraceStoreConfig{SpanBudget: 100, ShapeQuota: 2})
 
-	if !offer(ts, 1, "point:t", "", 0, 3) {
+	if !offer(ts, 1, "point:t", "", false, 3) {
 		t.Fatal("first trace of a shape should be head-sampled")
 	}
-	if !offer(ts, 2, "point:t", "", 0, 3) {
+	if !offer(ts, 2, "point:t", "", false, 3) {
 		t.Fatal("second trace within the shape quota should be kept")
 	}
-	if offer(ts, 3, "point:t", "", 0, 3) {
+	if offer(ts, 3, "point:t", "", false, 3) {
 		t.Fatal("third trace of the shape should be dropped (quota 2)")
 	}
-	if !offer(ts, 4, "point:u", "", 0, 3) {
+	if !offer(ts, 4, "point:u", "", false, 3) {
 		t.Fatal("a different shape has its own quota")
 	}
-	if !offer(ts, 5, "point:t", "boom", 0, 3) {
+	if !offer(ts, 5, "point:t", "boom", false, 3) {
 		t.Fatal("errored traces bypass the shape quota")
 	}
-	if !offer(ts, 6, "point:t", "", 2*time.Second, 3) {
+	if !offer(ts, 6, "point:t", "", true, 3) {
 		t.Fatal("slow traces bypass the shape quota")
 	}
-	if ts.Offer(&RetainedTrace{TraceID: 7, Spans: nil}) {
+	if offer(ts, 7, "point:v", "boom", true, 0) {
 		t.Fatal("a trace without spans must not be retained")
 	}
-	if ts.Offer(nil) {
+	nilTrace := QueryEvent{Seq: 8, Error: "boom"}
+	if ts.Offer(&nilTrace, nil); nilTrace.Retained {
 		t.Fatal("nil trace must not be retained")
 	}
 
@@ -58,8 +61,8 @@ func TestTraceStoreAdmission(t *testing.T) {
 		t.Fatalf("retained %d traces, want %d", len(got), len(wantReason))
 	}
 	for _, rt := range got {
-		if rt.Reason != wantReason[rt.TraceID] {
-			t.Errorf("trace %d reason = %q, want %q", rt.TraceID, rt.Reason, wantReason[rt.TraceID])
+		if rt.Reason != wantReason[rt.Seq] {
+			t.Errorf("trace %d reason = %q, want %q", rt.Seq, rt.Reason, wantReason[rt.Seq])
 		}
 	}
 	if rt := ts.Trace(5); rt == nil || rt.Error != "boom" {
@@ -74,29 +77,29 @@ func TestTraceStoreEvictionFreesQuota(t *testing.T) {
 	// Budget of 4 spans, quota 1: the second same-shape offer only fits after
 	// the first is evicted, at which point the quota slot is free again.
 	ts := NewTraceStore(TraceStoreConfig{SpanBudget: 4, ShapeQuota: 1})
-	if !offer(ts, 1, "a", "", 0, 3) {
+	if !offer(ts, 1, "a", "", false, 3) {
 		t.Fatal("first offer")
 	}
-	if offer(ts, 2, "a", "", 0, 3) {
+	if offer(ts, 2, "a", "", false, 3) {
 		// 3+3 > 4 would evict trace 1 first — but quota check happens before
 		// eviction, and trace 1 still occupies the shape slot.
 		t.Fatal("same-shape offer at quota should be dropped even when eviction could free it")
 	}
-	if !offer(ts, 3, "b", "", 0, 4) {
+	if !offer(ts, 3, "b", "", false, 4) {
 		t.Fatal("budget-filling offer of a new shape should evict and fit")
 	}
 	if n := ts.Stats().Retained; n != 1 {
 		t.Fatalf("retained = %d, want 1", n)
 	}
 	// Trace 1 was evicted, freeing shape a's quota slot.
-	if !offer(ts, 4, "a", "", 0, 1) {
+	if !offer(ts, 4, "a", "", false, 1) {
 		t.Fatal("quota slot should be free after eviction")
 	}
 }
 
 func TestTraceStoreSpanBudgetInvariant(t *testing.T) {
 	const budget = 64
-	ts := NewTraceStore(TraceStoreConfig{SpanBudget: budget, ShapeQuota: 4, Slow: time.Millisecond})
+	ts := NewTraceStore(TraceStoreConfig{SpanBudget: budget, ShapeQuota: 4})
 	for i := 0; i < 5000; i++ {
 		// Mix shapes, sizes, errors and slow traces; every 7th is oversized.
 		n := 1 + i%9
@@ -107,11 +110,7 @@ func TestTraceStoreSpanBudgetInvariant(t *testing.T) {
 		if i%11 == 0 {
 			errMsg = "x"
 		}
-		var wall time.Duration
-		if i%13 == 0 {
-			wall = time.Second
-		}
-		offer(ts, int64(i), fmt.Sprintf("shape-%d", i%17), errMsg, wall, n)
+		offer(ts, int64(i), fmt.Sprintf("shape-%d", i%17), errMsg, i%13 == 0, n)
 		if sc := ts.SpanCount(); sc > budget {
 			t.Fatalf("iteration %d: span count %d exceeds budget %d", i, sc, budget)
 		}
@@ -137,7 +136,7 @@ func TestTraceStoreSpanBudgetInvariant(t *testing.T) {
 }
 
 func TestTraceStoreConcurrent(t *testing.T) {
-	ts := NewTraceStore(TraceStoreConfig{SpanBudget: 128, ShapeQuota: 2, Slow: time.Millisecond})
+	ts := NewTraceStore(TraceStoreConfig{SpanBudget: 128, ShapeQuota: 2})
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(g int) {
@@ -147,7 +146,7 @@ func TestTraceStoreConcurrent(t *testing.T) {
 				if i%5 == 0 {
 					errMsg = "e"
 				}
-				offer(ts, int64(g*1000+i), fmt.Sprintf("s%d", i%3), errMsg, 0, 1+i%4)
+				offer(ts, int64(g*1000+i), fmt.Sprintf("s%d", i%3), errMsg, false, 1+i%4)
 			}
 		}(g)
 	}
@@ -167,7 +166,7 @@ func TestTraceStoreConcurrent(t *testing.T) {
 
 func TestTraceStoreNil(t *testing.T) {
 	var ts *TraceStore
-	if ts.Offer(&RetainedTrace{Spans: spans(1)}) {
+	if offer(ts, 0, "", "boom", false, 1) {
 		t.Fatal("nil store retained a trace")
 	}
 	if ts.Traces() != nil || ts.Trace(0) != nil || ts.SpanCount() != 0 {

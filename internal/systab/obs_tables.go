@@ -31,7 +31,9 @@ var tracesSchema = storage.Schema{
 }
 
 // tracesTable exposes the trace store's retained traces as pc.traces, one
-// row per trace; trace_id equals the query's pc.query_log.seq.
+// row per trace; trace_id equals the query's pc.query_log.seq and shape its
+// shape_id (joinable to pc.query_shapes; empty when the statement failed
+// before execution).
 type tracesTable struct {
 	store *obs.TraceStore
 }
@@ -49,8 +51,8 @@ func (t *tracesTable) NumRows() int           { return t.store.Stats().Retained 
 func (t *tracesTable) Snapshot() (*engine.Relation, error) {
 	b := newBuilder(tracesSchema)
 	for _, rt := range t.store.Traces() {
-		b.row(rt.TraceID, rt.StartMicros, rt.Wall.Microseconds(),
-			rt.SQL, rt.Error, rt.Class, rt.Shape, rt.CacheHit, rt.Reason,
+		b.row(rt.Seq, rt.StartMicros, rt.WallMicros,
+			rt.SQL, rt.Error, rt.Class, rt.ShapeID, rt.CacheHit, rt.Reason,
 			int64(len(rt.Spans)))
 	}
 	return b.relation()
@@ -101,7 +103,7 @@ func (t *traceSpansTable) Snapshot() (*engine.Relation, error) {
 					attrs.WriteString(strconv.FormatInt(a.Int, 10))
 				}
 			}
-			b.row(rt.TraceID, int64(sp.ID), int64(sp.Parent), sp.Kind, sp.Name,
+			b.row(rt.Seq, int64(sp.ID), int64(sp.Parent), sp.Kind, sp.Name,
 				sp.Start.Microseconds(), sp.Dur.Microseconds(), attrs.String())
 		}
 	}

@@ -5,83 +5,13 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 
-	"github.com/predcache/predcache/internal/storage"
+	"github.com/predcache/predcache/internal/obs"
 )
 
-// QueryRecord is one row of pc.query_log: everything the engine knows about
-// a finished query. Durations are microseconds (analytic queries at this
-// scale run 10µs–10s; microseconds keep the integers human-readable while
-// never rounding a kernel invocation to zero).
-type QueryRecord struct {
-	// Seq is a process-wide monotone sequence number assigned at record
-	// time; queries appear in the log in completion order.
-	Seq int64 `json:"seq"`
-	// StartMicros is the query's wall-clock start, microseconds since the
-	// Unix epoch.
-	StartMicros int64 `json:"start_micros"`
-	// SQL is the query text; empty for hand-built plans run through
-	// DB.Run/RunCtx (the recorder never re-renders plan trees — keeping the
-	// hot path allocation-free matters more than naming them).
-	SQL string `json:"query_text,omitempty"`
-	// Error is the failure message, empty on success. Parse and plan
-	// failures are recorded too: a query history that silently drops the
-	// queries that went wrong is useless for debugging.
-	Error string `json:"error,omitempty"`
-
-	WallMicros  int64 `json:"wall_us"`
-	ParseMicros int64 `json:"parse_us"`
-	PlanMicros  int64 `json:"plan_us"`
-	ExecMicros  int64 `json:"exec_us"`
-
-	// Rows is the result cardinality (0 on error).
-	Rows int64 `json:"result_rows"`
-
-	// Scan-level counters, aggregated over every scan in the plan.
-	RowsScanned         int64 `json:"rows_scanned"`
-	RowsQualified       int64 `json:"rows_qualified"`
-	RowsDecoded         int64 `json:"rows_decoded"`
-	BlocksAccessed      int64 `json:"blocks_accessed"`
-	BlocksDecoded       int64 `json:"blocks_decoded"`
-	BlocksKernel        int64 `json:"blocks_kernel"`
-	BlocksPrunedZoneMap int64 `json:"blocks_pruned_zonemap"`
-	BlocksPrunedCache   int64 `json:"blocks_pruned_cache"`
-	CacheHits           int64 `json:"cache_hits"`
-	CacheMisses         int64 `json:"cache_misses"`
-
-	// Resource attribution (PR 9). CPUMicros is the query's attributed CPU:
-	// exec wall time plus the busy time morsel workers contributed beyond the
-	// coordinator's wait. AllocObjects/AllocBytes are runtime/metrics
-	// allocation deltas taken around execution — exact under a serial
-	// workload, an upper bound under concurrency (the counters are
-	// process-wide).
-	CPUMicros    int64 `json:"cpu_us"`
-	AllocObjects int64 `json:"allocs"`
-	AllocBytes   int64 `json:"alloc_bytes"`
-
-	// ShapeID is the normalized-SQL shape identifier (obs.ShapeID); it joins
-	// pc.query_shapes.shape_id and matches the query's shape pprof label.
-	// Empty for hand-built plans run through DB.Run/RunCtx.
-	ShapeID string `json:"shape_id,omitempty"`
-
-	// Slow marks queries at or above the recorder's slow-query threshold.
-	Slow bool `json:"slow,omitempty"`
-}
-
-// FillStats copies the scan counters out of a stats snapshot.
-func (r *QueryRecord) FillStats(s storage.ScanStatsSnapshot) {
-	r.RowsScanned = s.RowsScanned
-	r.RowsQualified = s.RowsQualified
-	r.RowsDecoded = s.RowsDecoded
-	r.BlocksAccessed = s.BlocksAccessed
-	r.BlocksDecoded = s.BlocksDecoded
-	r.BlocksKernel = s.BlocksKernel
-	r.BlocksPrunedZoneMap = s.BlocksSkipped
-	r.BlocksPrunedCache = s.BlocksPrunedCache
-	r.CacheHits = s.CacheHits
-	r.CacheMisses = s.CacheMisses
-}
+// QueryRecord is one row of pc.query_log: the statement's event, stored as
+// the DB emitted it.
+type QueryRecord = obs.QueryEvent
 
 // QueryRecorder is a bounded, always-on query history: a preallocated ring
 // buffer of QueryRecords. Recording one query is a mutex acquire plus a
@@ -96,81 +26,31 @@ type QueryRecorder struct {
 	buf  []QueryRecord // ring storage, len == capacity
 	next int           // guarded by mu; next write position
 	n    int           // guarded by mu; number of valid records (≤ len(buf))
-	seq  int64         // guarded by mu; total records ever, next Seq value
-	slow time.Duration // immutable after NewQueryRecorder
 }
 
 // NewQueryRecorder creates a recorder holding the most recent capacity
-// records. Queries with wall time ≥ slowThreshold are flagged slow
-// (slowThreshold ≤ 0 flags none).
-func NewQueryRecorder(capacity int, slowThreshold time.Duration) *QueryRecorder {
+// records (nil, i.e. disabled, when capacity ≤ 0).
+func NewQueryRecorder(capacity int) *QueryRecorder {
 	if capacity <= 0 {
 		return nil
 	}
-	return &QueryRecorder{buf: make([]QueryRecord, capacity), slow: slowThreshold}
+	return &QueryRecorder{buf: make([]QueryRecord, capacity)}
 }
 
-// Record appends one query record, overwriting the oldest when full. It
-// assigns rec.Seq and the Slow flag, and returns the assigned sequence
-// number — the query's process-wide ID, which trace retention reuses as the
-// trace ID so pc.traces joins pc.query_log on it. A nil recorder returns -1.
-func (q *QueryRecorder) Record(rec QueryRecord) int64 {
+// Append copies one event into the ring, overwriting the oldest when full.
+// The sequence number and the slow flag are the DB's: the recorder stores
+// what it is given, so rows appear in completion order.
+func (q *QueryRecorder) Append(ev *QueryRecord) {
 	if q == nil {
-		return -1
+		return
 	}
 	q.mu.Lock()
-	rec.Seq = q.seq
-	q.seq++
-	rec.Slow = q.slow > 0 && time.Duration(rec.WallMicros)*time.Microsecond >= q.slow
-	q.buf[q.next] = rec
+	q.buf[q.next] = *ev
 	q.next = (q.next + 1) % len(q.buf)
 	if q.n < len(q.buf) {
 		q.n++
 	}
 	q.mu.Unlock()
-	return rec.Seq
-}
-
-// Reserve allocates the next sequence number without writing a record. The
-// attribution path reserves the query's ID up front so its pprof labels can
-// carry the same query_id that pc.query_log will eventually show; the record
-// itself lands later via RecordReserved. Reservations and completions both
-// take q.mu, so under a serial workload seq order still equals log order. A
-// nil recorder returns -1.
-func (q *QueryRecorder) Reserve() int64 {
-	if q == nil {
-		return -1
-	}
-	q.mu.Lock()
-	seq := q.seq
-	q.seq++
-	q.mu.Unlock()
-	return seq
-}
-
-// RecordReserved appends a record whose Seq was pre-assigned by Reserve. It
-// applies the Slow flag but leaves rec.Seq untouched, and returns it.
-func (q *QueryRecorder) RecordReserved(rec QueryRecord) int64 {
-	if q == nil {
-		return -1
-	}
-	q.mu.Lock()
-	rec.Slow = q.slow > 0 && time.Duration(rec.WallMicros)*time.Microsecond >= q.slow
-	q.buf[q.next] = rec
-	q.next = (q.next + 1) % len(q.buf)
-	if q.n < len(q.buf) {
-		q.n++
-	}
-	q.mu.Unlock()
-	return rec.Seq
-}
-
-// SlowThreshold returns the recorder's slow-query threshold.
-func (q *QueryRecorder) SlowThreshold() time.Duration {
-	if q == nil {
-		return 0
-	}
-	return q.slow
 }
 
 // Records returns the retained history, oldest first.
@@ -199,17 +79,6 @@ func (q *QueryRecorder) Len() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.n
-}
-
-// Total returns the number of records ever made (retained or overwritten);
-// it is also the next sequence number.
-func (q *QueryRecorder) Total() int64 {
-	if q == nil {
-		return 0
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.seq
 }
 
 // Capacity returns the ring size (0 for a nil recorder).

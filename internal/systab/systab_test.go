@@ -14,15 +14,15 @@ import (
 )
 
 func TestRecorderRingSemantics(t *testing.T) {
-	q := NewQueryRecorder(3, 0)
-	if q.Capacity() != 3 || q.Len() != 0 || q.Total() != 0 {
-		t.Fatalf("fresh recorder: cap=%d len=%d total=%d", q.Capacity(), q.Len(), q.Total())
+	q := NewQueryRecorder(3)
+	if q.Capacity() != 3 || q.Len() != 0 {
+		t.Fatalf("fresh recorder: cap=%d len=%d", q.Capacity(), q.Len())
 	}
 	for i := 0; i < 5; i++ {
-		q.Record(QueryRecord{SQL: strings.Repeat("x", i+1)})
+		q.Append(&QueryRecord{Seq: int64(i), SQL: strings.Repeat("x", i+1)})
 	}
-	if q.Len() != 3 || q.Total() != 5 {
-		t.Fatalf("after 5 records: len=%d total=%d", q.Len(), q.Total())
+	if q.Len() != 3 {
+		t.Fatalf("after 5 records: len=%d", q.Len())
 	}
 	recs := q.Records()
 	if len(recs) != 3 {
@@ -40,12 +40,12 @@ func TestRecorderRingSemantics(t *testing.T) {
 }
 
 func TestRecorderNilSafe(t *testing.T) {
-	var q *QueryRecorder // also what NewQueryRecorder(0, ...) returns
-	if got := NewQueryRecorder(0, time.Second); got != nil {
+	var q *QueryRecorder // also what NewQueryRecorder(0) returns
+	if got := NewQueryRecorder(0); got != nil {
 		t.Fatalf("capacity 0 should disable recording")
 	}
-	q.Record(QueryRecord{SQL: "dropped"})
-	if q.Records() != nil || q.Len() != 0 || q.Capacity() != 0 || q.Total() != 0 {
+	q.Append(&QueryRecord{SQL: "dropped"})
+	if q.Records() != nil || q.Len() != 0 || q.Capacity() != 0 {
 		t.Fatalf("nil recorder must be empty")
 	}
 	if err := q.WriteJSONL(&bytes.Buffer{}); err != nil {
@@ -53,23 +53,33 @@ func TestRecorderNilSafe(t *testing.T) {
 	}
 }
 
+// The slow flag is the DB's decision (one threshold, computed once per
+// statement): the recorder stores it as given and never derives its own from
+// the wall time.
 func TestRecorderSlowFlag(t *testing.T) {
-	q := NewQueryRecorder(4, 5*time.Millisecond)
-	q.Record(QueryRecord{WallMicros: 4_000})
-	q.Record(QueryRecord{WallMicros: 5_000})
+	q := NewQueryRecorder(4)
+	q.Append(&QueryRecord{WallMicros: 5_000_000})
+	q.Append(&QueryRecord{WallMicros: 1, Slow: true})
 	recs := q.Records()
 	if recs[0].Slow {
-		t.Errorf("4ms flagged slow at 5ms threshold")
+		t.Errorf("recorder flagged a record slow on its own")
 	}
 	if !recs[1].Slow {
-		t.Errorf("5ms not flagged slow at 5ms threshold")
+		t.Errorf("recorder dropped the event's slow flag")
+	}
+	rel, err := QueryLogTable(q).Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rel.ColByName("slow").Ints; got[0] != 0 || got[1] != 1 {
+		t.Errorf("pc.query_log.slow = %v, want [0 1]", got)
 	}
 }
 
 func TestRecorderWriteJSONL(t *testing.T) {
-	q := NewQueryRecorder(8, 0)
-	q.Record(QueryRecord{SQL: "select 1", Rows: 1, CacheHits: 2})
-	q.Record(QueryRecord{Error: "boom"})
+	q := NewQueryRecorder(8)
+	q.Append(&QueryRecord{SQL: "select 1", Rows: 1, CacheHits: 2})
+	q.Append(&QueryRecord{Seq: 1, Error: "boom"})
 	var buf bytes.Buffer
 	if err := q.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
@@ -96,7 +106,7 @@ func TestRecorderWriteJSONL(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()
-	vt := QueryLogTable(NewQueryRecorder(4, 0))
+	vt := QueryLogTable(NewQueryRecorder(4))
 	if err := r.Register(vt); err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +134,9 @@ type badName struct{ engine.VirtualTable }
 func (badName) Name() string { return "not_system" }
 
 func TestQueryLogTableSnapshot(t *testing.T) {
-	rec := NewQueryRecorder(8, 0)
-	rec.Record(QueryRecord{SQL: "select 1", Rows: 7, RowsScanned: 100, CacheMisses: 1})
-	rec.Record(QueryRecord{SQL: "select 2", Error: "nope"})
+	rec := NewQueryRecorder(8)
+	rec.Append(&QueryRecord{SQL: "select 1", Rows: 7, RowsScanned: 100, CacheMisses: 1})
+	rec.Append(&QueryRecord{SQL: "select 2", Error: "nope"})
 	vt := QueryLogTable(rec)
 	if vt.NumRows() != 2 {
 		t.Fatalf("NumRows = %d", vt.NumRows())
@@ -148,7 +158,7 @@ func TestQueryLogTableSnapshot(t *testing.T) {
 		t.Errorf("error[1] = %q", got)
 	}
 	// Empty and nil recorders snapshot to zero rows with the full schema.
-	for _, r := range []*QueryRecorder{NewQueryRecorder(2, 0), nil} {
+	for _, r := range []*QueryRecorder{NewQueryRecorder(2), nil} {
 		rel, err := QueryLogTable(r).Snapshot()
 		if err != nil {
 			t.Fatal(err)
@@ -234,7 +244,9 @@ func TestMetricsTableSnapshot(t *testing.T) {
 	m := obs.NewMetrics()
 	m.NewCounter("test_total", "A counter.").Add(42)
 	m.NewGauge("test_gauge", "A gauge.", func() float64 { return 1.5 })
-	m.NewHistogram("test_seconds", "A histogram.", []float64{1}).Observe(0.5)
+	h := &obs.SLOHistogram{}
+	h.Observe(500*time.Millisecond, -1, false)
+	m.NewHistogramFunc("test_seconds", "A histogram.", h.Snapshot)
 	vt := MetricsTable(func() *obs.Metrics { return m })
 	// counter + gauge + histogram _count/_sum
 	if vt.NumRows() != 4 {

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/predcache/predcache/internal/obs"
-	"github.com/predcache/predcache/internal/storage"
 )
 
 // NewMetrics creates an empty metrics registry to pass to EnableMetrics;
@@ -17,7 +16,7 @@ func NewMetrics() *Metrics { return obs.NewMetrics() }
 type queryMetrics struct {
 	queries        *obs.Counter
 	errors         *obs.Counter
-	seconds        *obs.Histogram
+	seconds        *obs.SLOHistogram
 	rowsScanned    *obs.Counter
 	rowsQualified  *obs.Counter
 	rowsDecoded    *obs.Counter
@@ -35,12 +34,12 @@ type queryMetrics struct {
 // EnableMetrics registers the database's instruments on m and starts feeding
 // them: query counters and a latency histogram (pushed per query), table
 // gauges and predicate-cache counters (pulled at scrape time). Call once per
-// registry, before serving it; WithMetrics does the same at Open.
+// registry, before serving it.
 func (db *DB) EnableMetrics(m *obs.Metrics) {
 	qm := &queryMetrics{
 		queries:        m.NewCounter("predcache_queries_total", "Queries executed (including failed ones)."),
 		errors:         m.NewCounter("predcache_query_errors_total", "Queries that returned an error."),
-		seconds:        m.NewHistogram("predcache_query_seconds", "Query wall time.", obs.DefBuckets),
+		seconds:        &obs.SLOHistogram{},
 		rowsScanned:    m.NewCounter("predcache_rows_scanned_total", "Rows the vectorized filter evaluated."),
 		rowsQualified:  m.NewCounter("predcache_rows_qualified_total", "Rows passing filters and visibility."),
 		rowsDecoded:    m.NewCounter("predcache_rows_decoded_total", "Values the partial decoder materialized."),
@@ -54,6 +53,7 @@ func (db *DB) EnableMetrics(m *obs.Metrics) {
 		morsels:        m.NewCounter("predcache_morsels_total", "Morsels claimed by parallel join/aggregation workers."),
 		workerMicros:   m.NewCounter("predcache_parallel_worker_micros_total", "Summed busy time of morsel-parallel workers in microseconds."),
 	}
+	m.NewHistogramFunc("predcache_query_seconds", "Execution time of successful queries.", qm.seconds.Snapshot)
 	m.NewGauge("predcache_tables", "Tables in the catalog.", func() float64 {
 		return float64(len(db.cat.TableNames()))
 	})
@@ -78,9 +78,6 @@ func (db *DB) EnableMetrics(m *obs.Metrics) {
 	if db.cache != nil {
 		db.cache.RegisterMetrics(m)
 	}
-	// The observability layer is built at the end of Open; when EnableMetrics
-	// runs earlier (the WithMetrics option), these are nil no-ops and Open
-	// registers them once the layer exists.
 	db.slo.RegisterMetrics(m)
 	db.traces.RegisterMetrics(m)
 	obs.RegisterSamplerMetrics(m, db.runtime.Load)
@@ -88,27 +85,27 @@ func (db *DB) EnableMetrics(m *obs.Metrics) {
 	db.metricsReg.Store(m)
 }
 
-// record feeds one query execution into the instruments.
-func (qm *queryMetrics) record(d time.Duration, snap storage.ScanStatsSnapshot, err error) {
+// record feeds one executed statement into the instruments.
+func (qm *queryMetrics) record(ev *obs.QueryEvent) {
 	if qm == nil {
 		return
 	}
 	qm.queries.Inc()
-	if err != nil {
+	if ev.Error != "" {
 		qm.errors.Inc()
 		return
 	}
-	qm.seconds.Observe(d.Seconds())
-	qm.rowsScanned.Add(snap.RowsScanned)
-	qm.rowsQualified.Add(snap.RowsQualified)
-	qm.rowsDecoded.Add(snap.RowsDecoded)
-	qm.blocksAccessed.Add(snap.BlocksAccessed)
-	qm.blocksDecoded.Add(snap.BlocksDecoded)
-	qm.blocksKernel.Add(snap.BlocksKernel)
-	qm.blocksZone.Add(snap.BlocksSkipped)
-	qm.blocksCache.Add(snap.BlocksPrunedCache)
-	qm.cacheHits.Add(snap.CacheHits)
-	qm.cacheMisses.Add(snap.CacheMisses)
-	qm.morsels.Add(snap.Morsels)
-	qm.workerMicros.Add(snap.WorkerNanos / 1e3)
+	qm.seconds.Observe(time.Duration(ev.ExecMicros)*time.Microsecond, -1, false)
+	qm.rowsScanned.Add(ev.RowsScanned)
+	qm.rowsQualified.Add(ev.RowsQualified)
+	qm.rowsDecoded.Add(ev.RowsDecoded)
+	qm.blocksAccessed.Add(ev.BlocksAccessed)
+	qm.blocksDecoded.Add(ev.BlocksDecoded)
+	qm.blocksKernel.Add(ev.BlocksKernel)
+	qm.blocksZone.Add(ev.BlocksPrunedZoneMap)
+	qm.blocksCache.Add(ev.BlocksPrunedCache)
+	qm.cacheHits.Add(ev.CacheHits)
+	qm.cacheMisses.Add(ev.CacheMisses)
+	qm.morsels.Add(ev.Morsels)
+	qm.workerMicros.Add(ev.WorkerMicros)
 }

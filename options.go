@@ -1,0 +1,94 @@
+package predcache
+
+import (
+	"time"
+
+	"github.com/predcache/predcache/internal/core"
+	"github.com/predcache/predcache/internal/obs"
+)
+
+// Option configures Open.
+type Option func(*DB)
+
+// WithCacheConfig selects the predicate-cache configuration (entry kind,
+// ranges per entry, bitmap granularity, memory budget).
+func WithCacheConfig(cfg CacheConfig) Option {
+	return func(db *DB) { db.cache = core.NewCache(cfg) }
+}
+
+// WithoutPredicateCache disables the predicate cache entirely.
+func WithoutPredicateCache() Option {
+	return func(db *DB) { db.cache = nil }
+}
+
+// WithSlices sets the number of data slices per table (default 4).
+func WithSlices(n int) Option {
+	return func(db *DB) { db.slices = n }
+}
+
+// WithParallelScans toggles per-slice scan goroutines and morsel-parallel
+// join/aggregation execution (default on).
+func WithParallelScans(v bool) Option {
+	return func(db *DB) { db.parallel = v }
+}
+
+// WithMaxWorkers caps the worker goroutines a morsel-parallel operator
+// (join build/probe, aggregation) may use per query. Zero — the default —
+// means GOMAXPROCS.
+func WithMaxWorkers(n int) Option {
+	return func(db *DB) { db.maxWorkers = n }
+}
+
+// WithoutPlanCache disables the normalized-SQL plan cache: every Query
+// parses and plans from scratch (ablation and debugging).
+func WithoutPlanCache() Option {
+	return func(db *DB) { db.planCacheOff = true }
+}
+
+// DefaultQueryLogCapacity is the number of recent queries the history
+// retains unless WithQueryLogCapacity overrides it. At ~300 bytes per
+// record the default costs a fixed ~300 KiB per database.
+const DefaultQueryLogCapacity = 1024
+
+// WithQueryLogCapacity sets how many recent queries pc.query_log retains
+// (default DefaultQueryLogCapacity). n <= 0 disables query recording:
+// pc.query_log stays empty; every other sink still sees every statement,
+// under the same sequence numbers.
+func WithQueryLogCapacity(n int) Option {
+	return func(db *DB) { db.qlogCap = n }
+}
+
+// DefaultSlowQueryThreshold flags queries at or above this wall time as
+// slow.
+const DefaultSlowQueryThreshold = time.Second
+
+// WithSlowQueryThreshold sets the wall time at which a statement is slow
+// (default DefaultSlowQueryThreshold; d <= 0 flags none). It is the one slow
+// threshold: pc.query_log.slow, always-retained traces (reason "slow"), the
+// "slow query" log line and the profile captor all follow it.
+func WithSlowQueryThreshold(d time.Duration) Option {
+	return func(db *DB) { db.slowQuery = d }
+}
+
+// TraceRetentionConfig bounds the trace tail-sampler: total span budget and
+// per-shape head-sample quota.
+type TraceRetentionConfig = obs.TraceStoreConfig
+
+// WithTraceRetention overrides the trace store's retention bounds (zero
+// fields keep their defaults).
+func WithTraceRetention(cfg TraceRetentionConfig) Option {
+	return func(db *DB) { db.traceCfg = cfg }
+}
+
+// WithLogger installs a structured logger at Open (see SetLogger).
+func WithLogger(l *obs.Logger) Option {
+	return func(db *DB) { db.SetLogger(l) }
+}
+
+// WithProfileCapture enables automatic, rate-limited CPU profile capture on
+// slow queries: profiles land in dir as cpu-NNN-q<seq>.pprof and carry the
+// query_id/shape/session labels. An unusable directory logs an error at Open
+// and disables capture rather than failing.
+func WithProfileCapture(dir string) Option {
+	return func(db *DB) { db.profileDir = dir }
+}

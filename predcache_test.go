@@ -8,9 +8,9 @@ import (
 	predcache "github.com/predcache/predcache"
 )
 
-func openWithData(t *testing.T, rows int) *predcache.DB {
+func openWithData(t *testing.T, rows int, opts ...predcache.Option) *predcache.DB {
 	t.Helper()
-	db := predcache.Open(predcache.WithSlices(2))
+	db := predcache.Open(append([]predcache.Option{predcache.WithSlices(2)}, opts...)...)
 	schema := predcache.Schema{
 		{Name: "id", Type: predcache.Int64},
 		{Name: "grp", Type: predcache.String},

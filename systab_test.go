@@ -177,7 +177,8 @@ func TestTableStorageSystemTable(t *testing.T) {
 
 func TestMetricsSystemTable(t *testing.T) {
 	m := predcache.NewMetrics()
-	db := predcache.Open(predcache.WithSlices(2), predcache.WithMetrics(m))
+	db := predcache.Open(predcache.WithSlices(2))
+	db.EnableMetrics(m)
 	if err := db.CreateTable("t", predcache.Schema{{Name: "x", Type: predcache.Int64}}); err != nil {
 		t.Fatal(err)
 	}

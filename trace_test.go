@@ -129,10 +129,10 @@ func TestTraceRetentionBounded(t *testing.T) {
 	db := predcache.Open(
 		predcache.WithSlices(1),
 		predcache.WithParallelScans(false),
+		predcache.WithSlowQueryThreshold(50*time.Millisecond),
 		predcache.WithTraceRetention(predcache.TraceRetentionConfig{
 			SpanBudget: budget,
 			ShapeQuota: 2,
-			Slow:       50 * time.Millisecond,
 		}),
 	)
 	schema := predcache.Schema{{Name: "id", Type: predcache.Int64}}
@@ -295,7 +295,7 @@ func TestQueryLogging(t *testing.T) {
 	if failed == nil {
 		t.Fatal("failed query's trace not retained")
 	}
-	if !strings.Contains(out, fmt.Sprintf(`"trace_id":%d`, failed.TraceID)) {
-		t.Errorf("log lines never mention the failed trace id %d:\n%s", failed.TraceID, out)
+	if !strings.Contains(out, fmt.Sprintf(`"trace_id":%d`, failed.Seq)) {
+		t.Errorf("log lines never mention the failed trace id %d:\n%s", failed.Seq, out)
 	}
 }

@@ -68,8 +68,9 @@ func (db *DB) RetainedTraces() []*RetainedTrace {
 	return db.traces.Traces()
 }
 
-// TraceByID returns the retained trace for a pc.query_log seq, or nil when
-// it was never retained or has been evicted.
+// TraceByID returns the retained trace of the statement with sequence number
+// id (pc.query_log.seq, pc.traces.trace_id), or nil when it was never
+// retained or has been evicted.
 func (db *DB) TraceByID(id int64) *RetainedTrace {
 	return db.traces.Trace(id)
 }
@@ -106,13 +107,13 @@ func (db *DB) CheckSLO(targets []SLOTarget) []SLOViolation {
 // GC pauses, scan-scratch pool efficiency) every interval (<= 0 selects
 // obs.DefaultRuntimeInterval) into the bounded ring behind pc.runtime. It
 // replaces and stops any previous sampler; call StopRuntimeSampler to halt.
-// The leak sentinels (WithSentinelConfig, pc.alerts) piggyback on the
-// sampling cadence: each retained sample is evaluated against the goroutine-
-// growth, heap-growth and pool-churn watchdogs.
+// The leak sentinels (pc.alerts) piggyback on the sampling cadence: each
+// retained sample is evaluated against the goroutine-growth, heap-growth and
+// pool-churn watchdogs at their default thresholds.
 func (db *DB) StartRuntimeSampler(interval time.Duration) {
 	// The sampler reads the engine's scan-scratch pool counters with every
 	// sample, so pool-efficiency regressions show up in pc.runtime.
-	sent := obs.NewSentinels(db.sentinelCfg, db.alerts, db.logger.Load)
+	sent := obs.NewSentinels(obs.SentinelConfig{}, db.alerts, db.logger.Load)
 	old := db.runtime.Swap(obs.StartRuntimeCollectorWith(interval, engine.ScratchPoolStats, sent))
 	old.Stop()
 }
