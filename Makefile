@@ -33,7 +33,7 @@ race:
 stress:
 	$(GO) test -race -tags pcdebug -run 'TestDMLVacuumRace|TestConcurrentQueriesAndDML|TestRaceStressParallelScans|TestRaceStressParallelOperators|TestKernel' -count=2 .
 	$(GO) test -race -tags pcdebug -run 'TestKernel|TestEvalPredRanges|TestReadIntRange|TestReadFloatRange|FuzzEvalPred' ./internal/storage ./internal/expr
-	$(GO) test -race -tags pcdebug -run 'TestScanHitVisitsOnlyCandidateBlocks|TestScanCancelAmortisedAndCacheSafe' ./internal/engine
+	$(GO) test -race -tags pcdebug -run 'TestScan|TestRunWorkers' ./internal/engine
 
 # Tests with the pcdebug build tag: runtime invariant assertions (row-range
 # shape, zone-map bounds, MVCC monotonicity) are compiled in and panic on

@@ -30,7 +30,7 @@ func main() {
 	flag.IntVar(&cfg.FleetSize, "clusters", cfg.FleetSize, "simulated fleet size")
 	flag.IntVar(&cfg.WorkloadAQueries, "wa-queries", cfg.WorkloadAQueries, "workload A stream length")
 	flag.Int64Var(&cfg.Seed, "seed", cfg.Seed, "generator seed")
-	flag.IntVar(&cfg.MaxWorkers, "workers", cfg.MaxWorkers, "max morsel-parallel workers per query (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.MaxWorkers, "workers", cfg.MaxWorkers, "max workers per query, scans included (0 = GOMAXPROCS)")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: pcbench [flags] <experiment>...|all\nexperiments: %v\nflags:\n", bench.Experiments())
 		flag.PrintDefaults()

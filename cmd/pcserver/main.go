@@ -57,7 +57,7 @@ func main() {
 	drain := flag.Duration("drain", 5*time.Second, "graceful shutdown drain timeout")
 	slow := flag.Duration("slow", 0, "slow-query threshold (0 keeps the default)")
 	logPath := flag.String("log", "", `write structured JSON log lines to this file ("-" for stderr); empty disables`)
-	workers := flag.Int("workers", 0, "max morsel-parallel workers per query (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "max workers per query, scans included (0 = GOMAXPROCS)")
 	profileDir := flag.String("profile-dir", "", "capture rate-limited CPU profiles of slow queries into this directory; empty disables")
 	flag.Parse()
 

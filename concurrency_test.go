@@ -229,16 +229,16 @@ func TestRaceStressParallelOperators(t *testing.T) {
 }
 
 // TestRaceStressParallelScans drives the full concurrent surface at once with
-// parallel per-slice scans enabled: distinct predicates churn cache inserts, a
+// four scan workers per query: distinct predicates churn cache inserts, a
 // tiny memory budget forces evictions, appends advance watermarks (Extend),
 // deletes and vacuums invalidate layouts, and introspection walks the LRU —
-// all while per-slice scan goroutines read the slices. Run with -race; the
+// all while the scan workers read the slices. Run with -race; the
 // workload is sized to stay well under 30s even with the race detector's
 // slowdown.
 func TestRaceStressParallelScans(t *testing.T) {
 	db := predcache.Open(
 		predcache.WithSlices(4),
-		predcache.WithParallelScans(true),
+		predcache.WithMaxWorkers(4),
 		predcache.WithCacheConfig(predcache.CacheConfig{
 			Kind:      predcache.RangeIndex,
 			MaxRanges: 128,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	predcache "github.com/predcache/predcache"
+	"github.com/predcache/predcache/internal/obs"
 )
 
 // mustPred parses a WHERE condition or fails the test.
@@ -49,51 +50,37 @@ func TestUpdateWhereFailedAppendKeepsRows(t *testing.T) {
 	}
 }
 
-// TestRunCtxDefaultsParallel: RunCtx used to leave ec.Parallel at its zero
-// value, silently running every caller-provided context serially even though
-// the database was opened with parallel scans (the default). It must default
-// from the database configuration, with ec.Serial as the explicit opt-out.
+// TestRunCtxDefaultsParallel: a caller-provided context that names no degree
+// of parallelism (MaxWorkers == 0) takes the database's, one that names its
+// own keeps it, and Serial wins over both.
 func TestRunCtxDefaultsParallel(t *testing.T) {
-	db := openWithData(t, 1000)
+	db := openWithData(t, 20000, predcache.WithMaxWorkers(3))
 	node, err := db.Plan("select count(*) from t where val > 10")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// widest runs node under ec and returns the most workers any operator used.
+	widest := func(ec *predcache.ExecCtx) (w int64) {
+		t.Helper()
+		ec.Trace = obs.NewTrace()
+		if _, err := db.RunCtx(node, ec); err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range ec.Trace.Spans() {
+			v, _ := sp.IntAttr("parallel.workers")
+			w = max(w, v)
+		}
+		return w
+	}
 	ec := &predcache.ExecCtx{}
-	if _, err := db.RunCtx(node, ec); err != nil {
-		t.Fatal(err)
+	if w := widest(ec); ec.MaxWorkers != 3 || w != 3 {
+		t.Fatalf("MaxWorkers = %d and %d workers ran, want the database's 3", ec.MaxWorkers, w)
 	}
-	if !ec.Parallel {
-		t.Fatal("RunCtx did not default Parallel from the database configuration")
+	if w := widest(&predcache.ExecCtx{MaxWorkers: 2}); w != 2 {
+		t.Fatalf("%d workers ran under MaxWorkers 2", w)
 	}
-	serial := &predcache.ExecCtx{Serial: true}
-	if _, err := db.RunCtx(node, serial); err != nil {
-		t.Fatal(err)
-	}
-	if serial.Parallel {
-		t.Fatal("RunCtx overrode an explicit Serial request")
-	}
-
-	off := predcache.Open(predcache.WithParallelScans(false))
-	if err := off.CreateTable("u", predcache.Schema{{Name: "x", Type: predcache.Int64}}); err != nil {
-		t.Fatal(err)
-	}
-	b := predcache.NewBatch(predcache.Schema{{Name: "x", Type: predcache.Int64}})
-	b.Cols[0].Ints = []int64{1, 2, 3}
-	b.N = 3
-	if err := off.Insert("u", b); err != nil {
-		t.Fatal(err)
-	}
-	nodeOff, err := off.Plan("select count(*) from u")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ecOff := &predcache.ExecCtx{}
-	if _, err := off.RunCtx(nodeOff, ecOff); err != nil {
-		t.Fatal(err)
-	}
-	if ecOff.Parallel {
-		t.Fatal("RunCtx enabled parallelism on a serial-configured database")
+	if w := widest(&predcache.ExecCtx{Serial: true}); w != 1 {
+		t.Fatalf("%d workers ran under Serial", w)
 	}
 }
 

@@ -188,11 +188,13 @@ var sinkStream = []struct {
 	executed bool
 	failed   bool
 	slow     bool // must be slow (the others may be, on a stalled host)
+	workers  bool // must report worker time: its scan claims both slices
 	class    string
 }{
 	{name: "ok", sql: "select count(*) from t where id < 10", executed: true, class: "agg"},
 	{name: "ok-repeat", sql: "select count(*) from t where id < 20", executed: true, class: "agg"},
 	{name: "point", sql: "select id from t where id = 7", executed: true, class: "point"},
+	{name: "scan", sql: "select id, val from t where val >= 10", executed: true, workers: true, class: "range"},
 	{name: "parse-error", sql: "select from from from", failed: true},
 	{name: "plan-error", sql: "select nope from t", failed: true},
 	{name: "exec-error", sql: "select x from pc.fail", executed: true, failed: true, class: "range"},
@@ -205,12 +207,13 @@ var sinkStream = []struct {
 }
 
 // sinkDB opens a database wired to every sink: a metrics registry, a JSON
-// logger on the returned buffer, a 40ms slow threshold, and the probe tables
-// sinkStream uses.
+// logger on the returned buffer, a 40ms slow threshold, four workers per
+// query whatever GOMAXPROCS is, and the probe tables sinkStream uses.
 func sinkDB(t *testing.T) (*predcache.DB, *predcache.Metrics, *syncBuffer) {
 	t.Helper()
 	logs := &syncBuffer{}
 	db := openWithData(t, 5000,
+		predcache.WithMaxWorkers(4),
 		predcache.WithSlowQueryThreshold(40*time.Millisecond),
 		predcache.WithLogger(predcache.NewJSONLogger(logs, 0)))
 	m := predcache.NewMetrics()
@@ -429,6 +432,10 @@ func TestEverySinkAgrees(t *testing.T) {
 		}
 		if s.slow && !ev.Slow {
 			t.Errorf("%s: a %dµs statement is not slow at 40ms", s.name, ev.WallMicros)
+		}
+		// Scan workers' busy time is attributed like any other operator's.
+		if s.workers && (ev.WorkerMicros == 0 || ev.CPUMicros < ev.ExecMicros) {
+			t.Errorf("%s: worker_us %d, cpu_us %d, exec_us %d", s.name, ev.WorkerMicros, ev.CPUMicros, ev.ExecMicros)
 		}
 		if s.cancel && ev.Error != context.Canceled.Error() {
 			t.Errorf("%s: error %q", s.name, ev.Error)

@@ -31,7 +31,7 @@ type Config struct {
 	// Timing repetitions per measured query.
 	Reps int
 	Seed int64
-	// MaxWorkers caps morsel-parallel operator workers per query; zero means
+	// MaxWorkers caps the workers of every operator of a query; zero means
 	// GOMAXPROCS (so `go test -cpu 1,4` scales the DOP naturally).
 	MaxWorkers int
 }

@@ -91,7 +91,7 @@ func (r *Runner) Table3() error {
 	if err != nil {
 		return err
 	}
-	rel, err := plan.Execute(&engine.ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, Parallel: true})
+	rel, err := plan.Execute(&engine.ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}})
 	if err != nil {
 		return err
 	}
@@ -117,7 +117,7 @@ func (r *Runner) Table3() error {
 	// Predicate cache, both representations.
 	for _, kind := range []core.EntryKind{core.RangeIndex, core.BitmapIndex} {
 		cache := pcCache(kind)
-		ec := &engine.ExecCtx{Catalog: cat, Cache: cache, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, Parallel: true}
+		ec := &engine.ExecCtx{Catalog: cat, Cache: cache, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}}
 		if _, err := plan.Execute(ec); err != nil {
 			return err
 		}
@@ -180,7 +180,7 @@ func (r *Runner) Table1() error {
 		best := time.Duration(0)
 		for i := 0; i < 5; i++ {
 			start := time.Now()
-			if _, err := plan.Execute(&engine.ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, Parallel: true}); err != nil {
+			if _, err := plan.Execute(&engine.ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}}); err != nil {
 				return 0, err
 			}
 			if d := time.Since(start); i == 0 || d < best {
@@ -216,7 +216,7 @@ func (r *Runner) Table1() error {
 			if err != nil {
 				return err
 			}
-			rel, err := plan.Execute(&engine.ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, Parallel: true})
+			rel, err := plan.Execute(&engine.ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}})
 			if err != nil {
 				return err
 			}
@@ -230,7 +230,7 @@ func (r *Runner) Table1() error {
 			return err
 		}
 		plan, _ := sql.PlanSQL(stream[0], cat)
-		rel, _ := plan.Execute(&engine.ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, Parallel: true})
+		rel, _ := plan.Execute(&engine.ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}})
 		rc.Put(stream[0], rel, []*storage.Table{t})
 		start := time.Now()
 		rc.Get(stream[0])
@@ -384,7 +384,7 @@ func (r *Runner) Table1() error {
 				return err
 			}
 			start := time.Now()
-			_, err = plan.Execute(&engine.ExecCtx{Catalog: cat, Cache: cache, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, Parallel: true})
+			_, err = plan.Execute(&engine.ExecCtx{Catalog: cat, Cache: cache, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}})
 			if err != nil {
 				return err
 			}
@@ -400,7 +400,7 @@ func (r *Runner) Table1() error {
 		warmBest := time.Duration(0)
 		for i := 0; i < 5; i++ {
 			start := time.Now()
-			if _, err := planEnd.Execute(&engine.ExecCtx{Catalog: cat, Cache: cache, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, Parallel: true}); err != nil {
+			if _, err := planEnd.Execute(&engine.ExecCtx{Catalog: cat, Cache: cache, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}}); err != nil {
 				return err
 			}
 			if d := time.Since(start); i == 0 || d < warmBest {

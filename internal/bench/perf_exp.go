@@ -80,7 +80,7 @@ func (r *Runner) Fig15() error {
 		var deltas []float64
 		for i, plan := range plans {
 			base, err := runPlan(plan, func() *engine.ExecCtx {
-				return &engine.ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, Parallel: true, MaxWorkers: r.Cfg.MaxWorkers}
+				return &engine.ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, MaxWorkers: r.Cfg.MaxWorkers}
 			}, reps)
 			if err != nil {
 				return err
@@ -89,7 +89,7 @@ func (r *Runner) Fig15() error {
 			ins, err := runPlan(plan, func() *engine.ExecCtx {
 				cache.Clear()
 				return &engine.ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{},
-					Parallel: true, MaxWorkers: r.Cfg.MaxWorkers, Cache: cache, ForceCacheInsertOnly: true}
+					MaxWorkers: r.Cfg.MaxWorkers, Cache: cache, ForceCacheInsertOnly: true}
 			}, reps)
 			if err != nil {
 				return err
@@ -225,7 +225,7 @@ func (r *Runner) measureSuite(cfg *table4Config, queries []tpch.Query, disableSJ
 		mkCtx := func() *engine.ExecCtx {
 			return &engine.ExecCtx{
 				Catalog: cfg.cat, Snapshot: cfg.cat.Snapshot(), Stats: &storage.ScanStats{},
-				Parallel: true, MaxWorkers: r.Cfg.MaxWorkers, Cache: cfg.cache, DisableSemiJoinCache: disableSJCache,
+				MaxWorkers: r.Cfg.MaxWorkers, Cache: cfg.cache, DisableSemiJoinCache: disableSJCache,
 			}
 		}
 		// Warm-up populates cache entries.
@@ -358,13 +358,13 @@ func (r *Runner) Fig17() error {
 		cache := pcCache(core.BitmapIndex)
 		for _, plan := range plans {
 			b, err := runPlan(plan, func() *engine.ExecCtx {
-				return &engine.ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, Parallel: true, MaxWorkers: r.Cfg.MaxWorkers}
+				return &engine.ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, MaxWorkers: r.Cfg.MaxWorkers}
 			}, r.Cfg.Reps)
 			if err != nil {
 				return nil, nil, err
 			}
 			mkCtx := func() *engine.ExecCtx {
-				return &engine.ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, Parallel: true, MaxWorkers: r.Cfg.MaxWorkers, Cache: cache}
+				return &engine.ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, MaxWorkers: r.Cfg.MaxWorkers, Cache: cache}
 			}
 			if _, err := execOnce(plan, mkCtx()); err != nil {
 				return nil, nil, err

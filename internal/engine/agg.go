@@ -302,7 +302,7 @@ type finalGroup struct {
 }
 
 // Execute performs hash aggregation, morsel-parallel under
-// ExecCtx.Parallel/MaxWorkers. Filter nodes directly under the input stream
+// ExecCtx.MaxWorkers. Filter nodes directly under the input stream
 // as per-morsel selection vectors. Grouped aggregation hash-partitions by
 // group key and accumulates each partition's rows in global row order;
 // global aggregation accumulates per-morsel partial states merged in morsel
@@ -345,9 +345,7 @@ func (a *Agg) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	n := in.NumRows()
 	nA := len(baggs)
 	nm := numMorsels(n)
-	var pa parAccounting
-	pa.workers = ec.workers(n)
-	pa.morsels = nm
+	pa := parAccounting{workers: ec.workers(n), morsels: nm}
 
 	var groups []finalGroup
 	if len(groupCols) == 0 {
@@ -433,7 +431,7 @@ func (a *Agg) runGlobal(ec *ExecCtx, baggs []*boundAgg, bounds []expr.Bound, ctx
 	nA := len(baggs)
 	partials := make([]aggState, nm*nA)
 	cur := &morselCursor{rows: n}
-	cpu, extra, err := runWorkers(pa.workers, func(int) error {
+	err := pa.run(pa.workers, func() error {
 		scr := acquireMorselScratch()
 		defer scr.release()
 		return forEachMorsel(ec, cur, func(m, lo, hi int) error {
@@ -453,8 +451,6 @@ func (a *Agg) runGlobal(ec *ExecCtx, baggs []*boundAgg, bounds []expr.Bound, ctx
 			return nil
 		})
 	})
-	pa.cpu += cpu
-	pa.extra += extra
 	if err != nil {
 		return nil, err
 	}
@@ -472,7 +468,7 @@ func (a *Agg) runGlobal(ec *ExecCtx, baggs []*boundAgg, bounds []expr.Bound, ctx
 func (a *Agg) runGroupedSerial(ec *ExecCtx, groupCols []*RelCol, baggs []*boundAgg, bounds []expr.Bound, ctx *expr.BlockCtx, n int, pa *parAccounting) ([]finalGroup, error) {
 	t := newAggTable(groupCols, len(baggs))
 	cur := &morselCursor{rows: n}
-	cpu, extra, err := runWorkers(1, func(int) error {
+	err := pa.run(1, func() error {
 		scr := acquireMorselScratch()
 		defer scr.release()
 		return forEachMorsel(ec, cur, func(_, lo, hi int) error {
@@ -483,8 +479,6 @@ func (a *Agg) runGroupedSerial(ec *ExecCtx, groupCols []*RelCol, baggs []*boundA
 			return nil
 		})
 	})
-	pa.cpu += cpu
-	pa.extra += extra
 	if err != nil {
 		return nil, err
 	}
@@ -506,7 +500,7 @@ func (a *Agg) runGroupedParallel(ec *ExecCtx, groupCols []*RelCol, baggs []*boun
 	moffs := make([]int32, nm*(nP+1))  // per-morsel partition offsets into its segment
 
 	cur := &morselCursor{rows: n}
-	cpu, extra, err := runWorkers(pa.workers, func(int) error {
+	err := pa.run(pa.workers, func() error {
 		scr := acquireMorselScratch()
 		defer scr.release()
 		return forEachMorsel(ec, cur, func(m, lo, hi int) error {
@@ -533,15 +527,13 @@ func (a *Agg) runGroupedParallel(ec *ExecCtx, groupCols []*RelCol, baggs []*boun
 			return nil
 		})
 	})
-	pa.cpu += cpu
-	pa.extra += extra
 	if err != nil {
 		return nil, err
 	}
 
 	tables := make([]*aggTable, nP)
 	var pcur atomic.Int64
-	cpu, extra, err = runWorkers(pa.workers, func(int) error {
+	err = pa.run(pa.workers, func() error {
 		scr := acquireMorselScratch()
 		defer scr.release()
 		for {
@@ -568,8 +560,6 @@ func (a *Agg) runGroupedParallel(ec *ExecCtx, groupCols []*RelCol, baggs []*boun
 			}
 		}
 	})
-	pa.cpu += cpu
-	pa.extra += extra
 	if err != nil {
 		return nil, err
 	}

@@ -123,12 +123,14 @@ func writeAnalyzeSpan(b *strings.Builder, sp *obs.Span) {
 			fmt.Fprintf(b, " rows(scanned=%d qualified=%d decoded=%d)", v, q, rd)
 		}
 		if w, ok := sp.IntAttr("parallel.workers"); ok {
-			m, _ := sp.IntAttr("parallel.morsels")
+			fmt.Fprintf(b, " parallel(workers=%d", w)
+			if m, ok := sp.IntAttr("parallel.morsels"); ok {
+				fmt.Fprintf(b, " morsels=%d", m)
+			}
 			us, _ := sp.IntAttr("parallel.cpu_us")
 			// cpu vs the node's wall time is the parallel-efficiency signal:
 			// cpu ≈ wall means one busy worker, cpu ≈ W×wall means W.
-			fmt.Fprintf(b, " parallel(workers=%d morsels=%d cpu=%s)", w, m,
-				analyzeDur(time.Duration(us)*time.Microsecond))
+			fmt.Fprintf(b, " cpu=%s)", analyzeDur(time.Duration(us)*time.Microsecond))
 		}
 		if v, ok := sp.IntAttr("filters.fused"); ok {
 			fmt.Fprintf(b, " fused.filters=%d", v)

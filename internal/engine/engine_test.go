@@ -93,7 +93,7 @@ func newTestDB(t testing.TB, itemRows, dimRows, slices int, seed int64) *testDB 
 func (d *testDB) exec(t testing.TB, n Node, cache *core.Cache) (*Relation, *storage.ScanStats) {
 	t.Helper()
 	stats := &storage.ScanStats{}
-	ec := &ExecCtx{Catalog: d.cat, Cache: cache, Snapshot: d.cat.Snapshot(), Stats: stats, Parallel: true}
+	ec := &ExecCtx{Catalog: d.cat, Cache: cache, Snapshot: d.cat.Snapshot(), Stats: stats}
 	rel, err := n.Execute(ec)
 	if err != nil {
 		t.Fatal(err)

@@ -159,17 +159,17 @@ func (jt *joinTable) first(enc *joinKeyEncoder, row int, scr *morselScratch) int
 }
 
 // buildJoinTable builds the chained hash table over rel's key columns with
-// up to workers workers. A single worker inserts rows 0..n-1 directly. The
+// up to pa.workers workers. A single worker inserts rows 0..n-1 directly. The
 // parallel build hash-partitions instead: pass 1 computes every row's
 // partition morsel-parallel, pass 2 has partition workers insert their rows
 // in ascending row order — per-key chain order is identical to the serial
 // build, so parallel and Serial joins return bit-identical results.
-func buildJoinTable(ec *ExecCtx, rel *Relation, enc *joinKeyEncoder, workers int, pa *parAccounting) (*joinTable, error) {
+func buildJoinTable(ec *ExecCtx, rel *Relation, enc *joinKeyEncoder, pa *parAccounting) (*joinTable, error) {
 	n := rel.NumRows()
 	jt := &joinTable{single: enc.single(), next: make([]int32, n)}
 	nParts := 1
-	if workers > 1 && n >= 2*morselSize {
-		nParts = partitionsFor(workers)
+	if pa.workers > 1 && n >= 2*morselSize {
+		nParts = partitionsFor(pa.workers)
 	}
 	jt.parts = make([]joinPart, nParts)
 	if nParts == 1 {
@@ -197,7 +197,7 @@ func buildJoinTable(ec *ExecCtx, rel *Relation, enc *joinKeyEncoder, workers int
 	// Pass 1: each row's partition, morsel-parallel.
 	partOf := make([]uint8, n)
 	cur := &morselCursor{rows: n}
-	cpu, extra, err := runWorkers(workers, func(int) error {
+	err := pa.run(pa.workers, func() error {
 		scr := acquireMorselScratch()
 		defer scr.release()
 		return forEachMorsel(ec, cur, func(_, lo, hi int) error {
@@ -214,8 +214,6 @@ func buildJoinTable(ec *ExecCtx, rel *Relation, enc *joinKeyEncoder, workers int
 			return nil
 		})
 	})
-	pa.cpu += cpu
-	pa.extra += extra
 	pa.morsels += numMorsels(n)
 	if err != nil {
 		return nil, err
@@ -225,7 +223,7 @@ func buildJoinTable(ec *ExecCtx, rel *Relation, enc *joinKeyEncoder, workers int
 	// ascending row order (scanning the byte-sized partition map is cheap
 	// next to the hash inserts it feeds).
 	var pcur atomic.Int64
-	cpu, extra, err = runWorkers(workers, func(int) error {
+	err = pa.run(pa.workers, func() error {
 		scr := acquireMorselScratch()
 		defer scr.release()
 		for {
@@ -257,8 +255,6 @@ func buildJoinTable(ec *ExecCtx, rel *Relation, enc *joinKeyEncoder, workers int
 			}
 		}
 	})
-	pa.cpu += cpu
-	pa.extra += extra
 	return jt, err
 }
 
@@ -374,7 +370,7 @@ func copyJoinOut(dst *RelCol, spec *joinOutSpec, out *joinMorselOut, base int) {
 // enabled, a Bloom filter of the build keys is pushed into a probe-side
 // base-table scan before it runs, so the scan can cache the semi-join
 // result (§4.4, Figure 12). Build, probe and output assembly are
-// morsel-parallel under ExecCtx.Parallel/MaxWorkers; Filter nodes directly
+// morsel-parallel under ExecCtx.MaxWorkers; Filter nodes directly
 // under the probe side stream as per-morsel selection vectors instead of
 // materializing an intermediate relation.
 func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
@@ -395,9 +391,8 @@ func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
 		return nil, err
 	}
 
-	var pa parAccounting
-	pa.workers = ec.workers(buildRel.NumRows())
-	jt, err := buildJoinTable(ec, buildRel, buildEnc, pa.workers, &pa)
+	pa := parAccounting{workers: ec.workers(buildRel.NumRows())}
+	jt, err := buildJoinTable(ec, buildRel, buildEnc, &pa)
 	if err != nil {
 		return nil, err
 	}
@@ -475,15 +470,13 @@ func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
 
 	// Probe over morsels pulled from a shared cursor.
 	pn := probeRel.NumRows()
-	if w := ec.workers(pn); w > pa.workers {
-		pa.workers = w
-	}
 	probeWorkers := ec.workers(pn)
+	pa.workers = max(pa.workers, probeWorkers)
 	nm := numMorsels(pn)
 	needBuild := j.Type == InnerJoin || j.Type == LeftOuterJoin
 	outs := make([]joinMorselOut, nm)
 	cur := &morselCursor{rows: pn}
-	cpu, extra, err := runWorkers(probeWorkers, func(int) error {
+	err = pa.run(probeWorkers, func() error {
 		scr := acquireMorselScratch()
 		defer scr.release()
 		return forEachMorsel(ec, cur, func(m, lo, hi int) error {
@@ -495,8 +488,6 @@ func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
 			return nil
 		})
 	})
-	pa.cpu += cpu
-	pa.extra += extra
 	pa.morsels += nm
 	if err != nil {
 		return nil, err
@@ -543,7 +534,7 @@ func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	}
 
 	acur := &morselCursor{rows: pn}
-	cpu, extra, err = runWorkers(probeWorkers, func(int) error {
+	err = pa.run(probeWorkers, func() error {
 		return forEachMorsel(ec, acur, func(m, _, _ int) error {
 			out := &outs[m]
 			if len(out.probe) == 0 {
@@ -555,8 +546,6 @@ func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
 			return nil
 		})
 	})
-	pa.cpu += cpu
-	pa.extra += extra
 	pa.morsels += nm
 	if err != nil {
 		return nil, err

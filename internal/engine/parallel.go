@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,25 +21,19 @@ const morselSize = cancelCheckRows
 // numMorsels returns how many morsels cover rows.
 func numMorsels(rows int) int { return (rows + morselSize - 1) / morselSize }
 
-// workers returns the degree of parallelism for a morsel-parallel operator
-// over rows input rows: 1 when the context is serial, otherwise MaxWorkers
-// (default GOMAXPROCS) bounded by the morsel count so tiny inputs do not
-// spawn idle goroutines.
+// workers returns the degree of parallelism for an operator over rows input
+// rows: MaxWorkers (default GOMAXPROCS) bounded by the morsel count, so a
+// small input runs inline on the caller. This is the only place a degree of
+// parallelism is decided, and the only read of Serial.
 func (ec *ExecCtx) workers(rows int) int {
-	if ec.Serial || !ec.Parallel {
+	if ec.Serial {
 		return 1
 	}
 	w := ec.MaxWorkers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if m := numMorsels(rows); w > m {
-		w = m
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(w, numMorsels(rows)))
 }
 
 // partitionsFor picks the build/group partition fan-out for a worker count:
@@ -88,23 +84,24 @@ func forEachMorsel(ec *ExecCtx, cur *morselCursor, fn func(m, lo, hi int) error)
 	}
 }
 
-// runWorkers runs fn(w) on workers goroutines (inline, without spawning,
-// when workers == 1), returning the summed per-worker busy time, the busy
-// time beyond the coordinator's wall-clock wait (extra = busy − elapsed,
-// min 0), and the first error. Busy time vs the caller's wall time is the
+// runWorkers, the engine's only spawn site, runs fn on workers goroutines
+// while the caller waits (inline, spawning nothing, when workers <= 1),
+// returning the summed per-worker busy time, the busy time beyond the
+// coordinator's wall-clock wait (extra = busy − elapsed, min 0), and the first
+// error — a panic in fn included, so a worker fault fails the query, not the
+// process. Busy time vs the caller's wall time is the
 // EXPLAIN ANALYZE parallel-efficiency signal; the extra term is what the
 // resource-attribution layer adds to query wall time to get attributed CPU —
 // the coordinator's blocked wait is already inside the wall, so only the
 // surplus the spawned workers contributed is added. Worker goroutines
 // inherit the caller's pprof label set, so CPU samples taken inside fn carry
 // the query's query_id/shape/session labels.
-func runWorkers(workers int, fn func(w int) error) (cpu, extra time.Duration, err error) {
+func runWorkers(workers int, fn func() error) (cpu, extra time.Duration, err error) {
+	start := time.Now()
 	if workers <= 1 {
-		start := time.Now()
-		err := fn(0)
+		err = recovered(fn)
 		return time.Since(start), 0, err
 	}
-	start := time.Now()
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	busy := make([]time.Duration, workers)
@@ -113,7 +110,7 @@ func runWorkers(workers int, fn func(w int) error) (cpu, extra time.Duration, er
 		go func(w int) {
 			defer wg.Done()
 			start := time.Now()
-			errs[w] = fn(w)
+			errs[w] = recovered(fn)
 			busy[w] = time.Since(start)
 		}(w)
 	}
@@ -133,8 +130,19 @@ func runWorkers(workers int, fn func(w int) error) (cpu, extra time.Duration, er
 	return cpu, extra, nil
 }
 
+// recovered runs fn, turning a panic into an error that carries the panic
+// value and the panicking goroutine's stack.
+func recovered(fn func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("engine: worker panic: %v\n%s", r, debug.Stack())
+		}
+	}()
+	return fn()
+}
+
 // parAccounting accumulates one operator's parallel-execution counters
-// across its phases (build, probe, partition, assemble).
+// across its phases (slices, build, probe, partition, assemble).
 type parAccounting struct {
 	workers int
 	morsels int
@@ -144,11 +152,22 @@ type parAccounting struct {
 	extra time.Duration
 }
 
-// finish publishes the counters to the operator's span and the query stats.
+// run is runWorkers with the busy time folded into the operator's counters.
+func (pa *parAccounting) run(workers int, fn func() error) error {
+	cpu, extra, err := runWorkers(workers, fn)
+	pa.cpu += cpu
+	pa.extra += extra
+	return err
+}
+
+// finish publishes the counters to the operator's span and the query stats
+// (a scan has no morsels: its unit of work is the slice).
 func (pa *parAccounting) finish(ec *ExecCtx, sp obs.SpanRef) {
 	if sp.Active() && pa.workers > 0 {
 		sp.SetInt("parallel.workers", int64(pa.workers))
-		sp.SetInt("parallel.morsels", int64(pa.morsels))
+		if pa.morsels > 0 {
+			sp.SetInt("parallel.morsels", int64(pa.morsels))
+		}
 		sp.SetInt("parallel.cpu_us", pa.cpu.Microseconds())
 	}
 	if ec.Stats != nil {

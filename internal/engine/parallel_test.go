@@ -2,10 +2,19 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"reflect"
+	"runtime"
+	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"github.com/predcache/predcache/internal/core"
 	"github.com/predcache/predcache/internal/expr"
+	"github.com/predcache/predcache/internal/obs"
 	"github.com/predcache/predcache/internal/storage"
 )
 
@@ -14,7 +23,6 @@ func execWith(t testing.TB, cat *storage.Catalog, n Node, parallel bool, maxWork
 	t.Helper()
 	ec := &ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}}
 	if parallel {
-		ec.Parallel = true
 		ec.MaxWorkers = maxWorkers
 	} else {
 		ec.Serial = true
@@ -290,7 +298,7 @@ func TestParallelCancellation(t *testing.T) {
 			Aggs: []AggSpec{{Func: AggCount, Name: "c"}}},
 	} {
 		ec := &ExecCtx{Catalog: d.cat, Snapshot: d.cat.Snapshot(), Stats: &storage.ScanStats{},
-			Parallel: true, MaxWorkers: 4, Ctx: ctx}
+			MaxWorkers: 4, Ctx: ctx}
 		if _, err := plan.Execute(ec); err == nil {
 			t.Fatalf("%T: cancelled execution returned no error", plan)
 		}
@@ -320,7 +328,7 @@ func TestWarmParallelPipelineAllocs(t *testing.T) {
 	}
 	run := func() {
 		ec := &ExecCtx{Catalog: d.cat, Snapshot: d.cat.Snapshot(), Stats: &storage.ScanStats{},
-			Parallel: true, MaxWorkers: 4}
+			MaxWorkers: 4}
 		if _, err := plan.Execute(ec); err != nil {
 			t.Fatal(err)
 		}
@@ -335,20 +343,254 @@ func TestWarmParallelPipelineAllocs(t *testing.T) {
 }
 
 // TestParallelStatsAccounting checks the morsel/worker counters flow into
-// ScanStats.
+// ScanStats: every operator's worker time, scans included, and morsels from
+// the operators that have them (a scan's unit of work is the slice).
 func TestParallelStatsAccounting(t *testing.T) {
 	d := newTestDB(t, 20000, 40, 4, 45)
-	plan := &Agg{Input: &Scan{Table: "items"}, GroupBy: []string{"mode"},
-		Aggs: []AggSpec{{Func: AggSum, Arg: expr.Col("price"), Name: "s"}}}
-	stats := &storage.ScanStats{}
-	ec := &ExecCtx{Catalog: d.cat, Snapshot: d.cat.Snapshot(), Stats: stats, Parallel: true, MaxWorkers: 4}
-	if _, err := plan.Execute(ec); err != nil {
+	scan := &Scan{Table: "items", Filter: expr.Cmp("qty", expr.Ge, expr.Int(25))}
+	for _, tc := range []struct {
+		name    string
+		plan    Node
+		morsels bool
+	}{
+		{"scan", scan, false},
+		{"scan_agg", &Agg{Input: scan, GroupBy: []string{"mode"},
+			Aggs: []AggSpec{{Func: AggSum, Arg: expr.Col("price"), Name: "s"}}}, true},
+	} {
+		stats := &storage.ScanStats{}
+		ec := &ExecCtx{Catalog: d.cat, Snapshot: d.cat.Snapshot(), Stats: stats, MaxWorkers: 4}
+		if _, err := tc.plan.Execute(ec); err != nil {
+			t.Fatal(err)
+		}
+		if got := stats.Morsels.Load() > 0; got != tc.morsels {
+			t.Fatalf("%s: %d morsels recorded", tc.name, stats.Morsels.Load())
+		}
+		if stats.WorkerNanos.Load() == 0 {
+			t.Fatalf("%s: no worker time recorded", tc.name)
+		}
+	}
+}
+
+// cacheContents maps every entry's key to the candidates it serves.
+func cacheContents(c *core.Cache) map[string]core.Candidates {
+	out := map[string]core.Candidates{}
+	for _, e := range c.Entries() {
+		out[e.Key], _ = c.Best([]string{e.Key})
+	}
+	return out
+}
+
+// TestScanWorkerCountIndependent: per-slice results merge in slice order, so
+// a scan's output and the cache entries it leaves do not depend on how many
+// workers claimed its slices — cold (miss, insert) and warm (hit), alone and
+// under a join that pushes a semi-join filter into it.
+func TestScanWorkerCountIndependent(t *testing.T) {
+	plans := []struct {
+		name string
+		plan Node
+	}{
+		{"scan", &Scan{Table: "items", Filter: expr.Cmp("qty", expr.Le, expr.Int(10)),
+			Project: []string{"id", "price", "mode"}}},
+		{"scan_join_agg", &Agg{
+			Input: &Join{
+				Left:     &Scan{Table: "items", Filter: expr.Cmp("qty", expr.Ge, expr.Int(25))},
+				Right:    &Scan{Table: "dims", Filter: expr.Cmp("d_rank", expr.Lt, expr.Int(50))},
+				LeftKeys: []string{"dim_id"}, RightKeys: []string{"d_id"}, Type: InnerJoin, PushSemiJoin: true,
+			},
+			GroupBy: []string{"d_cat"},
+			Aggs:    []AggSpec{{Func: AggCount, Name: "c"}, {Func: AggSum, Arg: expr.Col("price"), Name: "s"}},
+		}},
+	}
+	for _, slices := range []int{1, 4, 7} {
+		d := newTestDB(t, 30000, 40, slices, 47) // 8 morsels: room for 7 workers
+		for _, tc := range plans {
+			// run executes the plan cold then warm against a fresh cache.
+			run := func(ec ExecCtx) (cold, warm *Relation, entries map[string]core.Candidates) {
+				t.Helper()
+				ec.Catalog, ec.Snapshot, ec.Cache = d.cat, d.cat.Snapshot(), core.NewCache(core.DefaultConfig())
+				for _, out := range []**Relation{&cold, &warm} {
+					ec.Stats = &storage.ScanStats{}
+					rel, err := tc.plan.Execute(&ec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					*out = rel
+				}
+				if ec.Stats.CacheHits.Load() == 0 {
+					t.Fatal("warm run did not hit")
+				}
+				return cold, warm, cacheContents(ec.Cache)
+			}
+			refCold, refWarm, refEntries := run(ExecCtx{Serial: true})
+			if len(refEntries) == 0 {
+				t.Fatal("serial run cached nothing")
+			}
+			for _, w := range []int{1, 2, 4, 7} {
+				t.Run(fmt.Sprintf("%s/slices=%d/workers=%d", tc.name, slices, w), func(t *testing.T) {
+					cold, warm, entries := run(ExecCtx{MaxWorkers: w})
+					requireIdentical(t, refCold, cold)
+					requireIdentical(t, refWarm, warm)
+					if !reflect.DeepEqual(refEntries, entries) {
+						t.Fatalf("cache entries differ from the serial run's:\nserial %+v\ngot    %+v", refEntries, entries)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestScanBoundedByMaxWorkers: the one worker count bounds scans too. On
+// seven slices, MaxWorkers 2 runs two workers with never more than two slice
+// spans open at once; MaxWorkers 1 and Serial run inline.
+func TestScanBoundedByMaxWorkers(t *testing.T) {
+	d := newTestDB(t, 60000, 40, 7, 48)
+	scan := &Scan{Table: "items", Filter: expr.Cmp("qty", expr.Le, expr.Int(25))}
+	for _, tc := range []struct {
+		name string
+		ec   ExecCtx
+		want int64
+	}{
+		{"MaxWorkers=2", ExecCtx{MaxWorkers: 2}, 2},
+		{"MaxWorkers=1", ExecCtx{MaxWorkers: 1}, 1},
+		{"Serial", ExecCtx{Serial: true, MaxWorkers: 4}, 1},
+	} {
+		ec, tr := tc.ec, obs.NewTrace()
+		ec.Catalog, ec.Snapshot, ec.Trace = d.cat, d.cat.Snapshot(), tr
+		if _, err := scan.Execute(&ec); err != nil {
+			t.Fatal(err)
+		}
+		if got := spanInt(t, tr, obs.KindNode, "parallel.workers"); got != tc.want {
+			t.Fatalf("%s: parallel.workers = %d, want %d", tc.name, got, tc.want)
+		}
+		// Sweep the slice spans' begin (+1) and end (-1) events in time order;
+		// a worker ends one span before it begins the next, so ends sort first.
+		type event struct {
+			at    time.Duration
+			delta int
+		}
+		var events []event
+		for _, sp := range tr.Spans() {
+			if sp.Kind == obs.KindSlice {
+				events = append(events, event{sp.Start, 1}, event{sp.Start + sp.Dur, -1})
+			}
+		}
+		if len(events) != 2*7 {
+			t.Fatalf("%s: %d slice span events, want 14", tc.name, len(events))
+		}
+		sort.Slice(events, func(i, j int) bool {
+			if events[i].at != events[j].at {
+				return events[i].at < events[j].at
+			}
+			return events[i].delta < events[j].delta
+		})
+		open, maxOpen := 0, 0
+		for _, e := range events {
+			open += e.delta
+			maxOpen = max(maxOpen, open)
+		}
+		if int64(maxOpen) > tc.want {
+			t.Fatalf("%s: %d slice spans open at once, want at most %d", tc.name, maxOpen, tc.want)
+		}
+	}
+}
+
+// TestRunWorkersRecoversPanic: a panic in one worker comes back as an error
+// carrying the value and the stack, the other workers finish, and no
+// goroutine is left behind — inline and spawned alike.
+func TestRunWorkersRecoversPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		base := runtime.NumGoroutine()
+		var calls, finished atomic.Int64
+		_, _, err := runWorkers(workers, func() error {
+			if calls.Add(1) == 1 {
+				panic("boom")
+			}
+			finished.Add(1)
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "boom") || !strings.Contains(err.Error(), "parallel_test.go") {
+			t.Fatalf("workers=%d: err = %v, want the panic value and its stack", workers, err)
+		}
+		if got := finished.Load(); got != int64(workers-1) {
+			t.Fatalf("workers=%d: %d other workers finished, want %d", workers, got, workers-1)
+		}
+		// wg.Wait returns as the workers pass Done, a moment before they exit.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d goroutines, %d before the call", workers, runtime.NumGoroutine(), base)
+			}
+		}
+	}
+}
+
+// faultCtx panics at its n-th Done call: a fault inside whichever scan
+// worker makes that cancellation check, under the table's scan lock.
+type faultCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *faultCtx) Done() <-chan struct{} {
+	if c.left.Add(-1) == 0 {
+		panic("injected scan fault")
+	}
+	return nil
+}
+
+// TestScanWorkerPanicFailsQueryOnly: a panic inside a scan worker is the
+// query's error; the scan lock is released, the scratches go back to the
+// pool, and the cache is neither inserted into nor extended.
+func TestScanWorkerPanicFailsQueryOnly(t *testing.T) {
+	d := newTestDB(t, 20000, 40, 4, 49)
+	scan := &Scan{Table: "items", Filter: expr.Cmp("qty", expr.Le, expr.Int(25)), Project: []string{"id"}}
+	cache := core.NewCache(core.DefaultConfig())
+	run := func(workers int, ctx context.Context) error {
+		ec := &ExecCtx{Catalog: d.cat, Cache: cache, Snapshot: d.cat.Snapshot(), Stats: &storage.ScanStats{},
+			MaxWorkers: workers, Ctx: ctx}
+		_, err := scan.Execute(ec)
+		return err
+	}
+	faulted := func(workers int) {
+		t.Helper()
+		ctx := &faultCtx{Context: context.Background()}
+		ctx.left.Store(2) // every slice checks at its first block: the second one faults
+		if err := run(workers, ctx); err == nil || !strings.Contains(err.Error(), "injected scan fault") {
+			t.Fatalf("workers=%d: err = %v, want the injected fault", workers, err)
+		}
+	}
+
+	const rounds = 20
+	gets0, news0 := ScratchPoolStats()
+	for i := 0; i < rounds; i++ {
+		faulted(1)
+		faulted(4)
+	}
+	// A leaked scratch is never drawn again, so leaking scans allocate one per
+	// acquisition; released ones are reused (the race detector makes
+	// sync.Pool drop a quarter of them, hence the slack).
+	gets, news := ScratchPoolStats()
+	if gets, news = gets-gets0, news-news0; gets < rounds || news > gets/2 {
+		t.Fatalf("%d scratch acquisitions allocated %d scratches: faulted scans leak them", gets, news)
+	}
+	if st := cache.Stats(); st.Inserts != 0 || st.Extends != 0 {
+		t.Fatalf("faulted scans fed the cache: %+v", st)
+	}
+
+	// Delete and vacuum take the layout lock exclusively: they return only if
+	// every faulted scan released its read lock.
+	d.items.DeleteRows(0, []int{0}, d.cat.NextXID())
+	d.items.Vacuum(d.cat.Snapshot())
+
+	// With an entry in place and rows past its watermark, a faulted hit does
+	// not extend it.
+	if err := run(4, context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Morsels.Load() == 0 {
-		t.Fatal("no morsels recorded")
+	if err := d.items.Append(itemsBatch(8000, 50, 40), d.cat.NextXID()); err != nil {
+		t.Fatal(err)
 	}
-	if stats.WorkerNanos.Load() == 0 {
-		t.Fatal("no worker time recorded")
+	faulted(4)
+	if st := cache.Stats(); st.Inserts != 1 || st.Extends != 0 {
+		t.Fatalf("faulted hit touched the entry: %+v", st)
 	}
 }

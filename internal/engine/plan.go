@@ -27,19 +27,18 @@ type ExecCtx struct {
 	// cache events) when non-nil; the disabled path costs one nil check per
 	// instrumentation point.
 	Trace *obs.Trace
-	// Parallel enables per-slice goroutines in scans and morsel-parallel
-	// execution in the operators above them (join build/probe, aggregation).
-	Parallel bool
-	// MaxWorkers caps the worker goroutines a morsel-parallel operator may
-	// use. Zero means GOMAXPROCS. Serial (or Parallel off) forces one worker
-	// regardless; operators additionally never use more workers than they
-	// have morsels of input.
+	// MaxWorkers is the query's one degree of parallelism: the most workers
+	// any operator — scans over slices, join build/probe and aggregation over
+	// morsels — may run at once. Zero means GOMAXPROCS, 1 runs everything
+	// inline on the caller; operators additionally never use more workers
+	// than their input has morsels (or a scan has slices).
 	MaxWorkers int
-	// Serial forces single-sliced scans even when Parallel is set. DB.RunCtx
-	// defaults Parallel from the database configuration, so ablation callers
-	// that need a serial scan opt out here instead of relying on the zero
-	// value of Parallel.
+	// Serial is MaxWorkers = 1 under the name the reference oracles set
+	// (benchmark/oracle.go, the equivalence tests).
 	Serial bool
+	// Parallel is ignored. It remains only because benchmark/trace.go sets it
+	// and benchmark/ changes only in benchmark PRs; the next one removes it.
+	Parallel bool
 	// DisableSemiJoinCache keeps semi-join filters working at run time but
 	// stops the cache from keying on them (the Figure 16 ablation).
 	DisableSemiJoinCache bool

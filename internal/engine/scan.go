@@ -2,7 +2,7 @@ package engine
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"github.com/predcache/predcache/internal/bloom"
 	"github.com/predcache/predcache/internal/core"
@@ -57,7 +57,6 @@ type sliceScanResult struct {
 	plainRanges []storage.RowRange // rows passing the filter (pre-bloom, pre-visibility)
 	sjRanges    []storage.RowRange // rows passing filter + semi-join filters
 	numRows     int
-	err         error
 	// scratch is the pooled buffer set backing rel's output columns; Execute
 	// releases it after the merge copies the values out.
 	scratch *scanScratch
@@ -246,48 +245,51 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 
 	numSlices := tbl.NumSlices()
 	results := make([]sliceScanResult, numSlices)
+	// Each slice's candidates: the entry's ranges plus the tail past its
+	// watermark on a hit, every row otherwise. Their row count picks the
+	// worker count, so a one-block hit runs inline and a full-table miss
+	// uses every worker.
+	candRows := 0
+	for i := range results {
+		res := &results[i]
+		res.numRows = tbl.Slice(i).NumRows()
+		res.scratch = acquireScanScratch(numCols, dicts)
+		candidates := res.scratch.cands[:0]
+		if hit && i < len(cand.PerSlice) && cand.Watermarks[i] <= res.numRows {
+			candidates = append(candidates, cand.PerSlice[i]...)
+			if watermark := cand.Watermarks[i]; watermark < res.numRows {
+				candidates = append(candidates, storage.RowRange{Start: watermark, End: res.numRows})
+			}
+		} else if res.numRows > 0 {
+			candidates = append(candidates, storage.RowRange{Start: 0, End: res.numRows})
+		}
+		res.scratch.cands = candidates
+		for _, r := range candidates {
+			candRows += r.End - r.Start
+		}
+	}
 	// Scratches are released only after the merge below has copied every
 	// output value out of their recycled backing arrays.
 	defer func() {
 		for i := range results {
-			if results[i].scratch != nil {
-				results[i].scratch.release()
-			}
+			results[i].scratch.release()
 		}
 	}()
-	run := func(i int) {
+	run := func(i int) error {
 		var ssp obs.SpanRef
 		if ec.Trace != nil {
 			// BeginChild keeps concurrent slice spans off the nesting stack.
 			ssp = ec.Trace.BeginChild(sp, obs.KindSlice, fmt.Sprintf("slice %d", i))
 		}
+		defer ssp.End()
 		res := &results[i]
-		slice := tbl.Slice(i)
-		res.numRows = slice.NumRows()
-		scr := acquireScanScratch(numCols, dicts)
-		res.scratch = scr
-		candidates := scr.cands[:0]
-		watermark := 0
-		if hit && i < len(cand.PerSlice) && cand.Watermarks[i] <= res.numRows {
-			watermark = cand.Watermarks[i]
-			candidates = append(candidates, cand.PerSlice[i]...)
-			if watermark < res.numRows {
-				candidates = append(candidates, storage.RowRange{Start: watermark, End: res.numRows})
-			}
-		} else {
-			if res.numRows > 0 {
-				candidates = append(candidates, storage.RowRange{Start: 0, End: res.numRows})
-			}
-		}
-		scr.cands = candidates
-		rb, rbErr := scr.relBuilderFor(tbl, project, s.Alias)
-		if rbErr != nil {
-			res.err = rbErr
-			ssp.End()
-			return
+		scr := res.scratch
+		rb, err := scr.relBuilderFor(tbl, project, s.Alias)
+		if err != nil {
+			return err
 		}
 		res.rel = rb
-		s.scanSlice(ec, tbl, slice, bound, plan, sjs, sjKeyCols, sjMemos, candidates, scr, res)
+		err = s.scanSlice(ec, tbl, tbl.Slice(i), bound, plan, sjs, sjKeyCols, sjMemos, scr, res)
 		if ssp.Active() {
 			ssp.SetInt("rows.scanned", res.rowsScanned)
 			ssp.SetInt("rows.qualified", res.rowsQualified)
@@ -298,29 +300,29 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 			ssp.SetInt("blocks.kernel_encoded", res.blocksKernel)
 			ssp.SetInt("rows.decoded", res.rowsDecoded)
 		}
-		ssp.End()
+		return err
 	}
-	if ec.Parallel && !ec.Serial && numSlices > 1 {
-		var wg sync.WaitGroup
-		for i := 0; i < numSlices; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				run(i)
-			}(i)
+	// Workers claim slice indices off a shared cursor; the merge below walks
+	// results in slice order, so output, cache entries and counters do not
+	// depend on the worker count.
+	pa := parAccounting{workers: min(ec.workers(candRows), numSlices)}
+	var next atomic.Int64
+	err = pa.run(pa.workers, func() error {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= numSlices {
+				return nil
+			}
+			if err := run(i); err != nil {
+				return err
+			}
 		}
-		wg.Wait()
-	} else {
-		for i := 0; i < numSlices; i++ {
-			run(i)
-		}
-	}
+	})
 	unlock()
-	for i := range results {
-		if results[i].err != nil {
-			return nil, results[i].err
-		}
+	if err != nil {
+		return nil, err
 	}
+	pa.finish(ec, sp)
 
 	// Fold the slice-local counters into the shared query stats in one pass
 	// (per-scan rather than per-block atomics keep the hot loop cheap).
@@ -516,8 +518,8 @@ func (r *rangeRecorder) addSel(base int, sel []int) {
 	}
 }
 
-// scanSlice performs the two-step scan of one slice over the candidate
-// ranges, visiting only blocks that hold a candidate row:
+// scanSlice performs the two-step scan of one slice over its candidate
+// ranges (scr.cands), visiting only blocks that hold a candidate row:
 //
 //  1. the block's candidates seed a selection bitmap (storage.BlockMask);
 //     zone-map elimination (bound.Prune) may drop the block;
@@ -538,9 +540,9 @@ func (r *rangeRecorder) addSel(base int, sel []int) {
 // TestKernelWarmScanAllocs). pclint:noalloc enforces that transitively.
 func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, bound expr.Bound,
 	plan *expr.ScanPlan, sjs []*semiJoinFilter, sjKeyCols []int, sjMemos [][]bool,
-	candidates []storage.RowRange, scr *scanScratch, res *sliceScanResult) {
+	scr *scanScratch, res *sliceScanResult) error {
 
-	ctx := scr.ctx
+	ctx, candidates := scr.ctx, scr.cands
 	rb := res.rel
 
 	// loadColSpans partially decodes column ci over the given block-relative
@@ -598,7 +600,7 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 	// sinceCheck counts the candidate rows scanned since the last
 	// cancellation check; it starts full so the first block checks, and a
 	// check runs whenever the next block would take it past cancelCheckRows.
-	// Execute surfaces res.err before any cache insert/extend, so an aborted
+	// Execute surfaces the error before any cache insert/extend, so an aborted
 	// slice never pollutes the cache with partial ranges.
 	sinceCheck := cancelCheckRows
 	ci, pos := 0, 0
@@ -641,9 +643,8 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 		}
 		res.blocksVisited++
 		if sinceCheck+candRows > cancelCheckRows {
-			if cerr := ec.Cancelled(); cerr != nil {
-				res.err = cerr
-				return
+			if err := ec.Cancelled(); err != nil {
+				return err
 			}
 			sinceCheck = 0
 		}
@@ -823,4 +824,5 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 	res.blocksCachePruned = int64((numRows+storage.BlockSize-1)/storage.BlockSize) - res.blocksVisited
 	res.plainRanges = plainRec.ranges
 	res.sjRanges = sjRec.ranges
+	return nil
 }

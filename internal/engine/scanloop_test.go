@@ -13,12 +13,13 @@ import (
 	"github.com/predcache/predcache/internal/storage"
 )
 
-// loopTable builds a one-slice table of rows rows whose zone maps cannot
-// single out a block for "a = x and b = y": every block holds every value of
-// a, and b walks a 1,000-value window that starts 1,001 further on in each
-// block, so half the blocks' bounds contain any given b — yet each (a, b)
-// pair occurs in exactly one of the first 2,000 blocks.
-func loopTable(t testing.TB, rows int) (*storage.Catalog, *storage.Table) {
+// loopTable builds a table of rows rows, dealt block by block over slices
+// slices, whose zone maps cannot single out a block for "a = x and b = y":
+// every block holds every value of a, and b walks a 1,000-value window that
+// starts 1,001 further on in each block, so half the blocks' bounds contain
+// any given b — yet each (a, b) pair occurs in exactly one of the first 2,000
+// blocks.
+func loopTable(t testing.TB, rows, slices int) (*storage.Catalog, *storage.Table) {
 	t.Helper()
 	schema := storage.Schema{
 		{Name: "id", Type: storage.Int64},
@@ -26,7 +27,7 @@ func loopTable(t testing.TB, rows int) (*storage.Catalog, *storage.Table) {
 		{Name: "b", Type: storage.Int64},
 	}
 	cat := storage.NewCatalog()
-	tbl, err := cat.CreateTable("loop", schema, 1)
+	tbl, err := cat.CreateTable("loop", schema, slices)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,6 +43,18 @@ func loopTable(t testing.TB, rows int) (*storage.Catalog, *storage.Table) {
 		t.Fatal(err)
 	}
 	return cat, tbl
+}
+
+// sliceSpansInt sums attribute key over the trace's slice spans.
+func sliceSpansInt(tr *obs.Trace, key string) int64 {
+	var sum int64
+	for _, sp := range tr.Spans() {
+		if sp.Kind == obs.KindSlice {
+			v, _ := sp.IntAttr(key)
+			sum += v
+		}
+	}
+	return sum
 }
 
 // spanInt returns attribute key of the trace's only span of the given kind.
@@ -71,7 +84,7 @@ func spanInt(t testing.TB, tr *obs.Trace, kind, key string) int64 {
 // the block loop once, and still accounts for every block it never looked at.
 func TestScanHitVisitsOnlyCandidateBlocks(t *testing.T) {
 	const rows = 2000*storage.BlockSize + 500 // 2,000 sealed blocks and an open tail
-	cat, _ := loopTable(t, rows)
+	cat, _ := loopTable(t, rows, 1)
 	scan := &Scan{
 		Table:   "loop",
 		Filter:  expr.And(expr.Cmp("a", expr.Eq, expr.Int(5)), expr.Cmp("b", expr.Eq, expr.Int(77))),
@@ -168,15 +181,21 @@ func (c *countdownCtx) Err() error {
 
 // The block loop checks for cancellation once per cancelCheckRows candidate
 // rows, not once per block; a scan cancelled at its n-th check has scanned at
-// most (n-1)*cancelCheckRows rows, and neither inserts nor extends an entry.
+// most (n-1)*cancelCheckRows rows, and neither inserts nor extends an entry —
+// on one slice inline, and on four slices claimed by four workers.
 func TestScanCancelAmortisedAndCacheSafe(t *testing.T) {
+	t.Run("slices=1", func(t *testing.T) { testScanCancel(t, 1) })
+	t.Run("slices=4,workers=4", func(t *testing.T) { testScanCancel(t, 4) })
+}
+
+func testScanCancel(t *testing.T, slices int) {
 	const rows = 100 * storage.BlockSize
-	cat, tbl := loopTable(t, rows)
+	cat, tbl := loopTable(t, rows, slices)
 	scan := &Scan{Table: "loop", Filter: expr.Cmp("a", expr.Lt, expr.Int(10)), Project: []string{"id"}}
 	cache := core.NewCache(core.DefaultConfig())
 	run := func(ctx context.Context) (*obs.Trace, error) {
 		tr := obs.NewTrace()
-		ec := &ExecCtx{Catalog: cat, Cache: cache, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, Trace: tr, Ctx: ctx}
+		ec := &ExecCtx{Catalog: cat, Cache: cache, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, Trace: tr, Ctx: ctx, MaxWorkers: slices}
 		_, err := scan.Execute(ec)
 		return tr, err
 	}
@@ -192,7 +211,8 @@ func TestScanCancelAmortisedAndCacheSafe(t *testing.T) {
 	if checks*cancelCheckRows < rows {
 		t.Fatalf("%d checks over %d rows: more than %d rows between checks", checks, rows, cancelCheckRows)
 	}
-	if max := int64(rows/(cancelCheckRows-storage.BlockSize) + 1); checks > max {
+	// Every slice's first block checks, whatever came before it.
+	if max := int64(rows/(cancelCheckRows-storage.BlockSize) + slices); checks > max {
 		t.Fatalf("%d checks over %d rows, want at most %d: the check is not amortised", checks, rows, max)
 	}
 
@@ -202,7 +222,7 @@ func TestScanCancelAmortisedAndCacheSafe(t *testing.T) {
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancel at check %d: err = %v", n, err)
 		}
-		if got, max := spanInt(t, tr, obs.KindSlice, "rows.scanned"), (n-1)*cancelCheckRows; got > max {
+		if got, max := sliceSpansInt(tr, "rows.scanned"), (n-1)*cancelCheckRows; got > max {
 			t.Fatalf("cancel at check %d: scanned %d rows, want at most %d", n, got, max)
 		}
 	}
@@ -237,7 +257,7 @@ func TestScanCancelAmortisedAndCacheSafe(t *testing.T) {
 	if _, err := run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if st := cache.Stats(); st.Extends != 1 {
+	if st := cache.Stats(); st.Extends != int64(slices) { // one Extend per slice
 		t.Fatalf("complete scan after the cancelled ones: %+v", st)
 	}
 }
@@ -245,7 +265,7 @@ func TestScanCancelAmortisedAndCacheSafe(t *testing.T) {
 // BenchmarkScanHitOneBlock is the candidate-driven loop's case: a hit that
 // leaves one candidate block of 2,000.
 func BenchmarkScanHitOneBlock(b *testing.B) {
-	cat, _ := loopTable(b, 2000*storage.BlockSize)
+	cat, _ := loopTable(b, 2000*storage.BlockSize, 1)
 	scan := &Scan{
 		Table:   "loop",
 		Filter:  expr.And(expr.Cmp("a", expr.Eq, expr.Int(5)), expr.Cmp("b", expr.Eq, expr.Int(77))),

@@ -16,7 +16,7 @@ import (
 // through a sync.Pool, so a steady-state warm scan allocates nothing per
 // execution.
 //
-// Ownership discipline: a scratch is private to one slice scan goroutine
+// Ownership discipline: a scratch is private to the scan of one slice
 // from acquire until release. Execute releases it only after the per-slice
 // outputs have been merged (copied) into the result relation — the output
 // backing arrays are recaptured at release and handed to the next scan.
@@ -64,7 +64,7 @@ func ScratchPoolStats() (gets, news int64) {
 }
 
 // acquireScanScratch returns a scratch sized for numCols columns with a
-// reset BlockCtx. dicts is shared read-only across slice goroutines.
+// reset BlockCtx. dicts is shared read-only across scan workers.
 func acquireScanScratch(numCols int, dicts []*storage.Dict) *scanScratch {
 	scratchPoolGets.Add(1)
 	scr := scanScratchPool.Get().(*scanScratch)

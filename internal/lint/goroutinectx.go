@@ -9,8 +9,8 @@ import (
 // statement must either
 //
 //   - be joined in the spawning function — the function also calls
-//     (*sync.WaitGroup).Wait (the spawn-and-wait pattern the parallel
-//     per-slice scan uses), or
+//     (*sync.WaitGroup).Wait (the spawn-and-wait pattern of the engine's
+//     runWorkers), or
 //   - be cancellable — the spawned function receives a context.Context
 //     argument, or its body receives from a channel (<-ch, range over a
 //     channel, or a select with a receive case), so closing the channel or

@@ -111,7 +111,7 @@ func TestKernelScanEquivalence(t *testing.T) {
 // stay within a small constant allocation budget — if a per-row or per-block
 // allocation sneaks back into the hot path this fails loudly.
 func TestKernelWarmScanAllocs(t *testing.T) {
-	db := predcache.Open(predcache.WithSlices(2), predcache.WithParallelScans(false))
+	db := predcache.Open(predcache.WithSlices(2), predcache.WithMaxWorkers(1))
 	schema := predcache.Schema{
 		{Name: "id", Type: predcache.Int64},
 		{Name: "val", Type: predcache.Int64},

@@ -26,17 +26,21 @@ func WithSlices(n int) Option {
 	return func(db *DB) { db.slices = n }
 }
 
-// WithParallelScans toggles per-slice scan goroutines and morsel-parallel
-// join/aggregation execution (default on).
-func WithParallelScans(v bool) Option {
-	return func(db *DB) { db.parallel = v }
-}
-
-// WithMaxWorkers caps the worker goroutines a morsel-parallel operator
-// (join build/probe, aggregation) may use per query. Zero — the default —
-// means GOMAXPROCS.
+// WithMaxWorkers sets the degree of parallelism of one query: the most
+// workers any operator (scans, join build/probe, aggregation) runs at once.
+// Zero — the default — means GOMAXPROCS; 1 runs every query serially.
 func WithMaxWorkers(n int) Option {
 	return func(db *DB) { db.maxWorkers = n }
+}
+
+// WithParallelScans(false) is WithMaxWorkers(1); WithParallelScans(true) does
+// nothing. It remains only because benchmark/workloads.go calls it and
+// benchmark/ changes only in benchmark PRs; the next one removes it.
+func WithParallelScans(v bool) Option {
+	if !v {
+		return WithMaxWorkers(1)
+	}
+	return func(*DB) {}
 }
 
 // WithoutPlanCache disables the normalized-SQL plan cache: every Query

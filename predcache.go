@@ -81,11 +81,10 @@ func NewBatch(schema Schema) *Batch { return storage.NewBatch(schema) }
 // DB is an embedded analytical database with a predicate cache.
 type DB struct {
 	mu sync.Mutex
-	// cat, cache, slices, parallel and maxWorkers are immutable after Open.
+	// cat, cache, slices and maxWorkers are immutable after Open.
 	cat        *storage.Catalog
 	cache      *core.Cache
 	slices     int
-	parallel   bool
 	maxWorkers int
 	last       storage.ScanStatsSnapshot // guarded by mu
 
@@ -157,7 +156,6 @@ func Open(opts ...Option) *DB {
 		cat:       storage.NewCatalog(),
 		cache:     core.NewCache(core.DefaultConfig()),
 		slices:    4,
-		parallel:  true,
 		qlogCap:   DefaultQueryLogCapacity,
 		slowQuery: DefaultSlowQueryThreshold,
 	}

@@ -37,7 +37,7 @@ func openWithData(t *testing.T, rows int, opts ...predcache.Option) *predcache.D
 func TestOpenOptions(t *testing.T) {
 	db := predcache.Open(
 		predcache.WithSlices(3),
-		predcache.WithParallelScans(false),
+		predcache.WithMaxWorkers(1),
 		predcache.WithCacheConfig(predcache.CacheConfig{Kind: predcache.RangeIndex, MaxRanges: 64}),
 	)
 	if db.PredicateCache() == nil {

@@ -152,7 +152,6 @@ func (db *DB) execCtx() *engine.ExecCtx {
 		Cache:      db.cache,
 		Snapshot:   db.cat.Snapshot(),
 		Stats:      &storage.ScanStats{},
-		Parallel:   db.parallel,
 		MaxWorkers: db.maxWorkers,
 	}
 }
@@ -207,7 +206,7 @@ func (db *DB) execute(st *statement, node engine.Node, ec *engine.ExecCtx) (*Res
 		if ec.Ctx != nil {
 			labelCtx = ec.Ctx
 		}
-		// pprof.Do tags this goroutine — and, by inheritance, every morsel
+		// pprof.Do tags this goroutine — and, by inheritance, every
 		// worker the plan spawns — for the duration of the execution, so CPU
 		// samples anywhere in the plan carry the query's identity.
 		pprof.Do(labelCtx, pprof.Labels(
@@ -315,9 +314,7 @@ func (db *DB) Run(node engine.Node) (*Result, error) {
 
 // RunCtx executes a plan with a caller-provided execution context (the
 // benchmark harness uses this for ablation switches). Zero-valued fields are
-// defaulted from the database: catalog, snapshot, stats, and — matching Run —
-// scan parallelism. Callers that need a serial scan set ec.Serial rather
-// than relying on the Parallel zero value.
+// defaulted from the database: catalog, snapshot, stats and MaxWorkers.
 func (db *DB) RunCtx(node engine.Node, ec *engine.ExecCtx) (*Result, error) {
 	if ec.Catalog == nil {
 		ec.Catalog = db.cat
@@ -327,9 +324,6 @@ func (db *DB) RunCtx(node engine.Node, ec *engine.ExecCtx) (*Result, error) {
 	}
 	if ec.Stats == nil {
 		ec.Stats = &storage.ScanStats{}
-	}
-	if !ec.Parallel && !ec.Serial {
-		ec.Parallel = db.parallel
 	}
 	if ec.MaxWorkers == 0 {
 		ec.MaxWorkers = db.maxWorkers

@@ -128,7 +128,7 @@ func TestTraceRetentionBounded(t *testing.T) {
 	const budget = 64
 	db := predcache.Open(
 		predcache.WithSlices(1),
-		predcache.WithParallelScans(false),
+		predcache.WithMaxWorkers(1),
 		predcache.WithSlowQueryThreshold(50*time.Millisecond),
 		predcache.WithTraceRetention(predcache.TraceRetentionConfig{
 			SpanBudget: budget,
