@@ -1,10 +1,10 @@
 # predcache build and verification targets. All of them use only the Go
 # toolchain: the module has zero external dependencies, including its own
-# static-analysis suite (cmd/pclint).
+# static-analysis suite (internal/lint).
 
 GO ?= go
 
-.PHONY: all build fmt test race stress test-debug vet lint lint-sarif smoke systab-smoke trace-smoke server-smoke profile-smoke bench-smoke benchmark benchmark-compare check clean
+.PHONY: all build fmt test race stress test-debug vet lint smoke systab-smoke trace-smoke server-smoke profile-smoke bench-smoke benchmark benchmark-compare check clean
 
 all: build
 
@@ -44,18 +44,11 @@ test-debug:
 vet:
 	$(GO) vet ./...
 
-# Project-specific static analysis: lock discipline and whole-program lock
-# ordering, error wrapping, recycled buffer aliasing, goroutine lifecycle,
-# transitive hot-path allocation (pclint:noalloc), and sync.Pool lifetimes.
-# One process analyzes both tag configurations (default and pcdebug) and
-# exits non-zero on any finding not absorbed by .pclint-baseline.json — and
-# on stale baseline entries, so the baseline can only shrink.
+# Project-specific static analysis (errwrap, bufalias, lockorder) over the
+# whole module under both tag configurations (default and pcdebug). Any
+# finding fails TestRepoClean; `make test` runs the same gate.
 lint:
-	$(GO) run ./cmd/pclint -matrix=';pcdebug' ./...
-
-# lint plus a SARIF report for code-scanning upload.
-lint-sarif:
-	$(GO) run ./cmd/pclint -matrix=';pcdebug' -sarif pclint.sarif ./...
+	$(GO) test -count=1 ./internal/lint
 
 # End-to-end smoke suites (scripts/smoke.sh <suite>; `scripts/smoke.sh all`
 # runs the five in one go). Each boots the shipped binaries and asserts

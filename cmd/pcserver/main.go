@@ -126,7 +126,6 @@ func main() {
 	}
 
 	done := make(chan error, 1)
-	// pclint:allow goroutinectx: server-lifetime goroutine; main exits with the process
 	go func() { done <- srv.Serve() }()
 
 	sig := make(chan os.Signal, 1)

@@ -7,14 +7,8 @@ import (
 	"github.com/predcache/predcache/internal/obs"
 )
 
-// BenchmarkEmit prices the per-statement observability tail sink by sink:
-// one prebuilt event of a warm point query, handed to each sink alone and
-// then to emit as a whole (DESIGN.md §16 carries the resulting table). The
-// trace store is measured in both its cases: "drop" is the steady state (the
-// shape's head-sample quota is full, so Offer decides and returns) and
-// "admit" an errored statement, which is always kept — finalize, detach the
-// spans, allocate the RetainedTrace, evict the oldest when over budget.
-func BenchmarkEmit(b *testing.B) {
+// pointQueryEvent is the event of a warm point query, as emit receives it.
+func pointQueryEvent() obs.QueryEvent {
 	ev := obs.QueryEvent{
 		SQL:      "select id, val from t where id = 123456",
 		ShapeKey: "select id , val from t where id = ?",
@@ -27,27 +21,77 @@ func BenchmarkEmit(b *testing.B) {
 		AllocObjects: 60, AllocBytes: 19000,
 	}
 	ev.ShapeID = obs.ShapeID(ev.ShapeKey)
+	return ev
+}
+
+// pointQueryTrace records the spans of a warm point query: plan-cache and
+// execute phases, one scan node, one slice, one cache lookup.
+func pointQueryTrace() *obs.Trace {
+	tr := obs.NewTrace()
+	tr.Begin(obs.KindPhase, "plan-cache").End()
+	ex := tr.Begin(obs.KindPhase, "execute")
+	n := tr.Begin(obs.KindNode, "Scan t")
+	tr.Begin(obs.KindCache, "cache lookup").End()
+	tr.BeginChild(n, obs.KindSlice, "slice 0").End()
+	n.End()
+	ex.End()
+	return tr
+}
+
+// TestEmitAllocs pins BenchmarkEmit's allocation figures: handing a prebuilt
+// event to every sink allocates nothing when the trace store drops the trace
+// and at most 2 objects when it admits it (the RetainedTrace, plus the error
+// attribute on a failed statement's root span).
+func TestEmitAllocs(t *testing.T) {
+	db := Open(WithLogger(NewJSONLogger(io.Discard, 0)))
+	db.EnableMetrics(NewMetrics())
+	// The shape's head-sample quota admits DefaultShapeQuota traces: the
+	// warm-up run and the measured ones.
+	const runs = obs.DefaultShapeQuota - 1
+	traces := make([]*obs.Trace, runs+1)
+	for i := range traces {
+		traces[i] = pointQueryTrace()
+	}
+	ev, i := pointQueryEvent(), 0
+	admit := testing.AllocsPerRun(runs, func() {
+		e := ev
+		db.emit(&e, traces[i])
+		if !e.Retained {
+			t.Fatal("trace not admitted")
+		}
+		i++
+	})
+	tr := pointQueryTrace()
+	drop := testing.AllocsPerRun(100, func() {
+		e := ev
+		db.emit(&e, tr)
+		if e.Retained {
+			t.Fatal("trace admitted past the shape's quota")
+		}
+	})
+	t.Logf("emit: %v allocs with the trace dropped, %v admitted", drop, admit)
+	if drop != 0 || admit > 2 {
+		t.Fatalf("emit allocates %v objects when the trace is dropped (want 0), %v when admitted (want <= 2)", drop, admit)
+	}
+}
+
+// BenchmarkEmit prices the per-statement observability tail sink by sink:
+// one prebuilt event of a warm point query, handed to each sink alone and
+// then to emit as a whole (DESIGN.md §16 carries the resulting table). The
+// trace store is measured in both its cases: "drop" is the steady state (the
+// shape's head-sample quota is full, so Offer decides and returns) and
+// "admit" an errored statement, which is always kept — finalize, detach the
+// spans, allocate the RetainedTrace, evict the oldest when over budget.
+func BenchmarkEmit(b *testing.B) {
+	ev := pointQueryEvent()
 	failed := ev
 	failed.Error = "boom"
-	// newTrace records the spans of a warm point query: plan-cache and
-	// execute phases, one scan node, one slice, one cache lookup.
-	newTrace := func() *obs.Trace {
-		tr := obs.NewTrace()
-		tr.Begin(obs.KindPhase, "plan-cache").End()
-		ex := tr.Begin(obs.KindPhase, "execute")
-		n := tr.Begin(obs.KindNode, "Scan t")
-		tr.Begin(obs.KindCache, "cache lookup").End()
-		tr.BeginChild(n, obs.KindSlice, "slice 0").End()
-		n.End()
-		ex.End()
-		return tr
-	}
 	open := func() *DB {
 		db := Open(WithLogger(NewJSONLogger(io.Discard, 0)))
 		db.EnableMetrics(NewMetrics())
 		for i := 0; i < obs.DefaultShapeQuota; i++ {
 			e := ev
-			db.traces.Offer(&e, newTrace()) // fill the shape's quota
+			db.traces.Offer(&e, pointQueryTrace()) // fill the shape's quota
 		}
 		return db
 	}
@@ -63,14 +107,14 @@ func BenchmarkEmit(b *testing.B) {
 			}
 		})
 	}
-	tr := newTrace()
+	tr := pointQueryTrace()
 	each("trace-drop", func(db *DB, e *obs.QueryEvent) { db.traces.Offer(e, tr) })
 	b.Run("trace-admit", func(b *testing.B) {
 		db := open()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			e, t := failed, newTrace()
+			e, t := failed, pointQueryTrace()
 			e.Seq = int64(i)
 			b.StartTimer()
 			db.traces.Offer(&e, t)

@@ -106,8 +106,6 @@ func evalChunk(ba *boundAgg, ctx *expr.BlockCtx, sel []int, scr *morselScratch) 
 // the group index of sel position i; states is group-major with nA states
 // per group, ai selecting this aggregate's slot. The function switch stays
 // outside the row loop.
-//
-// pclint:noalloc
 func accumulate(fn AggFunc, intArg bool, states []aggState, nA, ai int, gidx []int32, iv []int64, fv []float64) {
 	switch fn {
 	case AggCount:
@@ -118,9 +116,9 @@ func accumulate(fn AggFunc, intArg bool, states []aggState, nA, ai int, gidx []i
 		for i, g := range gidx {
 			st := &states[int(g)*nA+ai]
 			if st.distinct == nil {
-				st.distinct = make(map[int64]struct{}) // pclint:allow noalloc: one distinct set per group, amortized over its rows
+				st.distinct = make(map[int64]struct{})
 			}
-			st.distinct[iv[i]] = struct{}{} // pclint:allow noalloc: the distinct set is the aggregate's state
+			st.distinct[iv[i]] = struct{}{}
 		}
 	case AggSum, AggAvg:
 		for i, g := range gidx {
@@ -240,9 +238,6 @@ func newAggTable(gcols []*RelCol, nA int) *aggTable {
 // groupOf returns the dense group index of row, creating the group on first
 // sight. Composite keys encode into the worker's scratch key buffer; the
 // map lookup converts without allocating.
-//
-// pclint:allowalloc per-group state creation (map insert, state append),
-// amortized over every row of the group.
 func (t *aggTable) groupOf(row int, scr *morselScratch) int32 {
 	if t.singleInt {
 		k := t.gcols[0].Ints[row]

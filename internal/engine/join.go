@@ -42,8 +42,6 @@ func (e *joinKeyEncoder) intKey(row int) int64 { return e.cols[0].Ints[row] }
 // by their exact bit pattern (math.Float64bits): equal float64 values — and
 // only equal values — produce equal key bytes, so keys differing below any
 // fixed scale never collide and large magnitudes never overflow.
-//
-// pclint:allowalloc amortized growth of the caller-owned key scratch.
 func (e *joinKeyEncoder) encode(dst []byte, row int) []byte {
 	var buf [8]byte
 	for _, c := range e.cols {
@@ -132,8 +130,6 @@ func (jt *joinTable) insertBytes(p *joinPart, key []byte, row int32) {
 // first returns the first build row matching probe row's key, or -1. The
 // caller walks the rest of the chain through jt.next. Composite keys are
 // encoded into the worker's scratch key buffer.
-//
-// pclint:noalloc
 func (jt *joinTable) first(enc *joinKeyEncoder, row int, scr *morselScratch) int32 {
 	if jt.single {
 		k := enc.intKey(row)
@@ -152,7 +148,7 @@ func (jt *joinTable) first(enc *joinKeyEncoder, row int, scr *morselScratch) int
 	if jt.pmask != 0 {
 		p = &jt.parts[hashBytes(key)&jt.pmask]
 	}
-	if ci, ok := p.strIdx[string(key)]; ok { // pclint:allow noalloc: map index with string(b) does not allocate
+	if ci, ok := p.strIdx[string(key)]; ok {
 		return p.heads[ci]
 	}
 	return -1
@@ -269,46 +265,46 @@ type joinMorselOut struct {
 // probeMorsel probes one morsel's selected rows against the build table,
 // appending match pairs in probe-row order with duplicate build keys in
 // build-row order — the same enumeration the serial loop produces, so the
-// concatenation of per-morsel outputs is the serial result.
-//
-// pclint:noalloc
+// concatenation of per-morsel outputs is the serial result. Its only
+// allocations are the two output buffers, sized for one match per selected
+// row; only duplicate build keys grow them.
 func (j *Join) probeMorsel(jt *joinTable, enc *joinKeyEncoder, sel []int, needBuild bool, out *joinMorselOut, scr *morselScratch) {
-	probe := make([]int32, 0, len(sel)) // pclint:allow noalloc: per-morsel output buffer, one make per 4096 rows
+	probe := make([]int32, 0, len(sel))
 	var build []int32
 	if needBuild {
-		build = make([]int32, 0, len(sel)) // pclint:allow noalloc: per-morsel output buffer, one make per 4096 rows
+		build = make([]int32, 0, len(sel))
 	}
 	switch j.Type {
 	case InnerJoin:
 		for _, row := range sel {
 			for r := jt.first(enc, row, scr); r >= 0; r = jt.next[r] {
-				probe = append(probe, int32(row)) // pclint:allow noalloc: amortized growth beyond the pre-sized match buffer
-				build = append(build, r)          // pclint:allow noalloc: amortized growth beyond the pre-sized match buffer
+				probe = append(probe, int32(row))
+				build = append(build, r)
 			}
 		}
 	case LeftOuterJoin:
 		for _, row := range sel {
 			r := jt.first(enc, row, scr)
 			if r < 0 {
-				probe = append(probe, int32(row)) // pclint:allow noalloc: amortized growth beyond the pre-sized match buffer
-				build = append(build, -1)         // pclint:allow noalloc: amortized growth beyond the pre-sized match buffer
+				probe = append(probe, int32(row))
+				build = append(build, -1)
 				continue
 			}
 			for ; r >= 0; r = jt.next[r] {
-				probe = append(probe, int32(row)) // pclint:allow noalloc: amortized growth beyond the pre-sized match buffer
-				build = append(build, r)          // pclint:allow noalloc: amortized growth beyond the pre-sized match buffer
+				probe = append(probe, int32(row))
+				build = append(build, r)
 			}
 		}
 	case SemiJoin:
 		for _, row := range sel {
 			if jt.first(enc, row, scr) >= 0 {
-				probe = append(probe, int32(row)) // pclint:allow noalloc: amortized growth beyond the pre-sized match buffer
+				probe = append(probe, int32(row))
 			}
 		}
 	case AntiJoin:
 		for _, row := range sel {
 			if jt.first(enc, row, scr) < 0 {
-				probe = append(probe, int32(row)) // pclint:allow noalloc: amortized growth beyond the pre-sized match buffer
+				probe = append(probe, int32(row))
 			}
 		}
 	}
@@ -325,8 +321,6 @@ type joinOutSpec struct {
 // copyJoinOut gathers one morsel's slice of one output column into its
 // pre-allocated region of the result — morsel regions are disjoint, so
 // assembly workers write without coordination.
-//
-// pclint:noalloc
 func copyJoinOut(dst *RelCol, spec *joinOutSpec, out *joinMorselOut, base int) {
 	if spec.matched {
 		d := dst.Ints[base : base+len(out.probe)]

@@ -190,8 +190,6 @@ func mix64(x uint64) uint64 {
 }
 
 // hashBytes is FNV-1a over a byte slice (same parameters as hashString).
-//
-// pclint:noalloc
 func hashBytes(b []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(b); i++ {
@@ -260,8 +258,6 @@ func bindFused(preds []expr.Pred, in *Relation) ([]expr.Bound, error) {
 // aliases scr.sel and is valid until the next call on the same scratch.
 // Bound trees are shared read-only across workers; each worker filters its
 // own scratch-owned vector.
-//
-// pclint:noalloc
 func morselSel(scr *morselScratch, ctx *expr.BlockCtx, bounds []expr.Bound, lo, hi int) []int {
 	sel := scr.identitySel(lo, hi)
 	for _, b := range bounds {

@@ -62,8 +62,8 @@ func (ec *ExecCtx) Cancelled() error {
 		return nil
 	}
 	select {
-	case <-ec.Ctx.Done(): // pclint:allow noalloc: Done returns the context's existing channel
-		return ec.Ctx.Err() // pclint:allow noalloc: cold cancellation path; context errors are preallocated sentinels
+	case <-ec.Ctx.Done():
+		return ec.Ctx.Err()
 	default:
 		return nil
 	}

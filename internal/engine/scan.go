@@ -38,8 +38,6 @@ const (
 // hashString hashes a string join key for bloom insertion/probing. It is
 // bit-identical to fnv.New64a().Write([]byte(s)).Sum64(), so filters built
 // by the join probe the same values the scan-side memo computes.
-//
-// pclint:noalloc
 func hashString(s string) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(s); i++ {
@@ -537,7 +535,7 @@ func (r *rangeRecorder) addSel(base int, sel []int) {
 //
 // scanSlice is the per-slice hot loop: everything it touches works out of the
 // pooled scanScratch, so a steady-state warm scan allocates nothing here (see
-// TestKernelWarmScanAllocs). pclint:noalloc enforces that transitively.
+// TestHotPathAllocs and TestKernelWarmScanAllocs).
 func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, bound expr.Bound,
 	plan *expr.ScanPlan, sjs []*semiJoinFilter, sjKeyCols []int, sjMemos [][]bool,
 	scr *scanScratch, res *sliceScanResult) error {
@@ -558,7 +556,6 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 		col := slice.Column(ci)
 		if tbl.ColumnType(ci) == storage.Float64 {
 			if scr.floats[ci] == nil {
-				// pclint:allow noalloc: lazy once-per-scratch-lifetime buffer
 				scr.floats[ci] = make([]float64, storage.BlockSize)
 			}
 			vec := scr.floats[ci]
@@ -570,7 +567,6 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 			ctx.SetFloat(ci, vec)
 		} else {
 			if scr.ints[ci] == nil {
-				// pclint:allow noalloc: lazy once-per-scratch-lifetime buffer
 				scr.ints[ci] = make([]int64, storage.BlockSize)
 			}
 			vec := scr.ints[ci]

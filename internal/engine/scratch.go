@@ -209,9 +209,6 @@ func (scr *morselScratch) release() {
 }
 
 // identitySel fills the scratch selection vector with rows [lo, hi).
-//
-// pclint:allowalloc amortized one-time growth to morsel capacity; recycled
-// scratches reuse the buffer across every subsequent morsel.
 func (scr *morselScratch) identitySel(lo, hi int) []int {
 	n := hi - lo
 	if cap(scr.sel) < n {
@@ -226,9 +223,6 @@ func (scr *morselScratch) identitySel(lo, hi int) []int {
 
 // selFromInt32 widens a scattered int32 row segment into the scratch
 // selection vector (expr evaluation takes []int selections).
-//
-// pclint:allowalloc amortized one-time growth to morsel capacity; recycled
-// scratches reuse the buffer across every subsequent chunk.
 func (scr *morselScratch) selFromInt32(rows []int32) []int {
 	if cap(scr.sel) < len(rows) {
 		scr.sel = make([]int, len(rows))
@@ -241,8 +235,6 @@ func (scr *morselScratch) selFromInt32(rows []int32) []int {
 }
 
 // vecs returns the chunk evaluation vectors sized for n rows.
-//
-// pclint:allowalloc amortized growth to chunk capacity, recycled afterwards.
 func (scr *morselScratch) vecs(n int) ([]int64, []float64) {
 	if cap(scr.ivec) < n {
 		scr.ivec = make([]int64, n)
@@ -252,8 +244,6 @@ func (scr *morselScratch) vecs(n int) ([]int64, []float64) {
 }
 
 // groupIdx returns the per-row group-offset vector sized for n rows.
-//
-// pclint:allowalloc amortized growth to chunk capacity, recycled afterwards.
 func (scr *morselScratch) groupIdx(n int) []int32 {
 	if cap(scr.gidx) < n {
 		scr.gidx = make([]int32, n)
@@ -262,8 +252,6 @@ func (scr *morselScratch) groupIdx(n int) []int32 {
 }
 
 // partIds returns the per-row partition-id vector sized for n rows.
-//
-// pclint:allowalloc amortized growth to chunk capacity, recycled afterwards.
 func (scr *morselScratch) partIds(n int) []uint8 {
 	if cap(scr.pids) < n {
 		scr.pids = make([]uint8, n)
@@ -272,8 +260,6 @@ func (scr *morselScratch) partIds(n int) []uint8 {
 }
 
 // partCounters returns zeroed per-partition count and cursor vectors.
-//
-// pclint:allowalloc amortized growth to the partition fan-out (≤ 64).
 func (scr *morselScratch) partCounters(p int) (count, cur []int32) {
 	if cap(scr.pcount) < p {
 		scr.pcount = make([]int32, p)
@@ -290,9 +276,8 @@ func (scr *morselScratch) partCounters(p int) (count, cur []int32) {
 // growInts extends dst by n values without a temporary allocation and
 // returns the grown slice; the new values occupy dst[len(dst)-n:].
 //
-// pclint:allowalloc amortized doubling growth of recycled output arrays —
-// steady-state warm scans reuse the full capacity and never re-enter the
-// make.
+// Steady-state warm scans reuse the recycled arrays' full capacity and
+// never re-enter the make.
 func growInts(dst []int64, n int) []int64 {
 	m := len(dst)
 	if cap(dst) < m+n {
@@ -308,8 +293,6 @@ func growInts(dst []int64, n int) []int64 {
 }
 
 // growFloats is growInts for float columns.
-//
-// pclint:allowalloc amortized doubling growth, same as growInts.
 func growFloats(dst []float64, n int) []float64 {
 	m := len(dst)
 	if cap(dst) < m+n {

@@ -464,9 +464,6 @@ func (b *boundAnd) Prune(bp BoundsProvider) bool {
 
 type boundOr struct{ children []Bound }
 
-// pclint:allowalloc deliberate per-call buffers — the bound tree is shared
-// across parallel slice scans, so reusable scratch would race; OR/NOT nodes
-// are rare in kernel-split residuals.
 func (b *boundOr) Eval(ctx *BlockCtx, sel []int) []int {
 	// Buffers are local: children may themselves be Or/Not nodes, and bound
 	// predicates are shared across parallel slice scans, so neither
@@ -509,8 +506,6 @@ func (b *boundOr) Prune(bp BoundsProvider) bool {
 
 type boundNot struct{ child Bound }
 
-// pclint:allowalloc deliberate per-call buffers — same parallel-safety
-// rationale as boundOr.Eval.
 func (b *boundNot) Eval(ctx *BlockCtx, sel []int) []int {
 	// Local buffers for the same reason as boundOr.
 	mark := make([]bool, ctx.N)

@@ -11,9 +11,7 @@ import (
 // interface method calls resolve to every module-internal concrete method
 // whose receiver type implements the interface ("all implementers might be
 // the callee" — sound over the loaded program, which for this repo is the
-// whole module). Calls through function-typed values are not resolved; the
-// analyzers that need soundness there (noalloc) report them at the call site
-// instead.
+// whole module). Calls through function-typed values are not resolved.
 type CallGraph struct {
 	prog *Program
 	// callees lists the module-internal functions each declared function may
@@ -153,38 +151,4 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// TransitiveClosure computes, for every declared function, the union of a
-// per-function seed fact over the function itself and all module-internal
-// functions reachable from it, stopping traversal at functions for which
-// stop returns true. seed and stop are consulted on every declared function.
-func (cg *CallGraph) TransitiveClosure(seed func(*types.Func) bool, stop func(*types.Func) bool) map[*types.Func]bool {
-	// Reverse propagation to a fixed point: fact(f) = seed(f) || any callee
-	// g with !stop(g) && fact(g).
-	fact := make(map[*types.Func]bool)
-	for fn := range cg.prog.Decls {
-		if seed(fn) {
-			fact[fn] = true
-		}
-	}
-	for changed := true; changed; {
-		changed = false
-		for fn := range cg.prog.Decls {
-			if fact[fn] {
-				continue
-			}
-			for _, g := range cg.callees[fn] {
-				if stop != nil && stop(g) {
-					continue
-				}
-				if fact[g] {
-					fact[fn] = true
-					changed = true
-					break
-				}
-			}
-		}
-	}
-	return fact
 }

@@ -7,20 +7,15 @@ import (
 	"strings"
 )
 
-// This file builds the Program-wide fact indexes the whole-program analyzers
-// share: the pclint annotation vocabulary, suppression ranges, the
-// func-object -> declaration map, and the sync.Pool wrapper facts.
+// This file builds the Program-wide fact indexes the analyzers share: the
+// pclint annotation vocabulary, suppression ranges, and the func-object ->
+// declaration map.
 //
 // Annotation vocabulary (full reference in DESIGN.md §12):
 //
-//	// guarded by <mu>          field comment: lockcheck guard
+//	// guarded by <mu>          field comment: lockorder guard
 //	// pclint:held              func doc: caller holds the relevant lock
 //	// pclint:recycled          func doc: result is a recycled per-batch buffer
-//	// pclint:noalloc           func doc: hot path — no allocation-inducing
-//	//                          constructs in this function or (transitively)
-//	//                          in any module-internal function it calls
-//	// pclint:allowalloc <why>  func doc: exempt from noalloc traversal
-//	//                          (amortized growth or a documented cold path)
 //	// pclint:allow <analyzer>: <why>
 //	//                          func doc or line comment: suppress one
 //	//                          analyzer's findings for the function body or
@@ -46,10 +41,6 @@ type allowRange struct {
 // Called once from NewProgram.
 func (prog *Program) buildFacts() {
 	prog.Recycled = make(map[types.Object]bool)
-	prog.Noalloc = make(map[*types.Func]bool)
-	prog.AllowAlloc = make(map[*types.Func]bool)
-	prog.PoolSource = make(map[*types.Func]bool)
-	prog.PoolSink = make(map[*types.Func]bool)
 	prog.Decls = make(map[*types.Func]declInfo)
 
 	for _, pkg := range prog.Packages {
@@ -66,20 +57,6 @@ func (prog *Program) buildFacts() {
 				prog.Decls[obj] = declInfo{Decl: fd, Pkg: pkg}
 				if commentContains(fd.Doc, "pclint:recycled") {
 					prog.Recycled[obj] = true
-				}
-				if commentContains(fd.Doc, "pclint:noalloc") {
-					prog.Noalloc[obj] = true
-				}
-				if commentContains(fd.Doc, "pclint:allowalloc") {
-					prog.AllowAlloc[obj] = true
-				}
-				if fd.Body != nil {
-					if poolSourceFunc(pkg, fd) {
-						prog.PoolSource[obj] = true
-					}
-					if poolSinkFunc(pkg, fd) {
-						prog.PoolSink[obj] = true
-					}
 				}
 			}
 			prog.collectAllows(pkg, file)
@@ -159,116 +136,4 @@ func (prog *Program) allowedAt(analyzer string, pos token.Position) bool {
 		}
 	}
 	return false
-}
-
-// isSyncPoolType reports whether t is sync.Pool (possibly via pointer).
-func isSyncPoolType(t types.Type) bool {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Pool"
-}
-
-// poolCall recognizes <pool>.Get() / <pool>.Put(x) where <pool> has type
-// sync.Pool, returning the method name.
-func poolCall(info *types.Info, call *ast.CallExpr) (method string, ok bool) {
-	sel, okSel := call.Fun.(*ast.SelectorExpr)
-	if !okSel {
-		return "", false
-	}
-	if sel.Sel.Name != "Get" && sel.Sel.Name != "Put" {
-		return "", false
-	}
-	t := info.TypeOf(sel.X)
-	if t == nil || !isSyncPoolType(t) {
-		return "", false
-	}
-	return sel.Sel.Name, true
-}
-
-// poolSourceFunc reports whether fd hands out pooled objects: its body calls
-// <pool>.Get() and it returns a pointer or interface result. Callers of such
-// a wrapper (e.g. acquireScanScratch) own a pooled object just as if they had
-// called Get themselves.
-func poolSourceFunc(pkg *Package, fd *ast.FuncDecl) bool {
-	if fd.Type.Results == nil || len(fd.Type.Results.List) == 0 {
-		return false
-	}
-	returnsRef := false
-	for _, f := range fd.Type.Results.List {
-		t := pkg.Info.TypeOf(f.Type)
-		if t == nil {
-			continue
-		}
-		switch t.Underlying().(type) {
-		case *types.Pointer, *types.Interface:
-			returnsRef = true
-		}
-	}
-	if !returnsRef {
-		return false
-	}
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			if m, ok := poolCall(pkg.Info, call); ok && m == "Get" {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
-}
-
-// poolSinkFunc reports whether fd returns its receiver or a parameter to a
-// sync.Pool: its body contains <pool>.Put(x) where x names the receiver or a
-// parameter. Calling such a wrapper (e.g. (*scanScratch).release) counts as a
-// Put of the argument/receiver.
-func poolSinkFunc(pkg *Package, fd *ast.FuncDecl) bool {
-	owned := make(map[types.Object]bool)
-	addField := func(fl *ast.FieldList) {
-		if fl == nil {
-			return
-		}
-		for _, f := range fl.List {
-			for _, name := range f.Names {
-				if obj := pkg.Info.Defs[name]; obj != nil {
-					owned[obj] = true
-				}
-			}
-		}
-	}
-	addField(fd.Recv)
-	addField(fd.Type.Params)
-	if len(owned) == 0 {
-		return false
-	}
-	found := false
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if m, ok := poolCall(pkg.Info, call); !ok || m != "Put" || len(call.Args) != 1 {
-			return true
-		}
-		if id, ok := call.Args[0].(*ast.Ident); ok {
-			if obj := pkg.Info.Uses[id]; obj != nil && owned[obj] {
-				found = true
-			}
-		}
-		return !found
-	})
-	return found
 }

@@ -1,37 +1,28 @@
 // Package lint implements pclint, a project-specific static-analysis suite
 // built exclusively on the standard library (go/parser, go/ast, go/types,
 // go/importer) — no golang.org/x/tools dependency, preserving the module's
-// zero-dependency claim.
+// zero-dependency claim. TestRepoClean runs it over the module under every
+// build-tag configuration as part of `go test ./...`; there is no separate
+// command.
 //
-// Seven analyzers target the failure modes of this codebase's concurrent scan
+// Three analyzers target the failure modes of this codebase's concurrent scan
 // and cache paths:
 //
-//   - lockcheck: struct fields annotated `// guarded by <mu>` may only be
-//     accessed while that mutex is held, and lock-bearing structs must not
-//     be copied by value.
 //   - errwrap: fmt.Errorf calls that format an error operand must use %w so
 //     errors.Is/As can traverse the chain, and errors.New(fmt.Sprintf(...))
 //     must be fmt.Errorf.
 //   - bufalias: values returned by functions annotated `pclint:recycled`
 //     (per-batch scratch buffers recycled by the vectorized scan) must not
 //     be retained beyond the batch callback.
-//   - goroutinectx: every spawned goroutine must either be joined by a
-//     sync.WaitGroup in the same function or be cancellable (receive a
-//     context or channel signal).
-//   - lockorder: whole-program lock-acquisition graph — reports cycles
-//     (potential deadlocks), recursive acquisition of the same lock, and
-//     locks held across blocking operations (channel ops, Wait, I/O).
-//   - noalloc: functions annotated `pclint:noalloc` — and, transitively,
-//     every module-internal function they call — must not contain
-//     allocation-inducing constructs.
-//   - poolcheck: sync.Pool lifetime protocol — no use after Put, no double
-//     Put, no Put of escaped objects, no pool object leaked on an early
-//     return.
+//   - lockorder: one held-lock walk per function feeding a whole-program
+//     lock-acquisition graph — reports cycles (potential deadlocks),
+//     recursive acquisition, locks held across blocking operations (channel
+//     ops, Wait, I/O), `guarded by` fields accessed without their mutex, and
+//     lock-bearing structs copied by value.
 //
-// The first four are intra-procedural; the last three share whole-program
-// infrastructure (a CHA-style call graph and cross-package facts, see
-// callgraph.go and facts.go). The annotation conventions are documented in
-// DESIGN.md §12 ("pclint v2").
+// lockorder resolves calls through a CHA-style call graph over declarations
+// shared via the Program (see callgraph.go and facts.go). The annotation
+// conventions are documented in DESIGN.md §12.
 package lint
 
 import (
@@ -73,26 +64,12 @@ type Program struct {
 	// Recycled holds function/method objects whose doc comment carries the
 	// `pclint:recycled` marker: their results are batch-scoped buffers.
 	Recycled map[types.Object]bool
-	// Noalloc holds functions annotated `pclint:noalloc`: hot-path roots in
-	// which (transitively) no allocation-inducing construct may appear.
-	Noalloc map[*types.Func]bool
-	// AllowAlloc holds functions annotated `pclint:allowalloc`: exempt from
-	// noalloc traversal (amortized growth or documented cold paths).
-	AllowAlloc map[*types.Func]bool
-	// PoolSource holds functions that return objects drawn from a sync.Pool
-	// (acquire wrappers); PoolSink holds functions that Put their receiver or
-	// a parameter back (release wrappers). Both are derived from the bodies,
-	// not annotations, and let poolcheck follow the protocol through the
-	// repo's wrapper idiom.
-	PoolSource map[*types.Func]bool
-	PoolSink   map[*types.Func]bool
 	// Decls maps every declared function/method object to its syntax.
 	Decls map[*types.Func]declInfo
 
 	allows []allowRange
 	cg     *CallGraph
 	lo     *lockOrderState
-	na     *noallocState
 }
 
 // Analyzer is one pclint check.
@@ -103,7 +80,7 @@ type Analyzer interface {
 
 // Analyzers returns the full suite in stable order.
 func Analyzers() []Analyzer {
-	return []Analyzer{LockCheck{}, ErrWrap{}, BufAlias{}, GoroutineCtx{}, LockOrder{}, NoAlloc{}, PoolCheck{}}
+	return []Analyzer{ErrWrap{}, BufAlias{}, LockOrder{}}
 }
 
 // NewProgram builds the shared indexes over a set of loaded packages.
@@ -128,22 +105,9 @@ func (prog *Program) Run(analyzers []Analyzer) []Finding {
 			}
 		}
 	}
-	SortFindings(out)
-	dedup := out[:0]
-	for i, f := range out {
-		if i > 0 && f == out[i-1] {
-			continue
-		}
-		dedup = append(dedup, f)
-	}
-	return dedup
-}
-
-// SortFindings orders findings by position, then analyzer, then message —
-// the suite's canonical deterministic order.
-func SortFindings(fs []Finding) {
-	sort.Slice(fs, func(i, j int) bool {
-		a, b := fs[i], fs[j]
+	// Canonical order: position, then analyzer, then message.
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
 			return a.Pos.Filename < b.Pos.Filename
 		}
@@ -158,6 +122,14 @@ func SortFindings(fs []Finding) {
 		}
 		return a.Message < b.Message
 	})
+	dedup := out[:0]
+	for i, f := range out {
+		if i > 0 && f == out[i-1] {
+			continue
+		}
+		dedup = append(dedup, f)
+	}
+	return dedup
 }
 
 func commentContains(cg *ast.CommentGroup, marker string) bool {

@@ -66,34 +66,40 @@ func checkFixture(t *testing.T, name string, a Analyzer) {
 	}
 }
 
-func TestErrWrapFixture(t *testing.T)      { checkFixture(t, "errwrap", ErrWrap{}) }
-func TestLockCheckFixture(t *testing.T)    { checkFixture(t, "lockcheck", LockCheck{}) }
-func TestBufAliasFixture(t *testing.T)     { checkFixture(t, "bufalias", BufAlias{}) }
-func TestGoroutineCtxFixture(t *testing.T) { checkFixture(t, "goroutinectx", GoroutineCtx{}) }
-func TestLockOrderFixture(t *testing.T)    { checkFixture(t, "lockorder", LockOrder{}) }
-func TestNoAllocFixture(t *testing.T)      { checkFixture(t, "noalloc", NoAlloc{}) }
-func TestPoolCheckFixture(t *testing.T)    { checkFixture(t, "poolcheck", PoolCheck{}) }
+func TestErrWrapFixture(t *testing.T)   { checkFixture(t, "errwrap", ErrWrap{}) }
+func TestBufAliasFixture(t *testing.T)  { checkFixture(t, "bufalias", BufAlias{}) }
+func TestLockOrderFixture(t *testing.T) { checkFixture(t, "lockorder", LockOrder{}) }
 
-// TestRepoClean runs the full suite over the real module and requires zero
-// findings: the codebase must stay lint-clean.
+// TestLockCheckFixture runs the fixture of the former lockcheck analyzer,
+// unchanged, through lockorder, which now does its guard and copy checks.
+func TestLockCheckFixture(t *testing.T) { checkFixture(t, "lockcheck", LockOrder{}) }
+
+// TestRepoClean is the lint gate: it runs the full suite over the real
+// module under both build-tag configurations (default and pcdebug, whose
+// assertion files only exist under the tag) and requires zero findings.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type-check is slow; skipped with -short")
 	}
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		t.Fatalf("LoadAll: %v", err)
-	}
-	if len(pkgs) < 5 {
-		t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
-	}
-	prog := NewProgram(loader.Fset(), pkgs)
-	findings := prog.Run(Analyzers())
-	for _, f := range findings {
-		t.Errorf("repo not lint-clean: %s", f)
+	for _, tag := range []string{"", "pcdebug"} {
+		t.Run("tags="+tag, func(t *testing.T) {
+			loader, err := NewLoader(".")
+			if err != nil {
+				t.Fatalf("NewLoader: %v", err)
+			}
+			if tag != "" {
+				loader.BuildTags = []string{tag}
+			}
+			pkgs, err := loader.LoadAll()
+			if err != nil {
+				t.Fatalf("LoadAll: %v", err)
+			}
+			if len(pkgs) < 5 {
+				t.Fatalf("suspiciously few packages loaded: %d", len(pkgs))
+			}
+			for _, f := range NewProgram(loader.Fset(), pkgs).Run(Analyzers()) {
+				t.Errorf("repo not lint-clean: %s", f)
+			}
+		})
 	}
 }

@@ -15,15 +15,13 @@ import (
 )
 
 // Loader discovers, parses and type-checks every package of one Go module
-// using only the standard library. Module-internal imports resolve to the
-// loader's own packages; everything else goes to the toolchain importer
-// (export data first, compile-from-source as fallback).
+// using only the standard library. Test files are not loaded.
+// Module-internal imports resolve to the loader's own packages; everything
+// else goes to the toolchain importer (export data first, compile-from-source
+// as fallback).
 type Loader struct {
 	ModuleRoot string // absolute path of the directory containing go.mod
 	ModulePath string // module path declared in go.mod
-	// IncludeTests adds _test.go files of the package itself (same package
-	// clause). External test packages (package foo_test) are not loaded.
-	IncludeTests bool
 	// BuildTags are extra build tags considered satisfied (e.g. "pcdebug").
 	BuildTags []string
 
@@ -195,10 +193,8 @@ func (l *Loader) load(importPath string) (*Package, error) {
 	var files []*ast.File
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
-			continue
-		}
-		if strings.HasSuffix(name, "_test.go") && !l.IncludeTests {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") ||
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
 			continue
 		}
 		path := filepath.Join(dir, name)
@@ -214,16 +210,6 @@ func (l *Loader) load(importPath string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, nil
 	}
-	// Drop external test packages (package foo_test) and keep the primary
-	// package clause; mixed clauses otherwise fail the type checker.
-	primary := primaryPackageName(files)
-	var kept []*ast.File
-	for _, f := range files {
-		if f.Name.Name == primary {
-			kept = append(kept, f)
-		}
-	}
-	files = kept
 
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -244,16 +230,6 @@ func (l *Loader) load(importPath string) (*Package, error) {
 	pkg := &Package{PkgPath: importPath, Dir: dir, Fset: l.fset, Files: files, Types: tpkg, Info: info}
 	l.pkgs[importPath] = pkg
 	return pkg, nil
-}
-
-// primaryPackageName picks the non-_test package clause.
-func primaryPackageName(files []*ast.File) string {
-	for _, f := range files {
-		if !strings.HasSuffix(f.Name.Name, "_test") {
-			return f.Name.Name
-		}
-	}
-	return files[0].Name.Name
 }
 
 // fileIncluded evaluates the file's build constraints under the default tag

@@ -5,13 +5,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"regexp"
 	"sort"
 	"strings"
 )
 
-// LockOrder lifts lockcheck's per-function lock tracking into a program-wide
-// lock-acquisition graph and enforces three properties the upcoming server
-// and work-stealing phases depend on:
+// LockOrder tracks the lexically held lock set through every function body
+// and builds a program-wide lock-acquisition graph from it. One walk
+// enforces five properties:
 //
 //  1. Acyclicity: if any execution can hold lock A while acquiring lock B,
 //     the graph gains edge A→B; a cycle among *distinct* locks means two
@@ -30,10 +31,20 @@ import (
 //     goroutine — and can deadlock outright if the unblocking party needs
 //     the same lock. Calls into module functions that may (transitively)
 //     block are reported the same way.
+//  4. Guarded fields: a struct field whose comment says `guarded by <mu>`
+//     (<mu> a sync.Mutex/RWMutex field of the same struct) is only accessed
+//     while <mu> is held. Functions named *Locked or marked `pclint:held`
+//     run with the caller's lock held and are exempt, as are writes to a
+//     value the function itself built from a composite literal.
+//  5. No lock copies: a struct containing a sync or sync/atomic value is
+//     never passed, received or returned by value, nor copied through *p.
 //
 // Lock identity is the mutex *field* (or package-level mutex variable):
-// instance-insensitive, the standard class-level approximation. Suppress
-// intentional patterns with `pclint:allow lockorder: <why>`.
+// instance-insensitive, the standard class-level approximation. The walk is
+// lexical: func literal bodies run elsewhere and are skipped, and lock state
+// flows across calls only through the acquisition and blocking facts of the
+// call graph. Suppress intentional patterns with
+// `pclint:allow lockorder: <why>`.
 type LockOrder struct{}
 
 // Name implements Analyzer.
@@ -51,9 +62,17 @@ type lockEdge struct {
 // reused by every per-package Run call.
 type lockOrderState struct {
 	names    map[*types.Var]string // lock -> "pkg.Type.field" display name
+	guards   map[*types.Var]guardInfo
 	edges    []lockEdge
-	findings []Finding // recursive-lock + blocking findings, all packages
-	cycles   []Finding // cycle findings, attributed to representative edges
+	findings []Finding // all packages; Run filters them per package
+}
+
+// guardInfo describes one field annotated `guarded by <mu>`.
+type guardInfo struct {
+	structName string
+	fieldName  string
+	mutexName  string
+	mutex      *types.Var
 }
 
 // Run implements Analyzer. The analysis is whole-program; each per-package
@@ -61,7 +80,7 @@ type lockOrderState struct {
 func (lo LockOrder) Run(prog *Program, pkg *Package) []Finding {
 	st := prog.lockOrderState()
 	var out []Finding
-	for _, f := range append(append([]Finding{}, st.findings...), st.cycles...) {
+	for _, f := range st.findings {
 		if prog.fileInPackage(pkg, f.Pos.Filename) {
 			out = append(out, f)
 		}
@@ -84,6 +103,7 @@ func (prog *Program) lockOrderState() *lockOrderState {
 		return prog.lo
 	}
 	st := &lockOrderState{names: lockNames(prog)}
+	st.collectGuards(prog)
 	cg := prog.CallGraph()
 
 	// Transitive facts over the call graph.
@@ -101,7 +121,6 @@ func (prog *Program) lockOrderState() *lockOrderState {
 	}
 
 	st.detectCycles(prog)
-	SortFindings(st.findings)
 	prog.lo = st
 	return st
 }
@@ -148,6 +167,93 @@ func lockNames(prog *Program) map[*types.Var]string {
 		}
 	}
 	return names
+}
+
+var guardedByRe = regexp.MustCompile(`guarded by (\w+)`)
+
+// collectGuards indexes every `guarded by <mu>` field annotation of the
+// program and reports annotations whose <mu> is not a mutex field of the
+// same struct.
+func (st *lockOrderState) collectGuards(prog *Program) {
+	st.guards = make(map[*types.Var]guardInfo)
+	for _, pkg := range prog.Packages {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return true
+				}
+				stru, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, field := range stru.Fields.List {
+					mu := guardAnnotation(field)
+					if mu == "" {
+						continue
+					}
+					muVar := structFieldVar(pkg.Info, stru, mu)
+					if muVar == nil || !isMutexType(muVar.Type()) {
+						st.findings = append(st.findings, Finding{
+							Analyzer: "lockorder",
+							Pos:      pkg.Fset.Position(field.Pos()),
+							Message:  fmt.Sprintf("field annotated `guarded by %s` but %s.%s is not a sync.Mutex/RWMutex field", mu, ts.Name.Name, mu),
+						})
+						continue
+					}
+					for _, name := range field.Names {
+						if fv, ok := pkg.Info.Defs[name].(*types.Var); ok {
+							st.guards[fv] = guardInfo{structName: ts.Name.Name, fieldName: name.Name, mutexName: mu, mutex: muVar}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// guardAnnotation extracts the mutex name from a field's comments.
+func guardAnnotation(field *ast.Field) string {
+	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
+		if cg == nil {
+			continue
+		}
+		if m := guardedByRe.FindStringSubmatch(cg.Text()); m != nil {
+			return m[1]
+		}
+	}
+	return ""
+}
+
+// structFieldVar resolves a field name of a struct type declaration.
+func structFieldVar(info *types.Info, stru *ast.StructType, name string) *types.Var {
+	for _, f := range stru.Fields.List {
+		for _, n := range f.Names {
+			if n.Name == name {
+				v, _ := info.Defs[n].(*types.Var)
+				return v
+			}
+		}
+	}
+	return nil
+}
+
+func isMutexType(t types.Type) bool {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
+		return false
+	}
+	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
+}
+
+func isChanType(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Chan)
+	return ok
 }
 
 // lockAcqCall recognizes a Lock/RLock acquisition call and returns the lock
@@ -420,17 +526,19 @@ type heldLock struct {
 }
 
 // walkFunc tracks the lexically held lock set through one function body,
-// recording acquisition edges, recursive locks, and blocking-under-lock.
-// The model mirrors lockcheck: events are ordered by position; an Unlock
-// immediately followed by return/break/continue restores the held state
-// after the exiting statement; deferred Unlocks never clear state (the lock
-// is held to the end); func literal bodies are skipped (they run elsewhere).
+// recording acquisition edges, recursive locks, blocking-under-lock and
+// guarded-field accesses without the guard. Events are ordered by position;
+// an Unlock immediately followed by return/break/continue releases only up
+// to the end of the exiting statement (code below it runs on paths where the
+// unlock never executed); deferred Unlocks never clear state (the lock is
+// held to the end); func literal bodies are skipped (they run elsewhere).
 func (st *lockOrderState) walkFunc(prog *Program, cg *CallGraph, fn *types.Func, di declInfo,
 	acquires map[*types.Func]map[*types.Var]bool, blocks map[*types.Func]string) {
 
 	pkg := di.Pkg
 	body := di.Decl.Body
 	fname := shortFuncName(fn)
+	st.findings = append(st.findings, checkCopies(pkg, di.Decl)...)
 
 	deferred := make(map[*ast.CallExpr]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -440,12 +548,18 @@ func (st *lockOrderState) walkFunc(prog *Program, cg *CallGraph, fn *types.Func,
 		return true
 	})
 	exiting := collectExiting(body)
+	var fresh map[types.Object]bool
+	checkGuards := len(st.guards) > 0 && !holdsAll(di.Decl)
+	if checkGuards {
+		fresh = freshLocals(pkg, body)
+	}
 
 	// One lexical pass, position-ordered events.
 	type event struct {
-		pos  token.Pos
-		node ast.Node
-		call *ast.CallExpr
+		pos   token.Pos
+		node  ast.Node
+		call  *ast.CallExpr
+		guard *guardInfo // access to a guarded field
 	}
 	var events []event
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -460,6 +574,12 @@ func (st *lockOrderState) walkFunc(prog *Program, cg *CallGraph, fn *types.Func,
 		case *ast.UnaryExpr:
 			if v.Op == token.ARROW {
 				events = append(events, event{pos: v.Pos(), node: v})
+			}
+		case *ast.SelectorExpr:
+			if checkGuards {
+				if gi, ok := st.guardedAccess(pkg, v, fresh); ok {
+					events = append(events, event{pos: v.Pos(), node: v, guard: &gi})
+				}
 			}
 		}
 		return true
@@ -513,6 +633,13 @@ func (st *lockOrderState) walkFunc(prog *Program, cg *CallGraph, fn *types.Func,
 			}
 		}
 
+		if gi := ev.guard; gi != nil {
+			if heldIndex(gi.mutex) < 0 {
+				report(ev.pos, fmt.Sprintf("%s.%s is accessed without holding %s (field is `guarded by %s`)",
+					gi.structName, gi.fieldName, gi.mutexName, gi.mutexName))
+			}
+			continue
+		}
 		if ev.call != nil {
 			call := ev.call
 			if lock, recvText, delta, ok := lockAcqCall(pkg, call); ok {
@@ -590,6 +717,143 @@ func (st *lockOrderState) walkFunc(prog *Program, cg *CallGraph, fn *types.Func,
 	}
 }
 
+// guardedAccess reports whether sel reads or writes a guarded field of a
+// value other than one of the function's fresh locals.
+func (st *lockOrderState) guardedAccess(pkg *Package, sel *ast.SelectorExpr, fresh map[types.Object]bool) (guardInfo, bool) {
+	selInfo, ok := pkg.Info.Selections[sel]
+	if !ok || selInfo.Kind() != types.FieldVal {
+		return guardInfo{}, false
+	}
+	fv, ok := selInfo.Obj().(*types.Var)
+	if !ok {
+		return guardInfo{}, false
+	}
+	gi, ok := st.guards[fv]
+	if !ok {
+		return guardInfo{}, false
+	}
+	if base, isIdent := sel.X.(*ast.Ident); isIdent && fresh[pkg.Info.Uses[base]] {
+		return guardInfo{}, false
+	}
+	return gi, true
+}
+
+// freshLocals returns the locals bound to a composite literal (or its
+// address) in body: constructors write their fields before anything else
+// can see them.
+func freshLocals(pkg *Package, body *ast.BlockStmt) map[types.Object]bool {
+	fresh := make(map[types.Object]bool)
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || as.Tok != token.DEFINE {
+			return true
+		}
+		for i, lhs := range as.Lhs {
+			if i >= len(as.Rhs) {
+				break
+			}
+			id, ok := lhs.(*ast.Ident)
+			if !ok {
+				continue
+			}
+			rhs := as.Rhs[i]
+			if ue, ok := rhs.(*ast.UnaryExpr); ok && ue.Op == token.AND {
+				rhs = ue.X
+			}
+			if _, ok := rhs.(*ast.CompositeLit); ok {
+				if obj := pkg.Info.Defs[id]; obj != nil {
+					fresh[obj] = true
+				}
+			}
+		}
+		return true
+	})
+	return fresh
+}
+
+// holdsAll reports whether fd runs with the caller's lock held (the *Locked
+// suffix or the pclint:held marker).
+func holdsAll(fd *ast.FuncDecl) bool {
+	return strings.HasSuffix(fd.Name.Name, "Locked") || commentContains(fd.Doc, "pclint:held")
+}
+
+// checkCopies flags by-value copies of lock-bearing structs: value
+// receivers, parameters and results, and *p dereferences.
+func checkCopies(pkg *Package, fd *ast.FuncDecl) []Finding {
+	var out []Finding
+	flag := func(pos token.Pos, what string, t types.Type) {
+		out = append(out, Finding{
+			Analyzer: "lockorder",
+			Pos:      pkg.Fset.Position(pos),
+			Message:  fmt.Sprintf("%s copies lock-bearing struct %s; use a pointer", what, types.TypeString(t, types.RelativeTo(pkg.Types))),
+		})
+	}
+	for _, fl := range []struct {
+		what   string
+		fields *ast.FieldList
+	}{{"method receiver", fd.Recv}, {"parameter", fd.Type.Params}, {"result", fd.Type.Results}} {
+		if fl.fields == nil {
+			continue
+		}
+		for _, f := range fl.fields.List {
+			if t := pkg.Info.TypeOf(f.Type); t != nil && !isPointer(t) && containsLock(t, nil) {
+				flag(f.Pos(), fl.what, t)
+			}
+		}
+	}
+	// Writing through the pointer (*p = x) also lands here; both sides of
+	// *p = *q copy a struct anyway.
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if se, ok := n.(*ast.StarExpr); ok {
+			if t := pkg.Info.TypeOf(se); t != nil && containsLock(t, nil) {
+				flag(se.Pos(), "dereference", t)
+			}
+		}
+		return true
+	})
+	return out
+}
+
+func isPointer(t types.Type) bool {
+	_, ok := t.Underlying().(*types.Pointer)
+	return ok
+}
+
+// containsLock reports whether t (transitively through struct fields and
+// arrays) contains a sync or sync/atomic value whose copy would be unsafe.
+func containsLock(t types.Type, seen map[types.Type]bool) bool {
+	if seen == nil {
+		seen = make(map[types.Type]bool)
+	}
+	if seen[t] {
+		return false
+	}
+	seen[t] = true
+	if named, ok := t.(*types.Named); ok {
+		obj := named.Obj()
+		if obj.Pkg() != nil {
+			switch obj.Pkg().Path() {
+			case "sync":
+				return obj.Name() != "Locker" // every sync value type pins memory
+			case "sync/atomic":
+				return true // atomic types carry noCopy
+			}
+		}
+		return containsLock(named.Underlying(), seen)
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			if containsLock(u.Field(i).Type(), seen) {
+				return true
+			}
+		}
+	case *types.Array:
+		return containsLock(u.Elem(), seen)
+	}
+	return false
+}
+
 // receiverMayAlias reports whether the called method's receiver expression
 // textually matches the lock's receiver — the conservative same-instance
 // test for call-through re-acquisition.
@@ -616,8 +880,8 @@ func heldNames(names map[*types.Var]string, held []heldLock) string {
 }
 
 // collectExiting maps Unlock-style calls immediately followed by
-// return/break/continue to the end position of the exiting statement (see
-// lockcheck for the rationale).
+// return/break/continue to the end position of the exiting statement: the
+// `if miss { mu.Unlock(); return }` early-exit pattern.
 func collectExiting(body *ast.BlockStmt) map[*ast.CallExpr]token.Pos {
 	exiting := make(map[*ast.CallExpr]token.Pos)
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -762,7 +1026,7 @@ func (st *lockOrderState) detectCycles(prog *Program) {
 		if best.viaCall != "" {
 			via = " via call to " + best.viaCall
 		}
-		st.cycles = append(st.cycles, Finding{
+		st.findings = append(st.findings, Finding{
 			Analyzer: "lockorder",
 			Pos:      prog.Fset.Position(best.pos),
 			Message: fmt.Sprintf(
@@ -770,5 +1034,4 @@ func (st *lockOrderState) detectCycles(prog *Program) {
 				strings.Join(names, ", "), best.fn, st.names[best.to], st.names[best.from], via),
 		})
 	}
-	SortFindings(st.cycles)
 }

@@ -1,5 +1,6 @@
-// Package lockcheck is a pclint test fixture; "want" comment markers flag
-// the lines where the lockcheck analyzer must report.
+// Package lockcheck is a pclint test fixture for the lockorder analyzer's
+// `guarded by` and lock-copy checks; "want" comment markers flag the lines
+// where it must report.
 package lockcheck
 
 import "sync"

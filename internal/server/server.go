@@ -137,7 +137,6 @@ func New(db *predcache.DB, cfg Config) (*Server, error) {
 		}
 		s.admin = &http.Server{Handler: s.adminHandler(), ReadHeaderTimeout: 5 * time.Second}
 		s.lnWg.Add(1)
-		// pclint:allow goroutinectx: joined by lnWg.Wait in Shutdown
 		go func() {
 			defer s.lnWg.Done()
 			if err := s.admin.Serve(aln); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -209,7 +208,6 @@ func (s *Server) startSession(conn net.Conn, remote string) {
 
 	s.accepted.Add(1)
 	s.wg.Add(1)
-	// pclint:allow goroutinectx: joined by wg.Wait in Shutdown
 	go func() {
 		defer s.wg.Done()
 		sess.run()

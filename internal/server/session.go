@@ -88,7 +88,6 @@ func (s *session) run() {
 
 	lines := make(chan string)
 	readErr := make(chan error, 1)
-	// pclint:allow goroutinectx: joined via the readErr receive in this function's teardown
 	go func() {
 		defer close(lines)
 		sc := bufio.NewScanner(s.conn)
@@ -124,7 +123,7 @@ func (s *session) run() {
 	// never observe the close.
 	s.conn.Close()
 	go func() {
-		for range lines { // pclint:allow noalloc: session teardown, not a query path
+		for range lines {
 		}
 	}()
 	if err := <-readErr; err != nil && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {

@@ -30,9 +30,6 @@ func AssertRowRanges(ranges []RowRange, limit int, ctx string) {
 }
 
 // assertZoneMapInt panics if an integer zone map has min > max.
-//
-// pclint:allowalloc allocates only on the panic path of a violated
-// invariant; the healthy fast path is a single comparison.
 func assertZoneMapInt(min, max int64, ctx string) {
 	if min > max {
 		panic(fmt.Sprintf("pcdebug: %s: zone map min %d > max %d", ctx, min, max))
@@ -40,9 +37,6 @@ func assertZoneMapInt(min, max int64, ctx string) {
 }
 
 // assertZoneMapFloat panics if a float zone map has min > max.
-//
-// pclint:allowalloc allocates only on the panic path of a violated
-// invariant, same as assertZoneMapInt.
 func assertZoneMapFloat(min, max float64, ctx string) {
 	if min > max {
 		panic(fmt.Sprintf("pcdebug: %s: zone map min %g > max %g", ctx, min, max))

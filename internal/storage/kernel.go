@@ -84,8 +84,6 @@ func NewIntSetPred(set map[int64]struct{}, vals []int64) IntPred {
 }
 
 // Match reports whether a single value satisfies the predicate.
-//
-// pclint:noalloc
 func (p *IntPred) Match(v int64) bool {
 	if p.Kind == IntPredSet {
 		_, ok := p.Set[v]
@@ -225,8 +223,6 @@ func (m *BlockMask) AppendRows(sel []int) []int {
 // false — and m untouched — when this block has no encoded-domain kernel
 // (float columns, EncRaw payloads not decided by their bounds, or the open
 // tail); the caller must fall back to decode-then-filter.
-//
-// pclint:noalloc
 func (c *ColumnStore) EvalPredMask(i int, p *IntPred, m *BlockMask) (ok bool) {
 	if c.Typ == Float64 || i >= len(c.blocks) {
 		return false
@@ -259,8 +255,6 @@ func (c *ColumnStore) EvalPredMask(i int, p *IntPred, m *BlockMask) (ok bool) {
 // the scan runs, for callers that hold ranges rather than a mask. ok is as
 // for EvalPredMask. spans must be sorted, non-overlapping and within
 // [0, block rows).
-//
-// pclint:noalloc
 func (c *ColumnStore) EvalPredRanges(i int, p *IntPred, spans []RowRange, dst []RowRange) (out []RowRange, ok bool) {
 	var m BlockMask
 	for _, sp := range spans {

@@ -9,8 +9,6 @@ package storage
 // the number of values written. Row indexes are block-relative; dst must
 // have room for hi-lo values. Block indexes past the sealed blocks refer to
 // the open tail, where hi is clamped to the tail length.
-//
-// pclint:noalloc
 func (c *ColumnStore) ReadIntRange(i, lo, hi int, dst []int64) int {
 	if i >= len(c.blocks) {
 		if hi > len(c.tailInts) {
@@ -79,8 +77,6 @@ func rleReadRange(words []uint64, lo, hi int, dst []int64) {
 // ReadFloatRange copies rows [lo, hi) of float block i into dst and returns
 // the number of values written. Float blocks are stored uncompressed, so
 // this is a clipped copy.
-//
-// pclint:noalloc
 func (c *ColumnStore) ReadFloatRange(i, lo, hi int, dst []float64) int {
 	src := c.tailFloats
 	if i < len(c.blocks) {
