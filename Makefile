@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt test race stress test-debug vet lint smoke systab-smoke trace-smoke server-smoke profile-smoke bench-smoke benchmark benchmark-compare check clean
+.PHONY: all build fmt test race stress test-debug vet lint admin-smoke systab-smoke trace-smoke server-smoke bench-smoke benchmark benchmark-compare check clean
 
 all: build
 
@@ -51,22 +51,18 @@ lint:
 	$(GO) test -count=1 ./internal/lint
 
 # End-to-end smoke suites (scripts/smoke.sh <suite>; `scripts/smoke.sh all`
-# runs the five in one go). Each boots the shipped binaries and asserts
+# runs the four in one go). Each boots the shipped binaries and asserts
 # through SQL, the wire protocol, HTTP or files on disk:
-#   smoke          pcsh -metrics: the Prometheus exposition validates (cmd/pcsmoke)
+#   admin-smoke    pcserver -admin: /metrics families, pc.query_shapes,
+#                  query_id/shape pprof labels on /debug/pprof/profile, a
+#                  parseable /debug/pprof/heap
 #   systab-smoke   pcsh: pc.query_log / pc.cache_stats / pc.table_storage answer
 #   trace-smoke    pcsh -slow 1ns -log: trace retention (pc.traces /
 #                  pc.trace_spans), pc.slo, pc.runtime, trace-correlated log lines
 #   server-smoke   pcserver on an ephemeral port driven by cmd/pcclient: queries,
 #                  prepared statements, error recovery, pc.sessions /
 #                  pc.plan_cache, SIGTERM drain
-#   profile-smoke  pcserver -admin -slow 1ms -profile-dir: pc.query_shapes,
-#                  query_id/shape pprof labels on /profile/cpu, the slow-query
-#                  captor's profile on disk, /profile/heap
-smoke:
-	./scripts/smoke.sh metrics
-
-systab-smoke trace-smoke server-smoke profile-smoke:
+admin-smoke systab-smoke trace-smoke server-smoke:
 	./scripts/smoke.sh $(@:-smoke=)
 
 # One-iteration compile-and-run of the scan benchmarks: catches bit-rot in
@@ -99,7 +95,7 @@ benchmark-compare:
 	bash benchmark/run.sh -compare $(A) $(B)
 
 # Everything CI runs.
-check: build fmt vet lint test race stress test-debug bench-smoke smoke systab-smoke trace-smoke server-smoke profile-smoke
+check: build fmt vet lint test race stress test-debug bench-smoke admin-smoke systab-smoke trace-smoke server-smoke
 
 clean:
 	$(GO) clean ./...

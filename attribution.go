@@ -20,13 +20,6 @@ type (
 	Alert = obs.Alert
 )
 
-// Sentinel names appearing in pc.alerts.sentinel.
-const (
-	SentinelGoroutines = obs.SentinelGoroutines
-	SentinelHeap       = obs.SentinelHeap
-	SentinelPoolChurn  = obs.SentinelPoolChurn
-)
-
 // QueryShapes returns the per-shape resource ledger ranked by total
 // attributed CPU, heaviest first — the same rows served by pc.query_shapes.
 func (db *DB) QueryShapes() []ShapeRow {
@@ -37,13 +30,6 @@ func (db *DB) QueryShapes() []ShapeRow {
 // same rows served by pc.alerts.
 func (db *DB) Alerts() []Alert {
 	return db.alerts.Alerts()
-}
-
-// LastRuntimeSample returns the most recent retained health sample (zero
-// value when no sampler has run) without triggering a fresh ReadMemStats —
-// the accessor metric scrapes are routed through.
-func (db *DB) LastRuntimeSample() RuntimeSample {
-	return db.runtime.Load().Last()
 }
 
 // sessionKey is the context key ContextWithSession stores the session label

@@ -15,13 +15,11 @@ import (
 	"os"
 
 	"github.com/predcache/predcache/internal/bench"
-	"github.com/predcache/predcache/internal/obs"
 )
 
 func main() {
 	cfg := bench.DefaultConfig()
 	fast := flag.Bool("fast", false, "run at the small test scale")
-	metricsAddr := flag.String("metrics", "", "serve runtime metrics/pprof on this address while experiments run; empty disables")
 	flag.Float64Var(&cfg.TpchSF, "tpch-sf", cfg.TpchSF, "TPC-H scale factor")
 	flag.Float64Var(&cfg.SSBSF, "ssb-sf", cfg.SSBSF, "SSB scale factor")
 	flag.Float64Var(&cfg.TpcdsSF, "tpcds-sf", cfg.TpcdsSF, "TPC-DS scale factor")
@@ -43,22 +41,6 @@ func main() {
 	if len(args) == 0 {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *metricsAddr != "" {
-		m := obs.NewMetrics()
-		// Runtime gauges read a sampler's retained sample (never ReadMemStats
-		// at scrape time); pcbench runs its own collector since experiments
-		// cycle through many short-lived databases.
-		rc := obs.StartRuntimeCollector(0, nil)
-		defer rc.Stop()
-		obs.RegisterRuntimeMetrics(m, rc.Last)
-		srv, err := obs.StartServer(*metricsAddr, m)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pcbench: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics\n", srv.Addr())
 	}
 	runner := bench.NewRunner(cfg, os.Stdout)
 	for _, id := range args {

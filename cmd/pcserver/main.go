@@ -16,12 +16,11 @@
 //	nc localhost 5433
 //	select count(*) from lineitem where l_quantity < 10
 //
-// -admin serves /metrics (Prometheus), /metrics.json, /debug/pprof/,
-// /profile/cpu, /profile/heap, /sessions and /stats. Live sessions are also
-// SQL-queryable by any client as pc.sessions, the plan cache as
-// pc.plan_cache, and per-shape resource attribution as pc.query_shapes.
-// -profile-dir additionally captures rate-limited CPU profiles whenever a
-// query crosses the slow threshold.
+// -admin serves /metrics (Prometheus text) and /debug/pprof/, whose CPU
+// samples carry the query_id/shape/session labels. Everything else is
+// SQL-queryable by any client: live sessions as pc.sessions, the plan cache
+// as pc.plan_cache, per-shape resource attribution as pc.query_shapes, the
+// registry itself as pc.metrics.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight statements finish (up to the
 // drain timeout), new ones are refused.
@@ -47,7 +46,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:5433", "SQL listen address")
-	admin := flag.String("admin", "", "admin HTTP address (metrics, sessions, pprof); empty disables")
+	admin := flag.String("admin", "", "admin HTTP address (/metrics, /debug/pprof/); empty disables")
 	dataset := flag.String("dataset", "tpch-skewed", "dataset: tpch, tpch-skewed, ssb, tpcds")
 	sf := flag.Float64("sf", 0.01, "scale factor")
 	seed := flag.Int64("seed", 1, "generator seed")
@@ -58,16 +57,12 @@ func main() {
 	slow := flag.Duration("slow", 0, "slow-query threshold (0 keeps the default)")
 	logPath := flag.String("log", "", `write structured JSON log lines to this file ("-" for stderr); empty disables`)
 	workers := flag.Int("workers", 0, "max workers per query, scans included (0 = GOMAXPROCS)")
-	profileDir := flag.String("profile-dir", "", "capture rate-limited CPU profiles of slow queries into this directory; empty disables")
 	flag.Parse()
 
 	var opts []predcache.Option
 	var logger *obs.Logger
 	if *slow > 0 {
 		opts = append(opts, predcache.WithSlowQueryThreshold(*slow))
-	}
-	if *profileDir != "" {
-		opts = append(opts, predcache.WithProfileCapture(*profileDir))
 	}
 	if *workers > 0 {
 		opts = append(opts, predcache.WithMaxWorkers(*workers))
@@ -98,7 +93,8 @@ func main() {
 	}
 	db := predcache.Open(opts...)
 	// Health sampling feeds pc.runtime, the leak sentinels (pc.alerts) and
-	// the admin endpoint's go_* gauges for the life of the server.
+	// the admin endpoint's predcache_runtime_* gauges for the life of the
+	// server.
 	db.StartRuntimeSampler(time.Second)
 
 	fmt.Printf("loading %s at SF %.3f...\n", *dataset, *sf)
@@ -122,7 +118,7 @@ func main() {
 	}
 	fmt.Printf("listening on %s\n", srv.Addr())
 	if a := srv.AdminAddr(); a != "" {
-		fmt.Printf("admin on http://%s/stats\n", a)
+		fmt.Printf("admin on http://%s/metrics\n", a)
 	}
 
 	done := make(chan error, 1)

@@ -4,13 +4,14 @@
 // Usage:
 //
 //	pcsh [-dataset tpch|tpch-skewed|ssb|tpcds] [-sf 0.01] [-cache range|bitmap|off]
-//	     [-metrics addr] [-slow 1s] [-log file]
+//	     [-slow 1s] [-log file]
 //
-// With -metrics, an HTTP endpoint serves Prometheus text at /metrics, JSON
-// at /metrics.json and pprof under /debug/pprof/. -slow sets the slow-query
-// threshold (flagged in pc.query_log; traces at or over it are always
-// retained). -log writes structured JSON log lines (slow queries, failures,
-// vacuums) carrying query_id/trace_id to the given file ("-" for stderr).
+// -slow sets the slow-query threshold (flagged in pc.query_log; traces at or
+// over it are always retained). -log writes structured JSON log lines (slow
+// queries, failures, vacuums) carrying query_id/trace_id to the given file
+// ("-" for stderr). The shell serves no HTTP: the Prometheus endpoint and
+// pprof are on pcserver -admin; here the telemetry is the meta commands and
+// the pc.* tables below.
 //
 // Queries prefixed with EXPLAIN print the plan; EXPLAIN ANALYZE executes it
 // and annotates each operator with wall time, cardinalities and per-scan
@@ -51,7 +52,6 @@ import (
 	"time"
 
 	predcache "github.com/predcache/predcache"
-	"github.com/predcache/predcache/internal/obs"
 	"github.com/predcache/predcache/internal/ssb"
 	"github.com/predcache/predcache/internal/tpcds"
 	"github.com/predcache/predcache/internal/tpch"
@@ -62,7 +62,6 @@ func main() {
 	sf := flag.Float64("sf", 0.01, "scale factor")
 	cacheKind := flag.String("cache", "bitmap", "predicate cache: range, bitmap, off")
 	seed := flag.Int64("seed", 1, "generator seed")
-	metricsAddr := flag.String("metrics", "", "serve metrics/pprof on this address (e.g. :8080); empty disables")
 	slow := flag.Duration("slow", 0, "slow-query threshold (0 keeps the default; traces at or over it are always retained)")
 	logPath := flag.String("log", "", `write structured JSON log lines to this file ("-" for stderr); empty disables`)
 	flag.Parse()
@@ -96,23 +95,6 @@ func main() {
 		os.Exit(2)
 	}
 	db := predcache.Open(opts...)
-
-	if *metricsAddr != "" {
-		m := obs.NewMetrics()
-		db.EnableMetrics(m)
-		// The go_* gauges read the runtime sampler's retained sample, so a
-		// scrape never pays a ReadMemStats; the sampler also feeds pc.runtime,
-		// pc.alerts (leak sentinels) and the shell's uptime telemetry.
-		db.StartRuntimeSampler(time.Second)
-		obs.RegisterRuntimeMetrics(m, db.LastRuntimeSample)
-		srv, err := obs.StartServer(*metricsAddr, m)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pcsh: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Printf("metrics on http://%s/metrics\n", srv.Addr())
-	}
 
 	fmt.Printf("loading %s at SF %.3f...\n", *dataset, *sf)
 	if err := load(db, *dataset, *sf, *seed); err != nil {

@@ -112,14 +112,17 @@ func TestTraceIDsWithQueryLogDisabled(t *testing.T) {
 	if want := fmt.Sprintf(`"query_id":"q%d"`, labelsID); !strings.Contains(*labels, want) {
 		t.Errorf("pprof labels %s lack %s", *labels, want)
 	}
+	// Checked after the last statement, not against ids: the pc.traces read
+	// is itself a retained statement, may become an exemplar, and cannot
+	// appear in the snapshot it took while running.
 	exemplars := 0
 	for _, r := range db.SLOReports() {
 		if r.Count == 0 {
 			continue
 		}
 		exemplars++
-		if !ids[r.ExemplarTraceID] {
-			t.Errorf("pc.slo %s exemplar %d is not a retained trace id %v", r.Class, r.ExemplarTraceID, ids)
+		if db.TraceByID(r.ExemplarTraceID) == nil {
+			t.Errorf("pc.slo %s exemplar %d is not a retained trace", r.Class, r.ExemplarTraceID)
 		}
 	}
 	if exemplars == 0 {
@@ -282,7 +285,7 @@ type logLine struct {
 // checkSinksAgree takes the query log as the list of emitted events and
 // asserts that every other sink saw the same statements: retained traces
 // carry the event's seq, shape, class, slow flag and error; the SLO counts,
-// the shape ledger and the pushed counters add up to exactly the executed
+// the shape ledger and every pushed counter add up to exactly the executed
 // events; and the logger wrote one line per failed or slow SQL statement
 // with the event's fields.
 func checkSinksAgree(t *testing.T, db *predcache.DB, m *predcache.Metrics, logs string) {
@@ -290,6 +293,9 @@ func checkSinksAgree(t *testing.T, db *predcache.DB, m *predcache.Metrics, logs 
 	type shapeSum struct{ calls, errors, cpu int64 }
 	var executed, failedExec float64
 	slo := map[string]uint64{}
+	// counters sums each pushed scan counter over the successful executed
+	// events: queryMetrics.record adds exactly these fields.
+	counters := map[string]float64{}
 	shapes := map[string]*shapeSum{}
 	wantLines := map[int64]predcache.QueryRecord{}
 	seqs := map[int64]bool{}
@@ -327,6 +333,23 @@ func checkSinksAgree(t *testing.T, db *predcache.DB, m *predcache.Metrics, logs 
 		executed++
 		if ev.Error != "" {
 			failedExec++
+		} else {
+			for name, v := range map[string]int64{
+				"predcache_rows_scanned_total":           ev.RowsScanned,
+				"predcache_rows_qualified_total":         ev.RowsQualified,
+				"predcache_rows_decoded_total":           ev.RowsDecoded,
+				"predcache_blocks_accessed_total":        ev.BlocksAccessed,
+				"predcache_blocks_decoded_total":         ev.BlocksDecoded,
+				"predcache_blocks_kernel_encoded_total":  ev.BlocksKernel,
+				"predcache_blocks_pruned_zonemap_total":  ev.BlocksPrunedZoneMap,
+				"predcache_blocks_pruned_cache_total":    ev.BlocksPrunedCache,
+				"predcache_scan_cache_hits_total":        ev.CacheHits,
+				"predcache_scan_cache_misses_total":      ev.CacheMisses,
+				"predcache_morsels_total":                ev.Morsels,
+				"predcache_parallel_worker_micros_total": ev.WorkerMicros,
+			} {
+				counters[name] += float64(v)
+			}
 		}
 		if ev.SQL == "" {
 			if ev.ShapeID != "" || ev.Class != "" || ev.Retained {
@@ -389,7 +412,17 @@ func checkSinksAgree(t *testing.T, db *predcache.DB, m *predcache.Metrics, logs 
 			if sm.Value != executed-failedExec {
 				t.Errorf("predcache_query_seconds_count = %v, successful events %v", sm.Value, executed-failedExec)
 			}
+		default:
+			if want, ok := counters[sm.Name]; ok {
+				if sm.Value != want {
+					t.Errorf("%s = %v, successful events sum to %v", sm.Name, sm.Value, want)
+				}
+				delete(counters, sm.Name)
+			}
 		}
+	}
+	for name := range counters {
+		t.Errorf("%s is not in the registry", name)
 	}
 	for _, raw := range strings.Split(strings.TrimSpace(logs), "\n") {
 		var l logLine
@@ -450,6 +483,19 @@ func TestEverySinkAgrees(t *testing.T) {
 	}
 	checkSinksAgree(t, db, m, logs.String())
 
+	// pc.metrics is the registry read through SQL: the statement reading it
+	// counts every statement executed before it.
+	var executed float64
+	for _, ev := range db.QueryLog() {
+		if ev.Executed {
+			executed++
+		}
+	}
+	qt := one(t, db, "select value from pc.metrics where name = 'predcache_queries_total'")
+	if got := qt.Col(0).Floats[0]; got != executed {
+		t.Errorf("pc.metrics predcache_queries_total = %v, executed events %v", got, executed)
+	}
+
 	// pc.traces.shape is the shape_id: it joins pc.query_shapes.
 	res := one(t, db, `select count(*) as n from pc.traces tr, pc.query_shapes s where tr.shape = s.shape_id`)
 	if n := intCell(t, res, 0, "n"); n == 0 {
@@ -480,4 +526,85 @@ func TestEverySinkAgreesConcurrent(t *testing.T) {
 		t.Fatalf("query log has %d records, want %d", got, want)
 	}
 	checkSinksAgree(t, db, m, logs.String())
+}
+
+// TestPulledMetricsAgree checks every pulled registry family against the
+// accessor it mirrors: the predicate-cache counters against CacheStats, the
+// trace gauges against TraceStats and the retained spans, the table gauges
+// against the catalog, the SLO histograms against SLOReports, and the
+// runtime gauges against the sampler's last retained sample. No statement
+// runs between reading the sources and reading the registry.
+func TestPulledMetricsAgree(t *testing.T) {
+	db, m, _ := sinkDB(t)
+	for i := range sinkStream {
+		runSinkStatement(t, db, i, "s1")
+	}
+	for i := 0; i < 2; i++ { // the repeat is a predicate-cache hit
+		one(t, db, "select count(*) from t where id < 100")
+	}
+	db.StartRuntimeSampler(time.Hour) // one sample now, no tick during the test
+	defer db.StopRuntimeSampler()
+
+	cs := db.CacheStats()
+	ts := db.TraceStats()
+	spans := 0
+	for _, rt := range db.RetainedTraces() {
+		spans += len(rt.Spans)
+	}
+	names := db.Catalog().TableNames()
+	rows, mem := 0, 0
+	for _, name := range names {
+		tbl, _ := db.Catalog().Table(name)
+		rows += tbl.NumRows()
+		mem += tbl.MemBytes()
+	}
+	samples := db.RuntimeSamples()
+	rs := samples[len(samples)-1]
+	want := map[string]float64{
+		"predcache_cache_hits_total":               float64(cs.Hits),
+		"predcache_cache_misses_total":             float64(cs.Misses),
+		"predcache_cache_inserts_total":            float64(cs.Inserts),
+		"predcache_cache_extends_total":            float64(cs.Extends),
+		"predcache_cache_evictions_total":          float64(cs.Evictions),
+		"predcache_cache_invalidations_total":      float64(cs.Invalidations),
+		"predcache_cache_admission_deferred_total": float64(cs.AdmissionDeferred),
+		"predcache_cache_admission_rejected_total": float64(cs.AdmissionRejected),
+		"predcache_cache_entries":                  float64(cs.Entries),
+		"predcache_cache_mem_bytes":                float64(cs.MemBytes),
+		"predcache_traces_retained":                float64(ts.Retained),
+		"predcache_trace_spans_retained":           float64(spans),
+		"predcache_traces_offered_total":           float64(ts.Offered),
+		"predcache_traces_kept_total":              float64(ts.Kept),
+		"predcache_traces_evicted_total":           float64(ts.Evicted),
+		"predcache_tables":                         float64(len(names)),
+		"predcache_table_rows":                     float64(rows),
+		"predcache_table_mem_bytes":                float64(mem),
+		"predcache_runtime_goroutines":             float64(rs.Goroutines),
+		"predcache_runtime_heap_alloc_bytes":       float64(rs.HeapAllocBytes),
+		"predcache_runtime_rss_bytes":              float64(rs.RSSBytes),
+		"predcache_runtime_gc_pause_ns_total":      float64(rs.GCPauseNs),
+		"predcache_runtime_pool_gets_total":        float64(rs.PoolGets),
+		"predcache_runtime_pool_news_total":        float64(rs.PoolNews),
+	}
+	for _, r := range db.SLOReports() {
+		outcome := "miss"
+		if r.CacheHit {
+			outcome = "hit"
+		}
+		want["predcache_slo_"+r.Class+"_"+outcome+"_seconds_count"] = float64(r.Count)
+	}
+	if cs.Hits == 0 || ts.Retained == 0 || rows == 0 || rs.Goroutines == 0 {
+		t.Fatalf("vacuous sources: cache %+v traces %+v rows %d runtime %+v", cs, ts, rows, rs)
+	}
+	for _, sm := range m.Samples() {
+		if v, ok := want[sm.Name]; ok {
+			if sm.Value != v {
+				t.Errorf("%s = %v, its source says %v", sm.Name, sm.Value, v)
+			}
+			delete(want, sm.Name)
+		}
+	}
+	for name := range want {
+		t.Errorf("%s is not in the registry", name)
+	}
 }

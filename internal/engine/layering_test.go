@@ -48,9 +48,7 @@ var spawnSites = []struct{ site, ends string }{
 	{"cmd/pcserver/main.go main", "Serve returns after Shutdown; main exits with the process"},
 	// The engine's one scheduler: no other go statement in internal/engine.
 	{"internal/engine/parallel.go runWorkers", "joined by wg.Wait; a worker panic is recovered into the query's error"},
-	{"internal/obs/http.go StartServer", "Close shuts the listener and cancels run's context"},
-	{"internal/obs/profile.go (*ProfileCaptor).MaybeCapture", "the capture stops itself after cfg.Duration"},
-	{"internal/obs/runtime.go StartRuntimeCollectorWith", "Stop cancels the context and waits on done"},
+	{"internal/obs/runtime.go StartRuntimeCollector", "Stop cancels the context and waits on done"},
 	{"internal/server/server.go New", "the admin server; joined by lnWg.Wait in Shutdown"},
 	{"internal/server/server.go (*Server).startSession", "joined by wg.Wait in Shutdown"},
 	{"internal/server/server.go (*Server).Shutdown", "ends when wg.Wait returns; Shutdown or forceClose receives done"},

@@ -1,26 +1,18 @@
 package obs
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
-	"time"
 )
 
 // Handler serves the registry over HTTP:
 //
 //	/metrics        Prometheus text exposition format
-//	/metrics.json   the same registry as a JSON object
-//	/debug/pprof/*  the standard pprof handlers (profile, heap, trace, ...)
-//	/profile/cpu    CPU profile (?seconds=N, default 30) — pprof labels included
-//	/profile/heap   heap profile snapshot
+//	/debug/pprof/*  the standard pprof handlers (profile, heap, trace, ...);
+//	                CPU samples carry the query_id/shape/session labels
 //
-// The /profile/* routes are the admin-facing spellings used by the profiling
-// quickstart; they alias the corresponding /debug/pprof handlers so a capture
-// is one curl away from `go tool pprof`.
+// internal/server mounts it on the admin listener (pcserver -admin).
 func Handler(m *Metrics) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -29,92 +21,17 @@ func Handler(m *Metrics) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		if err := m.WriteJSON(w); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/profile/cpu", pprof.Profile)
-	mux.Handle("/profile/heap", pprof.Handler("heap"))
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "predcache metrics endpoint\n/metrics\n/metrics.json\n/debug/pprof/\n/profile/cpu\n/profile/heap\n")
+		fmt.Fprint(w, "predcache admin endpoint\n/metrics\n/debug/pprof/\n")
 	})
 	return mux
-}
-
-// Server is a metrics HTTP server started with StartServer.
-type Server struct {
-	srv    *http.Server
-	ln     net.Listener
-	cancel context.CancelFunc
-}
-
-// StartServer listens on addr (e.g. ":8080" or "127.0.0.1:0") and serves
-// Handler(m) in a background goroutine until Close.
-func StartServer(addr string, m *Metrics) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("obs: metrics listener on %s: %w", addr, err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
-		srv:    &http.Server{Handler: Handler(m), ReadHeaderTimeout: 5 * time.Second},
-		ln:     ln,
-		cancel: cancel,
-	}
-	go s.run(ctx)
-	return s, nil
-}
-
-// run serves until the listener is closed. The context mirrors the server's
-// lifetime — Close cancels it after shutting the listener down — so the
-// goroutine is externally terminable.
-func (s *Server) run(ctx context.Context) {
-	if err := s.srv.Serve(s.ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		<-ctx.Done() // closed listener without Close: wait for it
-	}
-}
-
-// Addr returns the bound listen address (useful with port 0).
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the server and releases the listener.
-func (s *Server) Close() error {
-	err := s.srv.Close()
-	s.cancel()
-	if err != nil {
-		return fmt.Errorf("obs: close metrics server: %w", err)
-	}
-	return nil
-}
-
-// RegisterRuntimeMetrics adds Go runtime gauges (heap, GC, goroutines) to
-// the registry; both pcsh and pcbench expose them next to the engine
-// metrics so a long run can be watched without attaching pprof. The gauges
-// read last() — the runtime sampler's latest retained sample — upholding the
-// collector's invariant that scrapes never trigger a ReadMemStats of their
-// own: a scrape storm cannot induce stop-the-world pauses.
-func RegisterRuntimeMetrics(m *Metrics, last func() RuntimeSample) {
-	m.NewGauge("go_goroutines", "Number of live goroutines at the last runtime sample.", func() float64 {
-		return float64(last().Goroutines)
-	})
-	m.NewGauge("go_heap_alloc_bytes", "Bytes of allocated heap objects at the last runtime sample.", func() float64 {
-		return float64(last().HeapAllocBytes)
-	})
-	m.NewGauge("go_heap_sys_bytes", "Heap memory obtained from the OS at the last runtime sample.", func() float64 {
-		return float64(last().HeapSysBytes)
-	})
-	m.NewGauge("go_gc_cycles_total", "Completed GC cycles at the last runtime sample.", func() float64 {
-		return float64(last().GCCycles)
-	})
 }

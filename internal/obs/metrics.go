@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -175,51 +174,6 @@ func writeHistogram(w io.Writer, name string, s HistSnapshot) error {
 	_, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %s\n%s_count %d\n",
 		name, cum, name, formatFloat(s.Sum), name, s.N)
 	return err
-}
-
-// WriteJSON renders the registry as a JSON object keyed by metric name.
-// Counters and gauges map to numbers; histograms to an object with count,
-// sum and cumulative buckets.
-func (m *Metrics) WriteJSON(w io.Writer) error {
-	m.mu.Lock()
-	metrics := m.snapshotLocked()
-	m.mu.Unlock()
-	obj := make(map[string]any, len(metrics))
-	for _, mt := range metrics {
-		switch {
-		case mt.counter != nil:
-			obj[mt.name] = mt.counter.Value()
-		case mt.counterFn != nil:
-			obj[mt.name] = mt.counterFn()
-		case mt.gaugeFn != nil:
-			obj[mt.name] = mt.gaugeFn()
-		case mt.histFn != nil:
-			obj[mt.name] = histJSON(mt.histFn())
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(obj); err != nil {
-		return fmt.Errorf("obs: write json metrics: %w", err)
-	}
-	return nil
-}
-
-// histJSON renders a histogram snapshot as the JSON-exporter object shape.
-func histJSON(s HistSnapshot) map[string]any {
-	buckets := make(map[string]uint64, len(s.Bounds)+1)
-	cum := uint64(0)
-	for i, b := range s.Bounds {
-		if i < len(s.Counts) {
-			cum += s.Counts[i]
-		}
-		buckets[formatFloat(b)] = cum
-	}
-	if len(s.Counts) > len(s.Bounds) {
-		cum += s.Counts[len(s.Bounds)]
-	}
-	buckets["+Inf"] = cum
-	return map[string]any{"count": s.N, "sum": s.Sum, "buckets": buckets}
 }
 
 // MetricSample is one flattened sample of the registry: counters and gauges

@@ -2,9 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
-	"io"
-	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -130,25 +127,6 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
-func TestJSONExport(t *testing.T) {
-	m := newTestRegistry()
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var obj map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &obj); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if obj["test_queries_total"].(float64) != 3 {
-		t.Fatalf("counter = %v", obj["test_queries_total"])
-	}
-	hist := obj["test_seconds"].(map[string]any)
-	if hist["count"].(float64) != 3 {
-		t.Fatalf("histogram count = %v", hist["count"])
-	}
-}
-
 func TestRegistrationIdempotent(t *testing.T) {
 	m := NewMetrics()
 	a := m.NewCounter("x_total", "x")
@@ -184,53 +162,6 @@ func TestValidateExpositionRejectsMalformed(t *testing.T) {
 	good := "# HELP m_a help text\n# TYPE m_a counter\nm_a 12\nm_b{x=\"y\",z=\"w\"} 1.5 1700000000\n"
 	if err := ValidateExposition([]byte(good)); err != nil {
 		t.Errorf("rejected valid exposition: %v", err)
-	}
-}
-
-func TestHTTPServer(t *testing.T) {
-	m := newTestRegistry()
-	sample := ReadRuntimeSample(nil)
-	RegisterRuntimeMetrics(m, func() RuntimeSample { return sample })
-	srv, err := StartServer("127.0.0.1:0", m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	get := func(path string) (string, []byte) {
-		resp, err := http.Get("http://" + srv.Addr() + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: read: %v", path, err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		return resp.Header.Get("Content-Type"), body
-	}
-
-	ct, body := get("/metrics")
-	if !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("content type %q", ct)
-	}
-	if err := ValidateExposition(body); err != nil {
-		t.Fatalf("served exposition invalid: %v", err)
-	}
-	if !bytes.Contains(body, []byte("go_goroutines")) {
-		t.Fatal("runtime metrics missing")
-	}
-	_, body = get("/metrics.json")
-	var obj map[string]any
-	if err := json.Unmarshal(body, &obj); err != nil {
-		t.Fatalf("metrics.json: %v", err)
-	}
-	_, body = get("/debug/pprof/")
-	if !bytes.Contains(body, []byte("profile")) {
-		t.Fatal("pprof index missing")
 	}
 }
 

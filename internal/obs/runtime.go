@@ -34,10 +34,7 @@ const DefaultRuntimeInterval = time.Second
 const defaultRuntimeCapacity = 3600
 
 // RuntimeCollector samples process health on a ticker into a bounded ring.
-// A nil collector is valid and empty (never started). Samples also land in
-// a metrics registry when RegisterMetrics wired one: the gauges read the
-// latest retained sample, so scrapes never trigger a ReadMemStats of their
-// own.
+// A nil collector is valid and empty (never started).
 type RuntimeCollector struct {
 	mu   sync.Mutex
 	ring []RuntimeSample // guarded by mu; fixed capacity
@@ -57,15 +54,11 @@ type RuntimeCollector struct {
 
 // StartRuntimeCollector begins sampling every interval (<= 0 selects
 // DefaultRuntimeInterval) until Stop. pools may be nil; when set it supplies
-// the scan-scratch pool counters recorded with each sample.
-func StartRuntimeCollector(interval time.Duration, pools func() (gets, news int64)) *RuntimeCollector {
-	return StartRuntimeCollectorWith(interval, pools, nil)
-}
-
-// StartRuntimeCollectorWith is StartRuntimeCollector plus a sentinel set:
-// after every retained sample the freshest window is handed to sent.Evaluate,
-// so the watchdogs run on the sampling cadence without their own goroutine.
-func StartRuntimeCollectorWith(interval time.Duration, pools func() (gets, news int64), sent *Sentinels) *RuntimeCollector {
+// the scan-scratch pool counters recorded with each sample. sent may be nil;
+// when set, the freshest window is handed to sent.Evaluate after every
+// retained sample, so the watchdogs run on the sampling cadence without their
+// own goroutine.
+func StartRuntimeCollector(interval time.Duration, pools func() (gets, news int64), sent *Sentinels) *RuntimeCollector {
 	if interval <= 0 {
 		interval = DefaultRuntimeInterval
 	}
@@ -200,19 +193,10 @@ func (c *RuntimeCollector) Last() RuntimeSample {
 	return c.ring[i]
 }
 
-// RegisterMetrics exposes the collector's latest sample as gauges: these
-// never call ReadMemStats at scrape time — they read what the ticker already
-// paid for.
-func (c *RuntimeCollector) RegisterMetrics(m *Metrics) {
-	if c == nil {
-		return
-	}
-	RegisterSamplerMetrics(m, func() *RuntimeCollector { return c })
-}
-
 // RegisterSamplerMetrics registers the runtime-health instruments against
 // whichever collector source returns at scrape time (nil reads as zeros), so
-// a registry outlives sampler restarts.
+// a registry outlives sampler restarts. The gauges read the latest retained
+// sample, so a scrape never triggers a ReadMemStats of its own.
 func RegisterSamplerMetrics(m *Metrics, source func() *RuntimeCollector) {
 	m.NewGauge("predcache_runtime_goroutines", "Live goroutines at the last runtime sample.", func() float64 {
 		return float64(source().Last().Goroutines)

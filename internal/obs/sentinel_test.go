@@ -201,7 +201,7 @@ func TestSentinelThroughCollector(t *testing.T) {
 	sent := NewSentinels(SentinelConfig{Window: 3, GoroutineGrowth: 8}, log, nil)
 	// An hour-long ticker keeps the background goroutine out of the test;
 	// SampleNow drives sampling deterministically.
-	c := StartRuntimeCollectorWith(time.Hour, nil, sent)
+	c := StartRuntimeCollector(time.Hour, nil, sent)
 	defer c.Stop()
 
 	stop := make(chan struct{})

@@ -219,7 +219,7 @@ func TestSLOPrometheusExposition(t *testing.T) {
 
 func TestRuntimeCollector(t *testing.T) {
 	gets, news := int64(0), int64(0)
-	c := StartRuntimeCollector(time.Hour, func() (int64, int64) { gets++; news++; return gets, news })
+	c := StartRuntimeCollector(time.Hour, func() (int64, int64) { gets++; news++; return gets, news }, nil)
 	defer c.Stop()
 
 	if len(c.Samples()) != 1 {
@@ -240,7 +240,7 @@ func TestRuntimeCollector(t *testing.T) {
 	}
 
 	m := NewMetrics()
-	c.RegisterMetrics(m)
+	RegisterSamplerMetrics(m, func() *RuntimeCollector { return c })
 	var buf bytes.Buffer
 	if err := m.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)

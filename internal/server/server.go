@@ -11,7 +11,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -41,8 +40,8 @@ type Config struct {
 	// Addr is the TCP listen address; empty selects an ephemeral localhost
 	// port (the chosen address is available from Server.Addr).
 	Addr string
-	// AdminAddr optionally serves the admin HTTP endpoint (metrics,
-	// sessions, stats); empty disables it.
+	// AdminAddr optionally serves the admin HTTP endpoint (obs.Handler:
+	// /metrics and /debug/pprof/); empty disables it.
 	AdminAddr string
 	// MaxConcurrent bounds statements executing at once across all sessions
 	// (<= 0 selects 2×GOMAXPROCS). Sessions beyond it queue.
@@ -85,7 +84,7 @@ type Server struct {
 	wg   sync.WaitGroup
 	lnWg sync.WaitGroup
 
-	// Wire-level counters, served by /stats and pc.sessions consumers.
+	// Wire-level counters, read through StatsNow.
 	accepted  atomic.Int64
 	statement atomic.Int64
 	rejected  atomic.Int64
@@ -135,7 +134,7 @@ func New(db *predcache.DB, cfg Config) (*Server, error) {
 			ln.Close()
 			return nil, fmt.Errorf("server: admin listen %s: %w", cfg.AdminAddr, err)
 		}
-		s.admin = &http.Server{Handler: s.adminHandler(), ReadHeaderTimeout: 5 * time.Second}
+		s.admin = &http.Server{Handler: obs.Handler(s.cfg.Metrics), ReadHeaderTimeout: 5 * time.Second}
 		s.lnWg.Add(1)
 		go func() {
 			defer s.lnWg.Done()
@@ -299,7 +298,7 @@ func (s *Server) forceClose(done chan struct{}) {
 	<-done
 }
 
-// SessionInfos snapshots every live session for pc.sessions and /sessions.
+// SessionInfos snapshots every live session for pc.sessions.
 func (s *Server) SessionInfos() []systab.SessionInfo {
 	s.mu.Lock()
 	sessions := make([]*session, 0, len(s.sessions))
@@ -315,15 +314,16 @@ func (s *Server) SessionInfos() []systab.SessionInfo {
 	return out
 }
 
-// Stats is the server-level counter snapshot served at /stats.
+// Stats is the server-level counter snapshot: the benchmark driver reads it
+// per run and pcserver prints it after a drain.
 type Stats struct {
-	Sessions   int   `json:"sessions"`
-	Accepted   int64 `json:"accepted_total"`
-	Statements int64 `json:"statements_total"`
-	Rejected   int64 `json:"rejected_total"`
-	Cancelled  int64 `json:"cancelled_total"`
-	Executing  int   `json:"executing"`
-	Queued     int64 `json:"queued"`
+	Sessions   int
+	Accepted   int64
+	Statements int64
+	Rejected   int64
+	Cancelled  int64
+	Executing  int
+	Queued     int64
 }
 
 // StatsNow snapshots the server counters.
@@ -340,30 +340,4 @@ func (s *Server) StatsNow() Stats {
 		Executing:  len(s.sem),
 		Queued:     s.queued.Load(),
 	}
-}
-
-// adminHandler serves the obs metrics endpoints plus /sessions, /stats and
-// /plancache as JSON.
-func (s *Server) adminHandler() http.Handler {
-	mux := http.NewServeMux()
-	writeJSON := func(w http.ResponseWriter, v any) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(v); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-	}
-	mux.HandleFunc("/sessions", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.SessionInfos())
-	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, map[string]any{
-			"server":          s.StatsNow(),
-			"plan_cache":      s.db.PlanCacheStats(),
-			"predicate_cache": s.db.CacheStats(),
-		})
-	})
-	mux.Handle("/", obs.Handler(s.cfg.Metrics))
-	return mux
 }

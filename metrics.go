@@ -7,8 +7,8 @@ import (
 )
 
 // NewMetrics creates an empty metrics registry to pass to EnableMetrics;
-// serve it with obs.Handler/StartServer (cmd/pcsh shows the wiring) or dump
-// it with WritePrometheus/WriteJSON.
+// pcserver -admin serves it at /metrics (internal/server) and pc.metrics
+// reads it through SQL.
 func NewMetrics() *Metrics { return obs.NewMetrics() }
 
 // queryMetrics holds the push-style instruments fed after every query; it is

@@ -68,8 +68,8 @@ const DefaultSlowQueryThreshold = time.Second
 
 // WithSlowQueryThreshold sets the wall time at which a statement is slow
 // (default DefaultSlowQueryThreshold; d <= 0 flags none). It is the one slow
-// threshold: pc.query_log.slow, always-retained traces (reason "slow"), the
-// "slow query" log line and the profile captor all follow it.
+// threshold: pc.query_log.slow, always-retained traces (reason "slow") and
+// the "slow query" log line all follow it.
 func WithSlowQueryThreshold(d time.Duration) Option {
 	return func(db *DB) { db.slowQuery = d }
 }
@@ -87,12 +87,4 @@ func WithTraceRetention(cfg TraceRetentionConfig) Option {
 // WithLogger installs a structured logger at Open (see SetLogger).
 func WithLogger(l *obs.Logger) Option {
 	return func(db *DB) { db.SetLogger(l) }
-}
-
-// WithProfileCapture enables automatic, rate-limited CPU profile capture on
-// slow queries: profiles land in dir as cpu-NNN-q<seq>.pprof and carry the
-// query_id/shape/session labels. An unusable directory logs an error at Open
-// and disables capture rather than failing.
-func WithProfileCapture(dir string) Option {
-	return func(db *DB) { db.profileDir = dir }
 }

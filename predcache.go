@@ -124,12 +124,6 @@ type DB struct {
 	shapes *obs.ShapeStats
 	alerts *obs.AlertLog
 
-	// captor writes rate-limited CPU profiles on slow queries when
-	// WithProfileCapture configured a directory; nil otherwise. profileDir
-	// only carries the option value into Open.
-	captor     *obs.ProfileCaptor
-	profileDir string
-
 	// logger receives structured slow-query, error and lifecycle lines; nil
 	// drops everything. Swappable at runtime via SetLogger.
 	logger atomic.Pointer[obs.Logger]
@@ -172,19 +166,6 @@ func Open(opts ...Option) *DB {
 	}
 	db.shapes = obs.NewShapeStats(0)
 	db.alerts = obs.NewAlertLog(0)
-	if db.profileDir != "" {
-		captor, err := obs.NewProfileCaptor(obs.ProfileCaptorConfig{
-			Dir:    db.profileDir,
-			Logger: db.logger.Load,
-		})
-		if err != nil {
-			// Capture is best-effort telemetry: an unwritable directory
-			// disables it rather than failing Open.
-			db.logger.Load().Error("profile capture disabled", "error", err.Error())
-		} else {
-			db.captor = captor
-		}
-	}
 	db.sysTables = systab.NewRegistry()
 	for _, vt := range []engine.VirtualTable{
 		systab.QueryLogTable(db.qlog),

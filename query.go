@@ -303,7 +303,6 @@ func (db *DB) emit(ev *obs.QueryEvent, tr *obs.Trace) {
 		return
 	}
 	db.logger.Load().WithQuery(ev.Seq).Warn("slow query", attrs...)
-	db.captor.MaybeCapture("slow_query", ev.Seq)
 }
 
 // Run executes a prepared plan.

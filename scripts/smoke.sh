@@ -1,15 +1,14 @@
 #!/usr/bin/env sh
-# smoke.sh <metrics|systab|trace|server|profile|all>: end-to-end checks of the
+# smoke.sh <admin|systab|trace|server|all>: end-to-end checks of the
 # shipped binaries, one suite per observable surface. Every suite builds what
 # it needs into one temp dir, boots pcsh or pcserver, asserts through the
 # same interfaces a user has (SQL, the wire protocol, HTTP, files on disk)
 # and tears everything down on exit.
 #
-#   metrics  pcsh -metrics: the Prometheus exposition validates (cmd/pcsmoke)
+#   admin    pcserver -admin: /metrics families, shape ledger, pprof labels, heap
 #   systab   pcsh: pc.query_log / pc.cache_stats / pc.table_storage via SQL
 #   trace    pcsh -slow 1ns -log: trace retention, pc.slo, pc.runtime, log lines
 #   server   pcserver + pcclient over TCP: sessions, plan cache, errors, drain
-#   profile  pcserver -admin -profile-dir: shape ledger, pprof labels, captor
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -86,7 +85,7 @@ boot_server() {
     [ -n "$ADDR" ] && { [ $want_admin -eq 0 ] || [ -n "$ADMIN" ]; } ||
         fail "server never started listening" "$BIN/server.log"
     ADMIN="${ADMIN#http://}"
-    ADMIN="${ADMIN%/stats}"
+    ADMIN="${ADMIN%/metrics}"
 }
 
 # q STMT: run one statement in a fresh session, print the full framed reply.
@@ -99,24 +98,75 @@ val() {
     q "$1" | sed -n 3p
 }
 
-# Starts the shell with a tiny SSB dataset and a metrics listener, runs one
-# query through it, then validates the Prometheus exposition (format +
-# required metric families) with pcsmoke.
-smoke_metrics() {
-    build pcsh pcsmoke
-    addr="${METRICS_ADDR:-127.0.0.1:9187}"
-    # Feed one query, then keep stdin open long enough for the probe to run.
-    {
-        printf 'select count(*) from lineorder;\n'
-        sleep 30
-    } | "$BIN/pcsh" -dataset ssb -sf 0.005 -metrics "$addr" >/dev/null &
-    pid=$!
-    PIDS="$PIDS $pid"
-    "$BIN/pcsmoke" -retries 60 -delay 500ms \
-        -require "predcache_queries_total,predcache_cache_hits_total,go_goroutines" \
-        "http://$addr/metrics"
-    stop "$pid"
-    echo "metrics smoke: OK"
+# The admin endpoint, booted once: /metrics carries the engine, cache and
+# runtime families, pc.query_shapes aggregates attributed CPU per shape, an
+# on-demand /debug/pprof/profile capture taken under load carries the
+# query_id/shape pprof labels on worker samples, and /debug/pprof/heap serves
+# a parseable heap profile.
+smoke_admin() {
+    boot_server -dataset ssb -sf 0.01 -admin 127.0.0.1:0
+    # A few attributed queries of two shapes: enough for the shape ledger.
+    q 'select sum(lo_revenue) as s from lineorder where lo_quantity < 30' >/dev/null
+    q 'select sum(lo_revenue) as s from lineorder where lo_quantity < 10' >/dev/null
+    q 'select count(*) as n from customer' >/dev/null
+
+    # pc.query_shapes: the workload shapes must be there with measured CPU.
+    shapes="$(val 'select count(*) as n from pc.query_shapes where calls > 0 and cpu_us > 0')"
+    [ -n "$shapes" ] && [ "$shapes" -ge 2 ] 2>/dev/null ||
+        fail "pc.query_shapes has no attributed shapes (got '$shapes')" "$BIN/server.log"
+    # The two sum() runs normalize to one shape with two calls.
+    topcalls="$(val 'select calls, cpu_us from pc.query_shapes order by cpu_us desc limit 1' | awk '{print $1}')"
+    [ -n "$topcalls" ] && [ "$topcalls" -ge 2 ] 2>/dev/null ||
+        fail "top shape did not fold the repeated template (calls='$topcalls')" "$BIN/server.log"
+
+    # Prometheus exposition: the engine, cache and runtime families are there
+    # (TestAdminEndpoint validates the format).
+    curl -fsS -o "$BIN/metrics.txt" "http://$ADMIN/metrics" ||
+        fail "/metrics not served" "$BIN/server.log"
+    for family in predcache_queries_total predcache_cache_hits_total predcache_runtime_goroutines; do
+        grep -q "^$family " "$BIN/metrics.txt" || fail "/metrics lacks $family" "$BIN/metrics.txt"
+    done
+
+    # Labelled on-demand capture: hammer one shape from a background session
+    # while /debug/pprof/profile samples for 2s, then the profile's tag
+    # summary must show the query_id and shape label keys on the sampled
+    # stacks. CPU sampling is statistical, so retry a few times before
+    # declaring failure.
+    i=0
+    while [ $i -lt 2000 ]; do
+        printf 'select sum(lo_revenue) as s from lineorder where lo_quantity < 30\n'
+        i=$((i + 1))
+    done >"$BIN/load.sql"
+    labels_ok=0
+    attempt=0
+    while [ $attempt -lt 3 ]; do
+        "$BIN/pcclient" -addr "$ADDR" -timeout 120s <"$BIN/load.sql" >/dev/null 2>&1 &
+        load_pid=$!
+        PIDS="$PIDS $load_pid"
+        sleep 0.2
+        curl -fsS -o "$BIN/cpu.pprof" "http://$ADMIN/debug/pprof/profile?seconds=2" || true
+        stop "$load_pid"
+        if [ -s "$BIN/cpu.pprof" ]; then
+            tags="$(go tool pprof -tags "$BIN/cpu.pprof" 2>/dev/null || true)"
+            if printf '%s' "$tags" | grep -q 'query_id' &&
+                printf '%s' "$tags" | grep -q 'shape'; then
+                labels_ok=1
+                break
+            fi
+        fi
+        attempt=$((attempt + 1))
+        sleep 1
+    done
+    [ "$labels_ok" -eq 1 ] || fail "CPU profile carries no query_id/shape labels" "$BIN/server.log"
+
+    # Heap profile endpoint: must serve a profile go tool pprof can parse.
+    curl -fsS -o "$BIN/heap.pprof" "http://$ADMIN/debug/pprof/heap" ||
+        fail "/debug/pprof/heap not served" "$BIN/server.log"
+    go tool pprof -top "$BIN/heap.pprof" >/dev/null 2>&1 || fail "heap profile unparseable" "$BIN/server.log"
+
+    kill -TERM "$SRV_PID"
+    stop "$SRV_PID"
+    echo "admin smoke: OK (shapes=$shapes, top-shape calls=$topcalls, labelled profile after $((attempt + 1)) attempt(s))"
 }
 
 # Runs a short workload, then asserts that pc.query_log recorded exactly the
@@ -227,89 +277,12 @@ EOF
     echo "server smoke: OK ($n1 rows under lo_quantity<10, plan-cache hits=$hits)"
 }
 
-# Per-query resource attribution: pc.query_shapes aggregates attributed CPU
-# per shape, an on-demand /profile/cpu capture taken under load carries the
-# query_id/shape pprof labels on worker samples, a query crossing the slow
-# threshold leaves a rate-limited CPU profile on disk, and /profile/heap
-# serves a parseable heap profile.
-smoke_profile() {
-    boot_server -dataset ssb -sf 0.01 -admin 127.0.0.1:0 -slow 1ms -profile-dir "$BIN/profiles"
-    # A few attributed queries of two shapes: enough for the shape ledger, and —
-    # with the 1ms slow threshold — enough to trigger the slow-query captor.
-    q 'select sum(lo_revenue) as s from lineorder where lo_quantity < 30' >/dev/null
-    q 'select sum(lo_revenue) as s from lineorder where lo_quantity < 10' >/dev/null
-    q 'select count(*) as n from customer' >/dev/null
-
-    # pc.query_shapes: the workload shapes must be there with measured CPU.
-    shapes="$(val 'select count(*) as n from pc.query_shapes where calls > 0 and cpu_us > 0')"
-    [ -n "$shapes" ] && [ "$shapes" -ge 2 ] 2>/dev/null ||
-        fail "pc.query_shapes has no attributed shapes (got '$shapes')" "$BIN/server.log"
-    # The two sum() runs normalize to one shape with two calls.
-    topcalls="$(val 'select calls, cpu_us from pc.query_shapes order by cpu_us desc limit 1' | awk '{print $1}')"
-    [ -n "$topcalls" ] && [ "$topcalls" -ge 2 ] 2>/dev/null ||
-        fail "top shape did not fold the repeated template (calls='$topcalls')" "$BIN/server.log"
-
-    # Slow-query capture: the captor runs asynchronously for 1s after the first
-    # slow query; wait for the profile file to land before touching /profile/cpu
-    # (the runtime allows one CPU profile at a time).
-    i=0
-    while [ $i -lt 40 ]; do
-        if ls "$BIN/profiles"/cpu-*.pprof >/dev/null 2>&1; then break; fi
-        sleep 0.25
-        i=$((i + 1))
-    done
-    ls "$BIN/profiles"/cpu-*.pprof >/dev/null 2>&1 || fail "no slow-query profile captured" "$BIN/server.log"
-    # The file appears when the capture starts; give the 1s capture time to
-    # finish and release the CPU profiler before /profile/cpu claims it.
-    sleep 1.5
-
-    # Labelled on-demand capture: hammer one shape from a background session
-    # while /profile/cpu samples for 2s, then the profile's tag summary must show
-    # the query_id and shape label keys on the sampled stacks. CPU sampling is
-    # statistical, so retry a few times before declaring failure.
-    i=0
-    while [ $i -lt 2000 ]; do
-        printf 'select sum(lo_revenue) as s from lineorder where lo_quantity < 30\n'
-        i=$((i + 1))
-    done >"$BIN/load.sql"
-    labels_ok=0
-    attempt=0
-    while [ $attempt -lt 3 ]; do
-        "$BIN/pcclient" -addr "$ADDR" -timeout 120s <"$BIN/load.sql" >/dev/null 2>&1 &
-        load_pid=$!
-        PIDS="$PIDS $load_pid"
-        sleep 0.2
-        curl -fsS -o "$BIN/cpu.pprof" "http://$ADMIN/profile/cpu?seconds=2" || true
-        stop "$load_pid"
-        if [ -s "$BIN/cpu.pprof" ]; then
-            tags="$(go tool pprof -tags "$BIN/cpu.pprof" 2>/dev/null || true)"
-            if printf '%s' "$tags" | grep -q 'query_id' &&
-                printf '%s' "$tags" | grep -q 'shape'; then
-                labels_ok=1
-                break
-            fi
-        fi
-        attempt=$((attempt + 1))
-        sleep 1
-    done
-    [ "$labels_ok" -eq 1 ] || fail "CPU profile carries no query_id/shape labels" "$BIN/server.log"
-
-    # Heap profile endpoint: must serve a profile go tool pprof can parse.
-    curl -fsS -o "$BIN/heap.pprof" "http://$ADMIN/profile/heap" ||
-        fail "/profile/heap not served" "$BIN/server.log"
-    go tool pprof -top "$BIN/heap.pprof" >/dev/null 2>&1 || fail "heap profile unparseable" "$BIN/server.log"
-
-    kill -TERM "$SRV_PID"
-    stop "$SRV_PID"
-    echo "profile smoke: OK (shapes=$shapes, top-shape calls=$topcalls, labelled profile after $((attempt + 1)) attempt(s))"
-}
-
-[ $# -eq 1 ] || { echo "usage: $0 <metrics|systab|trace|server|profile|all>" >&2; exit 2; }
+[ $# -eq 1 ] || { echo "usage: $0 <admin|systab|trace|server|all>" >&2; exit 2; }
 suites="$1"
-[ "$1" = all ] && suites="metrics systab trace server profile"
+[ "$1" = all ] && suites="admin systab trace server"
 for SUITE in $suites; do
     case "$SUITE" in
-    metrics | systab | trace | server | profile) "smoke_$SUITE" ;;
-    *) echo "usage: $0 <metrics|systab|trace|server|profile|all>" >&2; exit 2 ;;
+    admin | systab | trace | server) "smoke_$SUITE" ;;
+    *) echo "usage: $0 <admin|systab|trace|server|all>" >&2; exit 2 ;;
     esac
 done

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -294,8 +295,15 @@ func TestCreateTableRejectsSystemSchema(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "reserved") {
 		t.Fatalf("pc. table creation: %v", err)
 	}
-	if names := db.SystemTableNames(); len(names) != 12 {
-		t.Fatalf("system tables: %v", names)
+	// The exact list: adding or removing a pc.* table must touch this test
+	// and the observability ledger in DESIGN.md §16.
+	want := []string{
+		"pc.alerts", "pc.cache_entries", "pc.cache_stats", "pc.metrics",
+		"pc.plan_cache", "pc.query_log", "pc.query_shapes", "pc.runtime",
+		"pc.slo", "pc.table_storage", "pc.trace_spans", "pc.traces",
+	}
+	if names := db.SystemTableNames(); !slices.Equal(names, want) {
+		t.Fatalf("system tables: %q, want %q", names, want)
 	}
 }
 

@@ -13,8 +13,6 @@ type (
 	// RetainedTrace is one tail-sampled query trace (a pc.traces row plus
 	// its spans).
 	RetainedTrace = obs.RetainedTrace
-	// TraceSpan is one span of a retained trace (a pc.trace_spans row).
-	TraceSpan = obs.Span
 	// TraceStoreStats reports the trace store's retention counters.
 	TraceStoreStats = obs.TraceStoreStats
 	// SLOReport is one pc.slo row: a (class, cache-outcome) latency summary.
@@ -30,19 +28,8 @@ type (
 	Logger = obs.Logger
 )
 
-// Query classes tracked by the SLO histograms (pc.slo.query_class).
-const (
-	ClassPoint = obs.ClassPoint
-	ClassRange = obs.ClassRange
-	ClassAgg   = obs.ClassAgg
-	ClassDML   = obs.ClassDML
-)
-
-// NewLogger and NewJSONLogger construct loggers for WithLogger/SetLogger.
-var (
-	NewLogger     = obs.NewLogger
-	NewJSONLogger = obs.NewJSONLogger
-)
+// NewJSONLogger constructs a logger for WithLogger/SetLogger.
+var NewJSONLogger = obs.NewJSONLogger
 
 // SetLogger installs (or, with nil, removes) the structured logger the
 // engine writes slow-query, failure and lifecycle lines to. Every line that
@@ -114,7 +101,7 @@ func (db *DB) StartRuntimeSampler(interval time.Duration) {
 	// The sampler reads the engine's scan-scratch pool counters with every
 	// sample, so pool-efficiency regressions show up in pc.runtime.
 	sent := obs.NewSentinels(obs.SentinelConfig{}, db.alerts, db.logger.Load)
-	old := db.runtime.Swap(obs.StartRuntimeCollectorWith(interval, engine.ScratchPoolStats, sent))
+	old := db.runtime.Swap(obs.StartRuntimeCollector(interval, engine.ScratchPoolStats, sent))
 	old.Stop()
 }
 
