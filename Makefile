@@ -56,10 +56,11 @@ lint:
 #   admin-smoke    pcserver -admin: /metrics families, pc.query_shapes,
 #                  query_id/shape pprof labels on /debug/pprof/profile, a
 #                  parseable /debug/pprof/heap
-#   systab-smoke   pcsh: pc.query_log / pc.cache_stats / pc.table_storage answer
-#   trace-smoke    pcsh -slow 1ns -log: trace retention (pc.traces /
+#   systab-smoke   pcserver + pcsh: pc.query_log / pc.cache_stats /
+#                  pc.table_storage answer
+#   trace-smoke    pcserver -slow 1ns -log + pcsh: trace retention (pc.traces /
 #                  pc.trace_spans), pc.slo, pc.runtime, trace-correlated log lines
-#   server-smoke   pcserver on an ephemeral port driven by cmd/pcclient: queries,
+#   server-smoke   pcserver on an ephemeral port driven by cmd/pcsh: queries,
 #                  prepared statements, error recovery, pc.sessions /
 #                  pc.plan_cache, SIGTERM drain
 admin-smoke systab-smoke trace-smoke server-smoke:

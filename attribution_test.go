@@ -2,6 +2,7 @@ package predcache_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -32,45 +33,50 @@ func TestQueryShapesMatchesQueryLogGroundTruth(t *testing.T) {
 		}
 	}
 
-	// Go-side view before any meta query pollutes the ledger.
-	shapes := db.QueryShapes()
-	if len(shapes) != len(workload) {
-		t.Fatalf("QueryShapes retained %d shapes, want %d: %+v", len(shapes), len(workload), shapes)
+	// The ledger as the workload left it: recording happens after
+	// execution, so the read sees only the workload shapes, ranked by CPU.
+	type shapeRow struct{ calls, cpu, allocs, bytes, rows int64 }
+	shapes := one(t, db, "select shape_id, shape_text, calls, cpu_us, allocs, alloc_bytes, result_rows from pc.query_shapes")
+	if shapes.NumRows() != len(workload) {
+		t.Fatalf("pc.query_shapes retained %d shapes, want %d:\n%s", shapes.NumRows(), len(workload), shapes.Format(10))
 	}
-	for i := 1; i < len(shapes); i++ {
-		if shapes[i-1].CPUMicros < shapes[i].CPUMicros {
-			t.Fatalf("shapes not ranked by CPU desc: %+v", shapes)
+	byID := make(map[string]shapeRow, len(workload))
+	for i := 0; i < shapes.NumRows(); i++ {
+		if i > 0 && intCell(t, shapes, i-1, "cpu_us") < intCell(t, shapes, i, "cpu_us") {
+			t.Fatalf("shapes not ranked by CPU desc:\n%s", shapes.Format(10))
 		}
-	}
-	byID := make(map[string]predcache.ShapeRow, len(shapes))
-	for _, s := range shapes {
-		if s.ID == "" || s.Key == "" {
-			t.Fatalf("shape missing identity: %+v", s)
+		id := strCell(t, shapes, i, "shape_id")
+		if id == "" || strCell(t, shapes, i, "shape_text") == "" {
+			t.Fatalf("shape missing identity:\n%s", shapes.Format(10))
 		}
-		byID[s.ID] = s
+		byID[id] = shapeRow{
+			calls:  intCell(t, shapes, i, "calls"),
+			cpu:    intCell(t, shapes, i, "cpu_us"),
+			allocs: intCell(t, shapes, i, "allocs"),
+			bytes:  intCell(t, shapes, i, "alloc_bytes"),
+			rows:   intCell(t, shapes, i, "result_rows"),
+		}
 	}
 
-	// Every workload record must carry attribution columns.
-	log := db.QueryLog()
-	if len(log) != total {
-		t.Fatalf("query log has %d records, want %d", len(log), total)
+	// Every workload record must carry attribution columns. The workload
+	// is statements 0..total-1; the reads after it have shapes of their own.
+	workloadOnly := fmt.Sprintf(" from pc.query_log where seq < %d", total)
+	log := one(t, db, "select shape_id, cpu_us, exec_us"+workloadOnly)
+	if log.NumRows() != total {
+		t.Fatalf("query log has %d workload records, want %d", log.NumRows(), total)
 	}
-	for _, rec := range log {
-		if rec.ShapeID == "" {
-			t.Fatalf("record missing shape_id: %+v", rec)
-		}
+	for i := 0; i < log.NumRows(); i++ {
 		// Attributed CPU = exec wall + worker extra, so it can never fall
 		// below the exec phase alone.
-		if rec.CPUMicros < rec.ExecMicros {
-			t.Fatalf("attributed CPU below exec time: %+v", rec)
+		if strCell(t, log, i, "shape_id") == "" || intCell(t, log, i, "cpu_us") < intCell(t, log, i, "exec_us") {
+			t.Fatalf("record %d missing attribution:\n%s", i, log.Format(10))
 		}
 	}
 
-	// SQL ground truth: aggregate the raw per-query log by shape. Recording
-	// happens after execution, so this query sees exactly the workload.
+	// SQL ground truth: aggregate the raw per-query log by shape.
 	res := one(t, db, `select shape_id, count(*) as calls, sum(cpu_us) as cpu,
-		sum(allocs) as allocs, sum(alloc_bytes) as bytes, sum(result_rows) as rows
-		from pc.query_log group by shape_id`)
+		sum(allocs) as allocs, sum(alloc_bytes) as bytes, sum(result_rows) as rows`+
+		workloadOnly+` group by shape_id`)
 	if res.NumRows() != len(workload) {
 		t.Fatalf("ground truth has %d shapes, want %d\n%s", res.NumRows(), len(workload), res.Format(10))
 	}
@@ -79,22 +85,22 @@ func TestQueryShapesMatchesQueryLogGroundTruth(t *testing.T) {
 		id := strCell(t, res, row, "shape_id")
 		s, ok := byID[id]
 		if !ok {
-			t.Fatalf("ground-truth shape %q not in QueryShapes: %+v", id, shapes)
+			t.Fatalf("ground-truth shape %q not in pc.query_shapes:\n%s", id, shapes.Format(10))
 		}
 		seen++
-		if got, want := intCell(t, res, row, "calls"), s.Calls; got != want {
+		if got, want := intCell(t, res, row, "calls"), s.calls; got != want {
 			t.Errorf("shape %s calls: log says %d, ledger says %d", id, got, want)
 		}
-		if got, want := intCell(t, res, row, "cpu"), s.CPUMicros; got != want {
+		if got, want := intCell(t, res, row, "cpu"), s.cpu; got != want {
 			t.Errorf("shape %s cpu_us: log says %d, ledger says %d", id, got, want)
 		}
-		if got, want := intCell(t, res, row, "allocs"), s.AllocObjects; got != want {
+		if got, want := intCell(t, res, row, "allocs"), s.allocs; got != want {
 			t.Errorf("shape %s allocs: log says %d, ledger says %d", id, got, want)
 		}
-		if got, want := intCell(t, res, row, "bytes"), s.AllocBytes; got != want {
+		if got, want := intCell(t, res, row, "bytes"), s.bytes; got != want {
 			t.Errorf("shape %s alloc_bytes: log says %d, ledger says %d", id, got, want)
 		}
-		if got, want := intCell(t, res, row, "rows"), s.Rows; got != want {
+		if got, want := intCell(t, res, row, "rows"), s.rows; got != want {
 			t.Errorf("shape %s rows: log says %d, ledger says %d", id, got, want)
 		}
 	}
@@ -102,8 +108,8 @@ func TestQueryShapesMatchesQueryLogGroundTruth(t *testing.T) {
 		t.Fatalf("matched %d shapes, want %d", seen, len(workload))
 	}
 
-	// The SQL view of the ledger must agree with the Go accessor for the
-	// workload shapes (the meta queries above have their own shapes by now).
+	// A later read of the ledger still agrees for the workload shapes (the
+	// reads above have their own shapes by now).
 	res = one(t, db, "select shape_id, calls, cpu_us from pc.query_shapes order by cpu_us desc")
 	matched := 0
 	for row := 0; row < res.NumRows(); row++ {
@@ -112,11 +118,11 @@ func TestQueryShapesMatchesQueryLogGroundTruth(t *testing.T) {
 			continue // a meta query's shape
 		}
 		matched++
-		if got := intCell(t, res, row, "calls"); got != s.Calls {
-			t.Errorf("pc.query_shapes calls = %d, ledger %d", got, s.Calls)
+		if got := intCell(t, res, row, "calls"); got != s.calls {
+			t.Errorf("pc.query_shapes calls = %d, first read %d", got, s.calls)
 		}
-		if got := intCell(t, res, row, "cpu_us"); got != s.CPUMicros {
-			t.Errorf("pc.query_shapes cpu_us = %d, ledger %d", got, s.CPUMicros)
+		if got := intCell(t, res, row, "cpu_us"); got != s.cpu {
+			t.Errorf("pc.query_shapes cpu_us = %d, first read %d", got, s.cpu)
 		}
 	}
 	if matched != len(workload) {
@@ -130,15 +136,15 @@ func TestShapeNormalizationFoldsLiterals(t *testing.T) {
 	db := openWithData(t, 2000)
 	one(t, db, "select count(*) from t where id < 100")
 	one(t, db, "select count(*) from t where id < 900")
-	shapes := db.QueryShapes()
-	if len(shapes) != 1 {
-		t.Fatalf("literal variants produced %d shapes, want 1: %+v", len(shapes), shapes)
+	shapes := one(t, db, "select calls, shape_text from pc.query_shapes")
+	if shapes.NumRows() != 1 {
+		t.Fatalf("literal variants produced %d shapes, want 1:\n%s", shapes.NumRows(), shapes.Format(10))
 	}
-	if shapes[0].Calls != 2 {
-		t.Fatalf("calls = %d, want 2", shapes[0].Calls)
+	if calls := intCell(t, shapes, 0, "calls"); calls != 2 {
+		t.Fatalf("calls = %d, want 2", calls)
 	}
-	if strings.Contains(shapes[0].Key, "100") || strings.Contains(shapes[0].Key, "900") {
-		t.Fatalf("shape key kept literals: %q", shapes[0].Key)
+	if key := strCell(t, shapes, 0, "shape_text"); strings.Contains(key, "100") || strings.Contains(key, "900") {
+		t.Fatalf("shape key kept literals: %q", key)
 	}
 }
 
@@ -149,9 +155,6 @@ func TestAlertsTableEmpty(t *testing.T) {
 	res := one(t, db, "select count(*) as n from pc.alerts")
 	if got := intCell(t, res, 0, "n"); got != 0 {
 		t.Fatalf("pc.alerts has %d rows in a healthy process", got)
-	}
-	if db.Alerts() != nil && len(db.Alerts()) != 0 {
-		t.Fatalf("Alerts() = %+v, want empty", db.Alerts())
 	}
 }
 
@@ -168,15 +171,15 @@ func TestRunPlanSkipsAttribution(t *testing.T) {
 	if _, err := db.Run(plan); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(db.QueryShapes()); n != 0 {
-		t.Fatalf("db.Run recorded %d shapes, want 0", n)
+	if res := one(t, db, "select count(*) as n from pc.query_shapes"); intCell(t, res, 0, "n") != 0 {
+		t.Fatalf("db.Run recorded %d shapes, want 0", intCell(t, res, 0, "n"))
 	}
-	log := db.QueryLog()
-	if len(log) != 1 {
-		t.Fatalf("db.Run recorded %d log rows, want 1", len(log))
+	log := one(t, db, "select shape_id, allocs, alloc_bytes from pc.query_log where query_text = ''")
+	if log.NumRows() != 1 {
+		t.Fatalf("db.Run recorded %d log rows, want 1", log.NumRows())
 	}
-	if log[0].ShapeID != "" || log[0].AllocObjects != 0 || log[0].AllocBytes != 0 {
-		t.Fatalf("db.Run row carries attribution it must not pay for: %+v", log[0])
+	if strCell(t, log, 0, "shape_id") != "" || intCell(t, log, 0, "allocs") != 0 || intCell(t, log, 0, "alloc_bytes") != 0 {
+		t.Fatalf("db.Run row carries attribution it must not pay for:\n%s", log.Format(5))
 	}
 }
 

@@ -11,9 +11,10 @@
 // statement per line, read back "ok <nrows> <ncols>", a TSV header, the
 // rows, and a "." terminator — or "err <message>". Session commands:
 // \prepare <name> <sql>, \exec <name>, \cancel (aborts the in-flight
-// statement), \ping, \quit. Try it interactively:
+// statement), \ping, \quit. Try it interactively with pcsh, the shell that
+// also expands meta commands such as \stats and \top to SQL:
 //
-//	nc localhost 5433
+//	pcsh -addr 127.0.0.1:5433
 //	select count(*) from lineitem where l_quantity < 10
 //
 // -admin serves /metrics (Prometheus text) and /debug/pprof/, whose CPU

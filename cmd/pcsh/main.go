@@ -1,252 +1,182 @@
-// Command pcsh is an interactive SQL shell over a predcache database
-// preloaded with a benchmark dataset.
+// Command pcsh is the interactive SQL shell of pcserver: it reads statements
+// from stdin, one per line, sends each to the server and prints the framed
+// reply as it comes — the "ok <nrows> <ncols>" header, the TSV header and
+// rows and the "." terminator of a result set, or a single "ok", "pong",
+// "bye" or "err ..." line.
 //
 // Usage:
 //
-//	pcsh [-dataset tpch|tpch-skewed|ssb|tpcds] [-sf 0.01] [-cache range|bitmap|off]
-//	     [-slow 1s] [-log file]
+//	pcsh [-addr 127.0.0.1:5433] [-timeout 30s]
 //
-// -slow sets the slow-query threshold (flagged in pc.query_log; traces at or
-// over it are always retained). -log writes structured JSON log lines (slow
-// queries, failures, vacuums) carrying query_id/trace_id to the given file
-// ("-" for stderr). The shell serves no HTTP: the Prometheus endpoint and
-// pprof are on pcserver -admin; here the telemetry is the meta commands and
-// the pc.* tables below.
+// A trailing ';' is dropped, so a line typed at the terminal and a line of a
+// SQL script read the same; blank lines and lines starting with "--" are
+// skipped:
 //
-// Queries prefixed with EXPLAIN print the plan; EXPLAIN ANALYZE executes it
+//	pcsh -addr 127.0.0.1:5433 < workload.sql
+//
+// The dataset, cache and logging flags belong to pcserver, which owns the
+// database. EXPLAIN prints the plan; EXPLAIN ANALYZE executes the statement
 // and annotates each operator with wall time, cardinalities and per-scan
 // cache outcomes.
 //
-// Meta commands inside the shell:
+// Meta commands expand to SQL over the server's pc.* system tables:
 //
-//	\stats          scan counters of the last query
-//	\cache          predicate-cache counters
-//	\entries        list predicate-cache entries
+//	\stats          scan counters of the newest pc.query_log row
+//	\cache          predicate-cache counters from pc.cache_stats
+//	\entries        predicate-cache entries from pc.cache_entries
 //	\log            recent queries from pc.query_log (newest first)
 //	\storage        per-column storage breakdown from pc.table_storage
-//	\trace [id]     list retained traces from pc.traces, or render trace id's span tree
+//	\trace [id]     retained traces from pc.traces, or trace id's spans from pc.trace_spans
 //	\slo            latency percentiles per query class from pc.slo
 //	\top            heaviest query shapes by attributed CPU from pc.query_shapes
 //	\explain <sql>  show the plan without executing
-//	\tables         list tables
-//	\q              quit
+//	\tables         tables and their row counts from pc.table_storage
+//	\q, exit, quit  quit
 //
-// The same telemetry is SQL-queryable as system tables under the reserved
-// pc schema: pc.query_log, pc.cache_entries, pc.cache_stats,
-// pc.table_storage, pc.metrics, pc.traces, pc.trace_spans, pc.slo,
-// pc.runtime, pc.query_shapes and pc.alerts all join against user tables —
-// e.g. find the slowest retained trace's spans with
+// The server is shared: the newest pc.query_log row that \stats reads may be
+// another session's statement. The session commands \prepare <name> <sql>,
+// \exec <name>, \cancel, \ping and \quit pass through unchanged.
+//
+// The shell waits for each reply before it reads the next line, so a \cancel
+// typed after a long statement reaches the server only once that statement
+// has finished, and cancels nothing; \cancel is for clients that pipeline.
+// To abort a running statement from pcsh, press Ctrl-C: the shell exits, the
+// server sees the session disconnect and cancels the statement. A reply that
+// takes longer than -timeout (default 30s) also ends the shell with status 1.
+//
+// The pc.*
+// tables join against user tables like any other — e.g. the spans of the
+// slowest retained traces:
 //
 //	SELECT s.name, s.dur_us FROM pc.trace_spans s, pc.traces t
 //	WHERE s.trace_id = t.trace_id AND t.reason = 'slow'
+//
+// Exit status is 0 when every statement got a reply and the input or the
+// session ended cleanly; transport errors and reply timeouts exit 1.
+// Statement errors ("err ..." replies) are part of the protocol: they are
+// printed and do not fail the shell.
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
-	"log/slog"
+	"net"
 	"os"
 	"strconv"
 	"strings"
 	"time"
-
-	predcache "github.com/predcache/predcache"
-	"github.com/predcache/predcache/internal/ssb"
-	"github.com/predcache/predcache/internal/tpcds"
-	"github.com/predcache/predcache/internal/tpch"
 )
 
+// metaSQL is the SQL each argument-free meta command sends.
+var metaSQL = map[string]string{
+	`\stats`:   "select seq, rows_scanned, rows_qualified, blocks_accessed, blocks_pruned_zonemap, blocks_pruned_cache, cache_hits, cache_misses from pc.query_log order by seq desc limit 1",
+	`\cache`:   "select entries, mem_bytes, hits, misses, inserts, extends, invalidations, evictions from pc.cache_stats",
+	`\entries`: "select kind, semijoin, est_rows, mem_bytes, hits, key from pc.cache_entries",
+	`\log`:     "select seq, query_text, wall_us, result_rows, cache_hits, cache_misses, slow from pc.query_log order by seq desc limit 20",
+	`\storage`: "select table_name, column_name, column_type, result_rows, blocks, payload_bytes, zonemap_bytes, dict_bytes from pc.table_storage order by table_name",
+	`\trace`:   "select trace_id, query_class, cache_hit, reason, wall_us, spans, error, query_text from pc.traces order by trace_id desc limit 20",
+	`\slo`:     "select query_class, cache_outcome, sample_count, p50_us, p99_us, p999_us, max_us, exemplar_trace_id from pc.slo",
+	`\top`:     "select shape_id, calls, cpu_us, p99_cpu_us, allocs, cache_hit_rate, shape_text from pc.query_shapes order by cpu_us desc limit 20",
+	`\tables`:  "select table_name, count(*) as columns, max(result_rows) as result_rows from pc.table_storage group by table_name order by table_name",
+	`\q`:       `\quit`,
+	"exit":     `\quit`,
+	"quit":     `\quit`,
+}
+
+// expand turns one input line into the line sent to the server: meta
+// commands become their SQL, everything else (SQL and the session commands)
+// goes as typed.
+func expand(line string) (string, error) {
+	if q, ok := metaSQL[line]; ok {
+		return q, nil
+	}
+	if rest, ok := strings.CutPrefix(line, `\trace `); ok {
+		id, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
+		if err != nil {
+			return "", fmt.Errorf(`\trace wants a trace id: %w`, err)
+		}
+		return fmt.Sprintf("select span_id, parent_id, kind, name, dur_us, attrs from pc.trace_spans where trace_id = %d order by span_id", id), nil
+	}
+	if rest, ok := strings.CutPrefix(line, `\explain `); ok {
+		return "explain " + rest, nil
+	}
+	return line, nil
+}
+
 func main() {
-	dataset := flag.String("dataset", "tpch-skewed", "dataset: tpch, tpch-skewed, ssb, tpcds")
-	sf := flag.Float64("sf", 0.01, "scale factor")
-	cacheKind := flag.String("cache", "bitmap", "predicate cache: range, bitmap, off")
-	seed := flag.Int64("seed", 1, "generator seed")
-	slow := flag.Duration("slow", 0, "slow-query threshold (0 keeps the default; traces at or over it are always retained)")
-	logPath := flag.String("log", "", `write structured JSON log lines to this file ("-" for stderr); empty disables`)
+	addr := flag.String("addr", "127.0.0.1:5433", "pcserver address")
+	timeout := flag.Duration("timeout", 30*time.Second, "per-reply read deadline")
 	flag.Parse()
 
-	var opts []predcache.Option
-	if *slow > 0 {
-		opts = append(opts, predcache.WithSlowQueryThreshold(*slow))
-	}
-	if *logPath != "" {
-		w := os.Stderr
-		if *logPath != "-" {
-			f, err := os.Create(*logPath)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "pcsh: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			w = f
-		}
-		opts = append(opts, predcache.WithLogger(predcache.NewJSONLogger(w, slog.LevelInfo)))
-	}
-	switch *cacheKind {
-	case "off":
-		opts = append(opts, predcache.WithoutPredicateCache())
-	case "range":
-		opts = append(opts, predcache.WithCacheConfig(predcache.CacheConfig{Kind: predcache.RangeIndex}))
-	case "bitmap":
-		opts = append(opts, predcache.WithCacheConfig(predcache.CacheConfig{Kind: predcache.BitmapIndex}))
-	default:
-		fmt.Fprintf(os.Stderr, "pcsh: unknown cache kind %q\n", *cacheKind)
-		os.Exit(2)
-	}
-	db := predcache.Open(opts...)
-
-	fmt.Printf("loading %s at SF %.3f...\n", *dataset, *sf)
-	if err := load(db, *dataset, *sf, *seed); err != nil {
-		fmt.Fprintf(os.Stderr, "pcsh: %v\n", err)
-		os.Exit(1)
-	}
-	for _, name := range db.Catalog().TableNames() {
-		fmt.Printf("  %-12s %d rows\n", name, db.TableRows(name))
-	}
-	fmt.Println(`type SQL terminated by ';', or \q to quit`)
-
-	scanner := bufio.NewScanner(os.Stdin)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	var pending strings.Builder
-	prompt := func() { fmt.Print("pc> ") }
-	prompt()
-	for scanner.Scan() {
-		line := scanner.Text()
-		trimmed := strings.TrimSpace(line)
-		switch trimmed {
-		case `\q`, "exit", "quit":
-			return
-		case `\stats`:
-			s := db.LastQueryStats()
-			fmt.Printf("rows scanned %d | qualified %d | blocks accessed %d | pruned: zonemap %d cache %d | cache hits %d misses %d\n",
-				s.RowsScanned, s.RowsQualified, s.BlocksAccessed, s.BlocksSkipped, s.BlocksPrunedCache, s.CacheHits, s.CacheMisses)
-			prompt()
-			continue
-		case `\cache`:
-			s := db.CacheStats()
-			fmt.Printf("entries %d | mem %d B | hits %d | misses %d | inserts %d | extends %d | invalidations %d | evictions %d\n",
-				s.Entries, s.MemBytes, s.Hits, s.Misses, s.Inserts, s.Extends, s.Invalidations, s.Evictions)
-			prompt()
-			continue
-		case `\tables`:
-			for _, name := range db.Catalog().TableNames() {
-				fmt.Printf("%-12s %d rows\n", name, db.TableRows(name))
-			}
-			prompt()
-			continue
-		case `\entries`:
-			for _, e := range db.CacheEntries() {
-				kind := e.Kind.String()
-				if e.SemiJoin {
-					kind += "+sj"
-				}
-				fmt.Printf("%-10s %8d rows %8d B  %s\n", kind, e.EstRows, e.MemBytes, truncate(e.Key, 100))
-			}
-			prompt()
-			continue
-		case `\log`:
-			runMeta(db, "select seq, query_text, wall_us, result_rows, cache_hits, cache_misses, slow from pc.query_log order by seq desc limit 20")
-			prompt()
-			continue
-		case `\storage`:
-			runMeta(db, "select table_name, column_name, column_type, result_rows, blocks, payload_bytes, zonemap_bytes, dict_bytes from pc.table_storage order by table_name")
-			prompt()
-			continue
-		case `\trace`:
-			runMeta(db, "select trace_id, query_class, cache_hit, reason, wall_us, spans, error, query_text from pc.traces order by trace_id desc limit 20")
-			prompt()
-			continue
-		case `\slo`:
-			runMeta(db, "select query_class, cache_outcome, sample_count, p50_us, p99_us, p999_us, max_us, exemplar_trace_id from pc.slo")
-			prompt()
-			continue
-		case `\top`:
-			runMeta(db, "select shape_id, calls, cpu_us, p99_cpu_us, allocs, cache_hit_rate, shape_text from pc.query_shapes order by cpu_us desc limit 20")
-			prompt()
-			continue
-		}
-		if rest, ok := strings.CutPrefix(trimmed, `\trace `); ok {
-			id, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
-			if err != nil {
-				fmt.Printf("error: \\trace wants a trace id: %v\n", err)
-			} else if rt := db.TraceByID(id); rt == nil {
-				fmt.Printf("trace %d is not retained (never kept, or evicted)\n", id)
-			} else {
-				fmt.Printf("trace %d: class=%s shape=%s reason=%s wall=%v cache_hit=%v\n",
-					rt.Seq, rt.Class, rt.ShapeID, rt.Reason, rt.Wall(), rt.CacheHit)
-				if rt.Error != "" {
-					fmt.Printf("error: %s\n", rt.Error)
-				}
-				fmt.Print(predcache.RenderTrace(rt))
-			}
-			prompt()
-			continue
-		}
-		if strings.HasPrefix(trimmed, `\explain `) {
-			out, err := db.Explain(strings.TrimSuffix(strings.TrimPrefix(trimmed, `\explain `), ";"))
-			if err != nil {
-				fmt.Printf("error: %v\n", err)
-			} else {
-				fmt.Print(out)
-			}
-			prompt()
-			continue
-		}
-		pending.WriteString(line)
-		pending.WriteByte('\n')
-		if !strings.Contains(line, ";") {
-			fmt.Print("  > ")
-			continue
-		}
-		query := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(pending.String()), ";"))
-		pending.Reset()
-		if query != "" {
-			start := time.Now()
-			res, err := db.Query(query)
-			elapsed := time.Since(start)
-			if err != nil {
-				fmt.Printf("error: %v\n", err)
-			} else {
-				fmt.Print(res.Format(40))
-				fmt.Printf("(%d rows, %v)\n", res.NumRows(), elapsed.Round(time.Microsecond))
-			}
-		}
-		prompt()
-	}
-}
-
-// runMeta executes a canned system-table query for a meta command. The query
-// itself runs through the normal path and therefore also lands in
-// pc.query_log.
-func runMeta(db *predcache.DB, query string) {
-	res, err := db.Query(query)
+	conn, err := net.DialTimeout("tcp", *addr, *timeout)
 	if err != nil {
-		fmt.Printf("error: %v\n", err)
-		return
+		fatal(err)
 	}
-	fmt.Print(res.Format(40))
-	fmt.Printf("(%d rows)\n", res.NumRows())
+	defer conn.Close()
+
+	in := bufio.NewScanner(os.Stdin)
+	in.Buffer(make([]byte, 64*1024), 1<<20)
+	r := bufio.NewReader(conn)
+	out := bufio.NewWriter(os.Stdout)
+	defer out.Flush()
+
+	for in.Scan() {
+		line := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(in.Text()), ";"))
+		if line == "" || strings.HasPrefix(line, "--") {
+			continue
+		}
+		stmt, err := expand(line)
+		if err != nil {
+			fmt.Fprintf(out, "error: %v\n", err)
+			continue
+		}
+		if err := conn.SetDeadline(time.Now().Add(*timeout)); err != nil {
+			fatal(err)
+		}
+		if _, err := fmt.Fprintf(conn, "%s\n", stmt); err != nil {
+			fatal(err)
+		}
+		resp, err := readLine(r)
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", stmt, err))
+		}
+		fmt.Fprintln(out, resp)
+		if resp == "bye" {
+			return
+		}
+		// A result set follows its "ok <nrows> <ncols>" header; relay it
+		// through the terminating "." line. Bare "ok" acks have no body.
+		var nrows, ncols int
+		if n, _ := fmt.Sscanf(resp, "ok %d %d", &nrows, &ncols); n == 2 {
+			for {
+				row, err := readLine(r)
+				if err != nil {
+					fatal(fmt.Errorf("%s: result body: %w", stmt, err))
+				}
+				fmt.Fprintln(out, row)
+				if row == "." {
+					break
+				}
+			}
+		}
+		// Interactive use sees each reply before typing the next line.
+		out.Flush()
+	}
+	if err := in.Err(); err != nil {
+		fatal(err)
+	}
 }
 
-func truncate(s string, n int) string {
-	if len(s) <= n {
-		return s
+func readLine(r *bufio.Reader) (string, error) {
+	s, err := r.ReadString('\n')
+	if err != nil {
+		return "", err
 	}
-	return s[:n] + "..."
+	return strings.TrimRight(s, "\r\n"), nil
 }
 
-func load(db *predcache.DB, dataset string, sf float64, seed int64) error {
-	cat := db.Catalog()
-	switch dataset {
-	case "tpch":
-		return tpch.Generate(tpch.Config{SF: sf, Seed: seed}).Load(cat, 4)
-	case "tpch-skewed":
-		return tpch.Generate(tpch.Config{SF: sf, Skewed: true, Seed: seed}).Load(cat, 4)
-	case "ssb":
-		return ssb.Generate(ssb.Config{SF: sf, Skewed: true, Seed: seed}).Load(cat, 4)
-	case "tpcds":
-		return tpcds.Generate(tpcds.Config{SF: sf, Skewed: true, Seed: seed}).Load(cat, 4)
-	}
-	return fmt.Errorf("unknown dataset %q", dataset)
+func fatal(err error) {
+	fmt.Fprintf(os.Stderr, "pcsh: %v\n", err)
+	os.Exit(1)
 }

@@ -349,7 +349,7 @@ func TestRaceStressParallelScans(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 60; i++ {
-			_ = db.CacheEntries()
+			_ = db.PredicateCache().Entries()
 			_ = db.CacheStats()
 			_ = db.LastQueryStats()
 		}

@@ -302,7 +302,7 @@ func (db *DB) Vacuum(table string) error {
 		db.cache.InvalidateTable(table)
 	}
 	db.observeDML(start)
-	db.logger.Load().Info("vacuum",
+	db.logger.Info("vacuum",
 		"table", table, "wall_us", time.Since(start).Microseconds(),
 		"rows", tbl.NumRows())
 	return nil

@@ -15,6 +15,7 @@ import (
 
 	predcache "github.com/predcache/predcache"
 	"github.com/predcache/predcache/internal/engine"
+	"github.com/predcache/predcache/internal/obs"
 	"github.com/predcache/predcache/internal/storage"
 )
 
@@ -73,8 +74,8 @@ func labelProbe(t *testing.T, db *predcache.DB) *string {
 }
 
 // With the query log disabled the statement sequence still runs: retained
-// traces get distinct non-negative ids that TraceByID resolves, and the SLO
-// exemplars and the query_id pprof label carry the same ids. (The log ring
+// traces get distinct non-negative ids that pc.trace_spans resolves, and the
+// SLO exemplars and the query_id pprof label carry the same ids. (The log ring
 // used to own the sequence, so all of them were -1.)
 func TestTraceIDsWithQueryLogDisabled(t *testing.T) {
 	db := openWithData(t, 1000, predcache.WithQueryLogCapacity(0))
@@ -87,10 +88,7 @@ func TestTraceIDsWithQueryLogDisabled(t *testing.T) {
 	for _, q := range queries {
 		one(t, db, q)
 	}
-	if got := db.QueryLog(); got != nil {
-		t.Fatalf("query log holds %d records with capacity 0", len(got))
-	}
-	res := one(t, db, "select trace_id, query_text from pc.traces order by trace_id")
+	res := one(t, db, "select trace_id, query_text, spans from pc.traces order by trace_id")
 	if res.NumRows() != len(queries) {
 		t.Fatalf("retained %d traces, want %d:\n%s", res.NumRows(), len(queries), res.Format(10))
 	}
@@ -102,8 +100,8 @@ func TestTraceIDsWithQueryLogDisabled(t *testing.T) {
 			t.Fatalf("trace ids not distinct and non-negative:\n%s", res.Format(10))
 		}
 		ids[id] = true
-		if db.TraceByID(id) == nil {
-			t.Errorf("TraceByID(%d) = nil for a row of pc.traces", id)
+		if intCell(t, res, i, "spans") == 0 {
+			t.Errorf("trace %d has no spans", id)
 		}
 		if strCell(t, res, i, "query_text") == "select x from pc.labels" {
 			labelsID = id
@@ -112,21 +110,25 @@ func TestTraceIDsWithQueryLogDisabled(t *testing.T) {
 	if want := fmt.Sprintf(`"query_id":"q%d"`, labelsID); !strings.Contains(*labels, want) {
 		t.Errorf("pprof labels %s lack %s", *labels, want)
 	}
-	// Checked after the last statement, not against ids: the pc.traces read
-	// is itself a retained statement, may become an exemplar, and cannot
-	// appear in the snapshot it took while running.
-	exemplars := 0
-	for _, r := range db.SLOReports() {
-		if r.Count == 0 {
-			continue
-		}
-		exemplars++
-		if db.TraceByID(r.ExemplarTraceID) == nil {
-			t.Errorf("pc.slo %s exemplar %d is not a retained trace", r.Class, r.ExemplarTraceID)
+	// Checked against a later pc.traces read, not against ids: the reads are
+	// themselves retained statements, may become exemplars, and cannot
+	// appear in the snapshots they took while running.
+	slo := one(t, db, "select query_class, exemplar_trace_id from pc.slo where sample_count > 0")
+	if slo.NumRows() == 0 {
+		t.Fatal("no populated SLO class")
+	}
+	res = one(t, db, "select trace_id from pc.traces")
+	retained := map[int64]bool{}
+	for i := 0; i < res.NumRows(); i++ {
+		retained[intCell(t, res, i, "trace_id")] = true
+	}
+	for i := 0; i < slo.NumRows(); i++ {
+		if id := intCell(t, slo, i, "exemplar_trace_id"); !retained[id] {
+			t.Errorf("pc.slo %s exemplar %d is not a retained trace", strCell(t, slo, i, "query_class"), id)
 		}
 	}
-	if exemplars == 0 {
-		t.Fatal("no populated SLO class")
+	if res := one(t, db, "select count(*) as n from pc.query_log"); intCell(t, res, 0, "n") != 0 {
+		t.Fatal("pc.query_log holds rows with capacity 0")
 	}
 }
 
@@ -145,34 +147,33 @@ func TestExplainAnalyzeShapedAndLabelled(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	shapes := db.QueryShapes()
-	if len(shapes) != 1 || shapes[0].Calls != n {
-		t.Fatalf("%d literal variants of one EXPLAIN ANALYZE made %d shapes: %+v", n, len(shapes), shapes)
+	shapes := one(t, db, "select shape_id, calls, shape_text from pc.query_shapes")
+	if shapes.NumRows() != 1 || intCell(t, shapes, 0, "calls") != n {
+		t.Fatalf("%d literal variants of one EXPLAIN ANALYZE made these shapes:\n%s", n, shapes.Format(10))
 	}
-	if strings.Contains(shapes[0].Key, "explain") {
-		t.Errorf("shape key %q keeps the EXPLAIN prefix", shapes[0].Key)
+	if key := strCell(t, shapes, 0, "shape_text"); strings.Contains(key, "explain") {
+		t.Errorf("shape key %q keeps the EXPLAIN prefix", key)
 	}
-	// The plain statement is the same shape.
+	id := strCell(t, shapes, 0, "shape_id")
+	// The plain statement is the same shape (the pc.* reads have their own).
 	one(t, db, "select count(*) from t where id = 99")
-	if shapes = db.QueryShapes(); len(shapes) != 1 || shapes[0].Calls != n+1 {
-		t.Fatalf("plain statement did not join its EXPLAIN ANALYZE shape: %+v", shapes)
+	shapes = one(t, db, "select calls, cpu_us from pc.query_shapes where shape_id = '"+id+"'")
+	if intCell(t, shapes, 0, "calls") != n+1 {
+		t.Fatalf("plain statement did not join its EXPLAIN ANALYZE shape:\n%s", shapes.Format(10))
 	}
-	log := db.QueryLog()
-	if len(log) != n+1 {
-		t.Fatalf("query log has %d records, want %d", len(log), n+1)
+	log := one(t, db, "select seq, query_text, cpu_us from pc.query_log where shape_id = '"+id+"' order by seq")
+	if log.NumRows() != n+1 {
+		t.Fatalf("query log has %d records of the shape, want %d", log.NumRows(), n+1)
 	}
 	var cpu int64
-	for i, rec := range log {
-		if i < n && !strings.HasPrefix(rec.SQL, "explain analyze select") {
-			t.Errorf("pc.query_log.query_text lost the prefix: %q", rec.SQL)
+	for i := 0; i < log.NumRows(); i++ {
+		if text := strCell(t, log, i, "query_text"); i < n && !strings.HasPrefix(text, "explain analyze select") {
+			t.Errorf("pc.query_log.query_text lost the prefix: %q", text)
 		}
-		if rec.ShapeID != shapes[0].ID {
-			t.Errorf("record %d shape_id %q, ledger %q", i, rec.ShapeID, shapes[0].ID)
-		}
-		cpu += rec.CPUMicros
+		cpu += intCell(t, log, i, "cpu_us")
 	}
-	if cpu != shapes[0].CPUMicros {
-		t.Errorf("sum(cpu_us) over pc.query_log = %d, pc.query_shapes = %d", cpu, shapes[0].CPUMicros)
+	if want := intCell(t, shapes, 0, "cpu_us"); cpu != want {
+		t.Errorf("sum(cpu_us) over pc.query_log = %d, pc.query_shapes = %d", cpu, want)
 	}
 	if _, err := db.QueryCtx(ctx, "explain analyze select x from pc.labels"); err != nil {
 		t.Fatal(err)
@@ -283,7 +284,8 @@ type logLine struct {
 }
 
 // checkSinksAgree takes the query log as the list of emitted events and
-// asserts that every other sink saw the same statements: retained traces
+// asserts that every other sink saw the same statements (read through the
+// sinks, so the checks run no statements of their own): retained traces
 // carry the event's seq, shape, class, slow flag and error; the SLO counts,
 // the shape ledger and every pushed counter add up to exactly the executed
 // events; and the logger wrote one line per failed or slow SQL statement
@@ -297,9 +299,10 @@ func checkSinksAgree(t *testing.T, db *predcache.DB, m *predcache.Metrics, logs 
 	// events: queryMetrics.record adds exactly these fields.
 	counters := map[string]float64{}
 	shapes := map[string]*shapeSum{}
-	wantLines := map[int64]predcache.QueryRecord{}
+	wantLines := map[int64]obs.QueryEvent{}
 	seqs := map[int64]bool{}
-	for _, ev := range db.QueryLog() {
+	sinks := predcache.SinksOf(db)
+	for _, ev := range sinks.Log.Records() {
 		if seqs[ev.Seq] {
 			t.Errorf("seq %d emitted twice", ev.Seq)
 		}
@@ -307,7 +310,7 @@ func checkSinksAgree(t *testing.T, db *predcache.DB, m *predcache.Metrics, logs 
 		if ev.SQL != "" && (ev.Error != "" || ev.Slow) {
 			wantLines[ev.Seq] = ev
 		}
-		rt := db.TraceByID(ev.Seq)
+		rt := sinks.Traces.Trace(ev.Seq)
 		if (rt != nil) != ev.Retained {
 			t.Errorf("seq %d: event says retained=%v, trace store has it: %v", ev.Seq, ev.Retained, rt != nil)
 		}
@@ -374,7 +377,7 @@ func checkSinksAgree(t *testing.T, db *predcache.DB, m *predcache.Metrics, logs 
 		}
 	}
 
-	for _, r := range db.SLOReports() {
+	for _, r := range sinks.SLO.Snapshot() {
 		outcome := "miss"
 		if r.CacheHit {
 			outcome = "hit"
@@ -383,7 +386,7 @@ func checkSinksAgree(t *testing.T, db *predcache.DB, m *predcache.Metrics, logs 
 			t.Errorf("pc.slo %s/%s counts %d, events say %d", r.Class, outcome, r.Count, want)
 		}
 	}
-	ledger := db.QueryShapes()
+	ledger := sinks.Shapes.Snapshot()
 	if len(ledger) != len(shapes) {
 		t.Errorf("pc.query_shapes has %d shapes, events have %d", len(ledger), len(shapes))
 	}
@@ -455,7 +458,7 @@ func TestEverySinkAgrees(t *testing.T) {
 	db, m, logs := sinkDB(t)
 	for i, s := range sinkStream {
 		runSinkStatement(t, db, i, "s1")
-		log := db.QueryLog()
+		log := predcache.SinksOf(db).Log.Records()
 		if len(log) != i+1 {
 			t.Fatalf("%s: query log has %d records, want %d", s.name, len(log), i+1)
 		}
@@ -486,7 +489,7 @@ func TestEverySinkAgrees(t *testing.T) {
 	// pc.metrics is the registry read through SQL: the statement reading it
 	// counts every statement executed before it.
 	var executed float64
-	for _, ev := range db.QueryLog() {
+	for _, ev := range predcache.SinksOf(db).Log.Records() {
 		if ev.Executed {
 			executed++
 		}
@@ -501,8 +504,9 @@ func TestEverySinkAgrees(t *testing.T) {
 	if n := intCell(t, res, 0, "n"); n == 0 {
 		t.Error("pc.traces.shape joins no pc.query_shapes.shape_id")
 	}
-	if !regexp.MustCompile(`^s[0-9a-f]{16}$`).MatchString(db.RetainedTraces()[0].ShapeID) {
-		t.Errorf("pc.traces.shape = %q, want a shape_id", db.RetainedTraces()[0].ShapeID)
+	res = one(t, db, "select trace_id, shape from pc.traces order by trace_id limit 1")
+	if shape := strCell(t, res, 0, "shape"); !regexp.MustCompile(`^s[0-9a-f]{16}$`).MatchString(shape) {
+		t.Errorf("pc.traces.shape = %q, want a shape_id", shape)
 	}
 }
 
@@ -522,17 +526,17 @@ func TestEverySinkAgreesConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if got, want := len(db.QueryLog()), workers*len(sinkStream); got != want {
+	if got, want := len(predcache.SinksOf(db).Log.Records()), workers*len(sinkStream); got != want {
 		t.Fatalf("query log has %d records, want %d", got, want)
 	}
 	checkSinksAgree(t, db, m, logs.String())
 }
 
 // TestPulledMetricsAgree checks every pulled registry family against the
-// accessor it mirrors: the predicate-cache counters against CacheStats, the
-// trace gauges against TraceStats and the retained spans, the table gauges
-// against the catalog, the SLO histograms against SLOReports, and the
-// runtime gauges against the sampler's last retained sample. No statement
+// source it mirrors: the predicate-cache counters against CacheStats, the
+// trace gauges against the trace store, the table gauges against the
+// catalog, the SLO histograms against the SLO set, and the runtime gauges
+// against the sampler's last retained sample. No statement
 // runs between reading the sources and reading the registry.
 func TestPulledMetricsAgree(t *testing.T) {
 	db, m, _ := sinkDB(t)
@@ -545,10 +549,11 @@ func TestPulledMetricsAgree(t *testing.T) {
 	db.StartRuntimeSampler(time.Hour) // one sample now, no tick during the test
 	defer db.StopRuntimeSampler()
 
+	sinks := predcache.SinksOf(db)
 	cs := db.CacheStats()
-	ts := db.TraceStats()
+	ts := sinks.Traces.Stats()
 	spans := 0
-	for _, rt := range db.RetainedTraces() {
+	for _, rt := range sinks.Traces.Traces() {
 		spans += len(rt.Spans)
 	}
 	names := db.Catalog().TableNames()
@@ -558,7 +563,7 @@ func TestPulledMetricsAgree(t *testing.T) {
 		rows += tbl.NumRows()
 		mem += tbl.MemBytes()
 	}
-	samples := db.RuntimeSamples()
+	samples := sinks.Runtime.Samples()
 	rs := samples[len(samples)-1]
 	want := map[string]float64{
 		"predcache_cache_hits_total":               float64(cs.Hits),
@@ -586,7 +591,7 @@ func TestPulledMetricsAgree(t *testing.T) {
 		"predcache_runtime_pool_gets_total":        float64(rs.PoolGets),
 		"predcache_runtime_pool_news_total":        float64(rs.PoolNews),
 	}
-	for _, r := range db.SLOReports() {
+	for _, r := range sinks.SLO.Snapshot() {
 		outcome := "miss"
 		if r.CacheHit {
 			outcome = "hit"

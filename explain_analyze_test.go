@@ -25,7 +25,7 @@ func planText(t *testing.T, db *predcache.DB, query string) string {
 }
 
 // assertTotalsMatch rebuilds the totals line from LastQueryStats — which
-// ExplainAnalyze snapshots from the same execution — and requires it
+// EXPLAIN ANALYZE snapshots from the same execution — and requires it
 // verbatim in the rendered output.
 func assertTotalsMatch(t *testing.T, db *predcache.DB, out string) {
 	t.Helper()

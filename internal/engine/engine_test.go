@@ -553,21 +553,18 @@ func TestSemiJoinPushdownCachesJoinResult(t *testing.T) {
 
 func TestSemiJoinDisable(t *testing.T) {
 	d := newTestDB(t, 5000, 100, 2, 15)
-	j := &Join{
-		Left:         &Scan{Table: "items", Project: []string{"id", "dim_id"}},
-		Right:        &Scan{Table: "dims", Filter: expr.Cmp("d_rank", expr.Lt, expr.Int(5))},
-		LeftKeys:     []string{"dim_id"},
-		RightKeys:    []string{"d_id"},
-		Type:         InnerJoin,
-		PushSemiJoin: true,
+	join := func(push bool) *Join {
+		return &Join{
+			Left:         &Scan{Table: "items", Project: []string{"id", "dim_id"}},
+			Right:        &Scan{Table: "dims", Filter: expr.Cmp("d_rank", expr.Lt, expr.Int(5))},
+			LeftKeys:     []string{"dim_id"},
+			RightKeys:    []string{"d_id"},
+			Type:         InnerJoin,
+			PushSemiJoin: push,
+		}
 	}
-	stats := &storage.ScanStats{}
-	ec := &ExecCtx{Catalog: d.cat, Snapshot: d.cat.Snapshot(), Stats: stats, DisableSemiJoin: true}
-	rel, err := j.Execute(ec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel2, _ := d.exec(t, j, nil)
+	rel, _ := d.exec(t, join(false), nil)
+	rel2, _ := d.exec(t, join(true), nil)
 	if !sameIDs(sortedIDs(t, rel), sortedIDs(t, rel2)) {
 		t.Fatal("disable semi-join changed results")
 	}

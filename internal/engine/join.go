@@ -396,7 +396,7 @@ func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	// joins, so the Bloom filter can sink all the way down (star schemas
 	// push one filter per dimension onto the fact scan).
 	probeScan := baseProbeScan(j.Left)
-	pushSJ := j.PushSemiJoin && !ec.DisableSemiJoin && probeScan != nil &&
+	pushSJ := j.PushSemiJoin && probeScan != nil &&
 		len(j.LeftKeys) == 1 && (j.Type == InnerJoin || j.Type == SemiJoin)
 	if pushSJ {
 		// The key must be a base column of the probe scan's table.

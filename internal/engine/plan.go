@@ -42,8 +42,6 @@ type ExecCtx struct {
 	// DisableSemiJoinCache keeps semi-join filters working at run time but
 	// stops the cache from keying on them (the Figure 16 ablation).
 	DisableSemiJoinCache bool
-	// DisableSemiJoin turns off semi-join filter pushdown entirely.
-	DisableSemiJoin bool
 	// ForceCacheInsertOnly makes scans insert entries but never use them
 	// (the Figure 15 build-overhead experiment).
 	ForceCacheInsertOnly bool

@@ -40,9 +40,6 @@ func TestTraceNesting(t *testing.T) {
 			t.Fatalf("span %d not ended: %+v", i, sp)
 		}
 	}
-	if out := tr.Render(); !strings.Contains(out, "Scan t") || !strings.Contains(out, "outcome=hit") {
-		t.Fatalf("render missing content:\n%s", out)
-	}
 }
 
 func TestTraceNilSafety(t *testing.T) {
@@ -53,7 +50,7 @@ func TestTraceNilSafety(t *testing.T) {
 	sp.End()
 	child := tr.BeginChild(sp, KindSlice, "y")
 	child.End()
-	if tr.Spans() != nil || tr.Render() != "" {
+	if tr.Spans() != nil {
 		t.Fatal("nil trace produced output")
 	}
 	// Zero SpanRef on a live trace must also be inert.

@@ -164,9 +164,9 @@ func (c SentinelConfig) withDefaults() SentinelConfig {
 type Sentinels struct {
 	cfg SentinelConfig
 	log *AlertLog
-	// logger is read per transition so SetLogger swaps propagate; nil drops
-	// the log lines (the pc.alerts ring still records).
-	logger func() *Logger
+	// logger receives a line per transition; nil drops the lines (the
+	// pc.alerts ring still records).
+	logger *Logger
 
 	mu     sync.Mutex
 	active map[string]bool // guarded by mu; sentinel name -> firing
@@ -174,7 +174,7 @@ type Sentinels struct {
 
 // NewSentinels builds the watchdog set. alerts receives the transitions
 // (may be nil to drop them); logger may be nil.
-func NewSentinels(cfg SentinelConfig, alerts *AlertLog, logger func() *Logger) *Sentinels {
+func NewSentinels(cfg SentinelConfig, alerts *AlertLog, logger *Logger) *Sentinels {
 	return &Sentinels{
 		cfg:    cfg.withDefaults(),
 		log:    alerts,
@@ -256,15 +256,11 @@ func (s *Sentinels) transition(name string, ts, value, threshold int64, over boo
 		return
 	}
 	s.log.Record(a)
-	var lg *Logger
-	if s.logger != nil {
-		lg = s.logger()
-	}
 	if a.State == AlertFiring {
-		lg.Warn("sentinel firing",
+		s.logger.Warn("sentinel firing",
 			"sentinel", a.Sentinel, "value", a.Value, "threshold", a.Threshold, "detail", a.Detail)
 	} else {
-		lg.Info("sentinel cleared",
+		s.logger.Info("sentinel cleared",
 			"sentinel", a.Sentinel, "value", a.Value, "threshold", a.Threshold, "detail", a.Detail)
 	}
 }

@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -295,96 +293,6 @@ func (s *SLOSet) Snapshot() []SLOReport {
 			out = append(out, r)
 		}
 	}
-	return out
-}
-
-// SLOTarget is one latency objective. Class selects a tracked class ("*"
-// or empty matches all); Cache is "hit", "miss", or empty for both. A zero
-// percentile target means "not checked". MinCount suppresses checking until
-// the histogram has that many samples (0 checks from the first).
-type SLOTarget struct {
-	Class    string
-	Cache    string
-	P50      time.Duration
-	P99      time.Duration
-	P999     time.Duration
-	MinCount uint64
-}
-
-// SLOViolation reports one exceeded objective, with the tail exemplar trace
-// (when one is retained) for immediate drill-down.
-type SLOViolation struct {
-	Class           string
-	CacheHit        bool
-	Quantile        string // "p50", "p99" or "p999"
-	Observed        time.Duration
-	Target          time.Duration
-	Count           uint64
-	ExemplarTraceID int64
-}
-
-// String renders the violation for log lines and harness output.
-func (v SLOViolation) String() string {
-	cache := "miss"
-	if v.CacheHit {
-		cache = "hit"
-	}
-	return fmt.Sprintf("slo violation: class=%s cache=%s %s=%s target=%s n=%d exemplar_trace=%d",
-		v.Class, cache, v.Quantile, v.Observed, v.Target, v.Count, v.ExemplarTraceID)
-}
-
-// Check evaluates targets against the current distributions and returns
-// every violation, ordered by class then quantile. The soak harness and the
-// trace smoke fail on a non-empty return.
-func (s *SLOSet) Check(targets []SLOTarget) []SLOViolation {
-	if s == nil {
-		return nil
-	}
-	var out []SLOViolation
-	for _, r := range s.Snapshot() {
-		for _, t := range targets {
-			if t.Class != "" && t.Class != "*" && t.Class != r.Class {
-				continue
-			}
-			if t.Cache == "hit" && !r.CacheHit || t.Cache == "miss" && r.CacheHit {
-				continue
-			}
-			if r.Count == 0 || r.Count < t.MinCount {
-				continue
-			}
-			checks := []struct {
-				name     string
-				observed time.Duration
-				target   time.Duration
-			}{
-				{"p50", r.P50, t.P50},
-				{"p99", r.P99, t.P99},
-				{"p999", r.P999, t.P999},
-			}
-			for _, c := range checks {
-				if c.target > 0 && c.observed > c.target {
-					out = append(out, SLOViolation{
-						Class:           r.Class,
-						CacheHit:        r.CacheHit,
-						Quantile:        c.name,
-						Observed:        c.observed,
-						Target:          c.target,
-						Count:           r.Count,
-						ExemplarTraceID: r.ExemplarTraceID,
-					})
-				}
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Class != out[j].Class {
-			return out[i].Class < out[j].Class
-		}
-		if out[i].CacheHit != out[j].CacheHit {
-			return !out[i].CacheHit
-		}
-		return out[i].Quantile < out[j].Quantile
-	})
 	return out
 }
 

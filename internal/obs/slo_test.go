@@ -161,33 +161,6 @@ func TestSLOSetObserveAndSnapshot(t *testing.T) {
 	}
 }
 
-func TestSLOCheck(t *testing.T) {
-	s := NewSLOSet()
-	for i := 0; i < 100; i++ {
-		s.Observe(ClassPoint, false, 10*time.Millisecond, 1, i == 0)
-	}
-	v := s.Check([]SLOTarget{
-		{Class: ClassPoint, Cache: "miss", P99: time.Millisecond},          // violated
-		{Class: ClassPoint, Cache: "miss", P50: time.Second},               // holds
-		{Class: ClassAgg, P99: time.Nanosecond},                            // no samples: skipped
-		{Class: ClassPoint, Cache: "hit", P99: time.Nanosecond},            // no samples: skipped
-		{Class: "*", P999: time.Minute},                                    // holds everywhere
-		{Class: ClassPoint, Cache: "miss", P99: time.Hour, MinCount: 1000}, // below MinCount
-	})
-	if len(v) != 1 {
-		t.Fatalf("violations = %+v, want exactly the p99 breach", v)
-	}
-	if v[0].Quantile != "p99" || v[0].Class != ClassPoint || v[0].CacheHit {
-		t.Fatalf("violation = %+v", v[0])
-	}
-	if v[0].ExemplarTraceID != 1 {
-		t.Fatalf("violation should carry the tail exemplar, got %d", v[0].ExemplarTraceID)
-	}
-	if v[0].String() == "" {
-		t.Fatal("violation should render")
-	}
-}
-
 func TestSLOPrometheusExposition(t *testing.T) {
 	m := NewMetrics()
 	s := NewSLOSet()

@@ -199,7 +199,4 @@ func TestTraceTakeSpansAndFinishOpen(t *testing.T) {
 	if msg, ok := sp[0].StrAttr("error"); !ok || msg != "exec blew up" {
 		t.Fatalf("root span error attr = %q, %v", msg, ok)
 	}
-	if got := RenderSpans(sp); got == "" {
-		t.Fatal("detached spans should still render")
-	}
 }

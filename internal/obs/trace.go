@@ -10,9 +10,6 @@
 package obs
 
 import (
-	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -262,53 +259,4 @@ func (t *Trace) Spans() []Span {
 		out[i].Attrs = append([]Attr(nil), t.spans[i].Attrs...)
 	}
 	return out
-}
-
-// Render formats the span tree as indented text, one span per line:
-// debugging aid and fallback renderer (EXPLAIN ANALYZE uses the
-// engine-aware renderer instead).
-func (t *Trace) Render() string {
-	if t == nil {
-		return ""
-	}
-	return RenderSpans(t.Spans())
-}
-
-// RenderSpans formats a detached span slice (a retained trace's spans) the
-// same way Trace.Render formats a live trace.
-func RenderSpans(spans []Span) string {
-	children := make(map[int][]int)
-	var roots []int
-	for _, sp := range spans {
-		if sp.Parent < 0 {
-			roots = append(roots, sp.ID)
-		} else {
-			children[sp.Parent] = append(children[sp.Parent], sp.ID)
-		}
-	}
-	var b strings.Builder
-	var walk func(id, depth int)
-	walk = func(id, depth int) {
-		sp := &spans[id]
-		b.WriteString(strings.Repeat("  ", depth))
-		fmt.Fprintf(&b, "%s %s (%s)", sp.Kind, sp.Name, sp.Dur.Round(time.Microsecond))
-		for _, a := range sp.Attrs {
-			if a.IsStr {
-				fmt.Fprintf(&b, " %s=%s", a.Key, a.Str)
-			} else {
-				fmt.Fprintf(&b, " %s=%d", a.Key, a.Int)
-			}
-		}
-		b.WriteByte('\n')
-		ids := children[id]
-		sort.Ints(ids)
-		for _, c := range ids {
-			walk(c, depth+1)
-		}
-	}
-	sort.Ints(roots)
-	for _, r := range roots {
-		walk(r, 0)
-	}
-	return b.String()
 }

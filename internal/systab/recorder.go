@@ -1,9 +1,6 @@
 package systab
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"sync"
 
 	"github.com/predcache/predcache/internal/obs"
@@ -87,16 +84,4 @@ func (q *QueryRecorder) Capacity() int {
 		return 0
 	}
 	return len(q.buf)
-}
-
-// WriteJSONL streams the retained history, oldest first, one JSON object
-// per line.
-func (q *QueryRecorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, rec := range q.Records() {
-		if err := enc.Encode(&rec); err != nil {
-			return fmt.Errorf("systab: write query log: %w", err)
-		}
-	}
-	return nil
 }

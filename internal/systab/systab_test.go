@@ -1,9 +1,6 @@
 package systab
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -48,9 +45,6 @@ func TestRecorderNilSafe(t *testing.T) {
 	if q.Records() != nil || q.Len() != 0 || q.Capacity() != 0 {
 		t.Fatalf("nil recorder must be empty")
 	}
-	if err := q.WriteJSONL(&bytes.Buffer{}); err != nil {
-		t.Fatalf("nil WriteJSONL: %v", err)
-	}
 }
 
 // The slow flag is the DB's decision (one threshold, computed once per
@@ -73,34 +67,6 @@ func TestRecorderSlowFlag(t *testing.T) {
 	}
 	if got := rel.ColByName("slow").Ints; got[0] != 0 || got[1] != 1 {
 		t.Errorf("pc.query_log.slow = %v, want [0 1]", got)
-	}
-}
-
-func TestRecorderWriteJSONL(t *testing.T) {
-	q := NewQueryRecorder(8)
-	q.Append(&QueryRecord{SQL: "select 1", Rows: 1, CacheHits: 2})
-	q.Append(&QueryRecord{Seq: 1, Error: "boom"})
-	var buf bytes.Buffer
-	if err := q.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	var lines []QueryRecord
-	for sc.Scan() {
-		var rec QueryRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("line %d: %v", len(lines), err)
-		}
-		lines = append(lines, rec)
-	}
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines", len(lines))
-	}
-	if lines[0].SQL != "select 1" || lines[0].Rows != 1 || lines[0].CacheHits != 2 {
-		t.Errorf("first line mangled: %+v", lines[0])
-	}
-	if lines[1].Error != "boom" || lines[1].Seq != 1 {
-		t.Errorf("second line mangled: %+v", lines[1])
 	}
 }
 

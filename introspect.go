@@ -1,10 +1,11 @@
 package predcache
 
 import (
-	"io"
+	"time"
 
 	"github.com/predcache/predcache/internal/core"
 	"github.com/predcache/predcache/internal/engine"
+	"github.com/predcache/predcache/internal/obs"
 	"github.com/predcache/predcache/internal/sql"
 	"github.com/predcache/predcache/internal/storage"
 )
@@ -51,30 +52,8 @@ func (db *DB) TableRows(table string) int {
 // follow WHERE) into a predicate usable with DeleteWhere and UpdateWhere.
 func ParseWhere(cond string) (Pred, error) { return sql.ParsePredicate(cond) }
 
-// Explain renders the plan for a query as indented text.
-func (db *DB) Explain(query string) (string, error) {
-	node, err := sql.PlanSQLWith(query, db.cat, db.sysTables)
-	if err != nil {
-		return "", err
-	}
-	return engine.Explain(node), nil
-}
-
-// CacheEntries lists the predicate-cache entries, most recently used first.
-func (db *DB) CacheEntries() []core.EntrySummary {
-	if db.cache == nil {
-		return nil
-	}
-	return db.cache.Entries()
-}
-
-// Plan-cache introspection types (see PlanCacheStats / PlanCacheEntries).
-type (
-	// PlanCacheStats reports normalized-SQL plan-cache counters.
-	PlanCacheStats = sql.PlanCacheStats
-	// PlanCacheEntry describes one cached plan template.
-	PlanCacheEntry = sql.PlanCacheEntry
-)
+// PlanCacheStats reports normalized-SQL plan-cache counters.
+type PlanCacheStats = sql.PlanCacheStats
 
 // PlanCacheStats returns plan-cache counters (zero value when the cache is
 // disabled via WithoutPlanCache).
@@ -82,25 +61,29 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 	return db.plans.Stats()
 }
 
-// PlanCacheEntries lists the cached plan templates, most recently used first
-// (nil when the cache is disabled). Also queryable as pc.plan_cache.
-func (db *DB) PlanCacheEntries() []PlanCacheEntry {
-	return db.plans.Entries()
+// StartRuntimeSampler begins sampling process health (goroutines, heap, RSS,
+// GC pauses, scan-scratch pool efficiency) every interval (<= 0 selects
+// obs.DefaultRuntimeInterval) into the bounded ring behind pc.runtime. It
+// replaces and stops any previous sampler; call StopRuntimeSampler to halt.
+// The leak sentinels (pc.alerts) piggyback on the sampling cadence: each
+// retained sample is evaluated against the goroutine-growth, heap-growth and
+// pool-churn watchdogs at their default thresholds.
+func (db *DB) StartRuntimeSampler(interval time.Duration) {
+	// The sampler reads the engine's scan-scratch pool counters with every
+	// sample, so pool-efficiency regressions show up in pc.runtime.
+	sent := obs.NewSentinels(obs.SentinelConfig{}, db.alerts, db.logger)
+	old := db.runtime.Swap(obs.StartRuntimeCollector(interval, engine.ScratchPoolStats, sent))
+	old.Stop()
 }
 
-// QueryLog returns the retained query history, oldest first (nil when
-// recording is disabled). The same rows are queryable as pc.query_log.
-func (db *DB) QueryLog() []QueryRecord {
-	return db.qlog.Records()
-}
-
-// DumpQueryLog streams the retained query history to w as JSON lines,
-// oldest first (a no-op when recording is disabled).
-func (db *DB) DumpQueryLog(w io.Writer) error {
-	return db.qlog.WriteJSONL(w)
-}
-
-// SystemTableNames lists the registered pc.* system tables, sorted.
-func (db *DB) SystemTableNames() []string {
-	return db.sysTables.Names()
+// StopRuntimeSampler halts the health sampler, waiting for its goroutine to
+// exit. The retained samples remain queryable via pc.runtime. Safe to call
+// repeatedly and without a prior Start: Stop on a nil or already-stopped
+// collector is a no-op.
+func (db *DB) StopRuntimeSampler() {
+	// Keep the stopped collector loaded (Load, not Swap(nil)): its ring is
+	// what pc.runtime serves after the sampler halts. A concurrent Start
+	// cannot leak a collector either way — Start's Swap stops whichever
+	// collector it displaces.
+	db.runtime.Load().Stop()
 }

@@ -84,7 +84,15 @@ func WithTraceRetention(cfg TraceRetentionConfig) Option {
 	return func(db *DB) { db.traceCfg = cfg }
 }
 
-// WithLogger installs a structured logger at Open (see SetLogger).
+// NewJSONLogger constructs a logger for WithLogger.
+var NewJSONLogger = obs.NewJSONLogger
+
+// WithLogger installs the structured logger the engine writes slow-query,
+// failure and lifecycle lines to (nil, the default, drops them). Every line
+// that concerns a query carries query_id and trace_id (the same value), so a
+// log line is one SQL filter away from its retained trace:
+//
+//	SELECT * FROM pc.trace_spans WHERE trace_id = 17
 func WithLogger(l *obs.Logger) Option {
-	return func(db *DB) { db.SetLogger(l) }
+	return func(db *DB) { db.logger = l }
 }

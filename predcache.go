@@ -55,9 +55,6 @@ type (
 	Metrics = obs.Metrics
 	// Pred is a filter predicate (for DeleteWhere / UpdateWhere).
 	Pred = expr.Pred
-	// QueryRecord is one row of the always-on query history (pc.query_log):
-	// the event the DB emitted for the statement.
-	QueryRecord = obs.QueryEvent
 )
 
 // Column type constants.
@@ -125,8 +122,8 @@ type DB struct {
 	alerts *obs.AlertLog
 
 	// logger receives structured slow-query, error and lifecycle lines; nil
-	// drops everything. Swappable at runtime via SetLogger.
-	logger atomic.Pointer[obs.Logger]
+	// drops everything. Immutable after Open.
+	logger *obs.Logger
 
 	// runtime is the optional health sampler behind pc.runtime, installed by
 	// StartRuntimeSampler.

@@ -225,34 +225,32 @@ func TestResultFormatting(t *testing.T) {
 
 func TestExplainAndCacheEntries(t *testing.T) {
 	db := openWithData(t, 2000)
-	out, err := db.Explain("select grp, count(*) from t where val > 50 group by grp order by grp limit 2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := planText(t, db, "explain select grp, count(*) from t where val > 50 group by grp order by grp limit 2")
 	for _, want := range []string{"Scan t", "Aggregate", "Sort", "Limit 2", "filter=(> val 50)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("explain missing %q:\n%s", want, out)
 		}
 	}
-	if _, err := db.Explain("select nope from t"); err == nil {
+	if _, err := db.Query("explain select nope from t"); err == nil {
 		t.Fatal("bad explain accepted")
 	}
 	// Entries appear after executing.
-	if len(db.CacheEntries()) != 0 {
-		t.Fatal("entries before any query")
+	const entries = "select table_name, mem_bytes, key from pc.cache_entries"
+	if res := one(t, db, entries); res.NumRows() != 0 {
+		t.Fatalf("entries before any query:\n%s", res.Format(5))
 	}
 	if _, err := db.Query("select count(*) from t where val > 50"); err != nil {
 		t.Fatal(err)
 	}
-	entries := db.CacheEntries()
-	if len(entries) != 1 || entries[0].Table != "t" || entries[0].MemBytes <= 0 {
-		t.Fatalf("entries %+v", entries)
+	res := one(t, db, entries)
+	if res.NumRows() != 1 || strCell(t, res, 0, "table_name") != "t" || intCell(t, res, 0, "mem_bytes") <= 0 {
+		t.Fatalf("entries:\n%s", res.Format(5))
 	}
-	if !strings.Contains(entries[0].Key, "(> val 50)") {
-		t.Fatalf("entry key %q", entries[0].Key)
+	if key := strCell(t, res, 0, "key"); !strings.Contains(key, "(> val 50)") {
+		t.Fatalf("entry key %q", key)
 	}
 	off := predcache.Open(predcache.WithoutPredicateCache())
-	if off.CacheEntries() != nil {
+	if res := one(t, off, entries); res.NumRows() != 0 {
 		t.Fatal("entries with cache disabled")
 	}
 }

@@ -299,10 +299,10 @@ func (db *DB) emit(ev *obs.QueryEvent, tr *obs.Trace) {
 		"trace_retained", ev.Retained,
 	}
 	if ev.Error != "" {
-		db.logger.Load().WithQuery(ev.Seq).Error("query failed", append(attrs, "error", ev.Error)...)
+		db.logger.WithQuery(ev.Seq).Error("query failed", append(attrs, "error", ev.Error)...)
 		return
 	}
-	db.logger.Load().WithQuery(ev.Seq).Warn("slow query", attrs...)
+	db.logger.WithQuery(ev.Seq).Warn("slow query", attrs...)
 }
 
 // Run executes a prepared plan.
@@ -331,20 +331,11 @@ func (db *DB) RunCtx(node engine.Node, ec *engine.ExecCtx) (*Result, error) {
 	return db.run(&st, node, ec)
 }
 
-// ExplainAnalyze executes query with tracing enabled and renders the span
-// tree: parse/plan/execute phases, every plan operator with its wall time
-// and cardinalities, scans with their block-elimination breakdown (zone maps
-// vs predicate cache) and cache outcome, and cache/slice events beneath the
-// scans that produced them. A totals line mirrors LastQueryStats.
-func (db *DB) ExplainAnalyze(query string) (string, error) {
-	return db.explainAnalyze(context.Background(), query, query)
-}
-
 // explainRecorded is EXPLAIN's path through Query: plan only, never execute.
 // Parse and plan failures are recorded in pc.query_log under displaySQL —
 // the full statement the client sent, EXPLAIN prefix included — exactly like
 // any other failed query; successful EXPLAINs execute nothing and emit no
-// event (matching the non-recording Explain accessor pcsh uses).
+// event.
 func (db *DB) explainRecorded(ctx context.Context, displaySQL, rest string) (string, error) {
 	st := db.begin(ctx, displaySQL)
 	node, err := db.plan(&st, rest, false)
@@ -355,12 +346,16 @@ func (db *DB) explainRecorded(ctx context.Context, displaySQL, rest string) (str
 	return engine.Explain(node), nil
 }
 
-// explainAnalyze is the shared tail of ExplainAnalyze and Query's EXPLAIN
-// ANALYZE prefix: rest is planned, shaped and executed like the plain
-// statement, displaySQL (the full statement, prefix included when it came
-// through Query) is the text the event carries, and ctx labels and cancels
-// the execution like QueryCtx. The live trace is rendered before the event
-// is emitted, because an admitted trace's spans move into the trace store.
+// explainAnalyze is Query's EXPLAIN ANALYZE path: rest is planned, shaped
+// and executed like the plain statement, displaySQL (the full statement,
+// prefix included) is the text the event carries, and ctx labels and cancels
+// the execution like QueryCtx. The rendered span tree covers the
+// parse/plan/execute phases, every plan operator with its wall time and
+// cardinalities, scans with their block-elimination breakdown (zone maps vs
+// predicate cache) and cache outcome, and cache/slice events beneath the
+// scans that produced them; a totals line mirrors LastQueryStats. The live
+// trace is rendered before the event is emitted, because an admitted trace's
+// spans move into the trace store.
 func (db *DB) explainAnalyze(ctx context.Context, displaySQL, rest string) (string, error) {
 	st := db.begin(ctx, displaySQL)
 	st.tr = obs.NewTrace()
@@ -382,4 +377,27 @@ func (db *DB) explainAnalyze(ctx context.Context, displaySQL, rest string) (stri
 	}
 	db.finish(&st, err)
 	return b.String(), err
+}
+
+// sessionKey is the context key ContextWithSession stores the session label
+// under.
+type sessionKey struct{}
+
+// ContextWithSession returns a context whose queries are attributed to the
+// given session label (the network server stamps "s<id>" per connection).
+// The label appears as the session pprof label and is bounded-cardinality by
+// construction: one value per connection, not per query.
+func ContextWithSession(ctx context.Context, session string) context.Context {
+	return context.WithValue(ctx, sessionKey{}, session)
+}
+
+// sessionFromCtx extracts the session label ("" when none).
+func sessionFromCtx(ctx context.Context) string {
+	if ctx == nil {
+		return ""
+	}
+	if s, ok := ctx.Value(sessionKey{}).(string); ok {
+		return s
+	}
+	return ""
 }

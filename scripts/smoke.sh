@@ -1,14 +1,14 @@
 #!/usr/bin/env sh
 # smoke.sh <admin|systab|trace|server|all>: end-to-end checks of the
 # shipped binaries, one suite per observable surface. Every suite builds what
-# it needs into one temp dir, boots pcsh or pcserver, asserts through the
-# same interfaces a user has (SQL, the wire protocol, HTTP, files on disk)
-# and tears everything down on exit.
+# it needs into one temp dir, boots pcserver, drives it with pcsh, asserts
+# through the same interfaces a user has (SQL, the wire protocol, HTTP, files
+# on disk) and tears everything down on exit.
 #
 #   admin    pcserver -admin: /metrics families, shape ledger, pprof labels, heap
 #   systab   pcsh: pc.query_log / pc.cache_stats / pc.table_storage via SQL
-#   trace    pcsh -slow 1ns -log: trace retention, pc.slo, pc.runtime, log lines
-#   server   pcserver + pcclient over TCP: sessions, plan cache, errors, drain
+#   trace    pcserver -slow 1ns -log + pcsh: trace retention, pc.slo, pc.runtime, log lines
+#   server   pcserver + pcsh over TCP: sessions, plan cache, errors, drain
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -49,12 +49,6 @@ stop() {
     forget "$1"
 }
 
-# run_pcsh FLAGS... <<script: run a shell session to completion into $BIN/out.
-run_pcsh() {
-    build pcsh
-    "$BIN/pcsh" "$@" >"$BIN/out"
-}
-
 # val_after KEY: each probe prints a one-word header line followed by the
 # value line; print the value after the header matching KEY.
 val_after() {
@@ -65,7 +59,7 @@ val_after() {
 # is listening. -addr/-admin :0 make the kernel pick the ports, so they are
 # parsed back from the log into ADDR and (when -admin was passed) ADMIN.
 boot_server() {
-    build pcserver pcclient
+    build pcserver pcsh
     "$BIN/pcserver" -addr 127.0.0.1:0 "$@" >"$BIN/server.log" 2>&1 &
     SRV_PID=$!
     PIDS="$PIDS $SRV_PID"
@@ -90,7 +84,7 @@ boot_server() {
 
 # q STMT: run one statement in a fresh session, print the full framed reply.
 q() {
-    printf '%s\n' "$1" | "$BIN/pcclient" -addr "$ADDR" -timeout 30s
+    printf '%s\n' "$1" | "$BIN/pcsh" -addr "$ADDR" -timeout 30s
 }
 
 # val STMT: single-row single-column result value (line 3: ok, header, value).
@@ -140,7 +134,7 @@ smoke_admin() {
     labels_ok=0
     attempt=0
     while [ $attempt -lt 3 ]; do
-        "$BIN/pcclient" -addr "$ADDR" -timeout 120s <"$BIN/load.sql" >/dev/null 2>&1 &
+        "$BIN/pcsh" -addr "$ADDR" -timeout 120s <"$BIN/load.sql" >/dev/null 2>&1 &
         load_pid=$!
         PIDS="$PIDS $load_pid"
         sleep 0.2
@@ -169,11 +163,12 @@ smoke_admin() {
     echo "admin smoke: OK (shapes=$shapes, top-shape calls=$topcalls, labelled profile after $((attempt + 1)) attempt(s))"
 }
 
-# Runs a short workload, then asserts that pc.query_log recorded exactly the
-# issued queries and that the cache and storage system tables answer through
-# plain SQL.
+# Runs a short workload through pcsh, then asserts that pc.query_log
+# recorded exactly the issued queries and that the cache and storage system
+# tables answer through plain SQL.
 smoke_systab() {
-    run_pcsh -dataset ssb -sf 0.005 <<'EOF'
+    boot_server -dataset ssb -sf 0.005
+    "$BIN/pcsh" -addr "$ADDR" -timeout 30s >"$BIN/out" <<'EOF'
 select count(*) from lineorder;
 select count(*) from lineorder where lo_quantity < 10;
 select count(*) from lineorder where lo_quantity < 10;
@@ -191,17 +186,20 @@ EOF
     [ "$storcols" -ge 1 ] || fail "pc.table_storage empty for lineorder" "$BIN/out"
     enabled="$(val_after enabled)"
     [ "$enabled" = "true" ] || fail "pc.cache_stats reports enabled='$enabled'" "$BIN/out"
+    kill -TERM "$SRV_PID"
+    stop "$SRV_PID"
     echo "systab smoke: OK (3 queries logged, $repeats cache-hit query, $storcols storage columns)"
 }
 
-# Boots the shell with a 1ns slow-query threshold (every query's trace is
+# Boots the server with a 1ns slow-query threshold (every query's trace is
 # retained as slow) and a JSON log file, runs a short workload including a
-# failing query, then asserts via SQL that pc.traces / pc.trace_spans /
-# pc.slo / pc.runtime answer, that the failed query was retained with its
-# error, and that the log lines carry trace ids.
+# failing query through pcsh, then asserts via SQL that pc.traces /
+# pc.trace_spans / pc.slo / pc.runtime answer, that the failed query was
+# retained with its error, and that the log lines carry trace ids.
 smoke_trace() {
-    log="$BIN/pcsh.log"
-    run_pcsh -dataset ssb -sf 0.005 -slow 1ns -log "$log" <<'EOF'
+    log="$BIN/pcserver.jsonl"
+    boot_server -dataset ssb -sf 0.005 -slow 1ns -log "$log"
+    "$BIN/pcsh" -addr "$ADDR" -timeout 30s >"$BIN/out" <<'EOF'
 select count(*) from lineorder;
 select count(*) from lineorder where lo_quantity < 10;
 select count(*) from nosuch_table;
@@ -222,6 +220,8 @@ EOF
     [ "$slorows" -ge 1 ] || fail "pc.slo has no populated class" "$BIN/out"
     runtimerows="$(val_after runtimerows)"
     [ "$runtimerows" -ge 1 ] || fail "pc.runtime returned no sample" "$BIN/out"
+    kill -TERM "$SRV_PID"
+    stop "$SRV_PID"
     # The structured log must carry correlated slow-query and failure lines.
     grep -q '"msg":"slow query"' "$log" || fail "no slow-query log line" "$log"
     grep -q '"msg":"query failed"' "$log" || fail "no query-failed log line" "$log"
@@ -251,7 +251,7 @@ smoke_server() {
 
     # One session: ping, a prepared statement, a statement error that must not
     # kill the session, and the session observing itself in pc.sessions.
-    "$BIN/pcclient" -addr "$ADDR" -timeout 30s >"$BIN/session.out" <<'EOF'
+    "$BIN/pcsh" -addr "$ADDR" -timeout 30s >"$BIN/session.out" <<'EOF'
 \ping
 \prepare q1 select count(*) as n from customer
 \exec q1

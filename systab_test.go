@@ -1,9 +1,6 @@
 package predcache_test
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"slices"
 	"strings"
 	"sync"
@@ -35,6 +32,17 @@ func intCell(t *testing.T, res *predcache.Result, row int, col string) int64 {
 	return int64(c.Floats[row]) // aggregates may widen to float
 }
 
+// lastLogged reads the newest pc.query_log row: the statement before this
+// read.
+func lastLogged(t *testing.T, db *predcache.DB) (text, errMsg string) {
+	t.Helper()
+	res := one(t, db, "select seq, query_text, error from pc.query_log order by seq desc limit 1")
+	if res.NumRows() != 1 {
+		t.Fatal("pc.query_log is empty")
+	}
+	return strCell(t, res, 0, "query_text"), strCell(t, res, 0, "error")
+}
+
 func TestQueryLogCountsQueries(t *testing.T) {
 	db := openWithData(t, 4000)
 	queries := []string{
@@ -51,23 +59,23 @@ func TestQueryLogCountsQueries(t *testing.T) {
 	if got := res.Col(0).Ints[0]; got != int64(len(queries)) {
 		t.Fatalf("pc.query_log count = %d, want %d", got, len(queries))
 	}
-	log := db.QueryLog()
-	if len(log) != len(queries)+1 {
-		t.Fatalf("QueryLog len = %d", len(log))
+	log := one(t, db, "select seq, query_text, error, cache_hits, rows_scanned, wall_us from pc.query_log order by seq")
+	if log.NumRows() != len(queries)+1 {
+		t.Fatalf("pc.query_log rows = %d", log.NumRows())
 	}
 	for i, q := range queries {
-		if log[i].SQL != q {
-			t.Errorf("log[%d].SQL = %q, want %q", i, log[i].SQL, q)
+		if got := strCell(t, log, i, "query_text"); got != q {
+			t.Errorf("row %d query_text = %q, want %q", i, got, q)
 		}
-		if log[i].Error != "" || log[i].Seq != int64(i) {
-			t.Errorf("log[%d] = %+v", i, log[i])
+		if strCell(t, log, i, "error") != "" || intCell(t, log, i, "seq") != int64(i) {
+			t.Errorf("row %d wrong:\n%s", i, log.Format(5))
 		}
 	}
-	if log[1].CacheHits == 0 {
-		t.Errorf("repeated query recorded no cache hit: %+v", log[1])
+	if intCell(t, log, 1, "cache_hits") == 0 {
+		t.Errorf("repeated query recorded no cache hit:\n%s", log.Format(5))
 	}
-	if log[0].RowsScanned == 0 || log[0].WallMicros < 0 {
-		t.Errorf("first query missing counters: %+v", log[0])
+	if intCell(t, log, 0, "rows_scanned") == 0 || intCell(t, log, 0, "wall_us") < 0 {
+		t.Errorf("first query missing counters:\n%s", log.Format(5))
 	}
 }
 
@@ -210,18 +218,14 @@ func TestQueryLogRecordsErrors(t *testing.T) {
 	if _, err := db.Query("selec broken"); err == nil {
 		t.Fatal("expected parse error")
 	}
-	log := db.QueryLog()
-	if len(log) != 2 {
-		t.Fatalf("log len = %d", len(log))
+	log := one(t, db, "select query_text, error from pc.query_log")
+	if log.NumRows() != 2 {
+		t.Fatalf("log len = %d", log.NumRows())
 	}
-	for i, rec := range log {
-		if rec.Error == "" {
-			t.Errorf("log[%d] lost the error: %+v", i, rec)
+	for i := 0; i < log.NumRows(); i++ {
+		if strCell(t, log, i, "error") == "" {
+			t.Errorf("row %d lost the error:\n%s", i, log.Format(5))
 		}
-	}
-	res := one(t, db, "select count(*) as n from pc.query_log where error = ''")
-	if intCell(t, res, 0, "n") != 0 {
-		t.Fatal("failed queries recorded as successes")
 	}
 }
 
@@ -239,12 +243,12 @@ func TestQueryLogCapacityAndDisable(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		one(t, small, "select count(*) from u")
 	}
-	log := small.QueryLog()
-	if len(log) != 3 {
-		t.Fatalf("bounded log len = %d, want 3", len(log))
+	log := one(t, small, "select seq from pc.query_log order by seq")
+	if log.NumRows() != 3 {
+		t.Fatalf("bounded log len = %d, want 3", log.NumRows())
 	}
-	if log[0].Seq != 4 {
-		t.Fatalf("oldest retained seq = %d, want 4", log[0].Seq)
+	if seq := intCell(t, log, 0, "seq"); seq != 4 {
+		t.Fatalf("oldest retained seq = %d, want 4", seq)
 	}
 
 	off := predcache.Open(predcache.WithQueryLogCapacity(0), predcache.WithSlices(1))
@@ -255,37 +259,9 @@ func TestQueryLogCapacityAndDisable(t *testing.T) {
 		t.Fatal(err)
 	}
 	one(t, off, "select count(*) from u")
-	if got := off.QueryLog(); got != nil {
-		t.Fatalf("disabled log returned %d records", len(got))
-	}
 	res := one(t, off, "select count(*) from pc.query_log")
 	if res.Col(0).Ints[0] != 0 {
 		t.Fatal("pc.query_log non-empty with recording disabled")
-	}
-}
-
-func TestDumpQueryLog(t *testing.T) {
-	db := openWithData(t, 100)
-	one(t, db, "select count(*) from t")
-	one(t, db, "select count(*) from t where id < 10")
-	var buf bytes.Buffer
-	if err := db.DumpQueryLog(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	n := 0
-	for sc.Scan() {
-		var rec predcache.QueryRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("line %d: %v", n, err)
-		}
-		if rec.Seq != int64(n) {
-			t.Errorf("line %d: seq %d", n, rec.Seq)
-		}
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("dumped %d lines", n)
 	}
 }
 
@@ -302,7 +278,7 @@ func TestCreateTableRejectsSystemSchema(t *testing.T) {
 		"pc.plan_cache", "pc.query_log", "pc.query_shapes", "pc.runtime",
 		"pc.slo", "pc.table_storage", "pc.trace_spans", "pc.traces",
 	}
-	if names := db.SystemTableNames(); !slices.Equal(names, want) {
+	if names := predcache.SinksOf(db).Tables.Names(); !slices.Equal(names, want) {
 		t.Fatalf("system tables: %q, want %q", names, want)
 	}
 }
@@ -314,7 +290,7 @@ func TestExplainVirtualScan(t *testing.T) {
 	if !strings.Contains(text, "VirtualScan pc.query_log") {
 		t.Fatalf("explain missing VirtualScan:\n%s", text)
 	}
-	if _, err := db.ExplainAnalyze("select count(*) from pc.cache_stats"); err != nil {
+	if _, err := db.Query("explain analyze select count(*) from pc.cache_stats"); err != nil {
 		t.Fatalf("explain analyze over system table: %v", err)
 	}
 }

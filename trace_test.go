@@ -8,6 +8,7 @@ import (
 	"time"
 
 	predcache "github.com/predcache/predcache"
+	"github.com/predcache/predcache/internal/obs"
 )
 
 // strCell reads a string cell by column name.
@@ -58,21 +59,19 @@ func TestErrorTraceRetained(t *testing.T) {
 			t.Fatalf("span %d has negative duration", i)
 		}
 	}
-	// Go-side drill-down agrees and carries the error attribute.
-	var errTrace *predcache.RetainedTrace
-	for _, rt := range db.RetainedTraces() {
-		if rt.Reason == "error" && strings.Contains(rt.SQL, "nosuch") {
-			errTrace = rt
-		}
+	// The plan failure's trace carries the error, and one of its spans the
+	// error attribute.
+	res = one(t, db, "select trace_id, error, spans from pc.traces where reason = 'error' and query_text like '%nosuch%'")
+	if res.NumRows() != 1 {
+		t.Fatalf("plan-failure traces = %d, want 1", res.NumRows())
 	}
-	if errTrace == nil {
-		t.Fatal("plan-failure trace not retained")
+	if strCell(t, res, 0, "error") == "" || intCell(t, res, 0, "spans") == 0 {
+		t.Fatalf("error trace incomplete:\n%s", res.Format(5))
 	}
-	if errTrace.Error == "" || len(errTrace.Spans) == 0 {
-		t.Fatalf("error trace incomplete: %+v", errTrace)
-	}
-	if rendered := predcache.RenderTrace(errTrace); !strings.Contains(rendered, "error=") {
-		t.Fatalf("rendered error trace missing error attr:\n%s", rendered)
+	id := intCell(t, res, 0, "trace_id")
+	res = one(t, db, fmt.Sprintf("select count(*) as n from pc.trace_spans where trace_id = %d and attrs like '%%error=%%'", id))
+	if n := intCell(t, res, 0, "n"); n == 0 {
+		t.Fatalf("trace %d has no span with an error attr", id)
 	}
 }
 
@@ -126,6 +125,7 @@ func TestTraceRetentionBounded(t *testing.T) {
 		t.Skip("100k-query stress")
 	}
 	const budget = 64
+	m := predcache.NewMetrics()
 	db := predcache.Open(
 		predcache.WithSlices(1),
 		predcache.WithMaxWorkers(1),
@@ -135,6 +135,7 @@ func TestTraceRetentionBounded(t *testing.T) {
 			ShapeQuota: 2,
 		}),
 	)
+	db.EnableMetrics(m)
 	schema := predcache.Schema{{Name: "id", Type: predcache.Int64}}
 	if err := db.CreateTable("t", schema); err != nil {
 		t.Fatal(err)
@@ -158,27 +159,27 @@ func TestTraceRetentionBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%10_000 == 0 {
-			if st := db.TraceStats(); st.SpanCount > st.SpanBudget {
-				t.Fatalf("iteration %d: %d spans retained, budget %d", i, st.SpanCount, st.SpanBudget)
+			res := one(t, db, "select sum(spans) as s from pc.traces")
+			if got := intCell(t, res, 0, "s"); got > budget {
+				t.Fatalf("iteration %d: pc.traces reports %d spans, budget %d", i, got, budget)
 			}
 		}
 	}
-	st := db.TraceStats()
-	if st.SpanCount > budget {
-		t.Fatalf("final span count %d exceeds budget %d", st.SpanCount, budget)
+	counter := func(name string) float64 {
+		res := one(t, db, "select value from pc.metrics where name = '"+name+"'")
+		return res.Col(0).Floats[0]
 	}
-	if st.Offered < 99_000 || st.Kept == 0 || st.Evicted == 0 {
-		t.Fatalf("stress stats implausible: %+v", st)
+	if got := counter("predcache_trace_spans_retained"); got > budget {
+		t.Fatalf("final span count %v exceeds budget %d", got, budget)
 	}
-	// The SQL surface agrees with the Go accessor.
-	res := one(t, db, "select sum(spans) as s from pc.traces")
-	if got := intCell(t, res, 0, "s"); got > budget {
-		t.Fatalf("pc.traces reports %d spans, budget %d", got, budget)
+	offered, kept, evicted := counter("predcache_traces_offered_total"), counter("predcache_traces_kept_total"), counter("predcache_traces_evicted_total")
+	if offered < 99_000 || kept == 0 || evicted == 0 {
+		t.Fatalf("stress stats implausible: offered %v kept %v evicted %v", offered, kept, evicted)
 	}
 }
 
-// TestSLOTableAndCheck exercises pc.slo and the CheckSLO API end to end,
-// including the exemplar join back to pc.traces.
+// TestSLOTableAndCheck exercises pc.slo end to end, including the exemplar
+// join back to pc.traces.
 func TestSLOTableAndCheck(t *testing.T) {
 	db := openWithData(t, 4000)
 	one(t, db, "select count(*) from t where id = 17") // agg (count)
@@ -207,17 +208,10 @@ func TestSLOTableAndCheck(t *testing.T) {
 		t.Fatal("no pc.slo exemplar joins a retained trace")
 	}
 
-	// CheckSLO: an absurdly tight objective must be violated and carry the
-	// exemplar; a loose one must hold.
-	if v := db.CheckSLO([]predcache.SLOTarget{{Class: "*", P99: time.Nanosecond}}); len(v) == 0 {
-		t.Fatal("1ns p99 objective should be violated")
-	}
-	if v := db.CheckSLO([]predcache.SLOTarget{{Class: "*", P99: time.Hour}}); len(v) != 0 {
-		t.Fatalf("1h p99 objective should hold, got %+v", v)
-	}
-	reports := db.SLOReports()
-	if len(reports) != 8 {
-		t.Fatalf("SLOReports rows = %d, want 8", len(reports))
+	// Every class has a row per cache outcome, populated or not.
+	res = one(t, db, "select count(*) as n from pc.slo")
+	if n := intCell(t, res, 0, "n"); n != 8 {
+		t.Fatalf("pc.slo rows = %d, want 8", n)
 	}
 }
 
@@ -233,9 +227,15 @@ func TestRuntimeTable(t *testing.T) {
 	}
 	db.StartRuntimeSampler(time.Hour) // samples once immediately
 	defer db.StopRuntimeSampler()
-	res = one(t, db, "select goroutines, heap_alloc_bytes, pool_gets from pc.runtime")
+	// The table's live fallback would also yield one row, so the sampler's
+	// ring is checked directly and the row must be the ring's sample.
+	ring := ringSample(t, db)
+	res = one(t, db, "select ts_micros, goroutines, heap_alloc_bytes, pool_gets from pc.runtime")
 	if res.NumRows() != 1 {
 		t.Fatalf("pc.runtime rows = %d, want 1", res.NumRows())
+	}
+	if ts := intCell(t, res, 0, "ts_micros"); ts != ring.TSMicros {
+		t.Fatalf("pc.runtime ts_micros = %d, want the ring sample's %d", ts, ring.TSMicros)
 	}
 	if g := intCell(t, res, 0, "goroutines"); g <= 0 {
 		t.Fatalf("goroutines = %d", g)
@@ -243,16 +243,31 @@ func TestRuntimeTable(t *testing.T) {
 	if pg := intCell(t, res, 0, "pool_gets"); pg <= 0 {
 		t.Fatalf("pool_gets = %d: scratch-pool counters not wired", pg)
 	}
-	samples := db.RuntimeSamples()
-	if len(samples) != 1 {
-		t.Fatalf("RuntimeSamples = %d", len(samples))
-	}
 	db.StopRuntimeSampler()
-	// Stopping twice and sampling without a collector must be safe.
+	// Stopping twice must be safe, and the halted sampler's sample stays.
 	db.StopRuntimeSampler()
-	if s := db.SampleRuntime(); s.Goroutines <= 0 {
-		t.Fatalf("standalone sample implausible: %+v", s)
+	if after := ringSample(t, db); after != ring {
+		t.Fatalf("ring sample changed across stop: %+v, want %+v", after, ring)
 	}
+	res = one(t, db, "select ts_micros, goroutines from pc.runtime")
+	if res.NumRows() != 1 || intCell(t, res, 0, "goroutines") <= 0 ||
+		intCell(t, res, 0, "ts_micros") != ring.TSMicros {
+		t.Fatalf("pc.runtime after stop:\n%s", res.Format(5))
+	}
+}
+
+// ringSample returns the one sample the runtime sampler's ring must hold.
+func ringSample(t *testing.T, db *predcache.DB) obs.RuntimeSample {
+	t.Helper()
+	rt := predcache.SinksOf(db).Runtime
+	if rt == nil {
+		t.Fatal("no runtime sampler")
+	}
+	s := rt.Samples()
+	if len(s) != 1 {
+		t.Fatalf("runtime ring holds %d samples, want 1", len(s))
+	}
+	return s[0]
 }
 
 // TestQueryLogging asserts the slog lines carry query/trace correlation.
@@ -286,16 +301,11 @@ func TestQueryLogging(t *testing.T) {
 		}
 	}
 	// The trace_id in the failure line resolves against the retained trace.
-	var failed *predcache.RetainedTrace
-	for _, rt := range db.RetainedTraces() {
-		if rt.Error != "" {
-			failed = rt
-		}
+	res := one(t, db, "select trace_id from pc.traces where error <> ''")
+	if res.NumRows() != 1 {
+		t.Fatalf("failed query's trace not retained:\n%s", res.Format(5))
 	}
-	if failed == nil {
-		t.Fatal("failed query's trace not retained")
-	}
-	if !strings.Contains(out, fmt.Sprintf(`"trace_id":%d`, failed.Seq)) {
-		t.Errorf("log lines never mention the failed trace id %d:\n%s", failed.Seq, out)
+	if id := intCell(t, res, 0, "trace_id"); !strings.Contains(out, fmt.Sprintf(`"trace_id":%d`, id)) {
+		t.Errorf("log lines never mention the failed trace id %d:\n%s", id, out)
 	}
 }
