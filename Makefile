@@ -27,9 +27,11 @@ race:
 # Just the DML-vs-vacuum and concurrency stress tests, under the race
 # detector with the pcdebug assertions compiled in — the harshest setting.
 # The kernel equivalence oracles ride along: they hammer the pooled scan
-# scratch and the encoded/decoded split from many goroutines; so do the
-# kernel fuzz target's seed corpus and the block-loop tests. CI runs this
-# target, not a copy of its commands.
+# scratch and the encoded/decoded split from many goroutines, and
+# TestKernelDMLEquivalence holds DeleteWhere/UpdateWhere row matching (an
+# engine scan) to the serial decode-only reference; so do the kernel fuzz
+# target's seed corpus and the block-loop tests. CI runs this target, not a
+# copy of its commands.
 stress:
 	$(GO) test -race -tags pcdebug -run 'TestDMLVacuumRace|TestConcurrentQueriesAndDML|TestRaceStressParallelScans|TestRaceStressParallelOperators|TestKernel' -count=2 .
 	$(GO) test -race -tags pcdebug -run 'TestKernel|TestEvalPredRanges|TestReadIntRange|TestReadFloatRange|FuzzEvalPred' ./internal/storage ./internal/expr
@@ -72,10 +74,11 @@ admin-smoke systab-smoke trace-smoke server-smoke:
 # engine equivalence tests fail the target on any serial-vs-parallel result
 # divergence (bit-exact, including float payloads). The kernel micro-benchmarks
 # (2,048 distinct random blocks each), the one-candidate-block hit and the
-# per-sink cost of the observability tail (BenchmarkEmit, DESIGN.md §16) ride
+# per-sink cost of the observability tail (BenchmarkEmit, DESIGN.md §16) and
+# the DeleteWhere/UpdateWhere statements of mixed_dml (BenchmarkDML) ride
 # along at one iteration.
 bench-smoke:
-	$(GO) test -run=NONE -bench='BenchmarkScan|BenchmarkEmit' -benchtime=1x .
+	$(GO) test -run=NONE -bench='BenchmarkScan|BenchmarkEmit|BenchmarkDML' -benchtime=1x .
 	$(GO) test -run=NONE -bench=BenchmarkEvalPred -benchtime=1x ./internal/storage
 	$(GO) test -run=NONE -bench=BenchmarkScanHitOneBlock -benchtime=1x ./internal/engine
 	$(GO) test -run=NONE -bench=BenchmarkTable4TPCHSkewed -benchtime=1x -cpu 1,4 .

@@ -8,6 +8,7 @@ import (
 
 	predcache "github.com/predcache/predcache"
 	"github.com/predcache/predcache/internal/bench"
+	"github.com/predcache/predcache/internal/workload"
 )
 
 // benchExperiment runs one harness experiment per iteration at the fast
@@ -138,6 +139,54 @@ func BenchmarkScanNoCache(b *testing.B) {
 		if _, err := db.Run(plan); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkDML times DeleteWhere and UpdateWhere on the mixed_dml table
+// shape: 32,000 events rows (workload.SetupDB), 160-row id-range deletes and
+// 60-row id-range updates. Each statement takes the next id window, so it
+// matches all of that window's rows; once every window has been taken the
+// table is built again off the clock, which bounds its physical size
+// without a vacuum.
+func BenchmarkDML(b *testing.B) {
+	const rows = 32_000
+	bumpQty := func(bt *predcache.Batch) {
+		for i := range bt.Cols[3].Ints {
+			bt.Cols[3].Ints[i]++
+		}
+	}
+	for _, bc := range []struct {
+		name  string
+		width int
+	}{{"delete", 160}, {"update", 60}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var db *predcache.DB
+			windows := rows / bc.width
+			for i := 0; i < b.N; i++ {
+				if i%windows == 0 {
+					b.StopTimer()
+					var err error
+					if db, err = workload.SetupDB(rows, 1); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				lo := (i % windows) * bc.width
+				pred, err := predcache.ParseWhere(fmt.Sprintf("id between %d and %d", lo, lo+bc.width-1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				var n int
+				if bc.name == "delete" {
+					n, err = db.DeleteWhere("events", pred)
+				} else {
+					n, err = db.UpdateWhere("events", pred, bumpQty)
+				}
+				if err != nil || n != bc.width {
+					b.Fatalf("%s of ids %d..%d touched %d rows: %v", bc.name, lo, lo+bc.width-1, n, err)
+				}
+			}
+		})
 	}
 }
 

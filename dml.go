@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/predcache/predcache/internal/engine"
-	"github.com/predcache/predcache/internal/expr"
 	"github.com/predcache/predcache/internal/obs"
 	"github.com/predcache/predcache/internal/storage"
 	"github.com/predcache/predcache/internal/systab"
@@ -65,57 +64,8 @@ const dmlEpochRetries = 4
 // delete; row numbers do not change, so predicate-cache entries stay valid).
 // It returns the number of rows this statement deleted (rows a concurrent
 // statement deleted first are not counted twice).
-func (db *DB) DeleteWhere(table string, pred Pred) (n int, err error) {
-	start := time.Now()
-	defer func() {
-		if err == nil {
-			db.observeDML(start)
-		}
-	}()
-	tbl, ok := db.cat.Table(table)
-	if !ok {
-		return 0, fmt.Errorf("predcache: unknown table %s", table)
-	}
-	for attempt := 0; attempt < dmlEpochRetries; attempt++ {
-		n, ok, err := db.tryDeleteWhere(tbl, table, pred)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			return n, nil
-		}
-		// A vacuum renumbered the rows between match and mutate: re-match.
-	}
-	unlock := tbl.LockLayout() // exclude vacuums: the epoch cannot change now
-	defer unlock()
-	n, ok, err = db.tryDeleteWhere(tbl, table, pred)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, fmt.Errorf("predcache: delete from %s: table layout changed while the layout gate was held", table)
-	}
-	return n, nil
-}
-
-// tryDeleteWhere runs one optimistic match/mutate attempt. ok reports
-// whether the attempt committed; false means a concurrent vacuum renumbered
-// the rows in between and the caller should retry.
-func (db *DB) tryDeleteWhere(tbl *storage.Table, table string, pred Pred) (int, bool, error) {
-	rows, epoch, err := db.matchRows(tbl, pred)
-	if err != nil {
-		return 0, false, fmt.Errorf("predcache: delete from %s: %w", table, err)
-	}
-	total := 0
-	for _, rs := range rows {
-		total += len(rs)
-	}
-	if total == 0 {
-		tbl.BumpVersion() // the statement still invalidates result caches
-		return 0, true, nil
-	}
-	n, ok := tbl.DeleteRowsAtEpoch(rows, db.cat.NextXID(), epoch)
-	return n, ok, nil
+func (db *DB) DeleteWhere(table string, pred Pred) (int, error) {
+	return db.mutateWhere(table, pred, true, nil)
 }
 
 // UpdateWhere implements out-of-place updates (§4.3.3): matching rows are
@@ -124,7 +74,17 @@ func (db *DB) tryDeleteWhere(tbl *storage.Table, table string, pred Pred) (int, 
 // mismatched column lengths) leaves the table unchanged. apply may run more
 // than once if a concurrent Vacuum forces a re-match; it always receives a
 // freshly materialized batch. Returns the number of updated rows.
-func (db *DB) UpdateWhere(table string, pred Pred, apply func(b *Batch)) (n int, err error) {
+func (db *DB) UpdateWhere(table string, pred Pred, apply func(b *Batch)) (int, error) {
+	return db.mutateWhere(table, pred, false, apply)
+}
+
+// mutateWhere is DeleteWhere (del) and UpdateWhere (apply). Each attempt
+// finds the visible matching rows with one engine scan, which also copies
+// them for an update, and mutates them through the AtEpoch table methods.
+// The scan skips the predicate cache, which DML never reads or feeds (one-off
+// DML ranges would churn its LRU), and runs through Execute, not db.Run: it
+// emits no QueryEvent and leaves LastQueryStats to the last SELECT.
+func (db *DB) mutateWhere(table string, pred Pred, del bool, apply func(b *Batch)) (n int, err error) {
 	start := time.Now()
 	defer func() {
 		if err == nil {
@@ -135,155 +95,88 @@ func (db *DB) UpdateWhere(table string, pred Pred, apply func(b *Batch)) (n int,
 	if !ok {
 		return 0, fmt.Errorf("predcache: unknown table %s", table)
 	}
-	for attempt := 0; attempt < dmlEpochRetries; attempt++ {
-		n, ok, err := db.tryUpdateWhere(tbl, table, pred, apply)
+	// The alias names every table column's output "<table>.<column>", so
+	// none can clash with the rowid column, whatever the columns are called.
+	op := "delete from"
+	scan := &engine.Scan{Table: table, Filter: pred, RowIDs: true, Alias: table, Project: []string{}}
+	if !del {
+		op = "update"
+		scan.Project = nil // every column: the update re-inserts whole rows
+	}
+	for attempt := 0; ; attempt++ {
+		last := attempt == dmlEpochRetries
+		if last {
+			unlock := tbl.LockLayout() // exclude vacuums: the epoch cannot change now
+			defer unlock()
+		}
+		// The epoch is read before the scan takes the table lock, never
+		// after: a vacuum in between fails the AtEpoch check below and the
+		// loop matches again, while an epoch read after the scan could vouch
+		// for row numbers a vacuum has already renumbered.
+		epoch := tbl.LayoutEpoch()
+		ec := db.execCtx()
+		ec.Cache = nil
+		rel, err := scan.Execute(ec)
 		if err != nil {
-			return 0, err
+			return 0, fmt.Errorf("predcache: %s %s: %w", op, table, err)
 		}
-		if ok {
-			return n, nil
+		if rel.NumRows() == 0 {
+			tbl.BumpVersion() // the statement still invalidates result caches
+			return 0, nil
 		}
-		// Vacuumed between match and materialize/mutate: re-match.
+		// Rowids arrive in slice order, then row order, and an update
+		// appends its copies in that order.
+		rows := make([][]int, tbl.NumSlices())
+		for _, id := range rel.Col(0).Ints {
+			rows[id>>32] = append(rows[id>>32], int(uint32(id)))
+		}
+		if del {
+			if n, ok := tbl.DeleteRowsAtEpoch(rows, db.cat.NextXID(), epoch); ok {
+				return n, nil
+			}
+		} else {
+			nb := updateBatch(tbl, rel)
+			apply(nb)
+			ok, err := tbl.UpdateRowsAtEpoch(rows, nb, db.cat.NextXID(), epoch)
+			if err != nil {
+				return 0, fmt.Errorf("predcache: update %s: %w", table, err)
+			}
+			if ok {
+				return nb.N, nil
+			}
+		}
+		// A vacuum renumbered the rows between match and mutate: re-match.
+		if last {
+			return 0, fmt.Errorf("predcache: %s %s: table layout changed while the layout gate was held", op, table)
+		}
 	}
-	unlock := tbl.LockLayout() // exclude vacuums: the epoch cannot change now
-	defer unlock()
-	n, ok, err = db.tryUpdateWhere(tbl, table, pred, apply)
-	if err != nil {
-		return 0, err
-	}
-	if !ok {
-		return 0, fmt.Errorf("predcache: update %s: table layout changed while the layout gate was held", table)
-	}
-	return n, nil
 }
 
-// tryUpdateWhere runs one optimistic match/materialize/mutate attempt. ok
-// reports whether the attempt committed; false means a concurrent vacuum
-// invalidated the captured row numbers and the caller should retry. A
-// non-nil error is terminal (the table is unchanged).
-func (db *DB) tryUpdateWhere(tbl *storage.Table, table string, pred Pred, apply func(b *Batch)) (int, bool, error) {
-	rows, epoch, err := db.matchRows(tbl, pred)
-	if err != nil {
-		return 0, false, fmt.Errorf("predcache: update %s: %w", table, err)
-	}
-	nb, ok := db.materializeRows(tbl, rows, epoch)
-	if !ok {
-		return 0, false, nil
-	}
-	if nb.N == 0 {
-		tbl.BumpVersion()
-		return 0, true, nil
-	}
-	apply(nb)
-	ok, err = tbl.UpdateRowsAtEpoch(rows, nb, db.cat.NextXID(), epoch)
-	if err != nil {
-		return 0, false, fmt.Errorf("predcache: update %s: %w", table, err)
-	}
-	return nb.N, ok, nil
-}
-
-// materializeRows copies the captured rows into a columnar batch. It
-// re-checks the layout epoch under the same read lock as the copy: the row
-// numbers in rows are only meaningful at that epoch, and reading them after
-// a vacuum would materialize arbitrary other rows' values.
-func (db *DB) materializeRows(tbl *storage.Table, rows [][]int, epoch uint64) (*storage.Batch, bool) {
+// updateBatch turns an update's scan output (rowid, then every column) into
+// the batch apply mutates. The scan's merged vectors are fresh allocations,
+// so the batch takes them over; string codes become their values.
+func updateBatch(tbl *storage.Table, rel *engine.Relation) *storage.Batch {
 	schema := tbl.Schema()
 	nb := storage.NewBatch(schema)
-	unlock, cur := tbl.RLockScanEpoch()
+	nb.N = rel.NumRows()
+	unlock := tbl.RLockScan() // concurrent appends grow the dictionaries
 	defer unlock()
-	if cur != epoch {
-		return nil, false
-	}
-	iScratch := make([]int64, storage.BlockSize)
-	fScratch := make([]float64, storage.BlockSize)
-	for slice, rs := range rows {
-		s := tbl.Slice(slice)
-		for _, row := range rs {
-			for ci, def := range schema {
-				col := s.Column(ci)
-				switch def.Type {
-				case storage.Float64:
-					nb.Cols[ci].Floats = append(nb.Cols[ci].Floats, col.FloatAt(row, fScratch))
-				case storage.String:
-					nb.Cols[ci].Strings = append(nb.Cols[ci].Strings, tbl.Dict(ci).Value(col.IntAt(row, iScratch)))
-				default:
-					nb.Cols[ci].Ints = append(nb.Cols[ci].Ints, col.IntAt(row, iScratch))
-				}
+	for ci, def := range schema {
+		col := rel.Col(ci + 1)
+		switch def.Type {
+		case storage.Float64:
+			nb.Cols[ci].Floats = col.Floats
+		case storage.String:
+			strs := make([]string, len(col.Ints))
+			for i, code := range col.Ints {
+				strs[i] = col.Dict.Value(code)
 			}
-			nb.N++
+			nb.Cols[ci].Strings = strs
+		default:
+			nb.Cols[ci].Ints = col.Ints
 		}
 	}
-	return nb, true
-}
-
-// matchRows evaluates pred per slice and returns visible matching physical
-// row numbers plus the layout epoch they were captured at. The row numbers
-// are only valid while the table's layout epoch still equals the returned
-// one; mutate through the AtEpoch table methods.
-func (db *DB) matchRows(tbl *storage.Table, pred Pred) ([][]int, uint64, error) {
-	if pred == nil {
-		pred = expr.TruePred{}
-	}
-	snapshot := db.cat.Snapshot()
-	unlock, epoch := tbl.RLockScanEpoch()
-	defer unlock()
-	bound, err := expr.Bind(pred, tbl)
-	if err != nil {
-		return nil, 0, err
-	}
-	numCols := len(tbl.Schema())
-	dicts := make([]*storage.Dict, numCols)
-	for i := range dicts {
-		dicts[i] = tbl.Dict(i)
-	}
-	out := make([][]int, tbl.NumSlices())
-	needCols := map[int]bool{}
-	for _, name := range pred.Columns(nil) {
-		needCols[tbl.ColumnIndex(name)] = true
-	}
-	for si := 0; si < tbl.NumSlices(); si++ {
-		s := tbl.Slice(si)
-		ctx := expr.NewBlockCtx(numCols, dicts)
-		ints := make(map[int][]int64)
-		floats := make(map[int][]float64)
-		sel := make([]int, storage.BlockSize)
-		for blk := 0; blk*storage.BlockSize < s.NumRows(); blk++ {
-			base := blk * storage.BlockSize
-			n := s.NumRows() - base
-			if n > storage.BlockSize {
-				n = storage.BlockSize
-			}
-			ctx.N = n
-			for ci := range needCols {
-				if tbl.ColumnType(ci) == storage.Float64 {
-					if floats[ci] == nil {
-						floats[ci] = make([]float64, storage.BlockSize)
-					}
-					s.Column(ci).ReadFloatBlock(blk, floats[ci])
-					ctx.SetFloat(ci, floats[ci])
-				} else {
-					if ints[ci] == nil {
-						ints[ci] = make([]int64, storage.BlockSize)
-					}
-					s.Column(ci).ReadIntBlock(blk, ints[ci])
-					ctx.SetInt(ci, ints[ci])
-				}
-			}
-			sel = sel[:n]
-			for i := 0; i < n; i++ {
-				sel[i] = i
-			}
-			matched := bound.Eval(ctx, sel)
-			for _, r := range matched {
-				row := base + r
-				if s.Visible(row, snapshot) {
-					out[si] = append(out[si], row)
-				}
-			}
-			sel = sel[:cap(sel)]
-		}
-	}
-	return out, epoch, nil
+	return nb
 }
 
 // Vacuum reclaims deleted rows and re-sorts the table; this changes physical
@@ -311,8 +204,9 @@ func (db *DB) Vacuum(table string) error {
 // observeDML records one successful mutation statement's wall time under the
 // dml SLO class. Error paths (unknown table, bad predicate) deliberately do
 // not observe: their sub-microsecond no-op samples would skew the dml
-// histograms toward zero. DML statements are not traced (they have no plan
-// tree), so the observation carries no retained-trace exemplar.
+// histograms toward zero. DML statements are not traced: their row-matching
+// scan emits no QueryEvent, so the observation carries no retained-trace
+// exemplar.
 func (db *DB) observeDML(start time.Time) {
 	db.slo.Observe(obs.ClassDML, false, time.Since(start), -1, false)
 }

@@ -50,7 +50,64 @@ func TestUpdateWhereFailedAppendKeepsRows(t *testing.T) {
 	}
 }
 
-// TestRunCtxDefaultsParallel: a caller-provided context that names no degree
+// TestDMLOnRowidColumn: DML finds its rows with a scan whose first output
+// column is named rowid, so a table column of that name must not clash with
+// it, in an update (which copies every column) or a delete.
+func TestDMLOnRowidColumn(t *testing.T) {
+	db := predcache.Open(predcache.WithSlices(2))
+	schema := predcache.Schema{
+		{Name: "id", Type: predcache.Int64},
+		{Name: "rowid", Type: predcache.Int64},
+		{Name: "tag", Type: predcache.String},
+	}
+	if err := db.CreateTable("r", schema); err != nil {
+		t.Fatal(err)
+	}
+	batch := predcache.NewBatch(schema)
+	for i := 0; i < 3000; i++ {
+		batch.Cols[0].Ints = append(batch.Cols[0].Ints, int64(i))
+		batch.Cols[1].Ints = append(batch.Cols[1].Ints, int64(i%1000))
+		batch.Cols[2].Strings = append(batch.Cols[2].Strings, "a")
+	}
+	batch.N = 3000
+	if err := db.Insert("r", batch); err != nil {
+		t.Fatal(err)
+	}
+	count := func(where string) int64 {
+		t.Helper()
+		res, err := db.Query("select count(*) as n from r where " + where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Col(0).Ints[0]
+	}
+	n, err := db.UpdateWhere("r", mustPred(t, "rowid < 10"), func(b *predcache.Batch) {
+		for i := range b.Cols[1].Ints {
+			b.Cols[1].Ints[i] += 5000
+			b.Cols[2].Strings[i] = "x"
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 30 {
+		t.Fatalf("UpdateWhere = %d, want 30", n)
+	}
+	if got := count("rowid >= 5000 and tag = 'x'"); got != 30 {
+		t.Fatalf("%d updated rows visible, want 30", got)
+	}
+	if n, err = db.DeleteWhere("r", mustPred(t, "rowid >= 5000")); err != nil {
+		t.Fatal(err)
+	}
+	if n != 30 {
+		t.Fatalf("DeleteWhere = %d, want 30", n)
+	}
+	if got := count("id >= 0"); got != 2970 {
+		t.Fatalf("%d rows left, want 2970", got)
+	}
+}
+
+// TestRunCtxDefaultsParallel:a caller-provided context that names no degree
 // of parallelism (MaxWorkers == 0) takes the database's, one that names its
 // own keeps it, and Serial wins over both.
 func TestRunCtxDefaultsParallel(t *testing.T) {

@@ -133,7 +133,7 @@ func scanSliceRuns(t *testing.T) (oneBlock, allBlocks func()) {
 	numCols := len(tbl.Schema())
 	dicts := make([]*storage.Dict, numCols)
 	scr := acquireScanScratch(numCols, dicts)
-	rb, err := scr.relBuilderFor(tbl, []string{"id"}, "")
+	rb, err := scr.relBuilderFor(tbl, []string{"id"}, "", false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

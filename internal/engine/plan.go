@@ -113,6 +113,13 @@ type Scan struct {
 	Project []string
 	// Alias prefixes output columns as "alias.col" when set (self-joins).
 	Alias string
+	// RowIDs makes output column 0 an Int64 column "rowid" holding each
+	// output row's physical address, slice<<32 | row. DML sets it to find
+	// the rows it mutates; the planner never does. The column decodes
+	// nothing and counts toward no block or row counter. Alias does not
+	// prefix it, so a non-empty Alias keeps it apart from a table column
+	// named rowid, which would otherwise be a duplicate output column.
+	RowIDs bool
 
 	// runtimeSJ holds semi-join filters pushed down by a parent hash join
 	// for the current execution (§4.4). Set by Join.Execute.

@@ -87,9 +87,17 @@ func (p *sliceBoundsProvider) FloatBounds(col int) (float64, float64, bool) {
 // relBuilder accumulates projected output values for one slice. Instances
 // live inside a scanScratch; their output backing arrays are recycled.
 type relBuilder struct {
-	cols []RelCol
-	idx  []int // column index in the base table
+	cols  []RelCol
+	idx   []int // column index in the base table, rowIDCol for the rowid column
+	slice int64 // index of the scanned slice: the high half of every rowid
 }
+
+// rowIDCol marks the rowid output column (Scan.RowIDs) in relBuilder.idx.
+// Its values come from row positions, never from a column store.
+const rowIDCol = -1
+
+// rowID is the rowid of row number row of the builder's slice.
+func (rb *relBuilder) rowID(row int) int64 { return rb.slice<<32 | int64(row) }
 
 // gatherRange appends the projected values of block-relative rows [lo, hi)
 // of block blk directly from the compressed column stores (partial decode,
@@ -97,10 +105,16 @@ type relBuilder struct {
 func (rb *relBuilder) gatherRange(slice *storage.Slice, blk, lo, hi int, scr *scanScratch, res *sliceScanResult) {
 	n := hi - lo
 	for outIdx, ci := range rb.idx {
+		dst := &rb.cols[outIdx]
+		if ci == rowIDCol {
+			for r := blk*storage.BlockSize + lo; r < blk*storage.BlockSize+hi; r++ {
+				dst.Ints = append(dst.Ints, rb.rowID(r))
+			}
+			continue
+		}
 		scr.markAccessed(ci, res)
 		scr.markDecoded(ci, res)
 		res.rowsDecoded += int64(n)
-		dst := &rb.cols[outIdx]
 		if dst.Type == storage.Float64 {
 			dst.Floats = growFloats(dst.Floats, n)
 			slice.Column(ci).ReadFloatRange(blk, lo, hi, dst.Floats[len(dst.Floats)-n:])
@@ -282,7 +296,7 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 		defer ssp.End()
 		res := &results[i]
 		scr := res.scratch
-		rb, err := scr.relBuilderFor(tbl, project, s.Alias)
+		rb, err := scr.relBuilderFor(tbl, project, s.Alias, s.RowIDs, i)
 		if err != nil {
 			return err
 		}
@@ -799,8 +813,14 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 		}
 		scr.qspans = qspans
 		for outIdx, colIdx := range rb.idx {
-			loadColSpans(blk, colIdx, qspans)
 			dst := &rb.cols[outIdx]
+			if colIdx == rowIDCol {
+				for _, r := range sel {
+					dst.Ints = append(dst.Ints, rb.rowID(base+r))
+				}
+				continue
+			}
+			loadColSpans(blk, colIdx, qspans)
 			if dst.Type == storage.Float64 {
 				vec := ctx.Floats(colIdx)
 				for _, r := range sel {

@@ -113,17 +113,24 @@ func (scr *scanScratch) release() {
 	scanScratchPool.Put(scr)
 }
 
-// relBuilderFor prepares the scratch-owned relBuilder for one slice's
-// projection, reusing the recycled output backing arrays.
-func (scr *scanScratch) relBuilderFor(tbl *storage.Table, project []string, alias string) (*relBuilder, error) {
+// relBuilderFor prepares the scratch-owned relBuilder for the projection of
+// slice number slice, led by the rowid column when rowIDs is set, reusing the
+// recycled output backing arrays.
+func (scr *scanScratch) relBuilderFor(tbl *storage.Table, project []string, alias string, rowIDs bool, slice int) (*relBuilder, error) {
 	rb := &scr.rb
 	rb.cols = rb.cols[:0]
 	rb.idx = rb.idx[:0]
-	for len(scr.outInts) < len(project) {
+	rb.slice = int64(slice)
+	for len(scr.outInts) < len(project)+1 { // +1: a slot for the rowid column
 		scr.outInts = append(scr.outInts, nil)
 		scr.outFloats = append(scr.outFloats, nil)
 	}
-	for j, name := range project {
+	if rowIDs {
+		rb.cols = append(rb.cols, RelCol{Name: "rowid", Type: storage.Int64, Ints: scr.outInts[0][:0]})
+		rb.idx = append(rb.idx, rowIDCol)
+	}
+	for _, name := range project {
+		j := len(rb.cols)
 		ci := tbl.ColumnIndex(name)
 		if ci < 0 {
 			return nil, fmt.Errorf("engine: table %s has no column %q", tbl.Name(), name)

@@ -12,7 +12,7 @@ const (
 	ClassPoint = "point" // single-point equality scans
 	ClassRange = "range" // range / general filtered scans and joins
 	ClassAgg   = "agg"   // aggregations
-	ClassDML   = "dml"   // DeleteWhere / UpdateWhere statements
+	ClassDML   = "dml"   // DeleteWhere / UpdateWhere statements and Vacuum
 )
 
 // SLOClasses lists the tracked classes in display order.

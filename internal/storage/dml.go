@@ -1,13 +1,13 @@
 package storage
 
-// Epoch-checked DML. DeleteWhere/UpdateWhere in the facade run in two steps:
-// match rows under the read lock, then mutate under the write lock. Between
-// the two a Vacuum may rebuild the slices, renumbering physical rows — so
-// the captured row numbers would delete arbitrary other rows. The AtEpoch
-// variants take the layout epoch observed at match time and refuse to mutate
-// when it no longer matches, letting the caller re-match and retry. When the
-// optimistic retries keep losing to back-to-back vacuums, LockLayout turns
-// the final attempt pessimistic.
+// Epoch-checked DML. DeleteWhere/UpdateWhere in the facade read the layout
+// epoch, find their rows with an engine scan under the read lock, then mutate
+// them under the write lock. Between scan and mutate a Vacuum may rebuild the
+// slices, renumbering physical rows, so the captured row numbers would hit
+// arbitrary other rows. The AtEpoch variants take the epoch read before the
+// scan and refuse to mutate when it no longer matches, letting the caller
+// re-match and retry. When the optimistic retries keep losing to back-to-back
+// vacuums, LockLayout turns the final attempt pessimistic.
 
 // LockLayout blocks layout changes (Vacuum) until the returned release
 // function is called. With the gate held the layout epoch cannot change, so
@@ -17,15 +17,6 @@ package storage
 func (t *Table) LockLayout() func() {
 	t.layoutGate.Lock()
 	return t.layoutGate.Unlock
-}
-
-// RLockScanEpoch takes the scan read lock and returns the current layout
-// epoch along with the release function. Capturing the epoch under the same
-// lock acquisition as the scan (rather than calling LayoutEpoch separately)
-// closes the window where a vacuum could run between the two.
-func (t *Table) RLockScanEpoch() (func(), uint64) {
-	t.mu.RLock()
-	return t.mu.RUnlock, t.layoutEpoch
 }
 
 // DeleteRowsAtEpoch marks the captured rows (indexed by slice) deleted at
