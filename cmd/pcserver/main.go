@@ -38,7 +38,6 @@ import (
 	"time"
 
 	predcache "github.com/predcache/predcache"
-	"github.com/predcache/predcache/internal/obs"
 	"github.com/predcache/predcache/internal/server"
 	"github.com/predcache/predcache/internal/ssb"
 	"github.com/predcache/predcache/internal/tpcds"
@@ -61,7 +60,7 @@ func main() {
 	flag.Parse()
 
 	var opts []predcache.Option
-	var logger *obs.Logger
+	var logger *slog.Logger
 	if *slow > 0 {
 		opts = append(opts, predcache.WithSlowQueryThreshold(*slow))
 	}
@@ -78,7 +77,7 @@ func main() {
 			defer f.Close()
 			w = f
 		}
-		logger = predcache.NewJSONLogger(w, slog.LevelInfo)
+		logger = slog.New(slog.NewJSONHandler(w, nil))
 		opts = append(opts, predcache.WithLogger(logger))
 	}
 	switch *cacheKind {

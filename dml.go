@@ -195,9 +195,11 @@ func (db *DB) Vacuum(table string) error {
 		db.cache.InvalidateTable(table)
 	}
 	db.observeDML(start)
-	db.logger.Info("vacuum",
-		"table", table, "wall_us", time.Since(start).Microseconds(),
-		"rows", tbl.NumRows())
+	if db.logger != nil {
+		db.logger.Info("vacuum",
+			"table", table, "wall_us", time.Since(start).Microseconds(),
+			"rows", tbl.NumRows())
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package predcache
 
 import (
 	"io"
+	"log/slog"
 	"testing"
 
 	"github.com/predcache/predcache/internal/obs"
@@ -43,7 +44,7 @@ func pointQueryTrace() *obs.Trace {
 // and at most 2 objects when it admits it (the RetainedTrace, plus the error
 // attribute on a failed statement's root span).
 func TestEmitAllocs(t *testing.T) {
-	db := Open(WithLogger(NewJSONLogger(io.Discard, 0)))
+	db := Open(WithLogger(slog.New(slog.NewJSONHandler(io.Discard, nil))))
 	db.EnableMetrics(NewMetrics())
 	// The shape's head-sample quota admits DefaultShapeQuota traces: the
 	// warm-up run and the measured ones.
@@ -87,7 +88,7 @@ func BenchmarkEmit(b *testing.B) {
 	failed := ev
 	failed.Error = "boom"
 	open := func() *DB {
-		db := Open(WithLogger(NewJSONLogger(io.Discard, 0)))
+		db := Open(WithLogger(slog.New(slog.NewJSONHandler(io.Discard, nil))))
 		db.EnableMetrics(NewMetrics())
 		for i := 0; i < obs.DefaultShapeQuota; i++ {
 			e := ev

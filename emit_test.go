@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"regexp"
 	"runtime/pprof"
 	"strings"
@@ -219,7 +220,7 @@ func sinkDB(t *testing.T) (*predcache.DB, *predcache.Metrics, *syncBuffer) {
 	db := openWithData(t, 5000,
 		predcache.WithMaxWorkers(4),
 		predcache.WithSlowQueryThreshold(40*time.Millisecond),
-		predcache.WithLogger(predcache.NewJSONLogger(logs, 0)))
+		predcache.WithLogger(slog.New(slog.NewJSONHandler(logs, nil))))
 	m := predcache.NewMetrics()
 	db.EnableMetrics(m)
 	for _, p := range []*probeTable{

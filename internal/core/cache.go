@@ -91,7 +91,6 @@ type Cache struct {
 	tail    *entry            // guarded by mu; least recently used
 	mem     int               // guarded by mu
 	stats   Stats             // guarded by mu
-	enabled bool              // guarded by mu
 
 	// observed counts key sightings for the AdmitAfter policy.
 	observed map[string]int // guarded by mu
@@ -103,24 +102,7 @@ func NewCache(cfg Config) *Cache {
 		cfg:      cfg.withDefaults(),
 		entries:  make(map[string]*entry),
 		observed: make(map[string]int),
-		enabled:  true,
 	}
-}
-
-// SetEnabled turns the cache on or off; a disabled cache misses every lookup
-// and ignores inserts (used by benchmarks to compare against the baseline
-// scan path).
-func (c *Cache) SetEnabled(v bool) {
-	c.mu.Lock()
-	c.enabled = v
-	c.mu.Unlock()
-}
-
-// Enabled reports whether the cache is active.
-func (c *Cache) Enabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.enabled
 }
 
 // Config returns the cache configuration.
@@ -134,13 +116,6 @@ func (c *Cache) Stats() Stats {
 	s.Entries = len(c.entries)
 	s.MemBytes = c.mem
 	return s
-}
-
-// ResetStats clears the activity counters.
-func (c *Cache) ResetStats() {
-	c.mu.Lock()
-	c.stats = Stats{}
-	c.mu.Unlock()
 }
 
 // Clear drops all entries and admission history.
@@ -208,32 +183,6 @@ func (c *Cache) evictLocked() {
 	}
 }
 
-// Lookup returns the cached candidates for key, validating layout epoch and
-// build-side versions. A stale entry is dropped and reported as a miss.
-func (c *Cache) Lookup(key string) (Candidates, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.enabled {
-		return Candidates{}, false
-	}
-	e, ok := c.entries[key]
-	if !ok {
-		c.stats.Misses++
-		return Candidates{}, false
-	}
-	if e.stale() {
-		c.dropLocked(e)
-		c.stats.Invalidations++
-		c.stats.Misses++
-		return Candidates{}, false
-	}
-	c.lruTouch(e)
-	c.stats.Hits++
-	e.hits++
-	e.lastHit = time.Now()
-	return c.materializeLocked(e), true
-}
-
 // Best returns the most selective valid entry among the given keys — the
 // paper stores entries with and without semi-join filters in the same cache
 // and "chooses the most selective matching entry" (§4.4). Stale entries
@@ -242,9 +191,6 @@ func (c *Cache) Lookup(key string) (Candidates, bool) {
 func (c *Cache) Best(keys []string) (Candidates, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.enabled {
-		return Candidates{}, false
-	}
 	var best *entry
 	for _, k := range keys {
 		e, ok := c.entries[k]
@@ -298,14 +244,10 @@ func (c *Cache) materializeLocked(e *entry) Candidates {
 // layout epoch observed when the scan started — callers capture it before
 // taking the scan lock so that a vacuum racing the scan conservatively
 // invalidates the entry rather than mislabelling it. deps lists semi-join
-// build-side dependencies (nil for plain filters). Insert is a no-op when
-// the cache is disabled.
+// build-side dependencies (nil for plain filters).
 func (c *Cache) Insert(key Key, tbl *storage.Table, epoch uint64, deps []BuildDep, perSlice [][]storage.RowRange, watermarks []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.enabled {
-		return
-	}
 	ks := key.String()
 	// Cost-based admission: defer until the key proves repetitive, and
 	// refuse unselective predicates outright.
@@ -372,9 +314,6 @@ func (c *Cache) Insert(key Key, tbl *storage.Table, epoch uint64, deps []BuildDe
 func (c *Cache) Extend(key string, slice int, tailRanges []storage.RowRange, newWatermark int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.enabled {
-		return
-	}
 	e, ok := c.entries[key]
 	if !ok || slice >= len(e.slices) {
 		return
@@ -501,9 +440,6 @@ func (c *Cache) Entries() []EntrySummary {
 func (c *Cache) Has(key string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.enabled {
-		return false
-	}
 	e, ok := c.entries[key]
 	return ok && !e.stale()
 }

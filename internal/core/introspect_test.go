@@ -108,7 +108,7 @@ func TestEntrySummaryIntrospectionFields(t *testing.T) {
 	}
 
 	for i := 0; i < 3; i++ {
-		if _, ok := c.Lookup(key.String()); !ok {
+		if _, ok := c.Best([]string{key.String()}); !ok {
 			t.Fatal("miss")
 		}
 	}

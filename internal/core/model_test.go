@@ -97,7 +97,7 @@ func TestCacheMatchesModel(t *testing.T) {
 					key.SemiJoins = []SemiJoinKey{{JoinPred: "j", BuildKey: "b"}}
 				}
 				ks := key.String()
-				cand, hit := c.Lookup(ks)
+				cand, hit := c.Best([]string{ks})
 				m := model[ks]
 				valid := m != nil && m.epoch == tbl.LayoutEpoch() &&
 					(m.depVersion == 0 || m.depVersion == dim.Version())

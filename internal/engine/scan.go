@@ -184,7 +184,7 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	// Step 1: cache lookup, most selective entry wins.
 	var cand core.Candidates
 	hit := false
-	useCache := ec.Cache != nil && ec.Cache.Enabled()
+	useCache := ec.Cache != nil
 	var statsBefore core.Stats
 	if sp.Active() && useCache {
 		statsBefore = ec.Cache.Stats()

@@ -193,20 +193,18 @@ func testScanCancel(t *testing.T, slices int) {
 	cat, tbl := loopTable(t, rows, slices)
 	scan := &Scan{Table: "loop", Filter: expr.Cmp("a", expr.Lt, expr.Int(10)), Project: []string{"id"}}
 	cache := core.NewCache(core.DefaultConfig())
-	run := func(ctx context.Context) (*obs.Trace, error) {
+	run := func(ctx context.Context, c *core.Cache) (*obs.Trace, error) {
 		tr := obs.NewTrace()
-		ec := &ExecCtx{Catalog: cat, Cache: cache, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, Trace: tr, Ctx: ctx, MaxWorkers: slices}
+		ec := &ExecCtx{Catalog: cat, Cache: c, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, Trace: tr, Ctx: ctx, MaxWorkers: slices}
 		_, err := scan.Execute(ec)
 		return tr, err
 	}
 
 	// How often does an uncancelled scan check?
 	probe := newCountdownCtx(1 << 30)
-	cache.SetEnabled(false)
-	if _, err := run(probe); err != nil {
+	if _, err := run(probe, nil); err != nil {
 		t.Fatal(err)
 	}
-	cache.SetEnabled(true)
 	checks := probe.calls.Load()
 	if checks*cancelCheckRows < rows {
 		t.Fatalf("%d checks over %d rows: more than %d rows between checks", checks, rows, cancelCheckRows)
@@ -218,7 +216,7 @@ func testScanCancel(t *testing.T, slices int) {
 
 	cancelledAt := func(n int64) {
 		t.Helper()
-		tr, err := run(newCountdownCtx(n))
+		tr, err := run(newCountdownCtx(n), cache)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancel at check %d: err = %v", n, err)
 		}
@@ -235,7 +233,7 @@ func testScanCancel(t *testing.T, slices int) {
 
 	// With an entry in place and rows appended past its watermark, a
 	// cancelled hit must not extend it; the next complete scan does.
-	if _, err := run(context.Background()); err != nil {
+	if _, err := run(context.Background(), cache); err != nil {
 		t.Fatal(err)
 	}
 	more := storage.NewBatch(tbl.Schema())
@@ -254,7 +252,7 @@ func testScanCancel(t *testing.T, slices int) {
 	if st := cache.Stats(); st.Extends != 0 || st.Inserts != 1 {
 		t.Fatalf("cancelled hits touched the entry: %+v", st)
 	}
-	if _, err := run(context.Background()); err != nil {
+	if _, err := run(context.Background(), cache); err != nil {
 		t.Fatal(err)
 	}
 	if st := cache.Stats(); st.Extends != int64(slices) { // one Extend per slice

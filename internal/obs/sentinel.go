@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"log/slog"
 	"sync"
 )
 
@@ -166,7 +167,7 @@ type Sentinels struct {
 	log *AlertLog
 	// logger receives a line per transition; nil drops the lines (the
 	// pc.alerts ring still records).
-	logger *Logger
+	logger *slog.Logger
 
 	mu     sync.Mutex
 	active map[string]bool // guarded by mu; sentinel name -> firing
@@ -174,7 +175,7 @@ type Sentinels struct {
 
 // NewSentinels builds the watchdog set. alerts receives the transitions
 // (may be nil to drop them); logger may be nil.
-func NewSentinels(cfg SentinelConfig, alerts *AlertLog, logger *Logger) *Sentinels {
+func NewSentinels(cfg SentinelConfig, alerts *AlertLog, logger *slog.Logger) *Sentinels {
 	return &Sentinels{
 		cfg:    cfg.withDefaults(),
 		log:    alerts,
@@ -256,6 +257,9 @@ func (s *Sentinels) transition(name string, ts, value, threshold int64, over boo
 		return
 	}
 	s.log.Record(a)
+	if s.logger == nil {
+		return
+	}
 	if a.State == AlertFiring {
 		s.logger.Warn("sentinel firing",
 			"sentinel", a.Sentinel, "value", a.Value, "threshold", a.Threshold, "detail", a.Detail)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"log/slog"
 	"math/rand"
 	"sort"
 	"testing"
@@ -235,21 +236,12 @@ func TestRuntimeCollector(t *testing.T) {
 
 func TestLoggerCorrelation(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewJSONLogger(&buf, 0)
-	l.WithQuery(17).Warn("slow query", "wall_us", int64(1234))
+	l := slog.New(slog.NewJSONHandler(&buf, nil))
+	l.With("query_id", 17, "trace_id", 17).Warn("slow query", "wall_us", int64(1234))
 	line := buf.String()
 	for _, want := range []string{`"query_id":17`, `"trace_id":17`, `"slow query"`, `"wall_us":1234`} {
 		if !bytes.Contains([]byte(line), []byte(want)) {
 			t.Errorf("log line missing %s: %s", want, line)
 		}
-	}
-	var nilL *Logger
-	nilL.Info("dropped")
-	nilL.WithQuery(1).Error("dropped")
-	if nilL.With("a", 1) != nil || nilL.Slog() != nil || nilL.Enabled(0) {
-		t.Fatal("nil logger should be inert")
-	}
-	if NewJSONLogger(nil, 0) != nil || NewLogger(nil) != nil {
-		t.Fatal("nil sinks should yield disabled loggers")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"runtime"
@@ -54,7 +55,7 @@ type Config struct {
 	// open sessions before cancelling them (<= 0 selects 5s).
 	DrainTimeout time.Duration
 	// Logger receives structured connection/lifecycle lines; nil drops them.
-	Logger *obs.Logger
+	Logger *slog.Logger
 	// Metrics, when set, is served by the admin endpoint at /metrics.
 	Metrics *obs.Metrics
 }
@@ -64,7 +65,7 @@ type Config struct {
 type Server struct {
 	db  *predcache.DB
 	cfg Config
-	log *obs.Logger
+	log *slog.Logger
 
 	ln        net.Listener
 	admin     *http.Server
@@ -138,7 +139,7 @@ func New(db *predcache.DB, cfg Config) (*Server, error) {
 		s.lnWg.Add(1)
 		go func() {
 			defer s.lnWg.Done()
-			if err := s.admin.Serve(aln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			if err := s.admin.Serve(aln); err != nil && !errors.Is(err, http.ErrServerClosed) && s.log != nil {
 				s.log.Error("admin server failed", "error", err.Error())
 			}
 		}()

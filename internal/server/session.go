@@ -126,7 +126,7 @@ func (s *session) run() {
 		for range lines {
 		}
 	}()
-	if err := <-readErr; err != nil && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {
+	if err := <-readErr; err != nil && !errors.Is(err, net.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) && s.srv.log != nil {
 		s.srv.log.Error("session read failed", "session", s.id, "error", err.Error())
 	}
 }

@@ -19,7 +19,9 @@ import (
 //   - orders joins largest-table-first so that fact tables sit on the probe
 //     side and dimension scans on the build side, enabling semi-join-filter
 //     pushdown (§4.4),
-//   - lowers aggregates, HAVING, ORDER BY and LIMIT.
+//   - lowers aggregates, HAVING, ORDER BY and LIMIT,
+//   - narrows each scan to the columns the statement reads, marked as their
+//     names resolve.
 func Plan(stmt *SelectStmt, cat *storage.Catalog) (engine.Node, error) {
 	return PlanWith(stmt, cat, nil)
 }
@@ -61,6 +63,11 @@ type tableInfo struct {
 	rows   int
 	// filters are single-table conjuncts in base-column names.
 	filters []expr.Pred
+	// used marks the base columns read above the scan, recorded as names
+	// resolve; narrowScans turns them into the scan's projection.
+	used map[string]bool
+	// project is the Project field of the table's scan node.
+	project *[]string
 }
 
 type joinEdge struct {
@@ -79,6 +86,8 @@ type planner struct {
 	colOwner map[string]int
 	edges    []joinEdge
 	residual []expr.Pred
+	// star is set by `select *`, whose scans keep every column.
+	star bool
 }
 
 // outName returns the relation-level name a base column gets after the
@@ -91,6 +100,8 @@ func (pl *planner) outName(ti int, col string) string {
 }
 
 // resolve maps a written column reference to (table index, base column).
+// It marks nothing used: filters pushed into a scan resolve through it, and
+// the scan evaluates them without projecting their columns.
 func (pl *planner) resolve(name string) (int, string, error) {
 	if i := strings.IndexByte(name, '.'); i >= 0 {
 		alias, col := name[:i], name[i+1:]
@@ -114,12 +125,14 @@ func (pl *planner) resolve(name string) (int, string, error) {
 	return ti, name, nil
 }
 
-// relName rewrites a written column reference to its relation-level name.
+// relName rewrites a written column reference to its relation-level name
+// and marks the column used, so the table's scan projects it.
 func (pl *planner) relName(name string) (string, error) {
 	ti, col, err := pl.resolve(name)
 	if err != nil {
 		return "", err
 	}
+	pl.tables[ti].used[col] = true
 	return pl.outName(ti, col), nil
 }
 
@@ -132,13 +145,13 @@ func (pl *planner) plan() (engine.Node, error) {
 	for _, ref := range pl.stmt.From {
 		ti := len(pl.tables)
 		if vt, ok := pl.resolveVirtual(ref.Table); ok {
-			pl.tables = append(pl.tables, &tableInfo{ref: ref, vt: vt, schema: vt.Schema(), rows: vt.NumRows()})
+			pl.tables = append(pl.tables, &tableInfo{ref: ref, vt: vt, schema: vt.Schema(), rows: vt.NumRows(), used: map[string]bool{}})
 		} else {
 			tbl, ok := pl.cat.Table(ref.Table)
 			if !ok {
 				return nil, fmt.Errorf("sql: unknown table %q", ref.Table)
 			}
-			pl.tables = append(pl.tables, &tableInfo{ref: ref, tbl: tbl, schema: tbl.Schema(), rows: tbl.NumRows()})
+			pl.tables = append(pl.tables, &tableInfo{ref: ref, tbl: tbl, schema: tbl.Schema(), rows: tbl.NumRows(), used: map[string]bool{}})
 		}
 		key := ref.Alias
 		if key == "" {
@@ -174,10 +187,33 @@ func (pl *planner) plan() (engine.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Narrow each scan to the columns consumed above it so the engine's
-	// partial decoder only materializes what the query reads.
-	engine.PruneScanProjections(out, pl.cat)
+	if !pl.star {
+		pl.narrowScans()
+	}
 	return out, nil
+}
+
+// narrowScans sets each scan's projection to its used columns in schema
+// order, so the engine's partial decoder only materializes what the query
+// reads. A scan nothing reads (count(*)) keeps one column to carry its row
+// count: the first filter column, whose blocks the scan touches anyway,
+// else the first schema column.
+func (pl *planner) narrowScans() {
+	for _, t := range pl.tables {
+		var proj []string
+		for _, def := range t.schema {
+			if t.used[def.Name] {
+				proj = append(proj, def.Name)
+			}
+		}
+		if len(proj) == 0 {
+			proj = []string{t.schema[0].Name}
+			if cols := expr.And(t.filters...).Columns(nil); len(cols) > 0 {
+				proj[0] = cols[0]
+			}
+		}
+		*t.project = proj
+	}
 }
 
 // classifyWhere splits the top-level conjunction.
@@ -206,6 +242,8 @@ func (pl *planner) classifyConjunct(c expr.Pred) error {
 			return err
 		}
 		if ta != tb {
+			pl.tables[ta].used[ca] = true
+			pl.tables[tb].used[cb] = true
 			pl.edges = append(pl.edges, joinEdge{
 				a: ta, b: tb,
 				aCol: pl.outName(ta, ca), bCol: pl.outName(tb, cb),
@@ -388,21 +426,26 @@ func (pl *planner) resolveVirtual(name string) (engine.VirtualTable, bool) {
 	return pl.virt.VirtualTable(name)
 }
 
-// scanFor builds the scan node for table ti.
+// scanFor builds the scan node for table ti; narrowScans fills its
+// projection once every name has resolved.
 func (pl *planner) scanFor(ti int) engine.Node {
 	t := pl.tables[ti]
 	if t.vt != nil {
-		return &engine.VirtualScan{
+		s := &engine.VirtualScan{
 			Source: t.vt,
 			Filter: expr.And(t.filters...),
 			Alias:  t.ref.Alias,
 		}
+		t.project = &s.Project
+		return s
 	}
-	return &engine.Scan{
+	s := &engine.Scan{
 		Table:  t.ref.Table,
 		Filter: expr.And(t.filters...),
 		Alias:  t.ref.Alias,
 	}
+	t.project = &s.Project
+	return s
 }
 
 // buildJoinTree orders the joins: the largest table is the probe (left)
@@ -533,6 +576,7 @@ func (pl *planner) buildOutput(input engine.Node) (engine.Node, error) {
 		if len(stmt.Items) != 1 || len(stmt.GroupBy) > 0 || len(stmt.Having) > 0 {
 			return nil, fmt.Errorf("sql: * must be the only select item and cannot be grouped")
 		}
+		pl.star = true
 		node := input
 		if len(stmt.OrderBy) > 0 {
 			srt := &engine.Sort{Input: node}
@@ -636,6 +680,9 @@ func (pl *planner) buildOutput(input engine.Node) (engine.Node, error) {
 			if err != nil {
 				return nil, err
 			}
+			if !groupNames[n] {
+				return nil, fmt.Errorf("sql: HAVING column %q is not a group column", h.Col)
+			}
 			havingPreds = append(havingPreds, expr.Cmp(n, h.Op, h.Val))
 		}
 	}
@@ -697,6 +744,11 @@ func (pl *planner) buildOutput(input engine.Node) (engine.Node, error) {
 			})
 			if err == nil {
 				sc = replaceGroupRefs(sc, groupNames)
+				for _, c := range sc.ScalarColumns(nil) {
+					if !groupNames[c] && aggByName[c] == nil {
+						return nil, fmt.Errorf("sql: column %q must be grouped or inside an aggregate", c)
+					}
+				}
 			}
 		} else {
 			sc, err = rewriteScalar(it.Scalar, pl.relName)

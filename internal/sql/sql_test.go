@@ -455,9 +455,13 @@ func TestPlanErrors(t *testing.T) {
 		"select l_qty from lineitem order by zzz",           // unknown order col
 		"select count(*) from lineitem order by sum(l_qty)", // agg not in output
 		"select l_qty from lineitem group by nope",          // unknown group col
+		// HAVING on a column that is not grouped
+		"select l_mode, count(*) from lineitem group by l_mode having l_qty = 5",
+		// a select item neither grouped nor aggregated
+		"select l_mode, l_qty, count(*) from lineitem group by l_mode",
 	}
 	for _, q := range bad {
-		if _, err := f.db.Query(q); err == nil {
+		if _, err := f.db.Plan(q); err == nil {
 			t.Errorf("plan accepted %q", q)
 		}
 	}

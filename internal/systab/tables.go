@@ -149,14 +149,12 @@ func (t *cacheStatsTable) NumRows() int           { return 1 }
 func (t *cacheStatsTable) Snapshot() (*engine.Relation, error) {
 	b := newBuilder(cacheStatsSchema)
 	var st core.Stats
-	enabled := false
 	if t.cache != nil {
 		st = t.cache.Stats()
-		enabled = t.cache.Enabled()
 	}
 	b.row(st.Hits, st.Misses, st.Inserts, st.Extends, st.Evictions,
 		st.Invalidations, st.AdmissionDeferred, st.AdmissionRejected,
-		st.Entries, st.MemBytes, enabled)
+		st.Entries, st.MemBytes, t.cache != nil)
 	return b.relation()
 }
 

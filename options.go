@@ -1,6 +1,7 @@
 package predcache
 
 import (
+	"log/slog"
 	"time"
 
 	"github.com/predcache/predcache/internal/core"
@@ -84,15 +85,12 @@ func WithTraceRetention(cfg TraceRetentionConfig) Option {
 	return func(db *DB) { db.traceCfg = cfg }
 }
 
-// NewJSONLogger constructs a logger for WithLogger.
-var NewJSONLogger = obs.NewJSONLogger
-
 // WithLogger installs the structured logger the engine writes slow-query,
 // failure and lifecycle lines to (nil, the default, drops them). Every line
 // that concerns a query carries query_id and trace_id (the same value), so a
 // log line is one SQL filter away from its retained trace:
 //
 //	SELECT * FROM pc.trace_spans WHERE trace_id = 17
-func WithLogger(l *obs.Logger) Option {
+func WithLogger(l *slog.Logger) Option {
 	return func(db *DB) { db.logger = l }
 }

@@ -18,6 +18,7 @@
 package predcache
 
 import (
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,7 +124,7 @@ type DB struct {
 
 	// logger receives structured slow-query, error and lifecycle lines; nil
 	// drops everything. Immutable after Open.
-	logger *obs.Logger
+	logger *slog.Logger
 
 	// runtime is the optional health sampler behind pc.runtime, installed by
 	// StartRuntimeSampler.

@@ -289,7 +289,7 @@ func (db *DB) emit(ev *obs.QueryEvent, tr *obs.Trace) {
 			db.shapes.Observe(ev)
 		}
 	}
-	if handBuilt || (ev.Error == "" && !ev.Slow) {
+	if db.logger == nil || handBuilt || (ev.Error == "" && !ev.Slow) {
 		return
 	}
 	attrs := []any{
@@ -298,11 +298,14 @@ func (db *DB) emit(ev *obs.QueryEvent, tr *obs.Trace) {
 		"rows_scanned", ev.RowsScanned, "cache_hits", ev.CacheHits,
 		"trace_retained", ev.Retained,
 	}
+	// query_id and trace_id are the same value (retained traces are keyed
+	// by pc.query_log.seq), so both spellings are greppable and joinable.
+	log := db.logger.With("query_id", ev.Seq, "trace_id", ev.Seq)
 	if ev.Error != "" {
-		db.logger.WithQuery(ev.Seq).Error("query failed", append(attrs, "error", ev.Error)...)
+		log.Error("query failed", append(attrs, "error", ev.Error)...)
 		return
 	}
-	db.logger.WithQuery(ev.Seq).Warn("slow query", attrs...)
+	log.Warn("slow query", attrs...)
 }
 
 // Run executes a prepared plan.

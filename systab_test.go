@@ -313,10 +313,9 @@ func TestResultStatsAttached(t *testing.T) {
 // race: two goroutines with different filters must each see their own
 // counters on their own Result, regardless of interleaving. Run with -race.
 func TestResultStatsRace(t *testing.T) {
-	db := openWithData(t, 4000)
-	// Disable the predicate cache so RowsQualified is deterministic per
-	// filter on every iteration.
-	db.PredicateCache().SetEnabled(false)
+	// No predicate cache, so RowsQualified is deterministic per filter on
+	// every iteration.
+	db := openWithData(t, 4000, predcache.WithoutPredicateCache())
 	var wg sync.WaitGroup
 	run := func(query string, wantQualified int64) {
 		defer wg.Done()

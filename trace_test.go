@@ -3,6 +3,7 @@ package predcache_test
 import (
 	"bytes"
 	"fmt"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
@@ -275,7 +276,7 @@ func TestQueryLogging(t *testing.T) {
 	var buf bytes.Buffer
 	db := predcache.Open(
 		predcache.WithSlowQueryThreshold(time.Nanosecond),
-		predcache.WithLogger(predcache.NewJSONLogger(&buf, 0)),
+		predcache.WithLogger(slog.New(slog.NewJSONHandler(&buf, nil))),
 	)
 	schema := predcache.Schema{{Name: "id", Type: predcache.Int64}}
 	if err := db.CreateTable("t", schema); err != nil {
