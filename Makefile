@@ -75,12 +75,14 @@ admin-smoke systab-smoke trace-smoke server-smoke:
 # divergence (bit-exact, including float payloads). The kernel micro-benchmarks
 # (2,048 distinct random blocks each), the one-candidate-block hit and the
 # per-sink cost of the observability tail (BenchmarkEmit, DESIGN.md §16) and
-# the DeleteWhere/UpdateWhere statements of mixed_dml (BenchmarkDML) ride
-# along at one iteration.
+# the DeleteWhere/UpdateWhere statements of mixed_dml (BenchmarkDML) and each
+# TPC-H query on skewed SF 0.05 (BenchmarkTPCHQuery/Q<n>) ride along at one
+# iteration.
 bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkScan|BenchmarkEmit|BenchmarkDML' -benchtime=1x .
 	$(GO) test -run=NONE -bench=BenchmarkEvalPred -benchtime=1x ./internal/storage
 	$(GO) test -run=NONE -bench=BenchmarkScanHitOneBlock -benchtime=1x ./internal/engine
+	$(GO) test -run=NONE -bench=BenchmarkTPCHQuery -benchtime=1x ./internal/tpch
 	$(GO) test -run=NONE -bench=BenchmarkTable4TPCHSkewed -benchtime=1x -cpu 1,4 .
 	$(GO) test -run 'TestJoinParallelSerialIdentical|TestAggParallelSerialIdentical' -cpu 1,4 ./internal/engine
 

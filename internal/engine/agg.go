@@ -3,7 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"github.com/predcache/predcache/internal/expr"
@@ -210,58 +210,36 @@ func mergeState(dst, src *aggState, fn AggFunc, intArg bool) {
 }
 
 // aggTable accumulates group states for one hash partition (the whole input
-// when running single-partition). Groups get dense indexes in first-sight
-// order; states is group-major with nA slots per group.
+// when running single-partition). The key table gives groups dense indexes
+// in first-sight order; states is group-major with nA slots per group.
 type aggTable struct {
-	nA        int
-	singleInt bool // one non-float group column: dict codes / ints key directly
-	gcols     []*RelCol
-	enc       *joinKeyEncoder
-	intIdx    map[int64]int32
-	strIdx    map[string]int32
-	firstRow  []int32
-	states    []aggState
+	nA       int
+	keys     keyCols
+	groups   keyTable
+	firstRow []int32
+	states   []aggState
 }
 
-func newAggTable(gcols []*RelCol, nA int) *aggTable {
-	t := &aggTable{nA: nA, gcols: gcols}
-	t.singleInt = len(gcols) == 1 && gcols[0].Type != storage.Float64
-	if t.singleInt {
-		t.intIdx = map[int64]int32{}
-	} else {
-		t.strIdx = map[string]int32{}
-		t.enc = &joinKeyEncoder{cols: gcols}
-	}
-	return t
+func newAggTable(keys keyCols, nA int) *aggTable {
+	return &aggTable{nA: nA, keys: keys, groups: newKeyTable(len(keys), 0)}
 }
 
 // groupOf returns the dense group index of row, creating the group on first
-// sight. Composite keys encode into the worker's scratch key buffer; the
-// map lookup converts without allocating.
-func (t *aggTable) groupOf(row int, scr *morselScratch) int32 {
-	if t.singleInt {
-		k := t.gcols[0].Ints[row]
-		if gi, ok := t.intIdx[k]; ok {
-			return gi
+// sight.
+func (t *aggTable) groupOf(row int) int32 {
+	gi, added := t.groups.findOrAdd(t.keys, row, t.keys.hash(row))
+	if added {
+		if len(t.firstRow) == cap(t.firstRow) {
+			// Double, like the key table: append's smaller steps would copy
+			// the states about five times over on a many-group input.
+			n := max(len(t.firstRow), 16)
+			t.firstRow = slices.Grow(t.firstRow, n)
+			t.states = slices.Grow(t.states, n*t.nA)
 		}
-		gi := t.addGroup(row)
-		t.intIdx[k] = gi
-		return gi
-	}
-	scr.key = t.enc.encode(scr.key[:0], row)
-	if gi, ok := t.strIdx[string(scr.key)]; ok {
-		return gi
-	}
-	gi := t.addGroup(row)
-	t.strIdx[string(scr.key)] = gi
-	return gi
-}
-
-func (t *aggTable) addGroup(row int) int32 {
-	gi := int32(len(t.firstRow))
-	t.firstRow = append(t.firstRow, int32(row))
-	for i := 0; i < t.nA; i++ {
-		t.states = append(t.states, aggState{})
+		t.firstRow = append(t.firstRow, int32(row))
+		for i := 0; i < t.nA; i++ {
+			t.states = append(t.states, aggState{})
+		}
 	}
 	return gi
 }
@@ -272,21 +250,12 @@ func (t *aggTable) addGroup(row int) int32 {
 func processChunk(t *aggTable, baggs []*boundAgg, ctx *expr.BlockCtx, sel []int, scr *morselScratch) {
 	gidx := scr.groupIdx(len(sel))
 	for i, row := range sel {
-		gidx[i] = t.groupOf(row, scr)
+		gidx[i] = t.groupOf(row)
 	}
 	for ai, ba := range baggs {
 		iv, fv := evalChunk(ba, ctx, sel, scr)
 		accumulate(ba.spec.Func, ba.intArg, t.states, t.nA, ai, gidx, iv, fv)
 	}
-}
-
-// groupHash spreads row's group key across partitions.
-func groupHash(t *aggTable, row int, scr *morselScratch) uint64 {
-	if t.singleInt {
-		return mix64(uint64(t.gcols[0].Ints[row]))
-	}
-	scr.key = t.enc.encode(scr.key[:0], row)
-	return hashBytes(scr.key)
 }
 
 // finalGroup is one output group: its representative row (for the group-by
@@ -316,13 +285,9 @@ func (a *Agg) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	}
 	setRowsIn(sp, in)
 
-	groupCols := make([]*RelCol, len(a.GroupBy))
-	for i, g := range a.GroupBy {
-		c := in.ColByName(g)
-		if c == nil {
-			return nil, fmt.Errorf("engine: group-by column %q not found", g)
-		}
-		groupCols[i] = c
+	groupCols, groupKeys, err := relKeyCols(in, a.GroupBy, "group-by column")
+	if err != nil {
+		return nil, err
 	}
 	baggs, err := bindAggs(a.Aggs, in)
 	if err != nil {
@@ -346,9 +311,9 @@ func (a *Agg) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	if len(groupCols) == 0 {
 		groups, err = a.runGlobal(ec, baggs, bounds, ctx, n, nm, &pa)
 	} else if pa.workers <= 1 {
-		groups, err = a.runGroupedSerial(ec, groupCols, baggs, bounds, ctx, n, &pa)
+		groups, err = a.runGroupedSerial(ec, groupKeys, baggs, bounds, ctx, n, &pa)
 	} else {
-		groups, err = a.runGroupedParallel(ec, groupCols, baggs, bounds, ctx, n, nm, &pa)
+		groups, err = a.runGroupedParallel(ec, groupKeys, baggs, bounds, ctx, n, nm, &pa)
 	}
 	if err != nil {
 		return nil, err
@@ -460,8 +425,8 @@ func (a *Agg) runGlobal(ec *ExecCtx, baggs []*boundAgg, bounds []expr.Bound, ctx
 
 // runGroupedSerial is the single-worker grouped path: one table, one
 // streaming pass in row order.
-func (a *Agg) runGroupedSerial(ec *ExecCtx, groupCols []*RelCol, baggs []*boundAgg, bounds []expr.Bound, ctx *expr.BlockCtx, n int, pa *parAccounting) ([]finalGroup, error) {
-	t := newAggTable(groupCols, len(baggs))
+func (a *Agg) runGroupedSerial(ec *ExecCtx, keys keyCols, baggs []*boundAgg, bounds []expr.Bound, ctx *expr.BlockCtx, n int, pa *parAccounting) ([]finalGroup, error) {
+	t := newAggTable(keys, len(baggs))
 	cur := &morselCursor{rows: n}
 	err := pa.run(1, func() error {
 		scr := acquireMorselScratch()
@@ -486,13 +451,12 @@ func (a *Agg) runGroupedSerial(ec *ExecCtx, groupCols []*RelCol, baggs []*boundA
 // Phase 2 workers claim partitions and fold each partition's rows iterating
 // morsels in ascending order — every group therefore accumulates its rows
 // in global row order, exactly like the serial pass.
-func (a *Agg) runGroupedParallel(ec *ExecCtx, groupCols []*RelCol, baggs []*boundAgg, bounds []expr.Bound, ctx *expr.BlockCtx, n, nm int, pa *parAccounting) ([]finalGroup, error) {
+func (a *Agg) runGroupedParallel(ec *ExecCtx, keys keyCols, baggs []*boundAgg, bounds []expr.Bound, ctx *expr.BlockCtx, n, nm int, pa *parAccounting) ([]finalGroup, error) {
 	nA := len(baggs)
 	nP := partitionsFor(pa.workers)
-	pmask := uint64(nP - 1)
-	hashT := newAggTable(groupCols, 0) // key layout only, for hashing
-	rowBuf := make([]int32, n)         // morsel m owns rowBuf[m*morselSize : ...]
-	moffs := make([]int32, nm*(nP+1))  // per-morsel partition offsets into its segment
+	pshift := partShift(nP)
+	rowBuf := make([]int32, n)        // morsel m owns rowBuf[m*morselSize : ...]
+	moffs := make([]int32, nm*(nP+1)) // per-morsel partition offsets into its segment
 
 	cur := &morselCursor{rows: n}
 	err := pa.run(pa.workers, func() error {
@@ -503,7 +467,7 @@ func (a *Agg) runGroupedParallel(ec *ExecCtx, groupCols []*RelCol, baggs []*boun
 			pids := scr.partIds(len(sel))
 			count, cursor := scr.partCounters(nP)
 			for i, row := range sel {
-				p := uint8(groupHash(hashT, row, scr) & pmask)
+				p := uint8(keys.hash(row) >> pshift)
 				pids[i] = p
 				count[p]++
 			}
@@ -536,7 +500,7 @@ func (a *Agg) runGroupedParallel(ec *ExecCtx, groupCols []*RelCol, baggs []*boun
 			if p >= nP {
 				return nil
 			}
-			t := newAggTable(groupCols, nA)
+			t := newAggTable(keys, nA)
 			tables[p] = t
 			for m := 0; m < nm; m++ {
 				if m&15 == 0 {
@@ -561,25 +525,27 @@ func (a *Agg) runGroupedParallel(ec *ExecCtx, groupCols []*RelCol, baggs []*boun
 	return collectGroups(tables, nA), nil
 }
 
-// collectGroups flattens partition tables into output groups ordered by
-// first occurrence (each group lives in exactly one partition, so no state
-// merging is needed — only reordering).
+// collectGroups merges partition tables into output groups ordered by first
+// occurrence. Each group lives in exactly one partition, whose table already
+// lists its groups in first-occurrence order, so a k-way merge on the first
+// row reproduces the serial order without a sort.
 func collectGroups(tables []*aggTable, nA int) []finalGroup {
 	total := 0
 	for _, t := range tables {
-		if t != nil {
-			total += len(t.firstRow)
-		}
+		total += len(t.firstRow)
 	}
 	groups := make([]finalGroup, 0, total)
-	for _, t := range tables {
-		if t == nil {
-			continue
+	next := make([]int, len(tables))
+	for len(groups) < total {
+		best := -1
+		for p, t := range tables {
+			if g := next[p]; g < len(t.firstRow) && (best < 0 || t.firstRow[g] < tables[best].firstRow[next[best]]) {
+				best = p
+			}
 		}
-		for g := range t.firstRow {
-			groups = append(groups, finalGroup{first: t.firstRow[g], states: t.states[g*nA : (g+1)*nA]})
-		}
+		t, g := tables[best], next[best]
+		groups = append(groups, finalGroup{first: t.firstRow[g], states: t.states[g*nA : (g+1)*nA]})
+		next[best]++
 	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i].first < groups[j].first })
 	return groups
 }

@@ -36,19 +36,27 @@ func TestHotPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := func(cols ...string) (*joinTable, *joinKeyEncoder) {
-		enc, err := newJoinKeyEncoder(rel, cols)
+	table := func(cols ...string) (*joinTable, keyCols) {
+		_, keys, err := relKeyCols(rel, cols, "join key")
 		if err != nil {
 			t.Fatal(err)
 		}
-		jt, err := buildJoinTable(&ExecCtx{}, rel, enc, &parAccounting{workers: 1})
+		jt, err := buildJoinTable(&ExecCtx{}, rel, keys, &parAccounting{workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return jt, enc
+		return jt, keys
 	}
-	intTable, intEnc := table("k")
-	compTable, compEnc := table("k", "s")
+	intTable, intKeys := table("k")
+	compTable, compKeys := table("k", "s")
+	_, groupKeys, err := relKeyCols(rel, []string{"s", "v"}, "group-by column")
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := newAggTable(groupKeys, 1)
+	for _, row := range sel {
+		groups.groupOf(row)
+	}
 	bounds, err := bindFused([]expr.Pred{expr.Cmp("k", expr.Ge, expr.Int(100))}, rel)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +68,7 @@ func TestHotPathAllocs(t *testing.T) {
 
 	inner, semi := &Join{Type: InnerJoin}, &Join{Type: SemiJoin}
 	var out joinMorselOut
-	inner.probeMorsel(intTable, intEnc, sel, true, &out, scr)
+	inner.probeMorsel(intTable, intKeys, sel, true, &out)
 	dstInts := RelCol{Type: storage.Int64, Ints: make([]int64, len(out.probe))}
 	dstFloats := RelCol{Type: storage.Float64, Floats: make([]float64, len(out.probe))}
 	probeSpec := joinOutSpec{src: rel.Col(0)}
@@ -68,7 +76,6 @@ func TestHotPathAllocs(t *testing.T) {
 
 	states := make([]aggState, 4)
 	longKey := strings.Repeat("join-key/", 8) // past the compiler's 32-byte stack buffer
-	keyBytes := []byte(longKey)
 	var sink uint64
 
 	scanOneBlock, scanAllBlocks := scanSliceRuns(t)
@@ -81,7 +88,6 @@ func TestHotPathAllocs(t *testing.T) {
 		fn   func()
 	}{
 		{"hashString", 0, func() { sink += hashString(longKey) }},
-		{"hashBytes", 0, func() { sink += hashBytes(keyBytes) }},
 		{"accumulate/count", 0, func() { accumulate(AggCount, false, states, 1, 0, gidx, keys, vals) }},
 		{"accumulate/sum", 0, func() { accumulate(AggSum, false, states, 1, 0, gidx, keys, vals) }},
 		{"accumulate/min-int", 0, func() { accumulate(AggMin, true, states, 1, 0, gidx, keys, vals) }},
@@ -92,18 +98,31 @@ func TestHotPathAllocs(t *testing.T) {
 		{"morselSel", 0, func() { morselSel(scr, ctx, bounds, 0, n) }},
 		{"joinTable.first/int", 0, func() {
 			for _, row := range sel {
-				sink += uint64(intTable.first(intEnc, row, scr))
+				sink += uint64(intTable.first(intKeys, row))
 			}
 		}},
 		{"joinTable.first/composite", 0, func() {
 			for _, row := range sel {
-				sink += uint64(compTable.first(compEnc, row, scr))
+				sink += uint64(compTable.first(compKeys, row))
+			}
+		}},
+		// A probe lookup straight on one partition's key table.
+		{"keyTable.find", 0, func() {
+			p := &compTable.parts[0]
+			for _, row := range sel {
+				sink += uint64(p.keys.find(compKeys, row, compKeys.hash(row)))
+			}
+		}},
+		// Every group exists already: a warm lookup adds no key and no state.
+		{"aggTable.groupOf/warm", 0, func() {
+			for _, row := range sel {
+				sink += uint64(groups.groupOf(row))
 			}
 		}},
 		{"copyJoinOut/probe-ints", 0, func() { copyJoinOut(&dstInts, &probeSpec, &out, 0) }},
 		{"copyJoinOut/build-floats", 0, func() { copyJoinOut(&dstFloats, &buildSpec, &out, 0) }},
-		{"probeMorsel/inner", 2, func() { inner.probeMorsel(intTable, intEnc, sel, true, &out, scr) }},
-		{"probeMorsel/semi", 1, func() { semi.probeMorsel(intTable, intEnc, sel, false, &out, scr) }},
+		{"probeMorsel/inner", 2, func() { inner.probeMorsel(intTable, intKeys, sel, true, &out) }},
+		{"probeMorsel/semi", 1, func() { semi.probeMorsel(intTable, intKeys, sel, false, &out) }},
 		// scanSlice over ~2,000 candidate blocks allocates what it does over
 		// one: nothing per block.
 		{"scanSlice/2000-blocks", oneBlock, scanAllBlocks},

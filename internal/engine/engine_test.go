@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -495,6 +496,14 @@ func TestJoinErrors(t *testing.T) {
 	if _, err := bad2.Execute(&ExecCtx{Catalog: d.cat, Snapshot: d.cat.Snapshot()}); err == nil {
 		t.Fatal("unknown key accepted")
 	}
+	// Key types are checked position by position: a string never matches a
+	// float, in a composite key too.
+	bad3 := &Join{Left: &Scan{Table: "items"}, Right: &Scan{Table: "dims"},
+		LeftKeys: []string{"dim_id", "price"}, RightKeys: []string{"d_id", "d_cat"}, Type: InnerJoin}
+	if _, err := bad3.Execute(&ExecCtx{Catalog: d.cat, Snapshot: d.cat.Snapshot()}); err == nil ||
+		!strings.Contains(err.Error(), "cannot match") {
+		t.Fatalf("float key against string key: err %v", err)
+	}
 }
 
 func TestSemiJoinPushdownCachesJoinResult(t *testing.T) {
@@ -973,8 +982,11 @@ func TestCacheWithSortKeyTable(t *testing.T) {
 	}
 }
 
-// String join keys exercise the byte-encoded hash table and the FNV-hashed
-// bloom path.
+// String join keys exercise the probe-to-build dictionary code translation
+// (the two tables have their own dictionaries) and the FNV-hashed bloom
+// path. Every output row must carry its own city's region: a join that
+// compared raw codes across the two dictionaries would keep the row count
+// and pair rows with the wrong dimension row.
 func TestStringKeyJoin(t *testing.T) {
 	cat := storage.NewCatalog()
 	facts, _ := cat.CreateTable("f", storage.Schema{
@@ -998,53 +1010,60 @@ func TestStringKeyJoin(t *testing.T) {
 	}
 	gb := storage.NewBatch(dims.Schema())
 	regions := map[string]string{"berlin": "de", "munich": "de", "hamburg": "de", "paris": "fr", "lyon": "fr", "rome": "it"}
-	for _, c := range cities {
-		gb.Cols[0].Strings = append(gb.Cols[0].Strings, c)
-		gb.Cols[1].Strings = append(gb.Cols[1].Strings, regions[c])
+	// Dimension rows in reverse order, so the two dictionaries' codes differ.
+	for i := len(cities) - 1; i >= 0; i-- {
+		gb.Cols[0].Strings = append(gb.Cols[0].Strings, cities[i])
+		gb.Cols[1].Strings = append(gb.Cols[1].Strings, regions[cities[i]])
 	}
 	gb.N = len(cities)
 	if err := dims.Append(gb, cat.NextXID()); err != nil {
 		t.Fatal(err)
 	}
-	j := &Join{
-		Left:         &Scan{Table: "f"},
-		Right:        &Scan{Table: "g", Filter: expr.Cmp("g_region", expr.Eq, expr.Str("de"))},
-		LeftKeys:     []string{"city"},
-		RightKeys:    []string{"g_city"},
-		Type:         InnerJoin,
-		PushSemiJoin: true,
-	}
-	stats := &storage.ScanStats{}
-	ec := &ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: stats, Cache: core.NewCache(core.DefaultConfig())}
-	rel, err := j.Execute(ec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for i := 0; i < fb.N; i++ {
-		if regions[fb.Cols[1].Strings[i]] == "de" {
-			want++
-		}
-	}
-	if rel.NumRows() != want {
-		t.Fatalf("rows %d want %d", rel.NumRows(), want)
-	}
-	// Region column joined in, decoded via the build dict.
-	if rel.ColByName("g_region") == nil {
-		t.Fatal("build column missing")
-	}
-	// Repeat uses the semi-join entry.
-	ec2 := &ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, Cache: ec.Cache}
-	rel2, err := j.Execute(ec2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel2.NumRows() != want {
-		t.Fatal("cached string-key join mismatch")
+	for _, push := range []bool{true, false} {
+		t.Run(fmt.Sprintf("pushdown=%v", push), func(t *testing.T) {
+			j := &Join{
+				Left:         &Scan{Table: "f"},
+				Right:        &Scan{Table: "g", Filter: expr.Cmp("g_region", expr.Ne, expr.Str("it"))},
+				LeftKeys:     []string{"city"},
+				RightKeys:    []string{"g_city"},
+				Type:         InnerJoin,
+				PushSemiJoin: push,
+			}
+			want := 0
+			for i := 0; i < fb.N; i++ {
+				if regions[fb.Cols[1].Strings[i]] != "it" {
+					want++
+				}
+			}
+			cache := core.NewCache(core.DefaultConfig())
+			// The second run reads the semi-join cache entry when pushed down.
+			for run := 0; run < 2; run++ {
+				ec := &ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}, Cache: cache}
+				rel, err := j.Execute(ec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rel.NumRows() != want {
+					t.Fatalf("run %d: rows %d want %d", run, rel.NumRows(), want)
+				}
+				city, gcity, region := rel.ColByName("city"), rel.ColByName("g_city"), rel.ColByName("g_region")
+				if gcity == nil || region == nil {
+					t.Fatal("build columns missing")
+				}
+				for i := 0; i < rel.NumRows(); i++ {
+					c := city.Dict.Value(city.Ints[i])
+					gc, reg := gcity.Dict.Value(gcity.Ints[i]), region.Dict.Value(region.Ints[i])
+					if gc != c || reg != regions[c] {
+						t.Fatalf("run %d row %d: city %s joined (%s, %s), want (%s, %s)", run, i, c, gc, reg, c, regions[c])
+					}
+				}
+			}
+		})
 	}
 }
 
-// Multi-column (composite) join keys exercise the byte-encoded table.
+// Multi-column (composite) join keys: two int words, then an int and a
+// dictionary-translated string word.
 func TestMultiKeyJoin(t *testing.T) {
 	cat := storage.NewCatalog()
 	a, _ := cat.CreateTable("a", storage.Schema{
@@ -1093,6 +1112,60 @@ func TestMultiKeyJoin(t *testing.T) {
 	for i := 0; i < rel.NumRows(); i++ {
 		if w.Floats[i] != float64(x.Ints[i]*100+y.Ints[i]) {
 			t.Fatal("composite key matched wrong row")
+		}
+	}
+
+	// An (int, string) key: the string position translates between the two
+	// tables' dictionaries, whose codes run in opposite orders.
+	names := []string{"n0", "n1", "n2", "n3", "n4", "n5", "n6"}
+	c, _ := cat.CreateTable("c", storage.Schema{{Name: "cx", Type: storage.Int64}, {Name: "cn", Type: storage.String}}, 1)
+	d, _ := cat.CreateTable("d", storage.Schema{{Name: "dx", Type: storage.Int64}, {Name: "dn", Type: storage.String}, {Name: "dw", Type: storage.Float64}}, 1)
+	cb, db := storage.NewBatch(c.Schema()), storage.NewBatch(d.Schema())
+	for i := 0; i < 1000; i++ {
+		cb.Cols[0].Ints = append(cb.Cols[0].Ints, int64(i%10))
+		cb.Cols[1].Strings = append(cb.Cols[1].Strings, names[i%7])
+	}
+	cb.N = 1000
+	for x := 0; x < 10; x++ {
+		for y := 6; y >= 0; y-- {
+			if (x+y)%3 == 0 {
+				continue // about a third of the pairs have no build row
+			}
+			db.Cols[0].Ints = append(db.Cols[0].Ints, int64(x))
+			db.Cols[1].Strings = append(db.Cols[1].Strings, names[y])
+			db.Cols[2].Floats = append(db.Cols[2].Floats, float64(x*100+y))
+			db.N++
+		}
+	}
+	if err := c.Append(cb, cat.NextXID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Append(db, cat.NextXID()); err != nil {
+		t.Fatal(err)
+	}
+	j = &Join{
+		Left: &Scan{Table: "c"}, Right: &Scan{Table: "d"},
+		LeftKeys: []string{"cx", "cn"}, RightKeys: []string{"dx", "dn"}, Type: InnerJoin,
+	}
+	rel, err = j.Execute(&ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for i := 0; i < 1000; i++ {
+		if (i%10+i%7)%3 != 0 {
+			want++
+		}
+	}
+	if rel.NumRows() != want {
+		t.Fatalf("(int, string) key: rows %d want %d", rel.NumRows(), want)
+	}
+	cx, cn, dw := rel.ColByName("cx"), rel.ColByName("cn"), rel.ColByName("dw")
+	for i := 0; i < rel.NumRows(); i++ {
+		var y int
+		fmt.Sscanf(cn.Dict.Value(cn.Ints[i]), "n%d", &y)
+		if dw.Floats[i] != float64(cx.Ints[i]*100+int64(y)) {
+			t.Fatalf("(int, string) key: row %d (%d, n%d) matched dw %v", i, cx.Ints[i], y, dw.Floats[i])
 		}
 	}
 }

@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"github.com/predcache/predcache/internal/bloom"
@@ -12,66 +10,14 @@ import (
 	"github.com/predcache/predcache/internal/storage"
 )
 
-// joinKeyEncoder extracts comparable key bytes for one relation's key
-// columns. String columns are encoded via their dictionary values so keys
-// compare correctly across relations with different dictionaries.
-type joinKeyEncoder struct {
-	cols []*RelCol
-}
-
-func newJoinKeyEncoder(rel *Relation, keys []string) (*joinKeyEncoder, error) {
-	e := &joinKeyEncoder{}
-	for _, k := range keys {
-		c := rel.ColByName(k)
-		if c == nil {
-			return nil, fmt.Errorf("engine: join key %q not found", k)
-		}
-		e.cols = append(e.cols, c)
-	}
-	return e, nil
-}
-
-// single reports whether the fast single-int64 path applies.
-func (e *joinKeyEncoder) single() bool {
-	return len(e.cols) == 1 && e.cols[0].Type != storage.Float64 && e.cols[0].Type != storage.String
-}
-
-func (e *joinKeyEncoder) intKey(row int) int64 { return e.cols[0].Ints[row] }
-
-// encode appends the composite key bytes for row to dst. Floats are encoded
-// by their exact bit pattern (math.Float64bits): equal float64 values — and
-// only equal values — produce equal key bytes, so keys differing below any
-// fixed scale never collide and large magnitudes never overflow.
-func (e *joinKeyEncoder) encode(dst []byte, row int) []byte {
-	var buf [8]byte
-	for _, c := range e.cols {
-		switch c.Type {
-		case storage.Float64:
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(c.Floats[row]))
-			dst = append(dst, buf[:]...)
-		case storage.String:
-			s := c.Dict.Value(c.Ints[row])
-			binary.LittleEndian.PutUint32(buf[:4], uint32(len(s)))
-			dst = append(dst, buf[:4]...)
-			dst = append(dst, s...)
-		default:
-			binary.LittleEndian.PutUint64(buf[:], uint64(c.Ints[row]))
-			dst = append(dst, buf[:]...)
-		}
-	}
-	return dst
-}
-
 // joinTable is the build side of the hash join: a chained hash table,
 // optionally split into hash partitions for the parallel build. Each
-// partition maps a key to a chain id; heads/tails index the chain and next
-// links build rows in ascending row order, so probing enumerates duplicate
-// build keys exactly as the serial insertion order would. Compared to the
-// old map[key][]int32, chains cost one pre-sized map plus three flat arrays
-// instead of one slice allocation per distinct key.
+// partition's keyTable gives every distinct key a chain id; heads/tails
+// index the chain and next links build rows in ascending row order, so
+// probing enumerates duplicate build keys exactly as the serial insertion
+// order would.
 type joinTable struct {
-	single bool
-	pmask  uint64 // partition selector over the key hash; 0 = one partition
+	pshift uint // partition of a key hash: hash >> pshift (64: one partition)
 	parts  []joinPart
 	next   []int32 // build row -> next build row with the same key, -1 ends
 }
@@ -80,75 +26,39 @@ type joinTable struct {
 // every build row belongs to exactly one partition, so partition workers
 // write disjoint chains (and disjoint next entries) without locks.
 type joinPart struct {
-	intIdx map[int64]int32
-	strIdx map[string]int32
-	heads  []int32
-	tails  []int32
+	keys  keyTable // key -> chain id
+	heads []int32
+	tails []int32
 }
 
-// init pre-sizes the partition's hash map and chain arenas for n build rows
-// (cardinality is known exactly once the build input has materialized; the
-// serial path gets the same pre-sizing win as the parallel one).
-func (p *joinPart) init(single bool, n int) {
-	if single {
-		p.intIdx = make(map[int64]int32, n)
-	} else {
-		p.strIdx = make(map[string]int32, n)
-	}
+// init pre-sizes the partition's key table and chain arenas for n build
+// rows (cardinality is known exactly once the build input has
+// materialized).
+func (p *joinPart) init(width, n int) {
+	p.keys = newKeyTable(width, n)
 	p.heads = make([]int32, 0, n)
 	p.tails = make([]int32, 0, n)
 }
 
-// insertInt appends row to the chain of integer key k in partition p.
-func (jt *joinTable) insertInt(p *joinPart, k int64, row int32) {
+// insert appends build row to the chain of its key in partition p.
+func (jt *joinTable) insert(p *joinPart, k keyCols, row int) {
 	jt.next[row] = -1
-	if ci, ok := p.intIdx[k]; ok {
-		jt.next[p.tails[ci]] = row
-		p.tails[ci] = row
+	ci, added := p.keys.findOrAdd(k, row, k.hash(row))
+	if added {
+		p.heads = append(p.heads, int32(row))
+		p.tails = append(p.tails, int32(row))
 		return
 	}
-	p.intIdx[k] = int32(len(p.heads))
-	p.heads = append(p.heads, row)
-	p.tails = append(p.tails, row)
-}
-
-// insertBytes appends row to the chain of composite key bytes in partition
-// p. The map lookup converts without allocating; only a chain-starting
-// insert copies the key into the map.
-func (jt *joinTable) insertBytes(p *joinPart, key []byte, row int32) {
-	jt.next[row] = -1
-	if ci, ok := p.strIdx[string(key)]; ok {
-		jt.next[p.tails[ci]] = row
-		p.tails[ci] = row
-		return
-	}
-	p.strIdx[string(key)] = int32(len(p.heads))
-	p.heads = append(p.heads, row)
-	p.tails = append(p.tails, row)
+	jt.next[p.tails[ci]] = int32(row)
+	p.tails[ci] = int32(row)
 }
 
 // first returns the first build row matching probe row's key, or -1. The
-// caller walks the rest of the chain through jt.next. Composite keys are
-// encoded into the worker's scratch key buffer.
-func (jt *joinTable) first(enc *joinKeyEncoder, row int, scr *morselScratch) int32 {
-	if jt.single {
-		k := enc.intKey(row)
-		p := &jt.parts[0]
-		if jt.pmask != 0 {
-			p = &jt.parts[mix64(uint64(k))&jt.pmask]
-		}
-		if ci, ok := p.intIdx[k]; ok {
-			return p.heads[ci]
-		}
-		return -1
-	}
-	key := enc.encode(scr.key[:0], row)
-	scr.key = key
-	p := &jt.parts[0]
-	if jt.pmask != 0 {
-		p = &jt.parts[hashBytes(key)&jt.pmask]
-	}
-	if ci, ok := p.strIdx[string(key)]; ok {
+// caller walks the rest of the chain through jt.next.
+func (jt *joinTable) first(k keyCols, row int) int32 {
+	h := k.hash(row)
+	p := &jt.parts[h>>jt.pshift]
+	if ci := p.keys.find(k, row, h); ci >= 0 {
 		return p.heads[ci]
 	}
 	return -1
@@ -160,52 +70,34 @@ func (jt *joinTable) first(enc *joinKeyEncoder, row int, scr *morselScratch) int
 // partition morsel-parallel, pass 2 has partition workers insert their rows
 // in ascending row order — per-key chain order is identical to the serial
 // build, so parallel and Serial joins return bit-identical results.
-func buildJoinTable(ec *ExecCtx, rel *Relation, enc *joinKeyEncoder, pa *parAccounting) (*joinTable, error) {
+func buildJoinTable(ec *ExecCtx, rel *Relation, k keyCols, pa *parAccounting) (*joinTable, error) {
 	n := rel.NumRows()
-	jt := &joinTable{single: enc.single(), next: make([]int32, n)}
 	nParts := 1
 	if pa.workers > 1 && n >= 2*morselSize {
 		nParts = partitionsFor(pa.workers)
 	}
-	jt.parts = make([]joinPart, nParts)
+	jt := &joinTable{pshift: partShift(nParts), parts: make([]joinPart, nParts), next: make([]int32, n)}
 	if nParts == 1 {
 		p := &jt.parts[0]
-		p.init(jt.single, n)
-		scr := acquireMorselScratch()
-		defer scr.release()
+		p.init(len(k), n)
 		for row := 0; row < n; row++ {
 			if row&(cancelCheckRows-1) == 0 {
 				if err := ec.Cancelled(); err != nil {
 					return nil, err
 				}
 			}
-			if jt.single {
-				jt.insertInt(p, enc.intKey(row), int32(row))
-			} else {
-				scr.key = enc.encode(scr.key[:0], row)
-				jt.insertBytes(p, scr.key, int32(row))
-			}
+			jt.insert(p, k, row)
 		}
 		return jt, nil
 	}
-	jt.pmask = uint64(nParts - 1)
 
 	// Pass 1: each row's partition, morsel-parallel.
 	partOf := make([]uint8, n)
 	cur := &morselCursor{rows: n}
 	err := pa.run(pa.workers, func() error {
-		scr := acquireMorselScratch()
-		defer scr.release()
 		return forEachMorsel(ec, cur, func(_, lo, hi int) error {
-			if jt.single {
-				for row := lo; row < hi; row++ {
-					partOf[row] = uint8(mix64(uint64(enc.intKey(row))) & jt.pmask)
-				}
-			} else {
-				for row := lo; row < hi; row++ {
-					scr.key = enc.encode(scr.key[:0], row)
-					partOf[row] = uint8(hashBytes(scr.key) & jt.pmask)
-				}
+			for row := lo; row < hi; row++ {
+				partOf[row] = uint8(k.hash(row) >> jt.pshift)
 			}
 			return nil
 		})
@@ -220,8 +112,6 @@ func buildJoinTable(ec *ExecCtx, rel *Relation, enc *joinKeyEncoder, pa *parAcco
 	// next to the hash inserts it feeds).
 	var pcur atomic.Int64
 	err = pa.run(pa.workers, func() error {
-		scr := acquireMorselScratch()
-		defer scr.release()
 		for {
 			pi := int(pcur.Add(1)) - 1
 			if pi >= nParts {
@@ -231,7 +121,7 @@ func buildJoinTable(ec *ExecCtx, rel *Relation, enc *joinKeyEncoder, pa *parAcco
 				return err
 			}
 			part := &jt.parts[pi]
-			part.init(jt.single, n/nParts+1)
+			part.init(len(k), n/nParts+1)
 			pb := uint8(pi)
 			for row := 0; row < n; row++ {
 				if row&(cancelCheckRows-1) == 0 {
@@ -239,14 +129,8 @@ func buildJoinTable(ec *ExecCtx, rel *Relation, enc *joinKeyEncoder, pa *parAcco
 						return err
 					}
 				}
-				if partOf[row] != pb {
-					continue
-				}
-				if jt.single {
-					jt.insertInt(part, enc.intKey(row), int32(row))
-				} else {
-					scr.key = enc.encode(scr.key[:0], row)
-					jt.insertBytes(part, scr.key, int32(row))
+				if partOf[row] == pb {
+					jt.insert(part, k, row)
 				}
 			}
 		}
@@ -268,7 +152,7 @@ type joinMorselOut struct {
 // concatenation of per-morsel outputs is the serial result. Its only
 // allocations are the two output buffers, sized for one match per selected
 // row; only duplicate build keys grow them.
-func (j *Join) probeMorsel(jt *joinTable, enc *joinKeyEncoder, sel []int, needBuild bool, out *joinMorselOut, scr *morselScratch) {
+func (j *Join) probeMorsel(jt *joinTable, k keyCols, sel []int, needBuild bool, out *joinMorselOut) {
 	probe := make([]int32, 0, len(sel))
 	var build []int32
 	if needBuild {
@@ -277,14 +161,14 @@ func (j *Join) probeMorsel(jt *joinTable, enc *joinKeyEncoder, sel []int, needBu
 	switch j.Type {
 	case InnerJoin:
 		for _, row := range sel {
-			for r := jt.first(enc, row, scr); r >= 0; r = jt.next[r] {
+			for r := jt.first(k, row); r >= 0; r = jt.next[r] {
 				probe = append(probe, int32(row))
 				build = append(build, r)
 			}
 		}
 	case LeftOuterJoin:
 		for _, row := range sel {
-			r := jt.first(enc, row, scr)
+			r := jt.first(k, row)
 			if r < 0 {
 				probe = append(probe, int32(row))
 				build = append(build, -1)
@@ -297,13 +181,13 @@ func (j *Join) probeMorsel(jt *joinTable, enc *joinKeyEncoder, sel []int, needBu
 		}
 	case SemiJoin:
 		for _, row := range sel {
-			if jt.first(enc, row, scr) >= 0 {
+			if jt.first(k, row) >= 0 {
 				probe = append(probe, int32(row))
 			}
 		}
 	case AntiJoin:
 		for _, row := range sel {
-			if jt.first(enc, row, scr) < 0 {
+			if jt.first(k, row) < 0 {
 				probe = append(probe, int32(row))
 			}
 		}
@@ -380,13 +264,13 @@ func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	if len(j.LeftKeys) != len(j.RightKeys) || len(j.LeftKeys) == 0 {
 		return nil, fmt.Errorf("engine: join needs matching key lists")
 	}
-	buildEnc, err := newJoinKeyEncoder(buildRel, j.RightKeys)
+	buildCols, buildKeys, err := relKeyCols(buildRel, j.RightKeys, "join key")
 	if err != nil {
 		return nil, err
 	}
 
 	pa := parAccounting{workers: ec.workers(buildRel.NumRows())}
-	jt, err := buildJoinTable(ec, buildRel, buildEnc, &pa)
+	jt, err := buildJoinTable(ec, buildRel, buildKeys, &pa)
 	if err != nil {
 		return nil, err
 	}
@@ -442,13 +326,12 @@ func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	if err != nil {
 		return nil, err
 	}
-	probeEnc, err := newJoinKeyEncoder(probeRel, j.LeftKeys)
+	probeCols, probeKeys, err := relKeyCols(probeRel, j.LeftKeys, "join key")
 	if err != nil {
 		return nil, err
 	}
-	if buildEnc.single() != probeEnc.single() {
-		// Mixed representations: fall back to byte keys on both sides.
-		return nil, fmt.Errorf("engine: join key type mismatch between %v and %v", j.LeftKeys, j.RightKeys)
+	if err := matchKeys(probeKeys, probeCols, buildCols); err != nil {
+		return nil, err
 	}
 	bounds, err := bindFused(fusedPreds, probeRel)
 	if err != nil {
@@ -478,7 +361,7 @@ func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
 			if len(sel) == 0 {
 				return nil
 			}
-			j.probeMorsel(jt, probeEnc, sel, needBuild, &outs[m], scr)
+			j.probeMorsel(jt, probeKeys, sel, needBuild, &outs[m])
 			return nil
 		})
 	})

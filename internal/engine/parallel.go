@@ -177,28 +177,6 @@ func (pa *parAccounting) finish(ec *ExecCtx, sp obs.SpanRef) {
 	}
 }
 
-// mix64 is the splitmix64 finalizer: a fast, well-distributed 64-bit mixer
-// used to spread integer join/group keys across partitions independently of
-// the Go map hash.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// hashBytes is FNV-1a over a byte slice (same parameters as hashString).
-func hashBytes(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
 // streamablePred reports whether a bound predicate can be evaluated per
 // morsel without per-call scratch proportional to the relation: OR and NOT
 // allocate relation-sized mark vectors on every Eval, so filters containing

@@ -179,7 +179,7 @@ func (scr *scanScratch) markDecoded(ci int, res *sliceScanResult) {
 // morselScratch owns the per-worker buffers of the morsel-parallel join and
 // aggregation paths: the selection vector one morsel's fused filters compact,
 // the chunked scalar-evaluation vectors, per-row group-state offsets and
-// partition ids, partition counters, and the composite-key encode buffer.
+// partition ids, and partition counters.
 // Like scanScratch, an instance is private to one worker goroutine from
 // acquire until release; steady-state warm executions allocate nothing here.
 type morselScratch struct {
@@ -190,7 +190,6 @@ type morselScratch struct {
 	fvec   []float64 // chunked float scalar evaluation
 	pcount []int32   // per-partition counts (counting-sort scatter)
 	pcur   []int32   // per-partition running cursors
-	key    []byte    // composite join/group key encoding
 }
 
 var morselScratchPool = sync.Pool{New: func() any {
@@ -207,8 +206,8 @@ func acquireMorselScratch() *morselScratch {
 }
 
 // release returns the scratch to the pool. The caller must not retain any
-// slice handed out by the scratch (selection vectors, eval chunks, the key
-// buffer) past this point.
+// slice handed out by the scratch (selection vectors, eval chunks) past
+// this point.
 //
 // pclint:recycled
 func (scr *morselScratch) release() {

@@ -214,6 +214,17 @@ type boundArith struct {
 func (b *boundArith) Out() storage.ColumnType { return storage.Float64 }
 
 func (b *boundArith) EvalF(ctx *BlockCtx, sel []int, out []float64) {
+	// A constant operand applies in place, with no second vector.
+	if c, ok := b.l.(*boundConst); ok {
+		b.r.EvalF(ctx, sel, out)
+		arithConst(b.op, c.v.AsFloat(), out, true)
+		return
+	}
+	if c, ok := b.r.(*boundConst); ok {
+		b.l.EvalF(ctx, sel, out)
+		arithConst(b.op, c.v.AsFloat(), out, false)
+		return
+	}
 	rbuf := make([]float64, len(sel))
 	b.l.EvalF(ctx, sel, out)
 	b.r.EvalF(ctx, sel, rbuf)
@@ -233,6 +244,38 @@ func (b *boundArith) EvalF(ctx *BlockCtx, sel []int, out []float64) {
 	default:
 		for i := range out {
 			out[i] /= rbuf[i]
+		}
+	}
+}
+
+// arithConst computes out[i] = c op out[i] when constLeft, else
+// out[i] op c. IEEE addition and multiplication commute exactly, so only
+// subtraction and division need the operand order.
+func arithConst(op ArithOp, c float64, out []float64, constLeft bool) {
+	switch {
+	case op == Add:
+		for i := range out {
+			out[i] += c
+		}
+	case op == Mul:
+		for i := range out {
+			out[i] *= c
+		}
+	case op == Sub && constLeft:
+		for i := range out {
+			out[i] = c - out[i]
+		}
+	case op == Sub:
+		for i := range out {
+			out[i] -= c
+		}
+	case constLeft:
+		for i := range out {
+			out[i] = c / out[i]
+		}
+	default:
+		for i := range out {
+			out[i] /= c
 		}
 	}
 }
