@@ -5,14 +5,15 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/predcache/predcache/internal/bloom"
 	"github.com/predcache/predcache/internal/expr"
 	"github.com/predcache/predcache/internal/storage"
 )
 
 // TestHotPathAllocs pins the exact allocation count of the engine's inner
-// loops. Hashing, key lookup, morsel selection, accumulation, output
-// gathering and the per-block scan loop allocate nothing; a probe morsel
-// allocates exactly its output buffers. A construct that allocates per call
+// loops. Hashing, key lookup, morsel selection, accumulation, a join
+// level's probe, output gathering and the per-block scan loop allocate
+// nothing; a join chain's probe morsel allocates exactly its output lists. A construct that allocates per call
 // (an FNV hasher, a []byte copy of a key, a boxed value, a fresh slice grown
 // row by row) moves the count on the first run.
 func TestHotPathAllocs(t *testing.T) {
@@ -66,19 +67,21 @@ func TestHotPathAllocs(t *testing.T) {
 	// run: the race detector makes sync.Pool drop items at random.
 	scr := &morselScratch{}
 
-	inner, semi := &Join{Type: InnerJoin}, &Join{Type: SemiJoin}
-	var out joinMorselOut
-	inner.probeMorsel(intTable, intKeys, sel, true, &out)
-	dstInts := RelCol{Type: storage.Int64, Ints: make([]int64, len(out.probe))}
-	dstFloats := RelCol{Type: storage.Float64, Floats: make([]float64, len(out.probe))}
-	probeSpec := joinOutSpec{src: rel.Col(0)}
-	buildSpec := joinOutSpec{src: rel.Col(2), fromBuild: true}
+	// A one-level chain probing the int table, keeping the probe and build
+	// rows; the level buffers are grown by a first run.
+	chain := &joinChain{levels: []chainLevel{{j: &Join{Type: InnerJoin}, jt: intTable, keys: intKeys, carry: []bool{true, true}}}}
+	counts := make([]int, 1)
+	tuples := chain.morselTuples(scr, sel, counts)
+	par, bld := probeLevel(InnerJoin, intTable, intKeys, sel, len(sel), nil, nil)
+	dstInts := RelCol{Type: storage.Int64, Ints: make([]int64, len(tuples[0]))}
+	dstFloats := RelCol{Type: storage.Float64, Floats: make([]float64, len(tuples[1]))}
+	probeCol, buildCol := chainCol{RelCol: rel.Col(0)}, chainCol{RelCol: rel.Col(2), src: 1}
 
 	states := make([]aggState, 4)
 	longKey := strings.Repeat("join-key/", 8) // past the compiler's 32-byte stack buffer
 	var sink uint64
 
-	scanOneBlock, scanAllBlocks := scanSliceRuns(t)
+	scanOneBlock, scanAllBlocks, scanSJHit := scanSliceRuns(t)
 	oneBlock := testing.AllocsPerRun(10, scanOneBlock)
 	t.Logf("scanSlice over one candidate block: %v allocs per run", oneBlock)
 
@@ -119,13 +122,19 @@ func TestHotPathAllocs(t *testing.T) {
 				sink += uint64(groups.groupOf(row))
 			}
 		}},
-		{"copyJoinOut/probe-ints", 0, func() { copyJoinOut(&dstInts, &probeSpec, &out, 0) }},
-		{"copyJoinOut/build-floats", 0, func() { copyJoinOut(&dstFloats, &buildSpec, &out, 0) }},
-		{"probeMorsel/inner", 2, func() { inner.probeMorsel(intTable, intKeys, sel, true, &out) }},
-		{"probeMorsel/semi", 1, func() { semi.probeMorsel(intTable, intKeys, sel, false, &out) }},
+		{"gatherOut/probe-ints", 0, func() { gatherOut(&dstInts, &probeCol, tuples[0], 0) }},
+		{"gatherOut/build-floats", 0, func() { gatherOut(&dstFloats, &buildCol, tuples[1], 0) }},
+		// A level probes into buffers it reuses; only the chain's top-level
+		// output lists are allocated, one per kept source plus their index.
+		{"probeLevel/inner", 0, func() { par, bld = probeLevel(InnerJoin, intTable, intKeys, sel, len(sel), par[:0], bld[:0]) }},
+		{"probeLevel/semi", 0, func() { par, _ = probeLevel(SemiJoin, intTable, intKeys, sel, len(sel), par[:0], nil) }},
+		{"joinChain.morselTuples/inner", 3, func() { tuples = chain.morselTuples(scr, sel, counts) }},
 		// scanSlice over ~2,000 candidate blocks allocates what it does over
 		// one: nothing per block.
 		{"scanSlice/2000-blocks", oneBlock, scanAllBlocks},
+		// A warm semi-join-entry hit with no rows past the watermark: the
+		// cache takes no range, so the scan records none.
+		{"scanSlice/sj-entry-hit", 0, scanSJHit},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := testing.AllocsPerRun(10, tc.fn); got != tc.want {
@@ -135,13 +144,15 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 }
 
-// scanSliceRuns returns two warm runs of scanSlice over loopTable's 2,000
+// scanSliceRuns returns three warm runs of scanSlice over loopTable's 2,000
 // sealed blocks with the filter "a = 5 and b = 77", which one row passes:
 // one whose candidates are that row's block (a predicate-cache hit's
-// shape), and one whose candidates are the whole slice. Both share one
-// scratch, so only the loop itself is measured. They report a wrong result
-// with Errorf, since they may run in a subtest of t.
-func scanSliceRuns(t *testing.T) (oneBlock, allBlocks func()) {
+// shape), one whose candidates are the whole slice, and a semi-join-entry
+// hit on that block, its semi-join filter passing the row, that records
+// ranges only past the slice's last row. All share one scratch, so only the
+// loop itself is measured. They report a wrong result with Errorf, since
+// they may run in a subtest of t.
+func scanSliceRuns(t *testing.T) (oneBlock, allBlocks, sjHit func()) {
 	const blocks = 2000
 	cat, tbl := loopTable(t, blocks*storage.BlockSize, 1)
 	bound, err := expr.Bind(expr.And(expr.Cmp("a", expr.Eq, expr.Int(5)), expr.Cmp("b", expr.Eq, expr.Int(77))), tbl)
@@ -159,20 +170,26 @@ func scanSliceRuns(t *testing.T) (oneBlock, allBlocks func()) {
 	scan := &Scan{Table: "loop"}
 	ec := &ExecCtx{Catalog: cat, Snapshot: cat.Snapshot()}
 	slice := tbl.Slice(0)
-	over := func(cands storage.RowRange) func() {
+	// 1001k+5 ≡ 77 (mod 2000) at k = 72: the qualifying row's block.
+	const hitBlock = 72
+	sj := &semiJoinFilter{keyCol: "id", filter: bloom.New(1, 0.01)}
+	sj.filter.AddInt(hitBlock*storage.BlockSize + 5)
+	over := func(cands storage.RowRange, sjs []*semiJoinFilter, from int) func() {
+		sjCols, sjMemos := make([]int, len(sjs)), make([][]bool, len(sjs))
 		return func() {
 			scr.cands = append(scr.cands[:0], cands)
 			rb.cols[0].Ints = rb.cols[0].Ints[:0]
-			res := sliceScanResult{rel: rb, numRows: slice.NumRows(), scratch: scr}
-			if err := scan.scanSlice(ec, tbl, slice, bound, plan, nil, nil, nil, scr, &res); err != nil {
+			res := sliceScanResult{rel: rb, numRows: slice.NumRows(), scratch: scr, plainFrom: from, sjFrom: from}
+			if err := scan.scanSlice(ec, tbl, slice, bound, plan, sjs, sjCols, sjMemos, scr, &res); err != nil {
 				t.Error(err)
 			} else if len(rb.cols[0].Ints) != 1 || res.blocksVisited < 1 {
 				t.Errorf("scan returned %d rows over %d blocks", len(rb.cols[0].Ints), res.blocksVisited)
+			} else if from > 0 && len(res.plainRanges)+len(res.sjRanges) > 0 {
+				t.Errorf("scan from row %d recorded %v and %v", from, res.plainRanges, res.sjRanges)
 			}
 		}
 	}
-	// 1001k+5 ≡ 77 (mod 2000) at k = 72: the qualifying row's block.
-	const hitBlock = 72
-	return over(storage.RowRange{Start: hitBlock * storage.BlockSize, End: (hitBlock + 1) * storage.BlockSize}),
-		over(storage.RowRange{Start: 0, End: blocks * storage.BlockSize})
+	block := storage.RowRange{Start: hitBlock * storage.BlockSize, End: (hitBlock + 1) * storage.BlockSize}
+	return over(block, nil, 0), over(storage.RowRange{Start: 0, End: blocks * storage.BlockSize}, nil, 0),
+		over(block, []*semiJoinFilter{sj}, slice.NumRows())
 }

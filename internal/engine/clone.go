@@ -36,14 +36,18 @@ func ClonePlan(n Node, bind func(expr.Value) expr.Value) (Node, bool) {
 		if !ok {
 			return nil, false
 		}
-		return &Join{
+		cp := &Join{
 			Left:         left,
 			Right:        right,
 			LeftKeys:     append([]string(nil), t.LeftKeys...),
 			RightKeys:    append([]string(nil), t.RightKeys...),
 			Type:         t.Type,
 			PushSemiJoin: t.PushSemiJoin,
-		}, true
+		}
+		if t.Project != nil {
+			cp.Project = append([]string(nil), t.Project...)
+		}
+		return cp, true
 	case *Agg:
 		in, ok := ClonePlan(t.Input, bind)
 		if !ok {

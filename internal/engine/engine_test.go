@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -283,6 +284,73 @@ func TestScanCacheSurvivesInserts(t *testing.T) {
 	}
 	if cache.Stats().Extends == 0 {
 		t.Fatal("no extends recorded")
+	}
+}
+
+// TestScanCacheExtendEqualsColdInsert grows entries past their watermarks
+// through both kinds of hit and holds each to what a cold scan of the same
+// data inserts. A plain-key hit extends the plain entry from its watermark
+// and inserts the semi-join entry from the scan's full semi-join ranges; a
+// semi-join-entry hit extends that entry from its watermark.
+func TestScanCacheExtendEqualsColdInsert(t *testing.T) {
+	d := newTestDB(t, 10000, 100, 4, 16)
+	scan := func() *Scan {
+		return &Scan{Table: "items", Filter: expr.Cmp("qty", expr.Ge, expr.Int(20)), Project: []string{"id", "dim_id"}}
+	}
+	join := &Join{
+		Left:     scan(),
+		Right:    &Scan{Table: "dims", Filter: expr.Cmp("d_rank", expr.Lt, expr.Int(20))},
+		LeftKeys: []string{"dim_id"}, RightKeys: []string{"d_id"}, Type: InnerJoin, PushSemiJoin: true,
+	}
+	// Each batch's first row passes both filters, so an entry's first row
+	// past its watermark always counts.
+	hitDim := int64(-1)
+	for i := 0; i < d.db.N && hitDim < 0; i++ {
+		if d.db.Cols[2].Ints[i] < 20 {
+			hitDim = d.db.Cols[0].Ints[i]
+		}
+	}
+	next := 10000
+	appendItems := func(seed int64) {
+		extra := itemsBatch(3000, seed, 100)
+		for i := range extra.Cols[0].Ints {
+			extra.Cols[0].Ints[i] = int64(next + i)
+		}
+		extra.Cols[1].Ints[0], extra.Cols[2].Ints[0] = hitDim, 20
+		next += extra.N
+		if err := d.items.Append(extra, d.cat.NextXID()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := core.Config{Kind: core.RangeIndex, MaxRanges: 16384}
+	cache := core.NewCache(cfg)
+	d.exec(t, scan(), cache) // miss: inserts the plain entry
+	appendItems(161)
+	d.exec(t, join, cache) // plain-key hit: extends it, inserts the semi-join entry
+	appendItems(162)
+	d.exec(t, join, cache) // semi-join-entry hit: extends it
+	appendItems(163)
+	d.exec(t, scan(), cache) // plain-key hit
+	d.exec(t, join, cache)   // semi-join-entry hit
+	// Four items hits, and the dims scan's two.
+	if st := cache.Stats(); st.Hits != 6 || st.Extends == 0 {
+		t.Fatalf("cache stats %+v, want 6 hits and extends", st)
+	}
+
+	cold := core.NewCache(cfg)
+	d.exec(t, join, cold) // misses: inserts the dims entry and both items entries
+	got, want := cacheContents(cache), cacheContents(cold)
+	if len(want) != 3 || len(got) != len(want) {
+		t.Fatalf("%d entries, cold scans insert %d (want 3)", len(got), len(want))
+	}
+	for key, w := range want {
+		g, ok := got[key]
+		if !ok {
+			t.Fatalf("no entry %s", key)
+		}
+		if !reflect.DeepEqual(g.PerSlice, w.PerSlice) || !reflect.DeepEqual(g.Watermarks, w.Watermarks) {
+			t.Errorf("entry %s:\nextended %v %v\ncold     %v %v", key, g.Watermarks, g.PerSlice, w.Watermarks, w.PerSlice)
+		}
 	}
 }
 

@@ -52,6 +52,9 @@ func nodeLabel(n Node) string {
 		if t.PushSemiJoin {
 			b.WriteString(" [semi-join filter pushdown]")
 		}
+		if t.Project != nil {
+			fmt.Fprintf(&b, " cols=%v", t.Project)
+		}
 	case *Agg:
 		fmt.Fprintf(&b, "Aggregate group=%v aggs=[", t.GroupBy)
 		for i, a := range t.Aggs {

@@ -2,11 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"github.com/predcache/predcache/internal/bloom"
 	"github.com/predcache/predcache/internal/core"
 	"github.com/predcache/predcache/internal/expr"
+	"github.com/predcache/predcache/internal/obs"
 	"github.com/predcache/predcache/internal/storage"
 )
 
@@ -138,230 +140,307 @@ func buildJoinTable(ec *ExecCtx, rel *Relation, k keyCols, pa *parAccounting) (*
 	return jt, err
 }
 
-// joinMorselOut holds one probe morsel's matches: parallel probe/build row
-// lists in probe-row order. build is nil for semi/anti joins; -1 marks an
-// unmatched probe row in a left outer join.
-type joinMorselOut struct {
-	probe []int32
-	build []int32
+// joinChain is the maximal left-deep chain of joins under a Join: each
+// level whose Left is directly a *Join, bottom first. Level 0 probes the
+// chain's input relation, level l > 0 the tuples leaving level l-1. A tuple
+// holds one row per source: source 0 is the input relation, source l+1
+// level l's build relation.
+type joinChain struct {
+	levels []chainLevel
+	out    []chainCol // the top level's output columns
 }
 
-// probeMorsel probes one morsel's selected rows against the build table,
-// appending match pairs in probe-row order with duplicate build keys in
-// build-row order — the same enumeration the serial loop produces, so the
-// concatenation of per-morsel outputs is the serial result. Its only
-// allocations are the two output buffers, sized for one match per selected
-// row; only duplicate build keys grow them.
-func (j *Join) probeMorsel(jt *joinTable, k keyCols, sel []int, needBuild bool, out *joinMorselOut) {
-	probe := make([]int32, 0, len(sel))
-	var build []int32
-	if needBuild {
-		build = make([]int32, 0, len(sel))
+func newJoinChain(j *Join) *joinChain {
+	c := &joinChain{}
+	for n := j; n != nil; n, _ = n.Left.(*Join) {
+		c.levels = append(c.levels, chainLevel{j: n})
 	}
-	switch j.Type {
-	case InnerJoin:
-		for _, row := range sel {
-			for r := jt.first(k, row); r >= 0; r = jt.next[r] {
-				probe = append(probe, int32(row))
-				build = append(build, r)
+	slices.Reverse(c.levels)
+	return c
+}
+
+// chainLevel's keys read the probe key words of the input relation at level
+// 0, above it of vectors each morsel gathers from the keySrc columns. carry
+// marks the sources whose rows the tuples leaving the level keep: those a
+// key or output column above reads.
+type chainLevel struct {
+	j         *Join
+	sp        obs.SpanRef
+	jt        *joinTable
+	buildCols []*RelCol
+	keys      keyCols
+	keySrc    []chainCol
+	carry     []bool
+}
+
+// chainCol is a column of a chain level's output: a column of source src,
+// or, when matched is set, the __matched marker of level src-1.
+type chainCol struct {
+	*RelCol
+	src     int
+	matched bool
+}
+
+// resolve names every level's output columns, as materializing each level
+// would, binds each level's probe keys to the columns they read, and
+// decides which sources each level's tuples carry.
+func (c *joinChain) resolve(in *Relation, builds []*Relation) error {
+	var cols []chainCol
+	byName := func(name string) int {
+		return slices.IndexFunc(cols, func(c chainCol) bool { return c.Name == name })
+	}
+	addCols := func(rel *Relation, src int) {
+		for i := 0; i < rel.NumCols(); i++ {
+			if byName(rel.Col(i).Name) < 0 { // else shadowed, typically by the join key
+				cols = append(cols, chainCol{RelCol: rel.Col(i), src: src})
 			}
 		}
-	case LeftOuterJoin:
-		for _, row := range sel {
-			r := jt.first(k, row)
-			if r < 0 {
-				probe = append(probe, int32(row))
-				build = append(build, -1)
+	}
+	addCols(in, 0)
+	for l := range c.levels {
+		lv := &c.levels[l]
+		probeCols := make([]*RelCol, len(lv.j.LeftKeys))
+		for _, name := range lv.j.LeftKeys {
+			ci := byName(name)
+			if ci < 0 || cols[ci].matched {
+				return fmt.Errorf("engine: join key %q not found", name)
+			}
+			kc := cols[ci]
+			probeCols[len(lv.keySrc)] = kc.RelCol
+			lv.keySrc = append(lv.keySrc, kc)
+			lv.keys = append(lv.keys, keyCol{ints: kc.Ints, floats: kc.Floats, float: kc.Type == storage.Float64})
+		}
+		if err := matchKeys(lv.keys, probeCols, lv.buildCols); err != nil {
+			return err
+		}
+		if lv.j.Type == InnerJoin || lv.j.Type == LeftOuterJoin {
+			addCols(builds[l], l+1)
+		}
+		if lv.j.Type == LeftOuterJoin {
+			cols = append(cols, chainCol{RelCol: &RelCol{Name: "__matched", Type: storage.Int64}, src: l + 1, matched: true})
+		}
+		if lv.j.Project != nil {
+			kept := make([]chainCol, len(lv.j.Project))
+			for i, name := range lv.j.Project {
+				ci := byName(name)
+				if ci < 0 {
+					return fmt.Errorf("engine: join has no column %q", name)
+				}
+				kept[i] = cols[ci]
+			}
+			cols = kept
+		}
+	}
+	c.out = cols
+	need := make([]bool, len(c.levels)+1)
+	for _, oc := range c.out {
+		need[oc.src] = true
+	}
+	for l := len(c.levels) - 1; l >= 0; l-- {
+		c.levels[l].carry = slices.Clone(need[:l+2])
+		for _, kc := range c.levels[l].keySrc {
+			need[kc.src] = true
+		}
+	}
+	return nil
+}
+
+// probeLevel matches n tuples, tuple t's key at row rows[t] of k (row t
+// when rows is nil), against a level's hash table. par receives each output
+// tuple's input tuple, bld (inner and left outer) its build row, -1 when
+// unmatched. Input order is kept and duplicate keys enumerate in build-row
+// order, so the output does not depend on morsel boundaries.
+func probeLevel(typ JoinType, jt *joinTable, k keyCols, rows []int, n int, par, bld []int32) ([]int32, []int32) {
+	for t := 0; t < n; t++ {
+		row := t
+		if rows != nil {
+			row = rows[t]
+		}
+		r := jt.first(k, row)
+		switch {
+		case typ == SemiJoin || typ == AntiJoin:
+			if (r >= 0) == (typ == SemiJoin) {
+				par = append(par, int32(t))
+			}
+		case r < 0:
+			if typ == LeftOuterJoin {
+				par = append(par, int32(t))
+				bld = append(bld, -1)
+			}
+		default:
+			for ; r >= 0; r = jt.next[r] {
+				par = append(par, int32(t))
+				bld = append(bld, r)
+			}
+		}
+	}
+	return par, bld
+}
+
+// morselTuples passes one morsel's selected probe rows through every level,
+// in the worker's scratch, and returns the tuples leaving the top, exactly
+// sized: a row list per source, nil for one nothing above reads. counts[l]
+// receives the number of tuples leaving level l.
+func (c *joinChain) morselTuples(scr *morselScratch, sel []int, counts []int) [][]int32 {
+	var in [][]int32
+	n := len(sel)
+	for l := 0; l < len(c.levels) && n > 0; l++ {
+		lv := &c.levels[l]
+		k, rows := lv.keys, sel
+		if l > 0 {
+			k, rows = append(scr.keys[:0], lv.keys...), nil
+			scr.keys = k
+			for i, kc := range lv.keySrc {
+				if kc.Type == storage.Float64 {
+					k[i].floats = slot(&scr.kfloats, i, n)
+					gatherRows(k[i].floats, kc.Floats, in[kc.src])
+				} else {
+					k[i].ints = slot(&scr.kints, i, n)
+					gatherRows(k[i].ints, kc.Ints, in[kc.src])
+				}
+			}
+		}
+		out := &scr.lists[l&1]
+		par, bld := probeLevel(lv.j.Type, lv.jt, k, rows, n, scr.par[:0], slot(out, l+1, 0))
+		scr.par, (*out)[l+1] = par, bld
+		n = len(par)
+		counts[l] = n
+		for s := 0; s <= l; s++ {
+			if !lv.carry[s] {
 				continue
 			}
-			for ; r >= 0; r = jt.next[r] {
-				probe = append(probe, int32(row))
-				build = append(build, r)
+			dst := slot(out, s, n)
+			for i, p := range par {
+				if l == 0 {
+					dst[i] = int32(sel[p])
+				} else {
+					dst[i] = in[s][p]
+				}
 			}
 		}
-	case SemiJoin:
-		for _, row := range sel {
-			if jt.first(k, row) >= 0 {
-				probe = append(probe, int32(row))
-			}
-		}
-	case AntiJoin:
-		for _, row := range sel {
-			if jt.first(k, row) < 0 {
-				probe = append(probe, int32(row))
-			}
+		in = *out
+	}
+	if n == 0 {
+		return nil
+	}
+	res := make([][]int32, len(c.levels)+1)
+	for s, keep := range c.levels[len(c.levels)-1].carry {
+		if keep {
+			res[s] = slices.Clone(in[s])
 		}
 	}
-	out.probe, out.build = probe, build
+	return res
 }
 
-// joinOutSpec describes one output column of the join assembly.
-type joinOutSpec struct {
-	src       *RelCol
-	fromBuild bool
-	matched   bool // the synthesized __matched marker of a left outer join
-}
-
-// copyJoinOut gathers one morsel's slice of one output column into its
-// pre-allocated region of the result — morsel regions are disjoint, so
-// assembly workers write without coordination.
-func copyJoinOut(dst *RelCol, spec *joinOutSpec, out *joinMorselOut, base int) {
-	if spec.matched {
-		d := dst.Ints[base : base+len(out.probe)]
-		for i, r := range out.build {
-			if r >= 0 {
-				d[i] = 1
-			} else {
-				d[i] = 0
-			}
-		}
-		return
-	}
-	rows := out.probe
-	if spec.fromBuild {
-		rows = out.build
-	}
-	if spec.src.Type == storage.Float64 {
-		d := dst.Floats[base : base+len(rows)]
-		src := spec.src.Floats
-		for i, r := range rows {
-			if r >= 0 {
-				d[i] = src[r]
-			} else {
-				d[i] = 0
-			}
-		}
-		return
-	}
-	d := dst.Ints[base : base+len(rows)]
-	src := spec.src.Ints
+// gatherRows writes src's value at each of rows into dst, 0 for a -1 row
+// (an unmatched left outer tuple), as a materialized join output holds it.
+func gatherRows[T int64 | float64](dst, src []T, rows []int32) {
 	for i, r := range rows {
 		if r >= 0 {
-			d[i] = src[r]
+			dst[i] = src[r]
 		} else {
-			d[i] = 0
+			dst[i] = 0
 		}
 	}
 }
 
-// Execute runs the hash join: build on Right, probe with Left. When
-// enabled, a Bloom filter of the build keys is pushed into a probe-side
-// base-table scan before it runs, so the scan can cache the semi-join
-// result (§4.4, Figure 12). Build, probe and output assembly are
-// morsel-parallel under ExecCtx.MaxWorkers; Filter nodes directly
-// under the probe side stream as per-morsel selection vectors instead of
-// materializing an intermediate relation.
+// gatherOut writes one morsel's rows of oc's source into dst's disjoint
+// region from base on (the __matched marker: whether the row matched).
+func gatherOut(dst *RelCol, oc *chainCol, rows []int32, base int) {
+	switch {
+	case oc.matched:
+		d := dst.Ints[base:] // zeroed: unmatched rows stay 0
+		for i, r := range rows {
+			if r >= 0 {
+				d[i] = 1
+			}
+		}
+	case oc.Type == storage.Float64:
+		gatherRows(dst.Floats[base:], oc.Floats, rows)
+	default:
+		gatherRows(dst.Ints[base:], oc.Ints, rows)
+	}
+}
+
+// Execute runs the maximal left-deep chain of joins rooted at j as one
+// pipeline (morsel-driven, Leis et al. 2014). Top-down, each level builds
+// its hash table on Right and, when enabled, pushes a Bloom filter of its
+// build keys into the probe-side base-table scan, whose cache entry then
+// keys on it (§4.4, Figure 12). The chain's input runs once, each probe
+// morsel passes through every level, and the top gathers each output column
+// once, from its source. Build, probe and gather are morsel-parallel under
+// ExecCtx.MaxWorkers; Filters directly under the chain's input stream as
+// per-morsel selection vectors instead of materializing.
 func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
-	sp := beginNodeSpan(ec, j)
-	defer func() { endNodeSpan(sp, rel, err) }()
-	if err = ec.Cancelled(); err != nil {
-		return nil, err
-	}
-	buildRel, err := j.Right.Execute(ec)
-	if err != nil {
-		return nil, err
-	}
-	if len(j.LeftKeys) != len(j.RightKeys) || len(j.LeftKeys) == 0 {
-		return nil, fmt.Errorf("engine: join needs matching key lists")
-	}
-	buildCols, buildKeys, err := relKeyCols(buildRel, j.RightKeys, "join key")
-	if err != nil {
-		return nil, err
-	}
-
-	pa := parAccounting{workers: ec.workers(buildRel.NumRows())}
-	jt, err := buildJoinTable(ec, buildRel, buildKeys, &pa)
-	if err != nil {
-		return nil, err
-	}
-
-	// Semi-join filter pushdown into the base probe-side scan. The probe key
-	// column originates from a base table even through a chain of inner
-	// joins, so the Bloom filter can sink all the way down (star schemas
-	// push one filter per dimension onto the fact scan).
-	probeScan := baseProbeScan(j.Left)
-	pushSJ := j.PushSemiJoin && probeScan != nil &&
-		len(j.LeftKeys) == 1 && (j.Type == InnerJoin || j.Type == SemiJoin)
-	if pushSJ {
-		// The key must be a base column of the probe scan's table.
-		if tbl, ok := ec.Catalog.Table(probeScan.Table); !ok ||
-			tbl.ColumnIndex(probeKeyName(probeScan, j.LeftKeys[0])) < 0 {
-			pushSJ = false
+	c := newJoinChain(j)
+	top := len(c.levels) - 1
+	defer func() { // spans not begun, or ended already, are zero
+		for l := 0; l < top; l++ {
+			endNodeSpan(c.levels[l].sp, nil, err)
 		}
-	}
-	if pushSJ {
-		keyCol := buildRel.ColByName(j.RightKeys[0])
-		sj := &semiJoinFilter{keyCol: probeKeyName(probeScan, j.LeftKeys[0])}
-		sj.filter = bloom.New(buildRel.NumRows(), 0.01)
-		if keyCol.Type == storage.String {
-			sj.stringKeys = true
-			for row := 0; row < buildRel.NumRows(); row++ {
-				sj.filter.Add(hashString(keyCol.Dict.Value(keyCol.Ints[row])))
-			}
-		} else if keyCol.Type == storage.Float64 {
-			pushSJ = false // float join keys: no bloom
-		} else {
-			for row := 0; row < buildRel.NumRows(); row++ {
-				sj.filter.AddInt(keyCol.Ints[row])
-			}
+		endNodeSpan(c.levels[top].sp, rel, err)
+	}()
+	builds := make([]*Relation, len(c.levels))
+	var pa parAccounting
+	for l := top; l >= 0; l-- {
+		lv := &c.levels[l]
+		lv.sp = beginNodeSpan(ec, lv.j)
+		if err = ec.Cancelled(); err != nil {
+			return nil, err
 		}
-		if pushSJ {
-			if desc, deps, ok := j.Right.CacheDescriptor(ec); ok {
-				sj.cacheable = true
-				sj.sjKey = core.SemiJoinKey{
-					JoinPred: "(= " + j.LeftKeys[0] + " " + j.RightKeys[0] + ")",
-					BuildKey: desc,
-				}
-				sj.deps = deps
-			}
-			probeScan.runtimeSJ = append(probeScan.runtimeSJ, sj)
-			defer func() { probeScan.runtimeSJ = probeScan.runtimeSJ[:len(probeScan.runtimeSJ)-1] }()
+		if builds[l], err = lv.j.Right.Execute(ec); err != nil {
+			return nil, err
+		}
+		if len(lv.j.LeftKeys) != len(lv.j.RightKeys) || len(lv.j.LeftKeys) == 0 {
+			return nil, fmt.Errorf("engine: join needs matching key lists")
+		}
+		var buildKeys keyCols
+		if lv.buildCols, buildKeys, err = relKeyCols(builds[l], lv.j.RightKeys, "join key"); err != nil {
+			return nil, err
+		}
+		workers := pa.workers
+		pa.workers = ec.workers(builds[l].NumRows())
+		lv.jt, err = buildJoinTable(ec, builds[l], buildKeys, &pa)
+		pa.workers = max(pa.workers, workers)
+		if err != nil {
+			return nil, err
+		}
+		if s := lv.j.pushSemiJoin(ec, builds[l]); s != nil {
+			defer func() { s.runtimeSJ = s.runtimeSJ[:len(s.runtimeSJ)-1] }()
 		}
 	}
 
-	// Streaming path: Filter nodes directly under the probe side evaluate
-	// per morsel over the shared column vectors instead of materializing.
-	probeNode, fusedPreds := fusedFilterInput(j.Left)
-	probeRel, err := probeNode.Execute(ec)
+	bottom := &c.levels[0]
+	inNode, fusedPreds := fusedFilterInput(bottom.j.Left)
+	in, err := inNode.Execute(ec)
 	if err != nil {
 		return nil, err
 	}
-	probeCols, probeKeys, err := relKeyCols(probeRel, j.LeftKeys, "join key")
+	if err := c.resolve(in, builds); err != nil {
+		return nil, err
+	}
+	bounds, err := bindFused(fusedPreds, in)
 	if err != nil {
 		return nil, err
 	}
-	if err := matchKeys(probeKeys, probeCols, buildCols); err != nil {
-		return nil, err
-	}
-	bounds, err := bindFused(fusedPreds, probeRel)
-	if err != nil {
-		return nil, err
-	}
-	var probeCtx *expr.BlockCtx
+	var inCtx *expr.BlockCtx
 	if len(bounds) > 0 {
-		probeCtx = probeRel.blockCtx()
-		if sp.Active() {
-			sp.SetInt("filters.fused", int64(len(bounds)))
-		}
+		inCtx = in.blockCtx()
+		bottom.sp.SetInt("filters.fused", int64(len(bounds)))
 	}
 
 	// Probe over morsels pulled from a shared cursor.
-	pn := probeRel.NumRows()
-	probeWorkers := ec.workers(pn)
-	pa.workers = max(pa.workers, probeWorkers)
-	nm := numMorsels(pn)
-	needBuild := j.Type == InnerJoin || j.Type == LeftOuterJoin
-	outs := make([]joinMorselOut, nm)
-	cur := &morselCursor{rows: pn}
-	err = pa.run(probeWorkers, func() error {
+	workers := ec.workers(in.NumRows())
+	pa.workers = max(pa.workers, workers)
+	nm, nl := numMorsels(in.NumRows()), len(c.levels)
+	tuples := make([][][]int32, nm)
+	counts := make([]int, nm*nl) // morsel m's tuples leaving level l at m*nl+l
+	cur := &morselCursor{rows: in.NumRows()}
+	err = pa.run(workers, func() error {
 		scr := acquireMorselScratch()
 		defer scr.release()
 		return forEachMorsel(ec, cur, func(m, lo, hi int) error {
-			sel := morselSel(scr, probeCtx, bounds, lo, hi)
-			if len(sel) == 0 {
-				return nil
-			}
-			j.probeMorsel(jt, probeKeys, sel, needBuild, &outs[m])
+			tuples[m] = c.morselTuples(scr, morselSel(scr, inCtx, bounds, lo, hi), counts[m*nl:][:nl])
 			return nil
 		})
 	})
@@ -369,56 +448,39 @@ func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	if err != nil {
 		return nil, err
 	}
+	// The levels below the top end here, holding the probe time.
+	for l := 0; l < top; l++ {
+		rows := 0
+		for i := l; i < len(counts); i += nl {
+			rows += counts[i]
+		}
+		c.levels[l].sp.SetInt("rows.out", int64(rows))
+		c.levels[l].sp.End()
+		c.levels[l].sp = obs.SpanRef{}
+	}
 
-	// Assemble the output: probe columns, then (for inner/left) build
-	// columns not shadowing probe names, plus a __matched marker for left
-	// outer joins (this engine has no NULLs; sum(__matched) recovers SQL's
-	// count(build_col) semantics). Morsel match counts prefix-sum into
-	// disjoint output regions, so gathering is parallel and exact-sized.
+	// Morsel tuple counts prefix-sum into disjoint output regions, so the
+	// gather is parallel and exact-sized.
 	offs := make([]int, nm+1)
 	for m := 0; m < nm; m++ {
-		offs[m+1] = offs[m] + len(outs[m].probe)
+		offs[m+1] = offs[m] + counts[m*nl+top]
 	}
-	total := offs[nm]
-
-	var specs []joinOutSpec
-	cols := make([]RelCol, 0, probeRel.NumCols()+buildRel.NumCols()+1)
-	addCol := func(spec joinOutSpec, name string, typ storage.ColumnType, dict *storage.Dict) {
-		c := RelCol{Name: name, Type: typ, Dict: dict}
-		if typ == storage.Float64 {
-			c.Floats = make([]float64, total)
+	cols := make([]RelCol, len(c.out))
+	for i, oc := range c.out {
+		cols[i] = RelCol{Name: oc.Name, Type: oc.Type, Dict: oc.Dict}
+		if oc.Type == storage.Float64 {
+			cols[i].Floats = make([]float64, offs[nm])
 		} else {
-			c.Ints = make([]int64, total)
-		}
-		specs = append(specs, spec)
-		cols = append(cols, c)
-	}
-	for i := 0; i < probeRel.NumCols(); i++ {
-		src := probeRel.Col(i)
-		addCol(joinOutSpec{src: src}, src.Name, src.Type, src.Dict)
-	}
-	if needBuild {
-		for i := 0; i < buildRel.NumCols(); i++ {
-			src := buildRel.Col(i)
-			if probeRel.ColByName(src.Name) != nil {
-				continue // shadowed (typically the join key re-appearing)
-			}
-			addCol(joinOutSpec{src: src, fromBuild: true}, src.Name, src.Type, src.Dict)
+			cols[i].Ints = make([]int64, offs[nm])
 		}
 	}
-	if j.Type == LeftOuterJoin {
-		addCol(joinOutSpec{matched: true}, "__matched", storage.Int64, nil)
-	}
-
-	acur := &morselCursor{rows: pn}
-	err = pa.run(probeWorkers, func() error {
-		return forEachMorsel(ec, acur, func(m, _, _ int) error {
-			out := &outs[m]
-			if len(out.probe) == 0 {
-				return nil
-			}
-			for i := range specs {
-				copyJoinOut(&cols[i], &specs[i], out, offs[m])
+	gcur := &morselCursor{rows: in.NumRows()}
+	err = pa.run(workers, func() error {
+		return forEachMorsel(ec, gcur, func(m, _, _ int) error {
+			for i, oc := range c.out {
+				if offs[m+1] > offs[m] {
+					gatherOut(&cols[i], &oc, tuples[m][oc.src], offs[m])
+				}
 			}
 			return nil
 		})
@@ -427,8 +489,45 @@ func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	if err != nil {
 		return nil, err
 	}
-	pa.finish(ec, sp)
+	pa.finish(ec, c.levels[top].sp)
 	return NewRelation(cols)
+}
+
+// pushSemiJoin pushes a Bloom filter of build's join keys into the base
+// scan feeding j's probe side, through any inner joins (star schemas push
+// one filter per dimension onto the fact scan), and returns that scan for
+// the caller to pop the filter from, or nil when j pushes nothing.
+func (j *Join) pushSemiJoin(ec *ExecCtx, build *Relation) *Scan {
+	probeScan := baseProbeScan(j.Left)
+	if !j.PushSemiJoin || probeScan == nil || len(j.LeftKeys) != 1 ||
+		(j.Type != InnerJoin && j.Type != SemiJoin) {
+		return nil
+	}
+	// The key must be a base column of the probe scan's table, and not a
+	// float: float join keys get no Bloom filter.
+	keyCol := build.ColByName(j.RightKeys[0])
+	if tbl, ok := ec.Catalog.Table(probeScan.Table); !ok ||
+		tbl.ColumnIndex(probeKeyName(probeScan, j.LeftKeys[0])) < 0 || keyCol.Type == storage.Float64 {
+		return nil
+	}
+	sj := &semiJoinFilter{
+		keyCol:     probeKeyName(probeScan, j.LeftKeys[0]),
+		filter:     bloom.New(build.NumRows(), 0.01),
+		stringKeys: keyCol.Type == storage.String,
+	}
+	for row := 0; row < build.NumRows(); row++ {
+		if sj.stringKeys {
+			sj.filter.Add(hashString(keyCol.Dict.Value(keyCol.Ints[row])))
+		} else {
+			sj.filter.AddInt(keyCol.Ints[row])
+		}
+	}
+	if desc, deps, ok := j.Right.CacheDescriptor(ec); ok {
+		sj.cacheable, sj.deps = true, deps
+		sj.sjKey = core.SemiJoinKey{JoinPred: "(= " + j.LeftKeys[0] + " " + j.RightKeys[0] + ")", BuildKey: desc}
+	}
+	probeScan.runtimeSJ = append(probeScan.runtimeSJ, sj)
+	return probeScan
 }
 
 // baseProbeScan descends to the base-table scan feeding the probe side,

@@ -129,12 +129,17 @@ type Scan struct {
 // Join hash-joins Left (probe) with Right (build) on equality of the key
 // columns. When PushSemiJoin is enabled (default via planner) and the probe
 // input is a Scan, a Bloom filter built from the build keys is pushed into
-// the probe scan, and the probe scan's cache entry keys on it.
+// the probe scan, and the probe scan's cache entry keys on it. The output
+// holds the probe columns, then (inner and left outer joins) the build
+// columns a probe column does not shadow, then a left outer join's
+// __matched marker; Project keeps only the listed ones, in its order
+// (nil = all).
 type Join struct {
 	Left, Right         Node
 	LeftKeys, RightKeys []string
 	Type                JoinType
 	PushSemiJoin        bool
+	Project             []string
 }
 
 // AggFunc enumerates aggregate functions.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"github.com/predcache/predcache/internal/bloom"
@@ -51,10 +52,11 @@ func hashString(s string) uint64 {
 // slice-local so the hot loop avoids shared atomics; Execute folds them into
 // ec.Stats (and the scan's trace span) once per scan.
 type sliceScanResult struct {
-	rel         *relBuilder
-	plainRanges []storage.RowRange // rows passing the filter (pre-bloom, pre-visibility)
-	sjRanges    []storage.RowRange // rows passing filter + semi-join filters
-	numRows     int
+	rel               *relBuilder
+	plainRanges       []storage.RowRange // rows passing the filter (pre-bloom, pre-visibility)
+	sjRanges          []storage.RowRange // rows passing filter + semi-join filters
+	plainFrom, sjFrom int                // the recorders' rangeRecorder.from
+	numRows           int
 	// scratch is the pooled buffer set backing rel's output columns; Execute
 	// releases it after the merge copies the values out.
 	scratch *scanScratch
@@ -116,10 +118,10 @@ func (rb *relBuilder) gatherRange(slice *storage.Slice, blk, lo, hi int, scr *sc
 		scr.markDecoded(ci, res)
 		res.rowsDecoded += int64(n)
 		if dst.Type == storage.Float64 {
-			dst.Floats = growFloats(dst.Floats, n)
+			dst.Floats = grow(dst.Floats, n)
 			slice.Column(ci).ReadFloatRange(blk, lo, hi, dst.Floats[len(dst.Floats)-n:])
 		} else {
-			dst.Ints = growInts(dst.Ints, n)
+			dst.Ints = grow(dst.Ints, n)
 			slice.Column(ci).ReadIntRange(blk, lo, hi, dst.Ints[len(dst.Ints)-n:])
 		}
 	}
@@ -265,6 +267,27 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	for i := range results {
 		res := &results[i]
 		res.numRows = tbl.Slice(i).NumRows()
+		// The recorders start at the rows the cache takes (steps 3-4 below):
+		// both entries whole on a miss; on a hit, the entry's rows past its
+		// watermark, and a plain-key hit may insert the semi-join entry whole.
+		res.plainFrom, res.sjFrom = math.MaxInt, math.MaxInt
+		if useCache {
+			from := 0
+			if hit {
+				from = math.MaxInt
+				if i < len(cand.Watermarks) {
+					from = cand.Watermarks[i]
+				}
+			}
+			switch {
+			case usedSJEntry:
+				res.sjFrom = from
+			case sjKeyOK:
+				res.plainFrom, res.sjFrom = from, 0
+			default:
+				res.plainFrom = from
+			}
+		}
 		res.scratch = acquireScanScratch(numCols, dicts)
 		candidates := res.scratch.cands[:0]
 		if hit && i < len(cand.PerSlice) && cand.Watermarks[i] <= res.numRows {
@@ -413,9 +436,8 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 				if i >= len(cand.Watermarks) {
 					break // defensive: entry slice count mismatch
 				}
-				tail := rangesFrom(plainRanges[i], cand.Watermarks[i])
-				if len(tail) > 0 || watermarks[i] > cand.Watermarks[i] {
-					ec.Cache.Extend(plainKey.String(), i, tail, watermarks[i])
+				if len(plainRanges[i]) > 0 || watermarks[i] > cand.Watermarks[i] {
+					ec.Cache.Extend(plainKey.String(), i, plainRanges[i], watermarks[i])
 				}
 			}
 			// Only (re)build the semi-join entry when none is current: a
@@ -434,9 +456,8 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 				if i >= len(cand.Watermarks) {
 					break // defensive: entry slice count mismatch
 				}
-				tail := rangesFrom(sjRanges[i], cand.Watermarks[i])
-				if len(tail) > 0 || watermarks[i] > cand.Watermarks[i] {
-					ec.Cache.Extend(sjCacheKey.String(), i, tail, watermarks[i])
+				if len(sjRanges[i]) > 0 || watermarks[i] > cand.Watermarks[i] {
+					ec.Cache.Extend(sjCacheKey.String(), i, sjRanges[i], watermarks[i])
 				}
 			}
 			if csp.Active() {
@@ -488,28 +509,19 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	return NewRelation(out)
 }
 
-// rangesFrom clips ranges to those at or beyond start.
-func rangesFrom(ranges []storage.RowRange, start int) []storage.RowRange {
-	var out []storage.RowRange
-	for _, r := range ranges {
-		if r.End <= start {
-			continue
-		}
-		if r.Start < start {
-			r.Start = start
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
 // rangeRecorder accumulates qualifying global row numbers into merged
-// ranges.
+// ranges, clipped to the rows at or beyond from: the cache takes no range
+// before an entry's watermark, and none at all when from is past every row.
 type rangeRecorder struct {
+	from   int
 	ranges []storage.RowRange
 }
 
 func (r *rangeRecorder) add(start, end int) {
+	if end <= r.from {
+		return
+	}
+	start = max(start, r.from)
 	if n := len(r.ranges); n > 0 && r.ranges[n-1].End == start {
 		r.ranges[n-1].End = end
 		return
@@ -519,6 +531,9 @@ func (r *rangeRecorder) add(start, end int) {
 
 // addSel records block-relative selected rows as global ranges.
 func (r *rangeRecorder) addSel(base int, sel []int) {
+	if len(sel) == 0 || base+sel[len(sel)-1] < r.from {
+		return
+	}
 	i := 0
 	for i < len(sel) {
 		j := i + 1
@@ -593,7 +608,7 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 		}
 	}
 
-	var plainRec, sjRec rangeRecorder
+	plainRec, sjRec := rangeRecorder{from: res.plainFrom}, rangeRecorder{from: res.sjFrom}
 	numRows := res.numRows
 	insXIDs := slice.InsertXIDs()
 	delXIDs := slice.DeleteXIDs() // nil: no row of this slice was ever deleted

@@ -183,13 +183,20 @@ func (scr *scanScratch) markDecoded(ci int, res *sliceScanResult) {
 // Like scanScratch, an instance is private to one worker goroutine from
 // acquire until release; steady-state warm executions allocate nothing here.
 type morselScratch struct {
-	sel    []int     // morsel selection vector (cap morselSize)
-	gidx   []int32   // per-selected-row group state offsets
-	pids   []uint8   // per-selected-row partition ids
-	ivec   []int64   // chunked integer scalar evaluation
-	fvec   []float64 // chunked float scalar evaluation
-	pcount []int32   // per-partition counts (counting-sort scatter)
-	pcur   []int32   // per-partition running cursors
+	sel []int // morsel selection vector (cap morselSize)
+	// Join chain levels: output tuples' input tuples, the tuples' rows per
+	// source (a set per level parity) and gathered key vectors.
+	par     []int32
+	lists   [2][][]int32
+	keys    keyCols
+	kints   [][]int64
+	kfloats [][]float64
+	gidx    []int32   // per-selected-row group state offsets
+	pids    []uint8   // per-selected-row partition ids
+	ivec    []int64   // chunked integer scalar evaluation
+	fvec    []float64 // chunked float scalar evaluation
+	pcount  []int32   // per-partition counts (counting-sort scatter)
+	pcur    []int32   // per-partition running cursors
 }
 
 var morselScratchPool = sync.Pool{New: func() any {
@@ -279,36 +286,27 @@ func (scr *morselScratch) partCounters(p int) (count, cur []int32) {
 	return count, cur
 }
 
-// growInts extends dst by n values without a temporary allocation and
-// returns the grown slice; the new values occupy dst[len(dst)-n:].
+// grow extends dst by n values without a temporary allocation and returns
+// the grown slice; the new values occupy dst[len(dst)-n:].
 //
 // Steady-state warm scans reuse the recycled arrays' full capacity and
 // never re-enter the make.
-func growInts(dst []int64, n int) []int64 {
+func grow[T any](dst []T, n int) []T {
 	m := len(dst)
 	if cap(dst) < m+n {
-		c := 2 * cap(dst)
-		if c < m+n {
-			c = m + n
-		}
-		grown := make([]int64, m, c)
+		grown := make([]T, m, max(2*cap(dst), m+n))
 		copy(grown, dst)
 		dst = grown
 	}
 	return dst[: m+n : cap(dst)]
 }
 
-// growFloats is growInts for float columns.
-func growFloats(dst []float64, n int) []float64 {
-	m := len(dst)
-	if cap(dst) < m+n {
-		c := 2 * cap(dst)
-		if c < m+n {
-			c = m + n
-		}
-		grown := make([]float64, m, c)
-		copy(grown, dst)
-		dst = grown
+// slot returns (*vecs)[i] resized to n values, growing the list and the
+// vector as needed; the values are the caller's to overwrite.
+func slot[T any](vecs *[][]T, i, n int) []T {
+	for len(*vecs) <= i {
+		*vecs = append(*vecs, nil)
 	}
-	return dst[: m+n : cap(dst)]
+	(*vecs)[i] = grow((*vecs)[i][:0], n)
+	return (*vecs)[i]
 }

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"github.com/predcache/predcache/internal/engine"
@@ -88,6 +89,12 @@ type planner struct {
 	residual []expr.Pred
 	// star is set by `select *`, whose scans keep every column.
 	star bool
+	// read marks the relation-level names relName resolves: those read
+	// above the join tree, which narrowScans makes the top join's columns.
+	read map[string]bool
+	// anchor is the join tree's probe table, join the top join (or nil).
+	anchor int
+	join   *engine.Join
 }
 
 // outName returns the relation-level name a base column gets after the
@@ -126,14 +133,17 @@ func (pl *planner) resolve(name string) (int, string, error) {
 }
 
 // relName rewrites a written column reference to its relation-level name
-// and marks the column used, so the table's scan projects it.
+// and marks the column used and read, so the table's scan and the top join
+// project it.
 func (pl *planner) relName(name string) (string, error) {
 	ti, col, err := pl.resolve(name)
 	if err != nil {
 		return "", err
 	}
 	pl.tables[ti].used[col] = true
-	return pl.outName(ti, col), nil
+	rel := pl.outName(ti, col)
+	pl.read[rel] = true
+	return rel, nil
 }
 
 func (pl *planner) plan() (engine.Node, error) {
@@ -141,6 +151,7 @@ func (pl *planner) plan() (engine.Node, error) {
 		return nil, fmt.Errorf("sql: FROM required")
 	}
 	pl.colOwner = make(map[string]int)
+	pl.read = make(map[string]bool)
 	seen := map[string]bool{}
 	for _, ref := range pl.stmt.From {
 		ti := len(pl.tables)
@@ -197,7 +208,8 @@ func (pl *planner) plan() (engine.Node, error) {
 // order, so the engine's partial decoder only materializes what the query
 // reads. A scan nothing reads (count(*)) keeps one column to carry its row
 // count: the first filter column, whose blocks the scan touches anyway,
-// else the first schema column.
+// else the first schema column. The top join likewise keeps the columns
+// read above it, else the first column of its probe side.
 func (pl *planner) narrowScans() {
 	for _, t := range pl.tables {
 		var proj []string
@@ -214,6 +226,18 @@ func (pl *planner) narrowScans() {
 		}
 		*t.project = proj
 	}
+	if pl.join == nil {
+		return
+	}
+	proj := make([]string, 0, len(pl.read))
+	for name := range pl.read {
+		proj = append(proj, name)
+	}
+	sort.Strings(proj)
+	if len(proj) == 0 {
+		proj = []string{pl.outName(pl.anchor, (*pl.tables[pl.anchor].project)[0])}
+	}
+	pl.join.Project = proj
 }
 
 // classifyWhere splits the top-level conjunction.
@@ -465,6 +489,7 @@ func (pl *planner) buildJoinTree() (engine.Node, error) {
 	}
 	inTree := make([]bool, n)
 	inTree[anchor] = true
+	pl.anchor = anchor
 	node := pl.scanFor(anchor)
 	remaining := n - 1
 	edgeUsed := make([]bool, len(pl.edges))
@@ -525,7 +550,7 @@ func (pl *planner) buildJoinTree() (engine.Node, error) {
 				edgeUsed[ei] = true
 			}
 		}
-		node = &engine.Join{
+		pl.join = &engine.Join{
 			Left:         node,
 			Right:        pl.scanFor(best),
 			LeftKeys:     leftKeys,
@@ -533,6 +558,7 @@ func (pl *planner) buildJoinTree() (engine.Node, error) {
 			Type:         engine.InnerJoin,
 			PushSemiJoin: true,
 		}
+		node = pl.join
 		inTree[best] = true
 		remaining--
 	}

@@ -59,6 +59,12 @@ func resultDigest(rel *engine.Relation) uint64 {
 // parameter set, serial and at 4 workers. Any change to join, aggregation or
 // scan output — a row, a value, a float's last bit, the row order — fails it.
 // Run with -update to rewrite the golden file after an intended change.
+//
+// Every case then runs again against one predicate cache per data set:
+// cold, warm, warm after appends, deletes and updates of lineitem and
+// orders (entries extend past their watermarks and skip deleted rows), and
+// warm after a vacuum and another append (entries are invalidated). Each
+// pass must equal the cache-off result of the same data.
 func TestResultsGolden(t *testing.T) {
 	var randomized Params
 	randomized.Randomize(rand.New(rand.NewSource(7)))
@@ -72,6 +78,21 @@ func TestResultsGolden(t *testing.T) {
 		if err := Generate(Config{SF: 0.01, Skewed: skewed, Seed: 1}).Load(cat, 4); err != nil {
 			t.Fatal(err)
 		}
+		type resultCase struct {
+			name   string
+			plan   engine.Node
+			w      int
+			digest uint64
+		}
+		var cases []resultCase
+		run := func(c *resultCase, cache *core.Cache) uint64 {
+			ec := &engine.ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), MaxWorkers: c.w, Cache: cache}
+			rel, err := c.plan.Execute(ec)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			return resultDigest(rel)
+		}
 		for _, ps := range []struct {
 			name string
 			p    Params
@@ -82,15 +103,46 @@ func TestResultsGolden(t *testing.T) {
 					t.Fatalf("%s %s Q%d plan: %v", data, ps.name, q.ID, err)
 				}
 				for _, w := range []int{1, 4} {
+					c := resultCase{name: fmt.Sprintf("%s %s Q%02d W%d", data, ps.name, q.ID, w), plan: plan, w: w}
 					ec := &engine.ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), MaxWorkers: w}
 					rel, err := plan.Execute(ec)
 					if err != nil {
-						t.Fatalf("%s %s Q%d W%d: %v", data, ps.name, q.ID, w, err)
+						t.Fatalf("%s: %v", c.name, err)
 					}
-					fmt.Fprintf(&b, "%s %s Q%02d W%d rows=%d digest=%016x\n",
-						data, ps.name, q.ID, w, rel.NumRows(), resultDigest(rel))
+					c.digest = resultDigest(rel)
+					cases = append(cases, c)
+					fmt.Fprintf(&b, "%s rows=%d digest=%016x\n", c.name, rel.NumRows(), c.digest)
 				}
 			}
+		}
+
+		cache := core.NewCache(core.DefaultConfig())
+		for _, pass := range []string{"cold", "warm", "dml", "vacuum"} {
+			switch pass {
+			case "dml":
+				changeRows(t, cat)
+			case "vacuum":
+				vacuumAndAppend(t, cat)
+			}
+			for i := range cases {
+				c := &cases[i]
+				if pass == "dml" || pass == "vacuum" {
+					c.digest = run(c, nil)
+				}
+				if got := run(c, cache); got != c.digest {
+					t.Errorf("%s, %s cache pass: digest %016x, cache off %016x", c.name, pass, got, c.digest)
+				}
+			}
+		}
+		st, semiJoin := cache.Stats(), 0
+		for _, e := range cache.Entries() {
+			if e.SemiJoin {
+				semiJoin++
+			}
+		}
+		if st.Hits == 0 || st.Extends == 0 || st.Invalidations == 0 || semiJoin == 0 {
+			t.Fatalf("%s: cache passes ran %d hits, %d extends, %d invalidations, %d semi-join entries; want each > 0",
+				data, st.Hits, st.Extends, st.Invalidations, semiJoin)
 		}
 	}
 	got := b.String()
@@ -114,6 +166,86 @@ func TestResultsGolden(t *testing.T) {
 	for i := range gotLines {
 		if gotLines[i] != wantLines[i] {
 			t.Errorf("result differs from %s:\nwant %s\ngot  %s", resultsGolden, wantLines[i], gotLines[i])
+		}
+	}
+}
+
+// dmlTables are the tables the cache passes of TestResultsGolden change.
+var dmlTables = []string{"lineitem", "orders"}
+
+// tableRows reads every row of a table with its rowid.
+func tableRows(t *testing.T, cat *storage.Catalog, name string) *engine.Relation {
+	rel, err := (&engine.Scan{Table: name, RowIDs: true}).Execute(&engine.ExecCtx{Catalog: cat, Snapshot: cat.Snapshot()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
+}
+
+// rowsBatch copies the rows of rel whose index i has i%every == rem into a
+// batch of tbl's schema, doubling its first float column when edit is set,
+// and returns their rowids by slice.
+func rowsBatch(tbl *storage.Table, rel *engine.Relation, every, rem int, edit bool) (*storage.Batch, [][]int) {
+	b := storage.NewBatch(tbl.Schema())
+	rowids := make([][]int, tbl.NumSlices())
+	edited := -1
+	for ci, def := range tbl.Schema() {
+		if edit && edited < 0 && def.Type == storage.Float64 {
+			edited = ci
+		}
+	}
+	for i := rem; i < rel.NumRows(); i += every {
+		id := rel.ColByName("rowid").Ints[i]
+		rowids[id>>32] = append(rowids[id>>32], int(id&0xffffffff))
+		for ci, def := range tbl.Schema() {
+			c := rel.ColByName(def.Name)
+			switch {
+			case ci == edited:
+				b.Cols[ci].Floats = append(b.Cols[ci].Floats, 2*c.Floats[i])
+			case def.Type == storage.Float64:
+				b.Cols[ci].Floats = append(b.Cols[ci].Floats, c.Floats[i])
+			case def.Type == storage.String:
+				b.Cols[ci].Strings = append(b.Cols[ci].Strings, c.Dict.Value(c.Ints[i]))
+			default:
+				b.Cols[ci].Ints = append(b.Cols[ci].Ints, c.Ints[i])
+			}
+		}
+		b.N++
+	}
+	return b, rowids
+}
+
+// changeRows appends copies of some rows of each DML table, deletes others
+// and updates a third set out of place, through the storage API.
+func changeRows(t *testing.T, cat *storage.Catalog) {
+	for _, name := range dmlTables {
+		tbl, _ := cat.Table(name)
+		rel := tableRows(t, cat, name)
+		extra, _ := rowsBatch(tbl, rel, 53, 0, false)
+		if err := tbl.Append(extra, cat.NextXID()); err != nil {
+			t.Fatal(err)
+		}
+		_, deleted := rowsBatch(tbl, rel, 41, 1, false)
+		xid := cat.NextXID()
+		for slice, rows := range deleted {
+			tbl.DeleteRows(slice, rows, xid)
+		}
+		updated, rows := rowsBatch(tbl, rel, 43, 2, true)
+		if ok, err := tbl.UpdateRowsAtEpoch(rows, updated, cat.NextXID(), tbl.LayoutEpoch()); !ok || err != nil {
+			t.Fatalf("update %s: epoch matched %v, %v", name, ok, err)
+		}
+	}
+}
+
+// vacuumAndAppend vacuums each DML table, renumbering its rows, then
+// appends copies of some rows.
+func vacuumAndAppend(t *testing.T, cat *storage.Catalog) {
+	for _, name := range dmlTables {
+		tbl, _ := cat.Table(name)
+		tbl.Vacuum(cat.Snapshot())
+		extra, _ := rowsBatch(tbl, tableRows(t, cat, name), 47, 3, false)
+		if err := tbl.Append(extra, cat.NextXID()); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
