@@ -7,19 +7,9 @@ import (
 	"sync/atomic"
 
 	"github.com/predcache/predcache/internal/expr"
+	"github.com/predcache/predcache/internal/obs"
 	"github.com/predcache/predcache/internal/storage"
 )
-
-// aggState accumulates one aggregate for one group.
-type aggState struct {
-	count    int64
-	sum      float64
-	min, max float64
-	minI     int64
-	maxI     int64
-	distinct map[int64]struct{}
-	seen     bool
-}
 
 // boundAgg is one aggregate bound against the input relation. The bound
 // scalar tree is shared read-only across workers; each worker evaluates it
@@ -34,8 +24,8 @@ type boundAgg struct {
 	dict     *storage.Dict
 }
 
-// bindAggs binds the aggregate specs against the input relation.
-func bindAggs(specs []AggSpec, in *Relation) ([]*boundAgg, error) {
+// bindAggs binds the aggregate specs against the input's columns.
+func bindAggs(specs []AggSpec, in expr.Source) ([]*boundAgg, error) {
 	baggs := make([]*boundAgg, len(specs))
 	for i, spec := range specs {
 		ba := &boundAgg{spec: spec, outTyp: storage.Float64}
@@ -61,8 +51,8 @@ func bindAggs(specs []AggSpec, in *Relation) ([]*boundAgg, error) {
 				ba.intArg, ba.evalInt = true, true
 				ba.outTyp = bs.Out()
 				if cr, ok := spec.Arg.(*expr.ColRef); ok {
-					if c := in.ColByName(cr.Name); c != nil {
-						ba.dict = c.Dict
+					if ci := in.ColumnIndex(cr.Name); ci >= 0 {
+						ba.dict = in.Dict(ci)
 					}
 				}
 			}
@@ -102,143 +92,226 @@ func evalChunk(ba *boundAgg, ctx *expr.BlockCtx, sel []int, scr *morselScratch) 
 	}
 }
 
-// accumulate folds one evaluated chunk into the group states. gidx[i] is
-// the group index of sel position i; states is group-major with nA states
-// per group, ai selecting this aggregate's slot. The function switch stays
-// outside the row loop.
-func accumulate(fn AggFunc, intArg bool, states []aggState, nA, ai int, gidx []int32, iv []int64, fv []float64) {
-	switch fn {
+// aggCol is one aggregate's states, one per group (one per morsel for a
+// global aggregate's partials), holding only what its function reads: a
+// count or a sum one word, an avg both, a min or max its value and whether
+// it has one, a count_distinct its set.
+type aggCol struct {
+	fn     AggFunc
+	intArg bool // min/max over an integer argument
+	ints   []int64
+	floats []float64
+	seen   []bool
+	sets   []map[int64]struct{}
+}
+
+func newAggCols(baggs []*boundAgg) []aggCol {
+	cols := make([]aggCol, len(baggs))
+	for i, ba := range baggs {
+		cols[i] = aggCol{fn: ba.spec.Func, intArg: ba.intArg}
+	}
+	return cols
+}
+
+// resize sets the number of states to n, new states zero, giving each
+// array the function uses a capacity of at least c.
+func (s *aggCol) resize(n, c int) {
+	switch s.fn {
 	case AggCount:
-		for _, g := range gidx {
-			states[int(g)*nA+ai].count++
-		}
+		s.ints = resized(s.ints, n, c)
 	case AggCountDistinct:
-		for i, g := range gidx {
-			st := &states[int(g)*nA+ai]
-			if st.distinct == nil {
-				st.distinct = make(map[int64]struct{})
-			}
-			st.distinct[iv[i]] = struct{}{}
-		}
-	case AggSum, AggAvg:
-		for i, g := range gidx {
-			st := &states[int(g)*nA+ai]
-			st.sum += fv[i]
-			st.count++
-		}
-	case AggMin:
-		if intArg {
-			for i, g := range gidx {
-				st := &states[int(g)*nA+ai]
-				if !st.seen || iv[i] < st.minI {
-					st.minI = iv[i]
-				}
-				st.seen = true
-			}
-			return
-		}
-		for i, g := range gidx {
-			st := &states[int(g)*nA+ai]
-			if !st.seen || fv[i] < st.min {
-				st.min = fv[i]
-			}
-			st.seen = true
-		}
-	case AggMax:
-		if intArg {
-			for i, g := range gidx {
-				st := &states[int(g)*nA+ai]
-				if !st.seen || iv[i] > st.maxI {
-					st.maxI = iv[i]
-				}
-				st.seen = true
-			}
-			return
-		}
-		for i, g := range gidx {
-			st := &states[int(g)*nA+ai]
-			if !st.seen || fv[i] > st.max {
-				st.max = fv[i]
-			}
-			st.seen = true
+		s.sets = resized(s.sets, n, c)
+	case AggSum:
+		s.floats = resized(s.floats, n, c)
+	case AggAvg:
+		s.floats = resized(s.floats, n, c)
+		s.ints = resized(s.ints, n, c)
+	default: // min, max
+		s.seen = resized(s.seen, n, c)
+		if s.intArg {
+			s.ints = resized(s.ints, n, c)
+		} else {
+			s.floats = resized(s.floats, n, c)
 		}
 	}
 }
 
-// mergeState folds src into dst for one aggregate. Callers merge in morsel
-// index order, so float sums associate identically for every worker count.
-func mergeState(dst, src *aggState, fn AggFunc, intArg bool) {
-	switch fn {
+// resized returns v with length n and capacity at least c. The values
+// past len(v) are zero: state arrays never shrink.
+func resized[T any](v []T, n, c int) []T {
+	if cap(v) < c {
+		v = append(make([]T, 0, c), v...)
+	}
+	return v[:n]
+}
+
+// accumulate folds one evaluated chunk into s: gidx[i] is the state of
+// selected row i, iv or fv its argument value. The function switch stays
+// outside the row loop.
+func accumulate(s *aggCol, gidx []int32, iv []int64, fv []float64) {
+	switch s.fn {
 	case AggCount:
-		dst.count += src.count
+		cnt := s.ints
+		for _, g := range gidx {
+			cnt[g]++
+		}
 	case AggCountDistinct:
-		if dst.distinct == nil {
-			dst.distinct = src.distinct
-			return
+		for i, g := range gidx {
+			set := s.sets[g]
+			if set == nil {
+				set = make(map[int64]struct{})
+				s.sets[g] = set
+			}
+			set[iv[i]] = struct{}{}
 		}
-		for k := range src.distinct {
-			dst.distinct[k] = struct{}{}
+	case AggSum:
+		sum := s.floats
+		for i, g := range gidx {
+			sum[g] += fv[i]
 		}
-	case AggSum, AggAvg:
-		dst.sum += src.sum
-		dst.count += src.count
+	case AggAvg:
+		sum, cnt := s.floats, s.ints
+		for i, g := range gidx {
+			sum[g] += fv[i]
+			cnt[g]++
+		}
 	case AggMin:
-		if !src.seen {
+		seen := s.seen
+		if s.intArg {
+			min := s.ints
+			for i, g := range gidx {
+				if !seen[g] || iv[i] < min[g] {
+					min[g] = iv[i]
+				}
+				seen[g] = true
+			}
 			return
 		}
-		if intArg {
-			if !dst.seen || src.minI < dst.minI {
-				dst.minI = src.minI
+		min := s.floats
+		for i, g := range gidx {
+			if !seen[g] || fv[i] < min[g] {
+				min[g] = fv[i]
 			}
-		} else if !dst.seen || src.min < dst.min {
-			dst.min = src.min
+			seen[g] = true
 		}
-		dst.seen = true
 	case AggMax:
-		if !src.seen {
+		seen := s.seen
+		if s.intArg {
+			max := s.ints
+			for i, g := range gidx {
+				if !seen[g] || iv[i] > max[g] {
+					max[g] = iv[i]
+				}
+				seen[g] = true
+			}
 			return
 		}
-		if intArg {
-			if !dst.seen || src.maxI > dst.maxI {
-				dst.maxI = src.maxI
+		max := s.floats
+		for i, g := range gidx {
+			if !seen[g] || fv[i] > max[g] {
+				max[g] = fv[i]
 			}
-		} else if !dst.seen || src.max > dst.max {
-			dst.max = src.max
+			seen[g] = true
 		}
-		dst.seen = true
+	}
+}
+
+// merge folds src's state i into s's state d. Callers merge in morsel
+// index order, so float sums associate identically for every worker count.
+func (s *aggCol) merge(d int, src *aggCol, i int) {
+	switch s.fn {
+	case AggCount:
+		s.ints[d] += src.ints[i]
+	case AggCountDistinct:
+		if s.sets[d] == nil {
+			s.sets[d] = src.sets[i]
+			return
+		}
+		for k := range src.sets[i] {
+			s.sets[d][k] = struct{}{}
+		}
+	case AggSum:
+		s.floats[d] += src.floats[i]
+	case AggAvg:
+		s.floats[d] += src.floats[i]
+		s.ints[d] += src.ints[i]
+	default: // min, max
+		if !src.seen[i] {
+			return
+		}
+		switch {
+		case s.intArg && s.fn == AggMin:
+			if !s.seen[d] || src.ints[i] < s.ints[d] {
+				s.ints[d] = src.ints[i]
+			}
+		case s.intArg:
+			if !s.seen[d] || src.ints[i] > s.ints[d] {
+				s.ints[d] = src.ints[i]
+			}
+		case s.fn == AggMin:
+			if !s.seen[d] || src.floats[i] < s.floats[d] {
+				s.floats[d] = src.floats[i]
+			}
+		default:
+			if !s.seen[d] || src.floats[i] > s.floats[d] {
+				s.floats[d] = src.floats[i]
+			}
+		}
+		s.seen[d] = true
+	}
+}
+
+// result writes state g's final value to row k of dst.
+func (s *aggCol) result(dst *RelCol, k, g int) {
+	switch s.fn {
+	case AggCount:
+		dst.Ints[k] = s.ints[g]
+	case AggCountDistinct:
+		dst.Ints[k] = int64(len(s.sets[g]))
+	case AggSum:
+		dst.Floats[k] = s.floats[g]
+	case AggAvg:
+		if s.ints[g] > 0 {
+			dst.Floats[k] = s.floats[g] / float64(s.ints[g])
+		}
+	default: // min, max
+		if s.intArg {
+			dst.Ints[k] = s.ints[g]
+		} else {
+			dst.Floats[k] = s.floats[g]
+		}
 	}
 }
 
 // aggTable accumulates group states for one hash partition (the whole input
 // when running single-partition). The key table gives groups dense indexes
-// in first-sight order; states is group-major with nA slots per group.
+// in first-sight order; firstRow holds each group's first global position
+// and states one column per aggregate.
 type aggTable struct {
-	nA       int
-	keys     keyCols
 	groups   keyTable
 	firstRow []int32
-	states   []aggState
+	states   []aggCol
 }
 
-func newAggTable(keys keyCols, nA int) *aggTable {
-	return &aggTable{nA: nA, keys: keys, groups: newKeyTable(len(keys), 0)}
+func newAggTable(width int, baggs []*boundAgg) *aggTable {
+	return &aggTable{groups: newKeyTable(width, 0), states: newAggCols(baggs)}
 }
 
-// groupOf returns the dense group index of row, creating the group on first
-// sight.
-func (t *aggTable) groupOf(row int) int32 {
-	gi, added := t.groups.findOrAdd(t.keys, row, t.keys.hash(row))
+// groupOf returns the dense group index of row of k, creating the group on
+// first sight with first as its global position.
+func (t *aggTable) groupOf(k keyCols, row int, first int32) int32 {
+	gi, added := t.groups.findOrAdd(k, row, k.hash(row))
 	if added {
 		if len(t.firstRow) == cap(t.firstRow) {
-			// Double, like the key table: append's smaller steps would copy
-			// the states about five times over on a many-group input.
-			n := max(len(t.firstRow), 16)
-			t.firstRow = slices.Grow(t.firstRow, n)
-			t.states = slices.Grow(t.states, n*t.nA)
+			// Double exactly: append's smaller steps would copy the states
+			// about five times over on a many-group input. Every state
+			// column takes the capacity firstRow got, so none re-grows on
+			// its own.
+			t.firstRow = append(make([]int32, 0, max(2*len(t.firstRow), 16)), t.firstRow...)
 		}
-		t.firstRow = append(t.firstRow, int32(row))
-		for i := 0; i < t.nA; i++ {
-			t.states = append(t.states, aggState{})
+		t.firstRow = append(t.firstRow, first)
+		for i := range t.states {
+			t.states[i].resize(len(t.firstRow), cap(t.firstRow))
 		}
 	}
 	return gi
@@ -246,37 +319,206 @@ func (t *aggTable) groupOf(row int) int32 {
 
 // processChunk folds one chunk of selected rows into the table: group
 // lookup into the scratch group-index vector, then one accumulate pass per
-// aggregate over the scratch-evaluated argument chunk.
-func processChunk(t *aggTable, baggs []*boundAgg, ctx *expr.BlockCtx, sel []int, scr *morselScratch) {
+// aggregate over the scratch-evaluated argument chunk. firsts[i] is the
+// global position of sel[i]; nil means sel holds global positions.
+func processChunk(t *aggTable, baggs []*boundAgg, ctx *expr.BlockCtx, keys keyCols, sel []int, firsts []int32, scr *morselScratch) {
 	gidx := scr.groupIdx(len(sel))
-	for i, row := range sel {
-		gidx[i] = t.groupOf(row)
+	if firsts == nil {
+		for i, row := range sel {
+			gidx[i] = t.groupOf(keys, row, int32(row))
+		}
+	} else {
+		for i, row := range sel {
+			gidx[i] = t.groupOf(keys, row, firsts[i])
+		}
 	}
 	for ai, ba := range baggs {
 		iv, fv := evalChunk(ba, ctx, sel, scr)
-		accumulate(ba.spec.Func, ba.intArg, t.states, t.nA, ai, gidx, iv, fv)
+		accumulate(&t.states[ai], gidx, iv, fv)
 	}
 }
 
-// finalGroup is one output group: its representative row (for the group-by
-// column values; -1 for the global aggregate) and its nA states.
-type finalGroup struct {
-	first  int32
-	states []aggState
+// groupInput is what grouped aggregation reads, one morsel at a time: a
+// materialized relation, or the tuples leaving a join chain. Morsel m's
+// rows take slots base(m) up to base(m+1) of the input's row space.
+type groupInput interface {
+	morsels() int
+	base(m int) int
+	// rows prepares morsel m's rows in scr, all of them when seg is nil,
+	// else the ones seg lists by their sel values (as a nil seg returned
+	// them), in seg's order. It returns the context and key columns to
+	// read them with, the selection, and each selected row's global
+	// position (nil when sel holds it). With keysOnly, only the key columns
+	// need to be readable.
+	rows(scr *morselScratch, m int, seg []int32, keysOnly bool) (*expr.BlockCtx, keyCols, []int, []int32)
+}
+
+// relInput is a materialized relation under fused filters; morsels are
+// its fixed 4096-row spans.
+type relInput struct {
+	rel    *Relation
+	keys   keyCols
+	bounds []expr.Bound
+}
+
+func (r *relInput) morsels() int   { return numMorsels(r.rel.n) }
+func (r *relInput) base(m int) int { return min(m*morselSize, r.rel.n) }
+
+func (r *relInput) rows(scr *morselScratch, m int, seg []int32, _ bool) (*expr.BlockCtx, keyCols, []int, []int32) {
+	ctx := scr.relCtx(r.rel)
+	if seg != nil {
+		return ctx, r.keys, scr.selFromInt32(seg), nil
+	}
+	return ctx, r.keys, morselSel(scr, ctx, r.bounds, r.base(m), r.base(m+1)), nil
+}
+
+// chainInput is the tuples leaving a join chain's top, read in place; its
+// morsels are the probe morsels.
+type chainInput struct {
+	tuples [][][]int32 // per probe morsel, a row list per source
+	offs   []int       // morsel m's tuples are output positions offs[m] up to offs[m+1]
+	cols   []chainCol  // the chain's output columns
+	keys   []int       // the group columns, indexes into cols
+	read   []int       // every column keys and aggregate arguments read, ascending
+}
+
+func (in *chainInput) morsels() int   { return len(in.tuples) }
+func (in *chainInput) base(m int) int { return in.offs[m] }
+
+// rows gathers the columns read into the worker's scratch, one vector per
+// column over the tuples, each value from its source row (0 for an
+// unmatched left outer row, as gatherRows writes it), and selects every
+// position of them. seg lists tuples by their position in the morsel.
+func (in *chainInput) rows(scr *morselScratch, m int, seg []int32, keysOnly bool) (*expr.BlockCtx, keyCols, []int, []int32) {
+	n := in.offs[m+1] - in.offs[m]
+	src := in.tuples[m]
+	if n == 0 {
+		return nil, nil, nil, nil
+	}
+	if seg != nil {
+		n = len(seg)
+		src = grow(scr.srcRows[:0], len(in.tuples[m]))
+		scr.srcRows = src
+		for s, rows := range in.tuples[m] {
+			src[s] = nil
+			if rows != nil {
+				src[s] = slot(&scr.srows, s, n)
+				for i, p := range seg {
+					src[s][i] = rows[p]
+				}
+			}
+		}
+	}
+	ctx := &scr.ctx
+	ctx.Reset(len(in.cols), nil)
+	ctx.N = n
+	read := in.read
+	if keysOnly {
+		read = in.keys
+	}
+	for _, ci := range read {
+		oc := &in.cols[ci]
+		if oc.Type == storage.Float64 {
+			v := slot(&scr.cfloats, ci, n)
+			gatherRows(v, oc.Floats, src[oc.src])
+			ctx.SetFloat(ci, v)
+		} else {
+			v := slot(&scr.cints, ci, n)
+			oc.gatherInts(v, src[oc.src])
+			ctx.SetInt(ci, v)
+		}
+	}
+	keys := scr.ckeys[:0]
+	for _, ci := range in.keys {
+		if in.cols[ci].Type == storage.Float64 {
+			keys = append(keys, keyCol{floats: scr.cfloats[ci], float: true})
+		} else {
+			keys = append(keys, keyCol{ints: scr.cints[ci]})
+		}
+	}
+	scr.ckeys = keys
+	firsts := grow(scr.firsts[:0], n)
+	scr.firsts = firsts
+	base := int32(in.offs[m])
+	for i := range firsts {
+		if seg != nil {
+			firsts[i] = base + seg[i]
+		} else {
+			firsts[i] = base + int32(i)
+		}
+	}
+	return ctx, keys, scr.identitySel(0, n), firsts
+}
+
+// overChain is a grouped aggregation directly over a join: it runs the
+// join chain's probe and aggregates the tuples leaving its top in place,
+// gathering each morsel's group keys and argument columns from their
+// sources into worker scratch, so the join output is never materialized.
+// Each group still accumulates its tuples in global tuple order, the order
+// of the materialized join output's rows, so the result is the same bits.
+func (a *Agg) overChain(ec *ExecCtx, sp obs.SpanRef, j *Join) (*Relation, error) {
+	c, err := j.probeChain(ec)
+	if err != nil {
+		return nil, err
+	}
+	nm := len(c.tuples)
+	total := c.offs[nm]
+	top := c.levels[len(c.levels)-1].sp
+	c.pa.finish(ec, top)
+	top.SetInt("rows.out", int64(total))
+	top.End()
+	sp.SetInt("rows.in", int64(total))
+
+	in := &chainInput{tuples: c.tuples, offs: c.offs, cols: c.out}
+	groupCols := make([]*RelCol, len(a.GroupBy))
+	for i, name := range a.GroupBy {
+		ci := c.ColumnIndex(name)
+		if ci < 0 {
+			return nil, fmt.Errorf("engine: group-by column %q not found", name)
+		}
+		groupCols[i] = c.out[ci].RelCol
+		in.keys = append(in.keys, ci)
+	}
+	baggs, err := bindAggs(a.Aggs, c)
+	if err != nil {
+		return nil, err
+	}
+	read := slices.Clone(in.keys)
+	for _, ba := range baggs {
+		if ba.bs != nil {
+			for _, name := range ba.spec.Arg.ScalarColumns(nil) {
+				read = append(read, c.ColumnIndex(name))
+			}
+		}
+	}
+	slices.Sort(read)
+	in.read = slices.Compact(read)
+
+	pa := parAccounting{workers: ec.workers(total), morsels: nm}
+	out := a.outCols(groupCols, baggs)
+	if err := runGrouped(ec, in, baggs, &pa, out); err != nil {
+		return nil, err
+	}
+	pa.finish(ec, sp)
+	return NewRelation(out)
 }
 
 // Execute performs hash aggregation, morsel-parallel under
-// ExecCtx.MaxWorkers. Filter nodes directly under the input stream
-// as per-morsel selection vectors. Grouped aggregation hash-partitions by
-// group key and accumulates each partition's rows in global row order;
-// global aggregation accumulates per-morsel partial states merged in morsel
-// order — both make parallel and Serial plans bit-identical for any worker
-// count.
+// ExecCtx.MaxWorkers. A grouped aggregation directly over a join reads the
+// join chain's tuples in place (overChain). Otherwise Filter nodes directly
+// under the input stream as per-morsel selection vectors. Grouped
+// aggregation hash-partitions by group key and accumulates each
+// partition's rows in global row order; global aggregation accumulates
+// per-morsel partial states merged in morsel order — both make parallel
+// and Serial plans bit-identical for any worker count.
 func (a *Agg) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	sp := beginNodeSpan(ec, a)
 	defer func() { endNodeSpan(sp, rel, err) }()
 	if err = ec.Cancelled(); err != nil {
 		return nil, err
+	}
+	if j, ok := a.Input.(*Join); ok && len(a.GroupBy) > 0 {
+		return a.overChain(ec, sp, j)
 	}
 	inNode, fusedPreds := fusedFilterInput(a.Input)
 	in, err := inNode.Execute(ec)
@@ -297,103 +539,68 @@ func (a *Agg) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx := in.blockCtx()
 	if len(bounds) > 0 && sp.Active() {
 		sp.SetInt("filters.fused", int64(len(bounds)))
 	}
 
 	n := in.NumRows()
-	nA := len(baggs)
-	nm := numMorsels(n)
-	pa := parAccounting{workers: ec.workers(n), morsels: nm}
-
-	var groups []finalGroup
+	pa := parAccounting{workers: ec.workers(n), morsels: numMorsels(n)}
+	out := a.outCols(groupCols, baggs)
 	if len(groupCols) == 0 {
-		groups, err = a.runGlobal(ec, baggs, bounds, ctx, n, nm, &pa)
-	} else if pa.workers <= 1 {
-		groups, err = a.runGroupedSerial(ec, groupKeys, baggs, bounds, ctx, n, &pa)
+		err = runGlobal(ec, baggs, bounds, in, &pa, out)
 	} else {
-		groups, err = a.runGroupedParallel(ec, groupKeys, baggs, bounds, ctx, n, nm, &pa)
+		err = runGrouped(ec, &relInput{rel: in, keys: groupKeys, bounds: bounds}, baggs, &pa, out)
 	}
 	if err != nil {
 		return nil, err
 	}
 	pa.finish(ec, sp)
+	return NewRelation(out)
+}
 
-	// Assemble output: group columns first (representative-row values), then
-	// aggregates. Groups are ordered by first occurrence, matching the
-	// serial single-pass insertion order.
-	out := make([]RelCol, 0, len(groupCols)+nA)
+// outCols returns the output columns, not yet sized: the group columns,
+// then one per aggregate.
+func (a *Agg) outCols(groupCols []*RelCol, baggs []*boundAgg) []RelCol {
+	out := make([]RelCol, 0, len(groupCols)+len(baggs))
 	for gi, c := range groupCols {
-		dst := RelCol{Name: a.GroupBy[gi], Type: c.Type, Dict: c.Dict}
-		if c.Type == storage.Float64 {
-			dst.Floats = make([]float64, len(groups))
-			for k, g := range groups {
-				dst.Floats[k] = c.Floats[g.first]
-			}
-		} else {
-			dst.Ints = make([]int64, len(groups))
-			for k, g := range groups {
-				dst.Ints[k] = c.Ints[g.first]
-			}
-		}
-		out = append(out, dst)
+		out = append(out, RelCol{Name: a.GroupBy[gi], Type: c.Type, Dict: c.Dict})
 	}
 	for i, ba := range baggs {
 		name := ba.spec.Name
 		if name == "" {
 			name = fmt.Sprintf("%s_%d", ba.spec.Func, i)
 		}
-		dst := RelCol{Name: name, Type: ba.outTyp, Dict: ba.dict}
-		if ba.outTyp == storage.Float64 {
-			dst.Floats = make([]float64, len(groups))
-			for k, g := range groups {
-				st := &g.states[i]
-				switch ba.spec.Func {
-				case AggSum:
-					dst.Floats[k] = st.sum
-				case AggAvg:
-					if st.count > 0 {
-						dst.Floats[k] = st.sum / float64(st.count)
-					}
-				case AggMin:
-					dst.Floats[k] = st.min
-				case AggMax:
-					dst.Floats[k] = st.max
-				}
-			}
-		} else {
-			dst.Ints = make([]int64, len(groups))
-			for k, g := range groups {
-				st := &g.states[i]
-				switch ba.spec.Func {
-				case AggCount:
-					dst.Ints[k] = st.count
-				case AggCountDistinct:
-					dst.Ints[k] = int64(len(st.distinct))
-				case AggMin:
-					dst.Ints[k] = st.minI
-				case AggMax:
-					dst.Ints[k] = st.maxI
-				}
-			}
-		}
-		out = append(out, dst)
+		out = append(out, RelCol{Name: name, Type: ba.outTyp, Dict: ba.dict})
 	}
-	return NewRelation(out)
+	return out
 }
 
-// runGlobal computes the single global aggregate row: per-morsel partial
-// states, merged in morsel index order. Every worker count — including one —
-// runs the same partial/merge structure, so the result is identical for any
-// degree of parallelism.
-func (a *Agg) runGlobal(ec *ExecCtx, baggs []*boundAgg, bounds []expr.Bound, ctx *expr.BlockCtx, n, nm int, pa *parAccounting) ([]finalGroup, error) {
-	nA := len(baggs)
-	partials := make([]aggState, nm*nA)
-	cur := &morselCursor{rows: n}
+// sizeCols gives every column of out n zero values.
+func sizeCols(out []RelCol, n int) {
+	for i := range out {
+		if out[i].Type == storage.Float64 {
+			out[i].Floats = make([]float64, n)
+		} else {
+			out[i].Ints = make([]int64, n)
+		}
+	}
+}
+
+// runGlobal computes the single global aggregate row into out: per-morsel
+// partial states, merged in morsel index order. Every worker count —
+// including one — runs the same partial/merge structure, so the result is
+// identical for any degree of parallelism.
+func runGlobal(ec *ExecCtx, baggs []*boundAgg, bounds []expr.Bound, in *Relation, pa *parAccounting, out []RelCol) error {
+	nm := numMorsels(in.n)
+	partials := newAggCols(baggs)
+	for i := range partials {
+		partials[i].resize(max(nm, 1), max(nm, 1)) // one zero state when no rows
+	}
+	cur := &morselCursor{rows: in.n}
 	err := pa.run(pa.workers, func() error {
 		scr := acquireMorselScratch()
 		defer scr.release()
+		ctx := scr.relCtx(in)
 		return forEachMorsel(ec, cur, func(m, lo, hi int) error {
 			sel := morselSel(scr, ctx, bounds, lo, hi)
 			if len(sel) == 0 {
@@ -401,48 +608,66 @@ func (a *Agg) runGlobal(ec *ExecCtx, baggs []*boundAgg, bounds []expr.Bound, ctx
 			}
 			gidx := scr.groupIdx(len(sel))
 			for i := range gidx {
-				gidx[i] = 0
+				gidx[i] = int32(m)
 			}
-			states := partials[m*nA : (m+1)*nA]
 			for ai, ba := range baggs {
 				iv, fv := evalChunk(ba, ctx, sel, scr)
-				accumulate(ba.spec.Func, ba.intArg, states, nA, ai, gidx, iv, fv)
+				accumulate(&partials[ai], gidx, iv, fv)
 			}
 			return nil
 		})
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	final := make([]aggState, nA)
-	for m := 0; m < nm; m++ {
-		for ai, ba := range baggs {
-			mergeState(&final[ai], &partials[m*nA+ai], ba.spec.Func, ba.intArg)
+	// Fold the partials into morsel 0's in order: a partial float sum is
+	// never -0, so it equals 0 plus itself, and the result is the merge of
+	// every partial into a zero state.
+	sizeCols(out, 1)
+	for ai := range partials {
+		for m := 1; m < nm; m++ {
+			partials[ai].merge(0, &partials[ai], m)
 		}
+		partials[ai].result(&out[ai], 0, 0)
 	}
-	return []finalGroup{{first: -1, states: final}}, nil
+	return nil
+}
+
+// runGrouped aggregates in's rows into out's columns: a single worker
+// streams every morsel into one table, more hash-partition the groups.
+func runGrouped(ec *ExecCtx, in groupInput, baggs []*boundAgg, pa *parAccounting, out []RelCol) error {
+	width := len(out) - len(baggs)
+	var tables []*aggTable
+	var err error
+	if pa.workers <= 1 {
+		tables, err = runGroupedSerial(ec, in, baggs, width, pa)
+	} else {
+		tables, err = runGroupedParallel(ec, in, baggs, width, pa)
+	}
+	if err != nil {
+		return err
+	}
+	collectGroups(tables, out, width)
+	return nil
 }
 
 // runGroupedSerial is the single-worker grouped path: one table, one
 // streaming pass in row order.
-func (a *Agg) runGroupedSerial(ec *ExecCtx, keys keyCols, baggs []*boundAgg, bounds []expr.Bound, ctx *expr.BlockCtx, n int, pa *parAccounting) ([]finalGroup, error) {
-	t := newAggTable(keys, len(baggs))
-	cur := &morselCursor{rows: n}
+func runGroupedSerial(ec *ExecCtx, in groupInput, baggs []*boundAgg, width int, pa *parAccounting) ([]*aggTable, error) {
+	t := newAggTable(width, baggs)
+	cur := &morselCursor{rows: in.morsels() * morselSize}
 	err := pa.run(1, func() error {
 		scr := acquireMorselScratch()
 		defer scr.release()
-		return forEachMorsel(ec, cur, func(_, lo, hi int) error {
-			sel := morselSel(scr, ctx, bounds, lo, hi)
+		return forEachMorsel(ec, cur, func(m, _, _ int) error {
+			ctx, keys, sel, firsts := in.rows(scr, m, nil, false)
 			if len(sel) > 0 {
-				processChunk(t, baggs, ctx, sel, scr)
+				processChunk(t, baggs, ctx, keys, sel, firsts, scr)
 			}
 			return nil
 		})
 	})
-	if err != nil {
-		return nil, err
-	}
-	return collectGroups([]*aggTable{t}, len(baggs)), nil
+	return []*aggTable{t}, err
 }
 
 // runGroupedParallel is the partitioned grouped path. Phase 1 scatters each
@@ -451,19 +676,19 @@ func (a *Agg) runGroupedSerial(ec *ExecCtx, keys keyCols, baggs []*boundAgg, bou
 // Phase 2 workers claim partitions and fold each partition's rows iterating
 // morsels in ascending order — every group therefore accumulates its rows
 // in global row order, exactly like the serial pass.
-func (a *Agg) runGroupedParallel(ec *ExecCtx, keys keyCols, baggs []*boundAgg, bounds []expr.Bound, ctx *expr.BlockCtx, n, nm int, pa *parAccounting) ([]finalGroup, error) {
-	nA := len(baggs)
+func runGroupedParallel(ec *ExecCtx, in groupInput, baggs []*boundAgg, width int, pa *parAccounting) ([]*aggTable, error) {
+	nm := in.morsels()
 	nP := partitionsFor(pa.workers)
 	pshift := partShift(nP)
-	rowBuf := make([]int32, n)        // morsel m owns rowBuf[m*morselSize : ...]
-	moffs := make([]int32, nm*(nP+1)) // per-morsel partition offsets into its segment
+	rowBuf := make([]int32, in.base(nm)) // morsel m owns rowBuf[base(m):base(m+1)]
+	moffs := make([]int32, nm*(nP+1))    // per-morsel partition offsets into its segment
 
-	cur := &morselCursor{rows: n}
+	cur := &morselCursor{rows: nm * morselSize}
 	err := pa.run(pa.workers, func() error {
 		scr := acquireMorselScratch()
 		defer scr.release()
-		return forEachMorsel(ec, cur, func(m, lo, hi int) error {
-			sel := morselSel(scr, ctx, bounds, lo, hi)
+		return forEachMorsel(ec, cur, func(m, _, _ int) error {
+			_, keys, sel, _ := in.rows(scr, m, nil, true)
 			pids := scr.partIds(len(sel))
 			count, cursor := scr.partCounters(nP)
 			for i, row := range sel {
@@ -477,7 +702,7 @@ func (a *Agg) runGroupedParallel(ec *ExecCtx, keys keyCols, baggs []*boundAgg, b
 				offs[p+1] = offs[p] + count[p]
 				cursor[p] = offs[p]
 			}
-			seg := rowBuf[lo:hi]
+			seg := rowBuf[in.base(m):in.base(m+1)]
 			for i, row := range sel {
 				p := pids[i]
 				seg[cursor[p]] = int32(row)
@@ -500,7 +725,7 @@ func (a *Agg) runGroupedParallel(ec *ExecCtx, keys keyCols, baggs []*boundAgg, b
 			if p >= nP {
 				return nil
 			}
-			t := newAggTable(keys, nA)
+			t := newAggTable(width, baggs)
 			tables[p] = t
 			for m := 0; m < nm; m++ {
 				if m&15 == 0 {
@@ -513,30 +738,32 @@ func (a *Agg) runGroupedParallel(ec *ExecCtx, keys keyCols, baggs []*boundAgg, b
 				if s == e {
 					continue
 				}
-				seg := rowBuf[m*morselSize+int(s) : m*morselSize+int(e)]
-				sel := scr.selFromInt32(seg)
-				processChunk(t, baggs, ctx, sel, scr)
+				base := in.base(m)
+				ctx, keys, sel, firsts := in.rows(scr, m, rowBuf[base+int(s):base+int(e)], false)
+				processChunk(t, baggs, ctx, keys, sel, firsts, scr)
 			}
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	return collectGroups(tables, nA), nil
+	return tables, nil
 }
 
-// collectGroups merges partition tables into output groups ordered by first
-// occurrence. Each group lives in exactly one partition, whose table already
-// lists its groups in first-occurrence order, so a k-way merge on the first
-// row reproduces the serial order without a sort.
-func collectGroups(tables []*aggTable, nA int) []finalGroup {
+// collectGroups writes the partition tables' groups to out — group columns
+// from the group's key words, which are its first row's values bit for
+// bit, then the aggregates — ordered by first occurrence. Each group lives
+// in exactly one partition, whose table already lists its groups in
+// first-occurrence order, so a k-way merge on the first row reproduces the
+// serial order without a sort.
+func collectGroups(tables []*aggTable, out []RelCol, width int) {
 	total := 0
 	for _, t := range tables {
 		total += len(t.firstRow)
 	}
-	groups := make([]finalGroup, 0, total)
+	sizeCols(out, total)
 	next := make([]int, len(tables))
-	for len(groups) < total {
+	for k := 0; k < total; k++ {
 		best := -1
 		for p, t := range tables {
 			if g := next[p]; g < len(t.firstRow) && (best < 0 || t.firstRow[g] < tables[best].firstRow[next[best]]) {
@@ -544,8 +771,16 @@ func collectGroups(tables []*aggTable, nA int) []finalGroup {
 			}
 		}
 		t, g := tables[best], next[best]
-		groups = append(groups, finalGroup{first: t.firstRow[g], states: t.states[g*nA : (g+1)*nA]})
 		next[best]++
+		for i, w := range t.groups.words[g*width:][:width] {
+			if out[i].Type == storage.Float64 {
+				out[i].Floats[k] = math.Float64frombits(w)
+			} else {
+				out[i].Ints[k] = int64(w)
+			}
+		}
+		for ai := range t.states {
+			t.states[ai].result(&out[width+ai], k, g)
+		}
 	}
-	return groups
 }

@@ -12,8 +12,8 @@ import (
 
 // TestHotPathAllocs pins the exact allocation count of the engine's inner
 // loops. Hashing, key lookup, morsel selection, accumulation, a join
-// level's probe, output gathering and the per-block scan loop allocate
-// nothing; a join chain's probe morsel allocates exactly its output lists. A construct that allocates per call
+// level's probe, output gathering, an aggregation's gather of a chain's
+// tuples and the per-block scan loop allocate nothing; a join chain's probe morsel allocates exactly its output lists. A construct that allocates per call
 // (an FNV hasher, a []byte copy of a key, a boxed value, a fresh slice grown
 // row by row) moves the count on the first run.
 func TestHotPathAllocs(t *testing.T) {
@@ -54,9 +54,10 @@ func TestHotPathAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := newAggTable(groupKeys, 1)
+	sumAgg := []*boundAgg{{spec: AggSpec{Func: AggSum}}}
+	groups := newAggTable(len(groupKeys), sumAgg)
 	for _, row := range sel {
-		groups.groupOf(row)
+		groups.groupOf(groupKeys, row, int32(row))
 	}
 	bounds, err := bindFused([]expr.Pred{expr.Cmp("k", expr.Ge, expr.Int(100))}, rel)
 	if err != nil {
@@ -76,8 +77,20 @@ func TestHotPathAllocs(t *testing.T) {
 	dstInts := RelCol{Type: storage.Int64, Ints: make([]int64, len(tuples[0]))}
 	dstFloats := RelCol{Type: storage.Float64, Floats: make([]float64, len(tuples[1]))}
 	probeCol, buildCol := chainCol{RelCol: rel.Col(0)}, chainCol{RelCol: rel.Col(2), src: 1}
+	// An aggregation reading that chain's tuples in place, keyed on the
+	// probe column, its argument the build column.
+	chainIn := &chainInput{tuples: [][][]int32{tuples}, offs: []int{0, len(tuples[0])},
+		cols: []chainCol{probeCol, buildCol}, keys: []int{0}, read: []int{0, 1}}
+	seg := []int32{5, 9, 4000}
 
-	states := make([]aggState, 4)
+	// One typed state column per function, four groups each.
+	state := func(fn AggFunc, intArg bool) *aggCol {
+		s := &aggCol{fn: fn, intArg: intArg}
+		s.resize(4, 4)
+		return s
+	}
+	count, sum, minInt, maxFloat, distinct := state(AggCount, false), state(AggSum, false),
+		state(AggMin, true), state(AggMax, false), state(AggCountDistinct, false)
 	longKey := strings.Repeat("join-key/", 8) // past the compiler's 32-byte stack buffer
 	var sink uint64
 
@@ -91,13 +104,13 @@ func TestHotPathAllocs(t *testing.T) {
 		fn   func()
 	}{
 		{"hashString", 0, func() { sink += hashString(longKey) }},
-		{"accumulate/count", 0, func() { accumulate(AggCount, false, states, 1, 0, gidx, keys, vals) }},
-		{"accumulate/sum", 0, func() { accumulate(AggSum, false, states, 1, 0, gidx, keys, vals) }},
-		{"accumulate/min-int", 0, func() { accumulate(AggMin, true, states, 1, 0, gidx, keys, vals) }},
-		{"accumulate/max-float", 0, func() { accumulate(AggMax, false, states, 1, 0, gidx, keys, vals) }},
+		{"accumulate/count", 0, func() { accumulate(count, gidx, keys, vals) }},
+		{"accumulate/sum", 0, func() { accumulate(sum, gidx, keys, vals) }},
+		{"accumulate/min-int", 0, func() { accumulate(minInt, gidx, keys, vals) }},
+		{"accumulate/max-float", 0, func() { accumulate(maxFloat, gidx, keys, vals) }},
 		// The first run builds each group's distinct set; later runs see only
 		// values already in it.
-		{"accumulate/count-distinct-seen", 0, func() { accumulate(AggCountDistinct, true, states, 1, 0, gidx, keys, vals) }},
+		{"accumulate/count-distinct-seen", 0, func() { accumulate(distinct, gidx, keys, vals) }},
 		{"morselSel", 0, func() { morselSel(scr, ctx, bounds, 0, n) }},
 		{"joinTable.first/int", 0, func() {
 			for _, row := range sel {
@@ -119,9 +132,13 @@ func TestHotPathAllocs(t *testing.T) {
 		// Every group exists already: a warm lookup adds no key and no state.
 		{"aggTable.groupOf/warm", 0, func() {
 			for _, row := range sel {
-				sink += uint64(groups.groupOf(row))
+				sink += uint64(groups.groupOf(groupKeys, row, int32(row)))
 			}
 		}},
+		// Gathering a chunk's keys and arguments into scratch, every tuple
+		// of the morsel or a partition's segment of it.
+		{"chainInput.rows/all", 0, func() { chainIn.rows(scr, 0, nil, false) }},
+		{"chainInput.rows/seg", 0, func() { chainIn.rows(scr, 0, seg, false) }},
 		{"gatherOut/probe-ints", 0, func() { gatherOut(&dstInts, &probeCol, tuples[0], 0) }},
 		{"gatherOut/build-floats", 0, func() { gatherOut(&dstFloats, &buildCol, tuples[1], 0) }},
 		// A level probes into buffers it reuses; only the chain's top-level

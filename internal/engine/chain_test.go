@@ -1,11 +1,17 @@
 package engine
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
+	"github.com/predcache/predcache/internal/core"
 	"github.com/predcache/predcache/internal/expr"
+	"github.com/predcache/predcache/internal/storage"
 )
 
 // materializeLevels returns plan with a Filter{TruePred} above every Join
@@ -23,19 +29,58 @@ func materializeLevels(n Node) Node {
 	return &cp
 }
 
+// chainAggs is every aggregate function over an int and a float column of
+// a chain's output, an arithmetic argument and a CASE whose condition nests
+// OR and NOT among them.
+func chainAggs(intCol, floatCol string) []AggSpec {
+	i, f := expr.Col(intCol), expr.Col(floatCol)
+	cond := expr.Or(expr.Cmp(intCol, expr.Lt, expr.Int(10)), expr.Not(expr.Cmp(intCol, expr.Gt, expr.Int(40))))
+	return []AggSpec{
+		{Func: AggCount, Name: "cnt"},
+		{Func: AggCountDistinct, Arg: f, Name: "dist_f"},
+		{Func: AggCountDistinct, Arg: i, Name: "dist_i"},
+		{Func: AggSum, Arg: f, Name: "sum_f"},
+		{Func: AggAvg, Arg: f, Name: "avg_f"},
+		{Func: AggMin, Arg: f, Name: "min_f"},
+		{Func: AggMax, Arg: f, Name: "max_f"},
+		{Func: AggMin, Arg: i, Name: "min_i"},
+		{Func: AggMax, Arg: i, Name: "max_i"},
+		{Func: AggSum, Arg: expr.Arith(f, expr.Mul, i), Name: "sum_fi"},
+		{Func: AggSum, Arg: expr.Case(cond, expr.Arith(f, expr.Mul, i), f), Name: "sum_case"},
+	}
+}
+
 // TestJoinChainMatchesMaterialized runs three-level chains mixing inner,
 // left outer, semi and anti levels at several worker counts and requires
 // results bit-identical to the same plans with every level materialized.
 // One level keys on a left outer level's build column, so its unmatched
-// (-1) tuples probe with key 0.
+// (-1) tuples probe with key 0. A grouped Agg on top of each chain reads
+// its tuples in place and must match the same Agg over the materialized
+// chain output (a Filter{TruePred} between them): group keys of every kind
+// (int, float, a string of another dictionary, a left outer build column
+// with -1 rows), every aggregate, and floats whose groups start with NaN.
 func TestJoinChainMatchesMaterialized(t *testing.T) {
 	d := newTestDB(t, 20000, 40, 4, 47)
 	dims := func(alias string, maxRank int64) Node {
 		return &Filter{Input: &Scan{Table: "dims", Alias: alias}, Pred: expr.Cmp(alias+".d_rank", expr.Lt, expr.Int(maxRank))}
 	}
+	// The items rows with a NaN price wherever an id is below 300: nearly
+	// every qty group's first row.
+	nanItems := execWith(t, d.cat, &Scan{Table: "items"}, false, 0)
+	ids, prices := nanItems.ColByName("id").Ints, nanItems.ColByName("price").Floats
+	for r, id := range ids {
+		if id < 300 {
+			prices[r] = math.NaN()
+		}
+	}
+	type grouping struct {
+		by            []string
+		intCol, float string
+	}
 	for _, tc := range []struct {
-		name string
-		plan *Join
+		name   string
+		plan   *Join
+		groups []grouping
 	}{
 		// left outer → semi on its build column d_rank (0 when unmatched,
 		// and dims has d_id 0) → inner on a composite string/int key.
@@ -54,6 +99,9 @@ func TestJoinChainMatchesMaterialized(t *testing.T) {
 				Pred:  expr.Cmp("r.id", expr.Lt, expr.Int(500)),
 			},
 			LeftKeys: []string{"mode", "qty"}, RightKeys: []string{"r.mode", "r.qty"}, Type: InnerJoin,
+		}, []grouping{
+			{[]string{"d_cat", "mode", "d_rank"}, "qty", "price"},
+			{[]string{"__matched", "r.id"}, "d_rank", "price"},
 		}},
 		// inner with a pushed-down semi-join filter → anti on a string key
 		// → left outer keyed on the first level's build column, projected.
@@ -73,6 +121,9 @@ func TestJoinChainMatchesMaterialized(t *testing.T) {
 			Right:    dims("c", 20),
 			LeftKeys: []string{"a.d_rank"}, RightKeys: []string{"c.d_id"}, Type: LeftOuterJoin,
 			Project: []string{"price", "c.d_cat", "__matched", "id", "a.d_rank"},
+		}, []grouping{
+			{[]string{"c.d_cat", "a.d_rank", "__matched"}, "a.d_rank", "price"},
+			{[]string{"price"}, "id", "price"},
 		}},
 		// anti → left outer → semi keyed on the left level's build column.
 		{"anti_left_semi", &Join{
@@ -87,6 +138,22 @@ func TestJoinChainMatchesMaterialized(t *testing.T) {
 			},
 			Right:    dims("c", 90),
 			LeftKeys: []string{"b.d_id"}, RightKeys: []string{"c.d_id"}, Type: SemiJoin,
+		}, []grouping{
+			{[]string{"b.d_cat", "b.d_rank"}, "qty", "price"},
+			{[]string{"mode", "price"}, "dim_id", "price"},
+		}},
+		// left outer → inner over a probe relation with NaN prices.
+		{"nan_left_inner", &Join{
+			Left: &Join{
+				Left:     &Materialized{Rel: nanItems},
+				Right:    dims("a", 60),
+				LeftKeys: []string{"dim_id"}, RightKeys: []string{"a.d_id"}, Type: LeftOuterJoin,
+			},
+			Right:    &Scan{Table: "dims", Alias: "b"},
+			LeftKeys: []string{"a.d_rank"}, RightKeys: []string{"b.d_id"}, Type: InnerJoin,
+		}, []grouping{
+			{[]string{"qty"}, "qty", "price"},
+			{[]string{"b.d_cat", "a.d_cat"}, "a.d_rank", "price"},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,6 +163,78 @@ func TestJoinChainMatchesMaterialized(t *testing.T) {
 			}
 			for _, w := range []int{1, 2, 4, 7} {
 				requireIdentical(t, want, execWith(t, d.cat, tc.plan, true, w))
+			}
+			for _, g := range tc.groups {
+				aggs := chainAggs(g.intCol, g.float)
+				want := execWith(t, d.cat, &Agg{Input: &Filter{Input: tc.plan, Pred: expr.TruePred{}}, GroupBy: g.by, Aggs: aggs}, false, 0)
+				if want.NumRows() < 2 {
+					t.Fatalf("test setup: group by %v gives %d groups", g.by, want.NumRows())
+				}
+				for _, w := range []int{1, 2, 4, 7} {
+					requireIdentical(t, want, execWith(t, d.cat, &Agg{Input: tc.plan, GroupBy: g.by, Aggs: aggs}, true, w))
+				}
+			}
+		})
+	}
+}
+
+// TestAggOverChainCancel cancels a grouped aggregation over a join chain
+// at every cancellation check it makes, serially and on four workers: each
+// cancelled run returns the error, and the only cache entry it may leave
+// is one its probe scan completed before the cancellation, equal to a
+// complete run's.
+func TestAggOverChainCancel(t *testing.T) {
+	d := newTestDB(t, 20000, 40, 4, 49)
+	plan := &Agg{
+		Input: &Join{
+			Left:     &Scan{Table: "items", Filter: expr.Cmp("qty", expr.Le, expr.Int(30))},
+			Right:    &Scan{Table: "dims"},
+			LeftKeys: []string{"dim_id"}, RightKeys: []string{"d_id"}, Type: InnerJoin,
+		},
+		GroupBy: []string{"d_cat", "mode"},
+		Aggs:    chainAggs("qty", "price"),
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			run := func(ctx context.Context) (*core.Cache, error) {
+				cache := core.NewCache(core.DefaultConfig())
+				ec := &ExecCtx{Catalog: d.cat, Cache: cache, Snapshot: d.cat.Snapshot(), Stats: &storage.ScanStats{}, Ctx: ctx, MaxWorkers: workers}
+				_, err := plan.Execute(ec)
+				return cache, err
+			}
+			probe := newCountdownCtx(1 << 30)
+			cache, err := run(probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			complete := map[string]core.EntrySummary{}
+			for _, e := range cache.Entries() {
+				complete[e.Key] = e
+			}
+			if len(complete) == 0 {
+				t.Fatal("test setup: a complete run inserts no entry")
+			}
+			checks := probe.calls.Load()
+			empty := 0
+			for n := int64(1); n <= checks; n++ {
+				cache, err := run(newCountdownCtx(n))
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancel at check %d of %d: err = %v", n, checks, err)
+				}
+				entries := cache.Entries()
+				if len(entries) == 0 {
+					empty++
+				}
+				for _, e := range entries {
+					c, ok := complete[e.Key]
+					if !ok || c.EstRows != e.EstRows || c.Ranges != e.Ranges || c.MemBytes != e.MemBytes {
+						t.Fatalf("cancel at check %d: entry %+v, a complete run's is %+v", n, e, c)
+					}
+				}
+			}
+			t.Logf("%d checks, %d cancelled runs left no entry", checks, empty)
+			if empty == 0 {
+				t.Fatalf("no cancellation of %d came before the probe scan inserted", checks)
 			}
 		})
 	}

@@ -7,7 +7,6 @@ import (
 
 	"github.com/predcache/predcache/internal/bloom"
 	"github.com/predcache/predcache/internal/core"
-	"github.com/predcache/predcache/internal/expr"
 	"github.com/predcache/predcache/internal/obs"
 	"github.com/predcache/predcache/internal/storage"
 )
@@ -148,6 +147,13 @@ func buildJoinTable(ec *ExecCtx, rel *Relation, k keyCols, pa *parAccounting) (*
 type joinChain struct {
 	levels []chainLevel
 	out    []chainCol // the top level's output columns
+	// After the probe: the tuples leaving the top, per probe morsel, and
+	// their prefix sum, morsel m's tuples being output positions offs[m]
+	// up to offs[m+1]; the probe's worker count and counters.
+	tuples  [][][]int32
+	offs    []int
+	workers int
+	pa      parAccounting
 }
 
 func newJoinChain(j *Join) *joinChain {
@@ -344,44 +350,54 @@ func gatherRows[T int64 | float64](dst, src []T, rows []int32) {
 	}
 }
 
-// gatherOut writes one morsel's rows of oc's source into dst's disjoint
-// region from base on (the __matched marker: whether the row matched).
-func gatherOut(dst *RelCol, oc *chainCol, rows []int32, base int) {
-	switch {
-	case oc.matched:
-		d := dst.Ints[base:] // zeroed: unmatched rows stay 0
-		for i, r := range rows {
-			if r >= 0 {
-				d[i] = 1
-			}
+// gatherInts writes oc's value for the tuple of each of rows (rows of oc's
+// source) to dst; the __matched marker is 1 for a matched row.
+func (oc *chainCol) gatherInts(dst []int64, rows []int32) {
+	if !oc.matched {
+		gatherRows(dst, oc.Ints, rows)
+		return
+	}
+	for i, r := range rows {
+		dst[i] = 0
+		if r >= 0 {
+			dst[i] = 1
 		}
-	case oc.Type == storage.Float64:
-		gatherRows(dst.Floats[base:], oc.Floats, rows)
-	default:
-		gatherRows(dst.Ints[base:], oc.Ints, rows)
 	}
 }
 
-// Execute runs the maximal left-deep chain of joins rooted at j as one
-// pipeline (morsel-driven, Leis et al. 2014). Top-down, each level builds
-// its hash table on Right and, when enabled, pushes a Bloom filter of its
-// build keys into the probe-side base-table scan, whose cache entry then
-// keys on it (§4.4, Figure 12). The chain's input runs once, each probe
-// morsel passes through every level, and the top gathers each output column
-// once, from its source. Build, probe and gather are morsel-parallel under
-// ExecCtx.MaxWorkers; Filters directly under the chain's input stream as
-// per-morsel selection vectors instead of materializing.
-func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
+// gatherOut writes one morsel's rows of oc's source into dst's disjoint
+// region from base on.
+func gatherOut(dst *RelCol, oc *chainCol, rows []int32, base int) {
+	if oc.Type == storage.Float64 {
+		gatherRows(dst.Floats[base:], oc.Floats, rows)
+	} else {
+		oc.gatherInts(dst.Ints[base:], rows)
+	}
+}
+
+// probeChain runs the maximal left-deep chain of joins rooted at j up to
+// the tuples leaving its top (morsel-driven, Leis et al. 2014). Top-down,
+// each level builds its hash table on Right and, when enabled, pushes a
+// Bloom filter of its build keys into the probe-side base-table scan, whose
+// cache entry then keys on it (§4.4, Figure 12). The chain's input runs
+// once, and each probe morsel passes through every level. Build and probe
+// are morsel-parallel under ExecCtx.MaxWorkers; Filters directly under the
+// chain's input stream as per-morsel selection vectors instead of
+// materializing. When it returns without error every level's span but the
+// top's has ended: the caller consumes the tuples, then publishes c.pa to
+// the top span and ends it.
+func (j *Join) probeChain(ec *ExecCtx) (_ *joinChain, err error) {
 	c := newJoinChain(j)
 	top := len(c.levels) - 1
 	defer func() { // spans not begun, or ended already, are zero
-		for l := 0; l < top; l++ {
-			endNodeSpan(c.levels[l].sp, nil, err)
+		if err != nil {
+			for l := range c.levels {
+				endNodeSpan(c.levels[l].sp, nil, err)
+			}
 		}
-		endNodeSpan(c.levels[top].sp, rel, err)
 	}()
 	builds := make([]*Relation, len(c.levels))
-	var pa parAccounting
+	pa := &c.pa
 	for l := top; l >= 0; l-- {
 		lv := &c.levels[l]
 		lv.sp = beginNodeSpan(ec, lv.j)
@@ -400,7 +416,7 @@ func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
 		}
 		workers := pa.workers
 		pa.workers = ec.workers(builds[l].NumRows())
-		lv.jt, err = buildJoinTable(ec, builds[l], buildKeys, &pa)
+		lv.jt, err = buildJoinTable(ec, builds[l], buildKeys, pa)
 		pa.workers = max(pa.workers, workers)
 		if err != nil {
 			return nil, err
@@ -416,31 +432,30 @@ func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := c.resolve(in, builds); err != nil {
+	if err = c.resolve(in, builds); err != nil {
 		return nil, err
 	}
 	bounds, err := bindFused(fusedPreds, in)
 	if err != nil {
 		return nil, err
 	}
-	var inCtx *expr.BlockCtx
 	if len(bounds) > 0 {
-		inCtx = in.blockCtx()
 		bottom.sp.SetInt("filters.fused", int64(len(bounds)))
 	}
 
 	// Probe over morsels pulled from a shared cursor.
-	workers := ec.workers(in.NumRows())
-	pa.workers = max(pa.workers, workers)
+	c.workers = ec.workers(in.NumRows())
+	pa.workers = max(pa.workers, c.workers)
 	nm, nl := numMorsels(in.NumRows()), len(c.levels)
-	tuples := make([][][]int32, nm)
+	c.tuples = make([][][]int32, nm)
 	counts := make([]int, nm*nl) // morsel m's tuples leaving level l at m*nl+l
 	cur := &morselCursor{rows: in.NumRows()}
-	err = pa.run(workers, func() error {
+	err = pa.run(c.workers, func() error {
 		scr := acquireMorselScratch()
 		defer scr.release()
+		ctx := scr.relCtx(in)
 		return forEachMorsel(ec, cur, func(m, lo, hi int) error {
-			tuples[m] = c.morselTuples(scr, morselSel(scr, inCtx, bounds, lo, hi), counts[m*nl:][:nl])
+			c.tuples[m] = c.morselTuples(scr, morselSel(scr, ctx, bounds, lo, hi), counts[m*nl:][:nl])
 			return nil
 		})
 	})
@@ -458,40 +473,57 @@ func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
 		c.levels[l].sp.End()
 		c.levels[l].sp = obs.SpanRef{}
 	}
-
-	// Morsel tuple counts prefix-sum into disjoint output regions, so the
-	// gather is parallel and exact-sized.
-	offs := make([]int, nm+1)
+	// Morsel tuple counts prefix-sum into the chain's output positions.
+	c.offs = make([]int, nm+1)
 	for m := 0; m < nm; m++ {
-		offs[m+1] = offs[m] + counts[m*nl+top]
+		c.offs[m+1] = c.offs[m] + counts[m*nl+top]
 	}
+	return c, nil
+}
+
+// Execute runs the chain of joins rooted at j (probeChain) and gathers each
+// output column once, from its source, into exact-size columns: the probe
+// morsels' tuples fill disjoint regions, so the gather is morsel-parallel.
+func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
+	c, err := j.probeChain(ec)
+	if err != nil {
+		return nil, err
+	}
+	sp := c.levels[len(c.levels)-1].sp
+	defer func() { endNodeSpan(sp, rel, err) }()
+	nm, offs := len(c.tuples), c.offs
 	cols := make([]RelCol, len(c.out))
 	for i, oc := range c.out {
 		cols[i] = RelCol{Name: oc.Name, Type: oc.Type, Dict: oc.Dict}
-		if oc.Type == storage.Float64 {
-			cols[i].Floats = make([]float64, offs[nm])
-		} else {
-			cols[i].Ints = make([]int64, offs[nm])
-		}
 	}
-	gcur := &morselCursor{rows: in.NumRows()}
-	err = pa.run(workers, func() error {
+	sizeCols(cols, offs[nm])
+	gcur := &morselCursor{rows: nm * morselSize}
+	err = c.pa.run(c.workers, func() error {
 		return forEachMorsel(ec, gcur, func(m, _, _ int) error {
 			for i, oc := range c.out {
 				if offs[m+1] > offs[m] {
-					gatherOut(&cols[i], &oc, tuples[m][oc.src], offs[m])
+					gatherOut(&cols[i], &oc, c.tuples[m][oc.src], offs[m])
 				}
 			}
 			return nil
 		})
 	})
-	pa.morsels += nm
+	c.pa.morsels += nm
 	if err != nil {
 		return nil, err
 	}
-	pa.finish(ec, c.levels[top].sp)
+	c.pa.finish(ec, sp)
 	return NewRelation(cols)
 }
+
+// A join chain is an expr.Source over its output columns, named as the
+// relation it would materialize.
+func (c *joinChain) Name() string { return "relation" }
+func (c *joinChain) ColumnIndex(name string) int {
+	return slices.IndexFunc(c.out, func(oc chainCol) bool { return oc.Name == name })
+}
+func (c *joinChain) ColumnType(i int) storage.ColumnType { return c.out[i].Type }
+func (c *joinChain) Dict(i int) *storage.Dict            { return c.out[i].Dict }
 
 // pushSemiJoin pushes a Bloom filter of build's join keys into the base
 // scan feeding j's probe side, through any inner joins (star schemas push

@@ -177,37 +177,16 @@ func (pa *parAccounting) finish(ec *ExecCtx, sp obs.SpanRef) {
 	}
 }
 
-// streamablePred reports whether a bound predicate can be evaluated per
-// morsel without per-call scratch proportional to the relation: OR and NOT
-// allocate relation-sized mark vectors on every Eval, so filters containing
-// them fall back to the materializing Filter node.
-func streamablePred(p expr.Pred) bool {
-	switch t := p.(type) {
-	case nil:
-		return false
-	case *expr.OrPred, *expr.NotPred:
-		return false
-	case *expr.AndPred:
-		for _, c := range t.Children {
-			if !streamablePred(c) {
-				return false
-			}
-		}
-		return true
-	}
-	return true
-}
-
-// fusedFilterInput unwraps a chain of Filter nodes with streamable
-// predicates above n's input, returning the innermost input and the fused
-// predicates (innermost first). The caller evaluates them per morsel over a
-// shared selection vector instead of materializing one intermediate
-// Relation per Filter — the selection-vector streaming path.
+// fusedFilterInput unwraps a chain of Filter nodes above n's input,
+// returning the innermost input and the fused predicates (innermost
+// first). The caller evaluates them per morsel over a shared selection
+// vector instead of materializing one intermediate Relation per Filter —
+// the selection-vector streaming path.
 func fusedFilterInput(n Node) (Node, []expr.Pred) {
 	var preds []expr.Pred
 	for {
 		f, ok := n.(*Filter)
-		if !ok || !streamablePred(f.Pred) {
+		if !ok {
 			return n, preds
 		}
 		preds = append([]expr.Pred{f.Pred}, preds...)
@@ -235,7 +214,7 @@ func bindFused(preds []expr.Pred, in *Relation) ([]expr.Bound, error) {
 // [lo, hi) filtered through the fused bound predicates. The returned slice
 // aliases scr.sel and is valid until the next call on the same scratch.
 // Bound trees are shared read-only across workers; each worker filters its
-// own scratch-owned vector.
+// own scratch-owned vector through its own context (scr.relCtx).
 func morselSel(scr *morselScratch, ctx *expr.BlockCtx, bounds []expr.Bound, lo, hi int) []int {
 	sel := scr.identitySel(lo, hi)
 	for _, b := range bounds {

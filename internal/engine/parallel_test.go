@@ -177,9 +177,9 @@ func TestJoinParallelSerialIdentical(t *testing.T) {
 			Right:    &Scan{Table: "items", Alias: "r"},
 			LeftKeys: []string{"mode", "qty"}, RightKeys: []string{"r.mode", "r.qty"}, Type: SemiJoin,
 		}},
-		// OR predicates are not streamable: the Filter node must still
-		// materialize and the join must agree with the serial plan.
-		{"or_filter_not_fused", &Join{
+		// An OR filter fuses into the probe like any other, its marks
+		// taken from the worker's own evaluation scratch.
+		{"or_filter_fused", &Join{
 			Left: &Filter{
 				Input: &Scan{Table: "items"},
 				Pred: expr.Or(

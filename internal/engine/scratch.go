@@ -184,6 +184,10 @@ func (scr *scanScratch) markDecoded(ci int, res *sliceScanResult) {
 // acquire until release; steady-state warm executions allocate nothing here.
 type morselScratch struct {
 	sel []int // morsel selection vector (cap morselSize)
+	// The worker's evaluation context, over a relation's vectors or the
+	// ones an aggregation over a join chain gathers per morsel, with the
+	// scratch composite predicates and scalars take.
+	ctx expr.BlockCtx
 	// Join chain levels: output tuples' input tuples, the tuples' rows per
 	// source (a set per level parity) and gathered key vectors.
 	par     []int32
@@ -191,6 +195,16 @@ type morselScratch struct {
 	keys    keyCols
 	kints   [][]int64
 	kfloats [][]float64
+	// Aggregation over a join chain: each source's rows of the selected
+	// tuples (srcRows, pointing into srows when a segment picks them), the
+	// read columns' values (indexed by column), the group key over them,
+	// and the tuples' output positions.
+	srcRows [][]int32
+	srows   [][]int32
+	cints   [][]int64
+	cfloats [][]float64
+	ckeys   keyCols
+	firsts  []int32
 	gidx    []int32   // per-selected-row group state offsets
 	pids    []uint8   // per-selected-row partition ids
 	ivec    []int64   // chunked integer scalar evaluation
@@ -219,6 +233,21 @@ func acquireMorselScratch() *morselScratch {
 // pclint:recycled
 func (scr *morselScratch) release() {
 	morselScratchPool.Put(scr)
+}
+
+// relCtx returns the worker's context over r's column vectors.
+func (scr *morselScratch) relCtx(r *Relation) *expr.BlockCtx {
+	ctx := &scr.ctx
+	ctx.Reset(len(r.cols), nil)
+	ctx.N = r.n
+	for i := range r.cols {
+		if c := &r.cols[i]; c.Type == storage.Float64 {
+			ctx.SetFloat(i, c.Floats)
+		} else {
+			ctx.SetInt(i, c.Ints)
+		}
+	}
+	return ctx
 }
 
 // identitySel fills the scratch selection vector with rows [lo, hi).
@@ -304,8 +333,8 @@ func grow[T any](dst []T, n int) []T {
 // slot returns (*vecs)[i] resized to n values, growing the list and the
 // vector as needed; the values are the caller's to overwrite.
 func slot[T any](vecs *[][]T, i, n int) []T {
-	for len(*vecs) <= i {
-		*vecs = append(*vecs, nil)
+	if len(*vecs) <= i {
+		*vecs = append(*vecs, make([][]T, i+1-len(*vecs))...)
 	}
 	(*vecs)[i] = grow((*vecs)[i][:0], n)
 	return (*vecs)[i]

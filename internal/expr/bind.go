@@ -8,13 +8,58 @@ import (
 )
 
 // BlockCtx carries the decompressed column vectors of one block during
-// vectorized evaluation, plus per-scan-thread scratch buffers. A BlockCtx is
-// owned by a single goroutine.
+// vectorized evaluation, plus the evaluation scratch of the goroutine that
+// owns it. A BlockCtx is owned by a single goroutine: workers reading one
+// relation each evaluate through a context of their own.
 type BlockCtx struct {
-	N      int
-	ints   [][]int64
-	floats [][]float64
-	dicts  []*storage.Dict
+	N       int
+	ints    [][]int64
+	floats  [][]float64
+	dicts   []*storage.Dict
+	scratch *evalScratch // allocated by the first node that needs it
+}
+
+// evalScratch holds the buffers that OR, NOT, CASE, two-column arithmetic
+// and year() take on entry and give back on exit, in stack order, so nested
+// nodes hold distinct buffers. Bound trees are shared by every worker, so
+// the buffers live with the context, not the node.
+type evalScratch struct {
+	sels  bufStack[int]
+	marks bufStack[bool]
+	fvecs bufStack[float64]
+	ivecs bufStack[int64]
+}
+
+// bufStack hands out reusable buffers in stack order.
+type bufStack[T any] struct {
+	bufs  [][]T
+	depth int
+}
+
+// take returns the buffer at the top of the stack, sized n; its values are
+// the caller's to overwrite.
+func (s *bufStack[T]) take(n int) []T {
+	if s.depth == len(s.bufs) {
+		s.bufs = append(s.bufs, nil)
+	}
+	b := s.bufs[s.depth]
+	if cap(b) < n {
+		b = make([]T, n)
+		s.bufs[s.depth] = b
+	}
+	s.depth++
+	return b[:n]
+}
+
+// put gives back the buffer taken last.
+func (s *bufStack[T]) put() { s.depth-- }
+
+// evalScratch returns the context's evaluation scratch.
+func (c *BlockCtx) evalScratch() *evalScratch {
+	if c.scratch == nil {
+		c.scratch = &evalScratch{}
+	}
+	return c.scratch
 }
 
 // NewBlockCtx creates a context for a table with numCols columns; dicts is
@@ -44,6 +89,9 @@ func (c *BlockCtx) Reset(numCols int, dicts []*storage.Dict) {
 	}
 	c.dicts = dicts
 	c.N = 0
+	if s := c.scratch; s != nil { // buffers an evaluation that panicked still holds
+		s.sels.depth, s.marks.depth, s.fvecs.depth, s.ivecs.depth = 0, 0, 0, 0
+	}
 }
 
 // SetInt installs the decompressed integer vector of a column.

@@ -464,34 +464,41 @@ func (b *boundAnd) Prune(bp BoundsProvider) bool {
 
 type boundOr struct{ children []Bound }
 
+// Eval runs each child over a copy of sel and marks the positions its
+// output holds. A child's output is a subsequence of its input, so one walk
+// over both finds each position.
 func (b *boundOr) Eval(ctx *BlockCtx, sel []int) []int {
-	// Buffers are local: children may themselves be Or/Not nodes, and bound
-	// predicates are shared across parallel slice scans, so neither
-	// node-level nor context-level scratch would be safe here.
-	mark := make([]bool, ctx.N)
-	input := append([]int(nil), sel...)
-	scratch := make([]int, len(input))
+	scr := ctx.evalScratch()
+	mark := scr.marks.take(len(sel))
+	clear(mark)
+	buf := scr.sels.take(len(sel))
 	marked := 0
 	for _, c := range b.children {
-		copy(scratch, input)
-		out := c.Eval(ctx, scratch[:len(input)])
-		for _, r := range out {
-			if !mark[r] {
-				mark[r] = true
+		copy(buf, sel)
+		i := 0
+		for _, r := range c.Eval(ctx, buf) {
+			for sel[i] != r {
+				i++
+			}
+			if !mark[i] {
+				mark[i] = true
 				marked++
 			}
+			i++
 		}
-		if marked == len(input) {
+		if marked == len(sel) {
 			break
 		}
 	}
 	k := 0
-	for _, r := range input {
-		if mark[r] {
+	for i, r := range sel {
+		if mark[i] {
 			sel[k] = r
 			k++
 		}
 	}
+	scr.sels.put()
+	scr.marks.put()
 	return sel[:k]
 }
 
@@ -506,23 +513,23 @@ func (b *boundOr) Prune(bp BoundsProvider) bool {
 
 type boundNot struct{ child Bound }
 
+// Eval keeps the rows of sel missing from the child's output over a copy,
+// which is a subsequence of sel.
 func (b *boundNot) Eval(ctx *BlockCtx, sel []int) []int {
-	// Local buffers for the same reason as boundOr.
-	mark := make([]bool, ctx.N)
-	input := append([]int(nil), sel...)
-	scratch := make([]int, len(input))
-	copy(scratch, input)
-	out := b.child.Eval(ctx, scratch[:len(input)])
-	for _, r := range out {
-		mark[r] = true
-	}
-	k := 0
-	for _, r := range input {
-		if !mark[r] {
-			sel[k] = r
-			k++
+	scr := ctx.evalScratch()
+	buf := scr.sels.take(len(sel))
+	copy(buf, sel)
+	out := b.child.Eval(ctx, buf)
+	k, j := 0, 0
+	for _, r := range sel {
+		if j < len(out) && out[j] == r {
+			j++
+			continue
 		}
+		sel[k] = r
+		k++
 	}
+	scr.sels.put()
 	return sel[:k]
 }
 

@@ -225,7 +225,9 @@ func (b *boundArith) EvalF(ctx *BlockCtx, sel []int, out []float64) {
 		arithConst(b.op, c.v.AsFloat(), out, false)
 		return
 	}
-	rbuf := make([]float64, len(sel))
+	scr := ctx.evalScratch()
+	rbuf := scr.fvecs.take(len(sel))
+	defer scr.fvecs.put()
 	b.l.EvalF(ctx, sel, out)
 	b.r.EvalF(ctx, sel, rbuf)
 	switch b.op {
@@ -294,22 +296,27 @@ func (b *boundCase) Out() storage.ColumnType { return storage.Float64 }
 
 func (b *boundCase) EvalF(ctx *BlockCtx, sel []int, out []float64) {
 	// Evaluate else for all rows, then overwrite rows matching the condition
-	// with the then-branch values.
+	// with the then-branch values. The matched rows are a subsequence of
+	// sel, so one walk finds each one's position.
 	b.els.EvalF(ctx, sel, out)
-	pos := make(map[int]int, len(sel))
-	for i, r := range sel {
-		pos[r] = i
-	}
-	scratch := make([]int, len(sel))
-	copy(scratch, sel)
-	matched := b.cond.Eval(ctx, scratch)
+	scr := ctx.evalScratch()
+	buf := scr.sels.take(len(sel))
+	defer scr.sels.put()
+	copy(buf, sel)
+	matched := b.cond.Eval(ctx, buf)
 	if len(matched) == 0 {
 		return
 	}
-	thenVals := make([]float64, len(matched))
+	thenVals := scr.fvecs.take(len(matched))
+	defer scr.fvecs.put()
 	b.then.EvalF(ctx, matched, thenVals)
-	for i, r := range matched {
-		out[pos[r]] = thenVals[i]
+	i := 0
+	for j, r := range matched {
+		for sel[i] != r {
+			i++
+		}
+		out[i] = thenVals[j]
+		i++
 	}
 }
 
@@ -341,7 +348,9 @@ func (b *boundYear) EvalI(ctx *BlockCtx, sel []int, out []int64) {
 }
 
 func (b *boundYear) EvalF(ctx *BlockCtx, sel []int, out []float64) {
-	tmp := make([]int64, len(sel))
+	scr := ctx.evalScratch()
+	tmp := scr.ivecs.take(len(sel))
+	defer scr.ivecs.put()
 	b.EvalI(ctx, sel, tmp)
 	for i, v := range tmp {
 		out[i] = float64(v)
