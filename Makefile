@@ -72,7 +72,9 @@ admin-smoke systab-smoke trace-smoke server-smoke:
 # the benchmark harness without paying full measurement time. The Table4
 # run exercises the morsel-parallel join/agg path at 1 and 4 procs, and the
 # engine equivalence tests fail the target on any serial-vs-parallel result
-# divergence (bit-exact, including float payloads). The kernel micro-benchmarks
+# divergence (bit-exact, including float payloads); the scan's and the
+# pipeline's byte, allocation and cancellation guards run at both proc
+# counts too. The kernel micro-benchmarks
 # (2,048 distinct random blocks each), the one-candidate-block hit and the
 # per-sink cost of the observability tail (BenchmarkEmit, DESIGN.md §16) and
 # the DeleteWhere/UpdateWhere statements of mixed_dml (BenchmarkDML) and each
@@ -84,7 +86,7 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkScanHitOneBlock -benchtime=1x ./internal/engine
 	$(GO) test -run=NONE -bench=BenchmarkTPCHQuery -benchtime=1x ./internal/tpch
 	$(GO) test -run=NONE -bench=BenchmarkTable4TPCHSkewed -benchtime=1x -cpu 1,4 .
-	$(GO) test -run 'TestJoinParallelSerialIdentical|TestAggParallelSerialIdentical|TestJoinChainMatchesMaterialized|TestJoinChainBytesPerProbeRow|TestAggOverChainCancel|TestAggBytesPerGroup|TestGlobalAggOverJoinStaysMaterialized' -cpu 1,4 ./internal/engine
+	$(GO) test -run 'TestJoinParallelSerialIdentical|TestAggParallelSerialIdentical|TestJoinChainMatchesMaterialized|TestJoinChainBytesPerProbeRow|TestAggOverChainCancel|TestAggBytesPerGroup|TestGlobalAggOverJoinStaysMaterialized|TestScanBytesPerOutputRow|TestScanWorkerCountIndependent|TestScanCancelAmortisedAndCacheSafe|TestHotPathAllocs|TestWarmParallelPipelineAllocs' -cpu 1,4 ./internal/engine
 
 # The benchmark of record (BENCHMARK.json, benchmark/README.md): every
 # workload, RUNS untraced runs with consecutive seeds plus one traced pass

@@ -244,7 +244,8 @@ func (c *Cache) materializeLocked(e *entry) Candidates {
 // layout epoch observed when the scan started — callers capture it before
 // taking the scan lock so that a vacuum racing the scan conservatively
 // invalidates the entry rather than mislabelling it. deps lists semi-join
-// build-side dependencies (nil for plain filters).
+// build-side dependencies (nil for plain filters). The cache keeps a copy of
+// the ranges, never perSlice's slices.
 func (c *Cache) Insert(key Key, tbl *storage.Table, epoch uint64, deps []BuildDep, perSlice [][]storage.RowRange, watermarks []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -310,7 +311,7 @@ func (c *Cache) Insert(key Key, tbl *storage.Table, epoch uint64, deps []BuildDe
 // watermark after new data was appended — into an existing entry and
 // advances the watermark (§4.3.1: "we can then add the new row ranges to
 // the predicate cache to keep it up-to-date"). It is a no-op if the entry
-// has disappeared or turned stale.
+// has disappeared or turned stale. Like Insert, it copies tailRanges.
 func (c *Cache) Extend(key string, slice int, tailRanges []storage.RowRange, newWatermark int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

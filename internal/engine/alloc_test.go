@@ -13,7 +13,7 @@ import (
 // TestHotPathAllocs pins the exact allocation count of the engine's inner
 // loops. Hashing, key lookup, morsel selection, accumulation, a join
 // level's probe, output gathering, an aggregation's gather of a chain's
-// tuples and the per-block scan loop allocate nothing; a join chain's probe morsel allocates exactly its output lists. A construct that allocates per call
+// tuples and a scan's filter and gather phases allocate nothing; a join chain's probe morsel allocates exactly its output lists. A construct that allocates per call
 // (an FNV hasher, a []byte copy of a key, a boxed value, a fresh slice grown
 // row by row) moves the count on the first run.
 func TestHotPathAllocs(t *testing.T) {
@@ -94,15 +94,7 @@ func TestHotPathAllocs(t *testing.T) {
 	longKey := strings.Repeat("join-key/", 8) // past the compiler's 32-byte stack buffer
 	var sink uint64
 
-	scanOneBlock, scanAllBlocks, scanSJHit := scanSliceRuns(t)
-	oneBlock := testing.AllocsPerRun(10, scanOneBlock)
-	t.Logf("scanSlice over one candidate block: %v allocs per run", oneBlock)
-
-	for _, tc := range []struct {
-		name string
-		want float64
-		fn   func()
-	}{
+	cases := []allocCase{
 		{"hashString", 0, func() { sink += hashString(longKey) }},
 		{"accumulate/count", 0, func() { accumulate(count, gidx, keys, vals) }},
 		{"accumulate/sum", 0, func() { accumulate(sum, gidx, keys, vals) }},
@@ -146,13 +138,8 @@ func TestHotPathAllocs(t *testing.T) {
 		{"probeLevel/inner", 0, func() { par, bld = probeLevel(InnerJoin, intTable, intKeys, sel, len(sel), par[:0], bld[:0]) }},
 		{"probeLevel/semi", 0, func() { par, _ = probeLevel(SemiJoin, intTable, intKeys, sel, len(sel), par[:0], nil) }},
 		{"joinChain.morselTuples/inner", 3, func() { tuples = chain.morselTuples(scr, sel, counts) }},
-		// scanSlice over ~2,000 candidate blocks allocates what it does over
-		// one: nothing per block.
-		{"scanSlice/2000-blocks", oneBlock, scanAllBlocks},
-		// A warm semi-join-entry hit with no rows past the watermark: the
-		// cache takes no range, so the scan records none.
-		{"scanSlice/sj-entry-hit", 0, scanSJHit},
-	} {
+	}
+	for _, tc := range append(cases, scanPhaseRuns(t)...) {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := testing.AllocsPerRun(10, tc.fn); got != tc.want {
 				t.Errorf("%v allocs per run, want %v", got, tc.want)
@@ -161,52 +148,99 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 }
 
-// scanSliceRuns returns three warm runs of scanSlice over loopTable's 2,000
-// sealed blocks with the filter "a = 5 and b = 77", which one row passes:
-// one whose candidates are that row's block (a predicate-cache hit's
-// shape), one whose candidates are the whole slice, and a semi-join-entry
-// hit on that block, its semi-join filter passing the row, that records
-// ranges only past the slice's last row. All share one scratch, so only the
-// loop itself is measured. They report a wrong result with Errorf, since
-// they may run in a subtest of t.
-func scanSliceRuns(t *testing.T) (oneBlock, allBlocks, sjHit func()) {
+// allocCase is one row of TestHotPathAllocs: fn allocates want times a run.
+type allocCase struct {
+	name string
+	want float64
+	fn   func()
+}
+
+// scanPhaseRuns returns warm runs of a scan's two phases over loopTable's
+// 2,000 sealed blocks, none of which allocates:
+//
+//   - filterSlice with "a = 5 and b = 77", which one row passes, over that
+//     row's block (a predicate-cache hit's shape) and over the whole slice;
+//   - a semi-join-entry hit on that block, its semi-join filter passing the
+//     row;
+//   - filterSlice with "a = 5", which one row of every block passes, keeping
+//     2,000 output runs;
+//   - gatherSlice of those 2,000 runs into an id column.
+//
+// The runs hold their scratches rather than drawing them from the pool per
+// run (the race detector makes sync.Pool drop items at random), so only the
+// loops are measured; the ranges a filter run records for the cache live in
+// the scratch too. They report a wrong result with Errorf, since they run in
+// a subtest of t.
+func scanPhaseRuns(t *testing.T) []allocCase {
 	const blocks = 2000
 	cat, tbl := loopTable(t, blocks*storage.BlockSize, 1)
-	bound, err := expr.Bind(expr.And(expr.Cmp("a", expr.Eq, expr.Int(5)), expr.Cmp("b", expr.Eq, expr.Int(77))), tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := expr.PlanKernels(bound)
-	numCols := len(tbl.Schema())
-	dicts := make([]*storage.Dict, numCols)
-	scr := acquireScanScratch(numCols, dicts)
-	rb, err := scr.relBuilderFor(tbl, []string{"id"}, "", false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan := &Scan{Table: "loop"}
 	ec := &ExecCtx{Catalog: cat, Snapshot: cat.Snapshot()}
 	slice := tbl.Slice(0)
+	out, src, err := scanColumns(tbl, []string{"id"}, "", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	numCols := len(tbl.Schema())
+	pointScr := acquireScanScratch(numCols, make([]*storage.Dict, numCols))
+	everyScr := acquireScanScratch(numCols, make([]*storage.Dict, numCols))
+	state := func(p expr.Pred, sjs []*semiJoinFilter) *scanState {
+		bound, err := expr.Bind(p, tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &scanState{ec: ec, tbl: tbl, bound: bound, plan: expr.PlanKernels(bound), sjs: sjs,
+			sjKeyCols: make([]int, len(sjs)), sjMemos: make([][]bool, len(sjs)), out: out, src: src,
+			results: make([]sliceScanResult, 1)}
+	}
+	// filter records the cache's ranges from row from on: one range per
+	// qualifying row here, or none when from is past the slice's last row.
+	filter := func(st *scanState, scr *scanScratch, cands storage.RowRange, from int, wantRows int64) func() {
+		wantRanges := int(wantRows)
+		if from >= slice.NumRows() {
+			wantRanges = 0
+		}
+		return func() {
+			scr.cands = append(scr.cands[:0], cands)
+			res := &st.results[0]
+			*res = sliceScanResult{numRows: slice.NumRows(), plainFrom: from, sjFrom: from, scratch: scr}
+			if err := st.filterSlice(0); err != nil {
+				t.Error(err)
+			} else if res.rowsQualified != wantRows || len(scr.runs) != int(wantRows) {
+				t.Errorf("filter kept %d rows in %d runs, want %d", res.rowsQualified, len(scr.runs), wantRows)
+			} else if len(res.plainRanges) != wantRanges || len(res.sjRanges) != 0 {
+				t.Errorf("filter recorded %d plain and %d semi-join ranges, want %d and 0", len(res.plainRanges), len(res.sjRanges), wantRanges)
+			}
+		}
+	}
 	// 1001k+5 ≡ 77 (mod 2000) at k = 72: the qualifying row's block.
 	const hitBlock = 72
 	sj := &semiJoinFilter{keyCol: "id", filter: bloom.New(1, 0.01)}
 	sj.filter.AddInt(hitBlock*storage.BlockSize + 5)
-	over := func(cands storage.RowRange, sjs []*semiJoinFilter, from int) func() {
-		sjCols, sjMemos := make([]int, len(sjs)), make([][]bool, len(sjs))
-		return func() {
-			scr.cands = append(scr.cands[:0], cands)
-			rb.cols[0].Ints = rb.cols[0].Ints[:0]
-			res := sliceScanResult{rel: rb, numRows: slice.NumRows(), scratch: scr, plainFrom: from, sjFrom: from}
-			if err := scan.scanSlice(ec, tbl, slice, bound, plan, sjs, sjCols, sjMemos, scr, &res); err != nil {
-				t.Error(err)
-			} else if len(rb.cols[0].Ints) != 1 || res.blocksVisited < 1 {
-				t.Errorf("scan returned %d rows over %d blocks", len(rb.cols[0].Ints), res.blocksVisited)
-			} else if from > 0 && len(res.plainRanges)+len(res.sjRanges) > 0 {
-				t.Errorf("scan from row %d recorded %v and %v", from, res.plainRanges, res.sjRanges)
-			}
-		}
-	}
+	point := expr.And(expr.Cmp("a", expr.Eq, expr.Int(5)), expr.Cmp("b", expr.Eq, expr.Int(77)))
 	block := storage.RowRange{Start: hitBlock * storage.BlockSize, End: (hitBlock + 1) * storage.BlockSize}
-	return over(block, nil, 0), over(storage.RowRange{Start: 0, End: blocks * storage.BlockSize}, nil, 0),
-		over(block, []*semiJoinFilter{sj}, slice.NumRows())
+	all := storage.RowRange{Start: 0, End: blocks * storage.BlockSize}
+	every := state(expr.Cmp("a", expr.Eq, expr.Int(5)), nil)
+	fillEvery := filter(every, everyScr, all, 0, blocks)
+	fillEvery() // the output runs the gather reads
+	out[0].Ints = make([]int64, blocks)
+	return []allocCase{
+		{"filterSlice/one-block", 0, filter(state(point, nil), pointScr, block, 0, 1)},
+		{"filterSlice/2000-blocks", 0, filter(state(point, nil), pointScr, all, 0, 1)},
+		// A semi-join-entry hit with no rows past the watermark.
+		{"filterSlice/sj-entry-hit", 0, filter(state(point, []*semiJoinFilter{sj}), pointScr, block, slice.NumRows(), 1)},
+		{"filterSlice/2000-output-runs", 0, fillEvery},
+		{"gatherSlice/2000-runs", 0, func() {
+			every.results[0].off, every.results[0].sinceCheck = 0, 0
+			if err := every.gatherSlice(0); err != nil {
+				t.Error(err)
+				return
+			}
+			for k, id := range out[0].Ints {
+				if want := int64(k*storage.BlockSize + 5); id != want {
+					t.Errorf("gathered id %d at row %d, want %d", id, k, want)
+					return
+				}
+			}
+		}},
+	}
 }

@@ -306,14 +306,15 @@ func TestParallelCancellation(t *testing.T) {
 }
 
 // TestWarmParallelPipelineAllocs guards the allocation count of the warm
-// morsel-parallel probe/agg path: a filter→join→agg pipeline at 4 workers
+// morsel-parallel probe/agg path: a filter→join→agg pipeline at 2 workers
 // costs per-operator allocations (output columns, partial states, group
 // tables, goroutines) and a few per morsel (probe output buffers), none per
-// row. Quadrupling the rows (about 200 allocations at 20k rows, 35 more at
-// 80k) may add a few allocations per added morsel and nothing per row: a
-// per-row or per-duplicate allocation on the probe or accumulate inner loops
-// adds thousands. The slack per morsel covers the race detector, whose
-// sync.Pool drops scratches at random.
+// row. Every operator runs as many workers at 20k rows as at 80k (each has
+// at least two morsels of input or at most one at both sizes), so
+// quadrupling the rows may add a few allocations per added morsel and
+// nothing per row: a per-row or per-duplicate allocation on the probe or
+// accumulate inner loops adds thousands. The slack per morsel covers the
+// race detector, whose sync.Pool drops scratches at random.
 func TestWarmParallelPipelineAllocs(t *testing.T) {
 	const smallRows, largeRows, perMorsel = 20000, 80000, 8
 	allocs := func(rows int) float64 {
@@ -332,7 +333,7 @@ func TestWarmParallelPipelineAllocs(t *testing.T) {
 		}
 		run := func() {
 			ec := &ExecCtx{Catalog: d.cat, Snapshot: d.cat.Snapshot(), Stats: &storage.ScanStats{},
-				MaxWorkers: 4}
+				MaxWorkers: 2}
 			if _, err := plan.Execute(ec); err != nil {
 				t.Fatal(err)
 			}
@@ -388,10 +389,12 @@ func cacheContents(c *core.Cache) map[string]core.Candidates {
 	return out
 }
 
-// TestScanWorkerCountIndependent: per-slice results merge in slice order, so
-// a scan's output and the cache entries it leaves do not depend on how many
-// workers claimed its slices — cold (miss, insert) and warm (hit), alone and
-// under a join that pushes a semi-join filter into it.
+// TestScanWorkerCountIndependent: each slice gathers into its own region of
+// the exact-size output, in slice order, so a scan's output and the cache
+// entries it leaves do not depend on how many workers claimed its slices —
+// cold (miss, insert) and warm (hit), on the dense path, with a residual
+// filter (its columns projected or not), with rowids, and under a join that
+// pushes a semi-join filter into it.
 func TestScanWorkerCountIndependent(t *testing.T) {
 	plans := []struct {
 		name string
@@ -399,6 +402,13 @@ func TestScanWorkerCountIndependent(t *testing.T) {
 	}{
 		{"scan", &Scan{Table: "items", Filter: expr.Cmp("qty", expr.Le, expr.Int(10)),
 			Project: []string{"id", "price", "mode"}}},
+		{"scan_residual", &Scan{Table: "items", Filter: expr.CmpCols("qty", expr.Lt, "dim_id"),
+			Project: []string{"id", "price"}}},
+		{"scan_rowids", &Scan{Table: "items", Filter: expr.Cmp("qty", expr.Ge, expr.Int(40)),
+			Project: []string{"id"}, RowIDs: true}},
+		{"scan_residual_projected", &Scan{Table: "items",
+			Filter:  expr.And(expr.Cmp("qty", expr.Ge, expr.Int(5)), expr.CmpCols("qty", expr.Lt, "dim_id")),
+			Project: []string{"dim_id", "qty", "mode", "price"}}},
 		{"scan_join_agg", &Agg{
 			Input: &Join{
 				Left:     &Scan{Table: "items", Filter: expr.Cmp("qty", expr.Ge, expr.Int(25))},

@@ -52,17 +52,20 @@ func hashString(s string) uint64 {
 // slice-local so the hot loop avoids shared atomics; Execute folds them into
 // ec.Stats (and the scan's trace span) once per scan.
 type sliceScanResult struct {
-	rel               *relBuilder
 	plainRanges       []storage.RowRange // rows passing the filter (pre-bloom, pre-visibility)
 	sjRanges          []storage.RowRange // rows passing filter + semi-join filters
 	plainFrom, sjFrom int                // the recorders' rangeRecorder.from
 	numRows           int
-	// scratch is the pooled buffer set backing rel's output columns; Execute
-	// releases it after the merge copies the values out.
+	// scratch holds the slice's candidates, the two range lists above (the
+	// cache copies what it keeps) and, from the filter phase to the gather
+	// phase, its output runs; Execute releases it after the cache calls.
 	scratch *scanScratch
+	// sinceCheck carries the filter phase's cancellation countdown into the
+	// gather phase; off is the slice's first row in the scan's output.
+	sinceCheck, off int
 
 	rowsScanned       int64
-	rowsQualified     int64
+	rowsQualified     int64 // the slice's output rows
 	blocksAccessed    int64
 	blocksVisited     int64 // iterations of the block loop: blocks holding a candidate row
 	blocksZonePruned  int64 // zone maps eliminated the block (step 1)
@@ -86,45 +89,53 @@ func (p *sliceBoundsProvider) FloatBounds(col int) (float64, float64, bool) {
 	return p.slice.Column(col).FloatBounds(p.block)
 }
 
-// relBuilder accumulates projected output values for one slice. Instances
-// live inside a scanScratch; their output backing arrays are recycled.
-type relBuilder struct {
-	cols  []RelCol
-	idx   []int // column index in the base table, rowIDCol for the rowid column
-	slice int64 // index of the scanned slice: the high half of every rowid
+// scanState is one execution of a scan as its workers see it: what every
+// slice reads and none writes — the bound predicate with its kernel plan, the
+// pushed semi-join filters, the output columns with the base-table column
+// each reads — and the per-slice results, handed out one slice at a time by
+// a cursor that each phase runs over once.
+type scanState struct {
+	ec        *ExecCtx
+	sp        obs.SpanRef // the scan's span, parent of the slice spans
+	tbl       *storage.Table
+	bound     expr.Bound
+	plan      *expr.ScanPlan
+	sjs       []*semiJoinFilter
+	sjKeyCols []int
+	sjMemos   [][]bool
+	out       []RelCol
+	src       []int // per output column: its base-table column, or rowIDCol
+	results   []sliceScanResult
+
+	next   atomic.Int64 // the slice cursor
+	gather bool         // the phase the cursor runs: filter, then gather
 }
 
-// rowIDCol marks the rowid output column (Scan.RowIDs) in relBuilder.idx.
+// rowIDCol marks the rowid output column (Scan.RowIDs) in scanState.src.
 // Its values come from row positions, never from a column store.
 const rowIDCol = -1
 
-// rowID is the rowid of row number row of the builder's slice.
-func (rb *relBuilder) rowID(row int) int64 { return rb.slice<<32 | int64(row) }
-
-// gatherRange appends the projected values of block-relative rows [lo, hi)
-// of block blk directly from the compressed column stores (partial decode,
-// no intermediate vector).
-func (rb *relBuilder) gatherRange(slice *storage.Slice, blk, lo, hi int, scr *scanScratch, res *sliceScanResult) {
-	n := hi - lo
-	for outIdx, ci := range rb.idx {
-		dst := &rb.cols[outIdx]
-		if ci == rowIDCol {
-			for r := blk*storage.BlockSize + lo; r < blk*storage.BlockSize+hi; r++ {
-				dst.Ints = append(dst.Ints, rb.rowID(r))
-			}
-			continue
-		}
-		scr.markAccessed(ci, res)
-		scr.markDecoded(ci, res)
-		res.rowsDecoded += int64(n)
-		if dst.Type == storage.Float64 {
-			dst.Floats = grow(dst.Floats, n)
-			slice.Column(ci).ReadFloatRange(blk, lo, hi, dst.Floats[len(dst.Floats)-n:])
-		} else {
-			dst.Ints = grow(dst.Ints, n)
-			slice.Column(ci).ReadIntRange(blk, lo, hi, dst.Ints[len(dst.Ints)-n:])
-		}
+// scanColumns returns a scan's output columns, still empty and led by the
+// rowid column when rowIDs is set, and the base-table column each reads.
+func scanColumns(tbl *storage.Table, project []string, alias string, rowIDs bool) ([]RelCol, []int, error) {
+	out, src := make([]RelCol, 0, len(project)+1), make([]int, 0, len(project)+1)
+	if rowIDs {
+		out = append(out, RelCol{Name: "rowid", Type: storage.Int64})
+		src = append(src, rowIDCol)
 	}
+	for _, name := range project {
+		ci := tbl.ColumnIndex(name)
+		if ci < 0 {
+			return nil, nil, fmt.Errorf("engine: table %s has no column %q", tbl.Name(), name)
+		}
+		outName := name
+		if alias != "" {
+			outName = alias + "." + name
+		}
+		out = append(out, RelCol{Name: outName, Type: tbl.ColumnType(ci), Dict: tbl.Dict(ci)})
+		src = append(src, ci)
+	}
+	return out, src, nil
 }
 
 // Execute runs the scan: the paper's Figure 11 flow. It checks the
@@ -230,6 +241,11 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 		unlock()
 		return nil, err
 	}
+	out, src, err := scanColumns(tbl, project, s.Alias, s.RowIDs)
+	if err != nil {
+		unlock()
+		return nil, err
+	}
 	// Split the bound predicate into encoded-domain kernels plus a residual
 	// (decode-then-Eval) part. The split is per-scan, not per-block; blocks
 	// whose encoding lacks a kernel fall back leaf-by-leaf during the scan.
@@ -303,56 +319,44 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 			candRows += r.End - r.Start
 		}
 	}
-	// Scratches are released only after the merge below has copied every
-	// output value out of their recycled backing arrays.
+	// Scratches are released only after the gather phase has read their
+	// output runs and the cache their range lists.
 	defer func() {
 		for i := range results {
 			results[i].scratch.release()
 		}
 	}()
-	run := func(i int) error {
-		var ssp obs.SpanRef
-		if ec.Trace != nil {
-			// BeginChild keeps concurrent slice spans off the nesting stack.
-			ssp = ec.Trace.BeginChild(sp, obs.KindSlice, fmt.Sprintf("slice %d", i))
-		}
-		defer ssp.End()
-		res := &results[i]
-		scr := res.scratch
-		rb, err := scr.relBuilderFor(tbl, project, s.Alias, s.RowIDs, i)
-		if err != nil {
-			return err
-		}
-		res.rel = rb
-		err = s.scanSlice(ec, tbl, tbl.Slice(i), bound, plan, sjs, sjKeyCols, sjMemos, scr, res)
-		if ssp.Active() {
-			ssp.SetInt("rows.scanned", res.rowsScanned)
-			ssp.SetInt("rows.qualified", res.rowsQualified)
-			ssp.SetInt("blocks.accessed", res.blocksAccessed)
-			ssp.SetInt("blocks.pruned.zonemap", res.blocksZonePruned)
-			ssp.SetInt("blocks.pruned.cache", res.blocksCachePruned)
-			ssp.SetInt("blocks.decoded", res.blocksDecoded)
-			ssp.SetInt("blocks.kernel_encoded", res.blocksKernel)
-			ssp.SetInt("rows.decoded", res.rowsDecoded)
-		}
-		return err
-	}
-	// Workers claim slice indices off a shared cursor; the merge below walks
-	// results in slice order, so output, cache entries and counters do not
-	// depend on the worker count.
+	// Phase 1 filters every slice down to its output runs and so counts its
+	// output rows; the output is then allocated at its exact size, and phase 2
+	// gathers each slice's rows straight from the compressed blocks into the
+	// slice's own region of it, in slice order, on as many workers as its
+	// output rows call for. Each slice writes only its own result and output
+	// region, so output, cache entries and counters do not depend on the
+	// worker count.
+	st := &scanState{ec: ec, sp: sp, tbl: tbl, bound: bound, plan: plan, sjs: sjs, sjKeyCols: sjKeyCols,
+		sjMemos: sjMemos, out: out, src: src, results: results}
+	work := st.work
 	pa := parAccounting{workers: min(ec.workers(candRows), numSlices)}
-	var next atomic.Int64
-	err = pa.run(pa.workers, func() error {
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= numSlices {
-				return nil
-			}
-			if err := run(i); err != nil {
-				return err
-			}
+	err = pa.run(pa.workers, work)
+	if err == nil {
+		total := 0
+		for i := range results {
+			results[i].off = total
+			total += int(results[i].rowsQualified)
 		}
-	})
+		if total > 0 {
+			for j := range out {
+				if out[j].Type == storage.Float64 {
+					out[j].Floats = make([]float64, total)
+				} else {
+					out[j].Ints = make([]int64, total)
+				}
+			}
+			st.next.Store(0)
+			st.gather = true
+			err = pa.run(min(ec.workers(total), numSlices), work)
+		}
+	}
 	unlock()
 	if err != nil {
 		return nil, err
@@ -411,17 +415,10 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	// candidates scanned); on a semi-join-entry hit only that entry is
 	// extended — plain qualifying rows outside the entry were never visited.
 	if useCache {
-		plainRanges := make([][]storage.RowRange, numSlices)
-		sjRanges := make([][]storage.RowRange, numSlices)
-		watermarks := make([]int, numSlices)
-		for i := range results {
-			plainRanges[i] = results[i].plainRanges
-			sjRanges[i] = results[i].sjRanges
-			watermarks[i] = results[i].numRows
-		}
 		switch {
 		case !hit:
 			csp := ec.Trace.Begin(obs.KindCache, "insert")
+			plainRanges, sjRanges, watermarks := insertArgs(results)
 			ec.Cache.Insert(plainKey, tbl, epoch, nil, plainRanges, watermarks)
 			if sjKeyOK {
 				ec.Cache.Insert(sjCacheKey, tbl, epoch, sjDeps, sjRanges, watermarks)
@@ -436,14 +433,15 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 				if i >= len(cand.Watermarks) {
 					break // defensive: entry slice count mismatch
 				}
-				if len(plainRanges[i]) > 0 || watermarks[i] > cand.Watermarks[i] {
-					ec.Cache.Extend(plainKey.String(), i, plainRanges[i], watermarks[i])
+				if res := &results[i]; len(res.plainRanges) > 0 || res.numRows > cand.Watermarks[i] {
+					ec.Cache.Extend(plainKey.String(), i, res.plainRanges, res.numRows)
 				}
 			}
 			// Only (re)build the semi-join entry when none is current: a
 			// steady-state warm scan must not pay entry construction again
 			// ("rigorously avoiding slowdowns", §1).
 			if sjKeyOK && !ec.Cache.Has(sjCacheKey.String()) {
+				_, sjRanges, watermarks := insertArgs(results)
 				ec.Cache.Insert(sjCacheKey, tbl, epoch, sjDeps, sjRanges, watermarks)
 			}
 			if csp.Active() {
@@ -456,8 +454,8 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 				if i >= len(cand.Watermarks) {
 					break // defensive: entry slice count mismatch
 				}
-				if len(sjRanges[i]) > 0 || watermarks[i] > cand.Watermarks[i] {
-					ec.Cache.Extend(sjCacheKey.String(), i, sjRanges[i], watermarks[i])
+				if res := &results[i]; len(res.sjRanges) > 0 || res.numRows > cand.Watermarks[i] {
+					ec.Cache.Extend(sjCacheKey.String(), i, res.sjRanges, res.numRows)
 				}
 			}
 			if csp.Active() {
@@ -480,33 +478,59 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 		}
 	}
 
-	// Merge per-slice outputs, preallocating each output column from the
-	// summed per-slice lengths (one allocation per column, no regrowth).
-	out := make([]RelCol, len(results[0].rel.cols))
-	for ci := range out {
-		out[ci] = RelCol{
-			Name: results[0].rel.cols[ci].Name,
-			Type: results[0].rel.cols[ci].Type,
-			Dict: results[0].rel.cols[ci].Dict,
+	return NewRelation(out)
+}
+
+// work claims slices off the cursor until none is left and runs the current
+// phase on each.
+func (st *scanState) work() error {
+	for i := int(st.next.Add(1)) - 1; i < len(st.results); i = int(st.next.Add(1)) - 1 {
+		var err error
+		if st.gather {
+			err = st.gatherSlice(i)
+		} else {
+			err = st.filterTraced(i)
 		}
-		nInts, nFloats := 0, 0
-		for i := range results {
-			nInts += len(results[i].rel.cols[ci].Ints)
-			nFloats += len(results[i].rel.cols[ci].Floats)
-		}
-		if nInts > 0 {
-			out[ci].Ints = make([]int64, 0, nInts)
-		}
-		if nFloats > 0 {
-			out[ci].Floats = make([]float64, 0, nFloats)
-		}
-		for i := range results {
-			src := &results[i].rel.cols[ci]
-			out[ci].Ints = append(out[ci].Ints, src.Ints...)
-			out[ci].Floats = append(out[ci].Floats, src.Floats...)
+		if err != nil {
+			return err
 		}
 	}
-	return NewRelation(out)
+	return nil
+}
+
+// filterTraced runs filterSlice on slice i under a slice span that reports
+// the slice's counters.
+func (st *scanState) filterTraced(i int) error {
+	var ssp obs.SpanRef
+	if st.ec.Trace != nil {
+		// BeginChild keeps concurrent slice spans off the nesting stack.
+		ssp = st.ec.Trace.BeginChild(st.sp, obs.KindSlice, fmt.Sprintf("slice %d", i))
+	}
+	defer ssp.End()
+	err := st.filterSlice(i)
+	if res := &st.results[i]; ssp.Active() {
+		ssp.SetInt("rows.scanned", res.rowsScanned)
+		ssp.SetInt("rows.qualified", res.rowsQualified)
+		ssp.SetInt("blocks.accessed", res.blocksAccessed)
+		ssp.SetInt("blocks.pruned.zonemap", res.blocksZonePruned)
+		ssp.SetInt("blocks.pruned.cache", res.blocksCachePruned)
+		ssp.SetInt("blocks.decoded", res.blocksDecoded)
+		ssp.SetInt("blocks.kernel_encoded", res.blocksKernel)
+		ssp.SetInt("rows.decoded", res.rowsDecoded)
+	}
+	return err
+}
+
+// insertArgs returns what Cache.Insert takes from a scan's slices: their
+// plain and semi-join ranges, and their row counts as watermarks. Extending
+// an entry needs none of it.
+func insertArgs(results []sliceScanResult) (plain, sj [][]storage.RowRange, watermarks []int) {
+	n := len(results)
+	plain, sj, watermarks = make([][]storage.RowRange, n), make([][]storage.RowRange, n), make([]int, n)
+	for i := range results {
+		plain[i], sj[i], watermarks[i] = results[i].plainRanges, results[i].sjRanges, results[i].numRows
+	}
+	return plain, sj, watermarks
 }
 
 // rangeRecorder accumulates qualifying global row numbers into merged
@@ -545,8 +569,9 @@ func (r *rangeRecorder) addSel(base int, sel []int) {
 	}
 }
 
-// scanSlice performs the two-step scan of one slice over its candidate
-// ranges (scr.cands), visiting only blocks that hold a candidate row:
+// filterSlice is the scan's phase 1 for one slice: the two-step scan over
+// its candidate ranges (scr.cands), visiting only blocks that hold a
+// candidate row and gathering nothing:
 //
 //  1. the block's candidates seed a selection bitmap (storage.BlockMask);
 //     zone-map elimination (bound.Prune) may drop the block;
@@ -556,21 +581,23 @@ func (r *rangeRecorder) addSel(base int, sel []int) {
 //  3. the bitmap is turned into row ranges once. When nothing needs
 //     row-at-a-time work (no residual, no fallbacks, no semi-joins), the
 //     dense fast path records those ranges outright — bypassing
-//     rangeRecorder.addSel — and gathers projections straight from the
-//     compressed blocks via partial decode;
+//     rangeRecorder.addSel — and keeps the runs MVCC leaves visible;
 //  4. otherwise the bitmap also becomes a selection vector, the needed
 //     columns are partially decoded over just the surviving ranges, and the
-//     residual + fallbacks + semi-joins run vectorized.
+//     residual + fallbacks + semi-joins run vectorized; the visible
+//     survivors' runs are kept.
 //
-// scanSlice is the per-slice hot loop: everything it touches works out of the
-// pooled scanScratch, so a steady-state warm scan allocates nothing here (see
-// TestHotPathAllocs and TestKernelWarmScanAllocs).
-func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, bound expr.Bound,
-	plan *expr.ScanPlan, sjs []*semiJoinFilter, sjKeyCols []int, sjMemos [][]bool,
-	scr *scanScratch, res *sliceScanResult) error {
-
+// The runs of each block's qualifying visible rows are kept, in row order,
+// in scr.runs for gatherSlice.
+//
+// filterSlice is the per-slice hot loop: everything it touches works out of
+// the pooled scanScratch, so a steady-state warm scan allocates nothing here
+// (see TestHotPathAllocs and TestKernelWarmScanAllocs).
+func (st *scanState) filterSlice(i int) error {
+	ec, slice, res := st.ec, st.tbl.Slice(i), &st.results[i]
+	scr := res.scratch
 	ctx, candidates := scr.ctx, scr.cands
-	rb := res.rel
+	scr.runs = scr.runs[:0]
 
 	// loadColSpans partially decodes column ci over the given block-relative
 	// spans into the per-column scratch vector (values land at their
@@ -583,7 +610,7 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 		scr.markAccessed(ci, res)
 		scr.markDecoded(ci, res)
 		col := slice.Column(ci)
-		if tbl.ColumnType(ci) == storage.Float64 {
+		if st.tbl.ColumnType(ci) == storage.Float64 {
 			if scr.floats[ci] == nil {
 				scr.floats[ci] = make([]float64, storage.BlockSize)
 			}
@@ -608,11 +635,13 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 		}
 	}
 
-	plainRec, sjRec := rangeRecorder{from: res.plainFrom}, rangeRecorder{from: res.sjFrom}
+	plainRec := rangeRecorder{from: res.plainFrom, ranges: scr.plainRanges[:0]}
+	sjRec := rangeRecorder{from: res.sjFrom, ranges: scr.sjRanges[:0]}
 	numRows := res.numRows
 	insXIDs := slice.InsertXIDs()
 	delXIDs := slice.DeleteXIDs() // nil: no row of this slice was ever deleted
 	snap := ec.Snapshot
+	plan, sjs := st.plan, st.sjs
 	kernels := plan.Kernels
 	scr.bp.slice = slice
 	mask := &scr.mask
@@ -625,8 +654,9 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 	// sinceCheck counts the candidate rows scanned since the last
 	// cancellation check; it starts full so the first block checks, and a
 	// check runs whenever the next block would take it past cancelCheckRows.
-	// Execute surfaces the error before any cache insert/extend, so an aborted
-	// slice never pollutes the cache with partial ranges.
+	// gatherSlice carries on the count. Execute surfaces the error before any
+	// cache insert/extend, so an aborted slice never pollutes the cache with
+	// partial ranges.
 	sinceCheck := cancelCheckRows
 	ci, pos := 0, 0
 	for ci < len(candidates) {
@@ -677,7 +707,7 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 
 		// Step (1 of the two-step scan): zone-map block elimination.
 		scr.bp.block = blk
-		if bound.Prune(&scr.bp) {
+		if st.bound.Prune(&scr.bp) {
 			res.blocksZonePruned++
 			continue
 		}
@@ -714,11 +744,12 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 		if plan.Residual == nil && len(failed) == 0 && len(sjs) == 0 {
 			// Step (2b), dense fast path: the surviving spans are exactly the
 			// qualifying rows (pre-visibility). Record them as ranges without
-			// materializing a selection vector, then project visible runs
-			// straight from the compressed blocks.
+			// materializing a selection vector, then keep their visible runs
+			// (§4.3.2) as output.
 			for _, sp := range spans {
 				plainRec.add(base+sp.Start, base+sp.End)
 			}
+			kept := 0
 			for _, sp := range spans {
 				runStart := -1
 				for r := sp.Start; r < sp.End; r++ {
@@ -728,16 +759,15 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 							runStart = r
 						}
 					} else if runStart >= 0 {
-						rb.gatherRange(slice, blk, runStart, r, scr, res)
-						res.rowsQualified += int64(r - runStart)
+						kept += scr.keep(blk, runStart, r)
 						runStart = -1
 					}
 				}
 				if runStart >= 0 {
-					rb.gatherRange(slice, blk, runStart, sp.End, scr, res)
-					res.rowsQualified += int64(sp.End - runStart)
+					kept += scr.keep(blk, runStart, sp.End)
 				}
 			}
+			st.countOutput(kept, scr, res)
 			continue
 		}
 
@@ -762,16 +792,17 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 		plainRec.addSel(base, sel)
 
 		// Semi-join filters (§4.4).
-		for i, sj := range sjs {
+		for j, sj := range sjs {
 			if len(sel) == 0 {
 				break
 			}
-			loadColSpans(blk, sjKeyCols[i], spans)
-			vec := ctx.Ints(sjKeyCols[i])
+			keyCol := st.sjKeyCols[j]
+			loadColSpans(blk, keyCol, spans)
+			vec := ctx.Ints(keyCol)
 			k := 0
 			if sj.stringKeys {
-				memo := sjMemos[i]
-				dict := ctx.Dict(sjKeyCols[i])
+				memo := st.sjMemos[j]
+				dict := ctx.Dict(keyCol)
 				for _, r := range sel {
 					code := vec[r]
 					var m bool
@@ -810,50 +841,101 @@ func (s *Scan) scanSlice(ec *ExecCtx, tbl *storage.Table, slice *storage.Slice, 
 			}
 		}
 		sel = sel[:k]
-		res.rowsQualified += int64(len(sel))
-		if len(sel) == 0 {
-			continue
-		}
-
-		// Step (6), late materialization: decode only the runs of qualifying
-		// rows for projected columns the filter didn't already load.
-		qspans := scr.qspans[:0]
+		// The visible survivors' runs are the block's output rows.
 		for i := 0; i < len(sel); {
 			j := i + 1
 			for j < len(sel) && sel[j] == sel[j-1]+1 {
 				j++
 			}
-			qspans = append(qspans, storage.RowRange{Start: sel[i], End: sel[j-1] + 1})
+			scr.keep(blk, sel[i], sel[j-1]+1)
 			i = j
 		}
-		scr.qspans = qspans
-		for outIdx, colIdx := range rb.idx {
-			dst := &rb.cols[outIdx]
-			if colIdx == rowIDCol {
-				for _, r := range sel {
-					dst.Ints = append(dst.Ints, rb.rowID(base+r))
-				}
-				continue
-			}
-			loadColSpans(blk, colIdx, qspans)
-			if dst.Type == storage.Float64 {
-				vec := ctx.Floats(colIdx)
-				for _, r := range sel {
-					dst.Floats = append(dst.Floats, vec[r])
-				}
-			} else {
-				vec := ctx.Ints(colIdx)
-				for _, r := range sel {
-					dst.Ints = append(dst.Ints, vec[r])
-				}
-			}
-		}
+		st.countOutput(len(sel), scr, res)
 	}
 
 	// Every block the loop did not visit held no candidate row: the cached
 	// ranges (a predicate-cache hit) saved it outright.
 	res.blocksCachePruned = int64((numRows+storage.BlockSize-1)/storage.BlockSize) - res.blocksVisited
-	res.plainRanges = plainRec.ranges
-	res.sjRanges = sjRec.ranges
+	res.plainRanges, scr.plainRanges = plainRec.ranges, plainRec.ranges
+	res.sjRanges, scr.sjRanges = sjRec.ranges, sjRec.ranges
+	res.sinceCheck = sinceCheck
 	return nil
+}
+
+// countOutput adds a block's n output rows to the counters, with what
+// gatherSlice will read of them: each projected column's (column, block) pair
+// once, however often the filter touched it, and every row decoded.
+func (st *scanState) countOutput(n int, scr *scanScratch, res *sliceScanResult) {
+	if n == 0 {
+		return
+	}
+	res.rowsQualified += int64(n)
+	for _, ci := range st.src {
+		if ci != rowIDCol {
+			scr.markAccessed(ci, res)
+			scr.markDecoded(ci, res)
+			res.rowsDecoded += int64(n)
+		}
+	}
+}
+
+// gatherSlice is the scan's phase 2 for slice i: it decodes every projected
+// column over the output runs filterSlice kept, straight from the compressed
+// blocks into rows [res.off, res.off+n) of the output columns, and writes the
+// rowid column from row positions. Runs go in chunks of at most
+// cancelCheckRows rows, a column at a time, with a cancellation check on
+// filterSlice's countdown whenever a chunk would take it past
+// cancelCheckRows.
+func (st *scanState) gatherSlice(i int) error {
+	slice, res := st.tbl.Slice(i), &st.results[i]
+	runs := res.scratch.runs
+	off, sinceCheck := res.off, res.sinceCheck
+	for len(runs) > 0 {
+		k, n := 1, runs[0].len()
+		for k < len(runs) && n+runs[k].len() <= cancelCheckRows {
+			n += runs[k].len()
+			k++
+		}
+		if sinceCheck+n > cancelCheckRows {
+			if err := st.ec.Cancelled(); err != nil {
+				return err
+			}
+			sinceCheck = 0
+		}
+		sinceCheck += n
+		for j, ci := range st.src {
+			gatherRuns(&st.out[j], slice, i, ci, runs[:k], off)
+		}
+		runs, off = runs[k:], off+n
+	}
+	return nil
+}
+
+// gatherRuns writes column ci's values of the rows of runs — the rowids
+// when ci is rowIDCol — to dst from row off on.
+func gatherRuns(dst *RelCol, slice *storage.Slice, sliceIdx, ci int, runs []outRun, off int) {
+	switch {
+	case ci == rowIDCol:
+		for _, run := range runs {
+			base := int(run.blk) * storage.BlockSize
+			for r := base + int(run.lo); r < base+int(run.hi); r++ {
+				dst.Ints[off] = int64(sliceIdx)<<32 | int64(r)
+				off++
+			}
+		}
+	case dst.Type == storage.Float64:
+		col := slice.Column(ci)
+		for _, run := range runs {
+			n := run.len()
+			col.ReadFloatRange(int(run.blk), int(run.lo), int(run.hi), dst.Floats[off:off+n])
+			off += n
+		}
+	default:
+		col := slice.Column(ci)
+		for _, run := range runs {
+			n := run.len()
+			col.ReadIntRange(int(run.blk), int(run.lo), int(run.hi), dst.Ints[off:off+n])
+			off += n
+		}
+	}
 }

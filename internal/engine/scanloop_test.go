@@ -3,6 +3,9 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -179,19 +182,30 @@ func (c *countdownCtx) Err() error {
 	}
 }
 
-// The block loop checks for cancellation once per cancelCheckRows candidate
-// rows, not once per block; a scan cancelled at its n-th check has scanned at
-// most (n-1)*cancelCheckRows rows, and neither inserts nor extends an entry —
-// on one slice inline, and on four slices claimed by four workers.
+// Both phases of a scan check for cancellation once per cancelCheckRows
+// rows — candidate rows in the block loop, then output rows in the gather —
+// not once per block; a scan cancelled at its n-th check has scanned at most
+// (n-1)*cancelCheckRows rows, and neither inserts nor extends an entry — on
+// one slice inline, and on four slices claimed by four workers. "a < 10"
+// keeps 1% of the rows, so its checks fall in the block loop; "a >= 10"
+// keeps 99%, so some fall in the gather, after every row was scanned.
 func TestScanCancelAmortisedAndCacheSafe(t *testing.T) {
-	t.Run("slices=1", func(t *testing.T) { testScanCancel(t, 1) })
-	t.Run("slices=4,workers=4", func(t *testing.T) { testScanCancel(t, 4) })
+	for _, tc := range []struct {
+		name   string
+		filter expr.Pred
+	}{
+		{"a<10", expr.Cmp("a", expr.Lt, expr.Int(10))},
+		{"a>=10", expr.Cmp("a", expr.Ge, expr.Int(10))},
+	} {
+		t.Run(tc.name+"/slices=1", func(t *testing.T) { testScanCancel(t, tc.filter, 1) })
+		t.Run(tc.name+"/slices=4,workers=4", func(t *testing.T) { testScanCancel(t, tc.filter, 4) })
+	}
 }
 
-func testScanCancel(t *testing.T, slices int) {
+func testScanCancel(t *testing.T, filter expr.Pred, slices int) {
 	const rows = 100 * storage.BlockSize
 	cat, tbl := loopTable(t, rows, slices)
-	scan := &Scan{Table: "loop", Filter: expr.Cmp("a", expr.Lt, expr.Int(10)), Project: []string{"id"}}
+	scan := &Scan{Table: "loop", Filter: filter, Project: []string{"id"}}
 	cache := core.NewCache(core.DefaultConfig())
 	run := func(ctx context.Context, c *core.Cache) (*obs.Trace, error) {
 		tr := obs.NewTrace()
@@ -202,30 +216,42 @@ func testScanCancel(t *testing.T, slices int) {
 
 	// How often does an uncancelled scan check?
 	probe := newCountdownCtx(1 << 30)
-	if _, err := run(probe, nil); err != nil {
+	tr, err := run(probe, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	checks := probe.calls.Load()
-	if checks*cancelCheckRows < rows {
-		t.Fatalf("%d checks over %d rows: more than %d rows between checks", checks, rows, cancelCheckRows)
+	checks, output := probe.calls.Load(), sliceSpansInt(tr, "rows.qualified")
+	if checks*cancelCheckRows < rows+output {
+		t.Fatalf("%d checks over %d rows and %d output rows: more than %d rows between checks", checks, rows, output, cancelCheckRows)
 	}
-	// Every slice's first block checks, whatever came before it.
-	if max := int64(rows/(cancelCheckRows-storage.BlockSize) + slices); checks > max {
-		t.Fatalf("%d checks over %d rows, want at most %d: the check is not amortised", checks, rows, max)
+	// Every slice's first block checks, whatever came before it; a block
+	// holds at most one block of output rows.
+	if max := (rows+output)/(cancelCheckRows-storage.BlockSize) + int64(slices); checks > max {
+		t.Fatalf("%d checks over %d rows and %d output rows, want at most %d: the check is not amortised", checks, rows, output, max)
 	}
 
-	cancelledAt := func(n int64) {
+	// cancelledAt reports whether the scan cancelled at its n-th check had
+	// scanned every row: the check fell in the gather.
+	cancelledAt := func(n int64) (gathering bool) {
 		t.Helper()
 		tr, err := run(newCountdownCtx(n), cache)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancel at check %d: err = %v", n, err)
 		}
-		if got, max := sliceSpansInt(tr, "rows.scanned"), (n-1)*cancelCheckRows; got > max {
-			t.Fatalf("cancel at check %d: scanned %d rows, want at most %d", n, got, max)
+		scanned := sliceSpansInt(tr, "rows.scanned")
+		if max := (n - 1) * cancelCheckRows; scanned > max {
+			t.Fatalf("cancel at check %d: scanned %d rows, want at most %d", n, scanned, max)
+		}
+		return scanned == int64(tbl.NumRows())
+	}
+	inGather := 0
+	for n := int64(1); n <= checks; n++ {
+		if cancelledAt(n) {
+			inGather++
 		}
 	}
-	for n := int64(1); n <= checks; n++ {
-		cancelledAt(n)
+	if output > rows/2 && inGather == 0 {
+		t.Fatalf("none of %d cancellations fell in the gather of %d output rows", checks, output)
 	}
 	if st := cache.Stats(); st.Inserts != 0 || len(cache.Entries()) != 0 {
 		t.Fatalf("cancelled scans inserted: %+v", st)
@@ -283,6 +309,77 @@ func BenchmarkScanHitOneBlock(b *testing.B) {
 		rel, err := scan.Execute(ec)
 		if err != nil || rel.NumRows() != 1 {
 			b.Fatalf("rows %d err %v", rel.NumRows(), err)
+		}
+	}
+}
+
+// TestScanBytesPerOutputRow: a scan allocates its output once, at its exact
+// size, and writes each output value once, so every added output row costs
+// the 8 bytes per projected column of the output and next to nothing else —
+// on the dense path (a kernel-only filter) and on the vectorized one (a
+// residual comparing two columns that are also projected), inline and on
+// four workers. The scratch pool is emptied before each measured scan, as a
+// collection does, so output arrays a scratch kept from an earlier scan
+// cannot hide a per-row copy.
+func TestScanBytesPerOutputRow(t *testing.T) {
+	const smallRows, largeRows, projected = 20000, 80000, 2
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	schema := storage.Schema{{Name: "a", Type: storage.Int64}, {Name: "b", Type: storage.Int64}, {Name: "c", Type: storage.Float64}}
+	table := func(rows int) *storage.Catalog {
+		cat := storage.NewCatalog()
+		tbl, err := cat.CreateTable("t", schema, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := storage.NewBatch(schema)
+		for r := 0; r < rows; r++ {
+			a := int64(r % 1000)
+			batch.Cols[0].Ints = append(batch.Cols[0].Ints, a)
+			batch.Cols[1].Ints = append(batch.Cols[1].Ints, a+int64(r%7))
+			batch.Cols[2].Floats = append(batch.Cols[2].Floats, float64(r)/8)
+		}
+		batch.N = rows
+		if err := tbl.Append(batch, cat.NextXID()); err != nil {
+			t.Fatal(err)
+		}
+		return cat
+	}
+	small, large := table(smallRows), table(largeRows)
+	for _, tc := range []struct {
+		name string
+		scan *Scan
+	}{
+		// Every row passes both filters.
+		{"dense", &Scan{Table: "t", Filter: expr.Cmp("a", expr.Ge, expr.Int(0)), Project: []string{"a", "c"}}},
+		{"vectorized", &Scan{Table: "t", Filter: expr.CmpCols("a", expr.Le, "b"), Project: []string{"a", "b"}}},
+	} {
+		for _, w := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, w), func(t *testing.T) {
+				bytes := func(cat *storage.Catalog, rows int) uint64 {
+					ec := &ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), MaxWorkers: w}
+					if _, err := tc.scan.Execute(ec); err != nil {
+						t.Fatal(err)
+					}
+					runtime.GC() // twice: the pool keeps a victim generation
+					runtime.GC()
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					rel, err := tc.scan.Execute(ec)
+					runtime.ReadMemStats(&after)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if rel.NumRows() != rows {
+						t.Fatalf("%d output rows, want %d", rel.NumRows(), rows)
+					}
+					return after.TotalAlloc - before.TotalAlloc
+				}
+				perRow := float64(bytes(large, largeRows)-bytes(small, smallRows)) / (largeRows - smallRows)
+				t.Logf("%.2f bytes per added output row", perRow)
+				if budget := 8.0*projected + 2; perRow > budget {
+					t.Fatalf("%.2f bytes per added output row, budget %.0f", perRow, budget)
+				}
+			})
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -12,14 +11,16 @@ import (
 // scanScratch owns every per-slice scan buffer: the BlockCtx and its
 // per-column decode vectors, per-block bookkeeping flags, the selection
 // vector, the block selection bitmap and its range form, the candidate list,
-// and the relBuilder with its output backing arrays. Instances are recycled
-// through a sync.Pool, so a steady-state warm scan allocates nothing per
-// execution.
+// the output runs and the cache-range lists. Instances are recycled through a
+// sync.Pool, so a steady-state warm scan allocates nothing per execution.
 //
-// Ownership discipline: a scratch is private to the scan of one slice
-// from acquire until release. Execute releases it only after the per-slice
-// outputs have been merged (copied) into the result relation — the output
-// backing arrays are recaptured at release and handed to the next scan.
+// Ownership discipline: a scratch is private to the scan of one slice from
+// acquire until release. The filter phase (filterSlice) fills runs with the
+// runs of every block's qualifying visible rows; the gather phase
+// (gatherSlice) reads them back to decode the slice's output rows straight
+// into the scan's result, so no output value lives in the scratch. Execute
+// releases the scratch once the gather phase and the cache calls that read
+// its range lists are done.
 type scanScratch struct {
 	numCols int
 	ctx     *expr.BlockCtx
@@ -32,18 +33,34 @@ type scanScratch struct {
 	mask   storage.BlockMask  // the current block's selection bitmap
 	sel    []int              // mask as a selection vector (vectorized path only)
 	spans  []storage.RowRange // mask as block-relative ranges
-	qspans []storage.RowRange // qualifying runs for late materialization
 	cands  []storage.RowRange // per-slice candidate ranges
 	failed []int              // kernel indexes needing fallback this block
+	runs   []outRun           // the slice's output rows, in row order
+
+	// The slice's qualifying ranges for the cache (sliceScanResult's
+	// plainRanges and sjRanges): Insert and Extend copy what they keep.
+	plainRanges, sjRanges []storage.RowRange
 
 	bp sliceBoundsProvider // pointer-passed to Prune: no per-block boxing
+}
 
-	rb relBuilder
-	// Recycled backing arrays for the relBuilder output columns, indexed by
-	// projection position. Recaptured at release after Execute's merge has
-	// copied the values out.
-	outInts   [][]int64
-	outFloats [][]float64
+// outRun is a run of a scan's output rows: block-relative rows [lo, hi) of
+// block blk, 8 bytes however long the run.
+type outRun struct {
+	blk    int32
+	lo, hi uint16
+}
+
+// A block-relative row must fit an outRun bound.
+const _ uint16 = storage.BlockSize
+
+func (r outRun) len() int { return int(r.hi) - int(r.lo) }
+
+// keep appends block-relative rows [lo, hi) of block blk to the output runs
+// and returns their count.
+func (scr *scanScratch) keep(blk, lo, hi int) int {
+	scr.runs = append(scr.runs, outRun{blk: int32(blk), lo: uint16(lo), hi: uint16(hi)})
+	return hi - lo
 }
 
 var scanScratchPool = sync.Pool{New: func() any {
@@ -92,63 +109,13 @@ func acquireScanScratch(numCols int, dicts []*storage.Dict) *scanScratch {
 	return scr
 }
 
-// release recaptures the relBuilder's output backing arrays and returns the
-// scratch to the pool. Must only be called once the caller has copied every
-// output value (Execute's merge); the arrays are overwritten by the next
-// scan that draws this scratch.
+// release returns the scratch to the pool once the gather phase is done
+// with its output runs and the cache with its range lists.
 //
 // pclint:recycled
 func (scr *scanScratch) release() {
-	for j := range scr.rb.cols {
-		c := &scr.rb.cols[j]
-		if c.Ints != nil {
-			scr.outInts[j] = c.Ints[:0]
-		}
-		if c.Floats != nil {
-			scr.outFloats[j] = c.Floats[:0]
-		}
-		c.Ints, c.Floats, c.Dict = nil, nil, nil
-	}
 	scr.bp.slice = nil
 	scanScratchPool.Put(scr)
-}
-
-// relBuilderFor prepares the scratch-owned relBuilder for the projection of
-// slice number slice, led by the rowid column when rowIDs is set, reusing the
-// recycled output backing arrays.
-func (scr *scanScratch) relBuilderFor(tbl *storage.Table, project []string, alias string, rowIDs bool, slice int) (*relBuilder, error) {
-	rb := &scr.rb
-	rb.cols = rb.cols[:0]
-	rb.idx = rb.idx[:0]
-	rb.slice = int64(slice)
-	for len(scr.outInts) < len(project)+1 { // +1: a slot for the rowid column
-		scr.outInts = append(scr.outInts, nil)
-		scr.outFloats = append(scr.outFloats, nil)
-	}
-	if rowIDs {
-		rb.cols = append(rb.cols, RelCol{Name: "rowid", Type: storage.Int64, Ints: scr.outInts[0][:0]})
-		rb.idx = append(rb.idx, rowIDCol)
-	}
-	for _, name := range project {
-		j := len(rb.cols)
-		ci := tbl.ColumnIndex(name)
-		if ci < 0 {
-			return nil, fmt.Errorf("engine: table %s has no column %q", tbl.Name(), name)
-		}
-		outName := name
-		if alias != "" {
-			outName = alias + "." + name
-		}
-		col := RelCol{Name: outName, Type: tbl.ColumnType(ci), Dict: tbl.Dict(ci)}
-		if col.Type == storage.Float64 {
-			col.Floats = scr.outFloats[j][:0]
-		} else {
-			col.Ints = scr.outInts[j][:0]
-		}
-		rb.cols = append(rb.cols, col)
-		rb.idx = append(rb.idx, ci)
-	}
-	return rb, nil
 }
 
 // resetBlock clears the per-block column bookkeeping.
@@ -317,9 +284,6 @@ func (scr *morselScratch) partCounters(p int) (count, cur []int32) {
 
 // grow extends dst by n values without a temporary allocation and returns
 // the grown slice; the new values occupy dst[len(dst)-n:].
-//
-// Steady-state warm scans reuse the recycled arrays' full capacity and
-// never re-enter the make.
 func grow[T any](dst []T, n int) []T {
 	m := len(dst)
 	if cap(dst) < m+n {
