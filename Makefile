@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt test race stress test-debug vet lint admin-smoke systab-smoke trace-smoke server-smoke bench-smoke benchmark benchmark-compare check clean
+.PHONY: all build fmt test race stress test-debug vet lint examples admin-smoke systab-smoke trace-smoke server-smoke bench-smoke benchmark benchmark-compare check clean
 
 all: build
 
@@ -51,6 +51,11 @@ vet:
 # finding fails TestRepoClean; `make test` runs the same gate.
 lint:
 	$(GO) test -count=1 ./internal/lint
+
+# Runs every program under examples/ to completion; the first nonzero exit
+# fails the target. `go build` only compiles them.
+examples:
+	@for ex in examples/*/; do echo "== go run ./$$ex"; $(GO) run ./$$ex || exit 1; done
 
 # End-to-end smoke suites (scripts/smoke.sh <suite>; `scripts/smoke.sh all`
 # runs the four in one go). Each boots the shipped binaries and asserts
@@ -103,7 +108,7 @@ benchmark-compare:
 	bash benchmark/run.sh -compare $(A) $(B)
 
 # Everything CI runs.
-check: build fmt vet lint test race stress test-debug bench-smoke admin-smoke systab-smoke trace-smoke server-smoke
+check: build fmt vet lint test race stress test-debug bench-smoke examples admin-smoke systab-smoke trace-smoke server-smoke
 
 clean:
 	$(GO) clean ./...

@@ -287,7 +287,7 @@ func (c *Cache) Insert(key Key, tbl *storage.Table, epoch uint64, deps []BuildDe
 		se := &e.slices[i]
 		se.watermark = watermarks[i]
 		if c.cfg.Kind == RangeIndex {
-			se.ranges = ReduceRanges(ranges, c.cfg.MaxRanges)
+			se.ranges = reduceRanges(ranges, c.cfg.MaxRanges)
 			se.estRows = storage.RangesRowCount(se.ranges)
 		} else {
 			numBlocks := (watermarks[i] + c.cfg.RowsPerBlock - 1) / c.cfg.RowsPerBlock
@@ -332,7 +332,7 @@ func (c *Cache) Extend(key string, slice int, tailRanges []storage.RowRange, new
 	c.mem -= e.mem
 	if e.kind == RangeIndex {
 		merged := append(append([]storage.RowRange(nil), se.ranges...), tailRanges...)
-		se.ranges = ReduceRanges(merged, c.cfg.MaxRanges)
+		se.ranges = reduceRanges(merged, c.cfg.MaxRanges)
 		se.estRows = storage.RangesRowCount(se.ranges)
 	} else {
 		numBlocks := (newWatermark + c.cfg.RowsPerBlock - 1) / c.cfg.RowsPerBlock

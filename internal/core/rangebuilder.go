@@ -6,15 +6,15 @@ import (
 	"github.com/predcache/predcache/internal/storage"
 )
 
-// RangeBuilder implements the paper's on-the-fly merged-range construction
-// (§4.1.1): qualifying row ranges stream in left-to-right during the scan;
+// rangeBuilder implements the paper's on-the-fly merged-range construction
+// (§4.1.1): qualifying row ranges arrive left-to-right, in scan order;
 // a min-heap of the gaps between consecutive ranges keeps at most maxRanges
 // ranges alive by merging across the smallest gap whenever the limit is
 // exceeded. The surviving gaps are exactly the maxRanges-1 largest gaps of
 // the full input, so precision degrades gracefully: merged ranges introduce
 // false positives (re-filtered by the vectorized scan) but never false
 // negatives.
-type RangeBuilder struct {
+type rangeBuilder struct {
 	max int
 
 	starts []int
@@ -48,17 +48,17 @@ func (h *gapHeap) Pop() interface{} {
 	return item
 }
 
-// NewRangeBuilder creates a builder bounded to maxRanges output ranges.
-func NewRangeBuilder(maxRanges int) *RangeBuilder {
+// newRangeBuilder creates a builder bounded to maxRanges output ranges.
+func newRangeBuilder(maxRanges int) *rangeBuilder {
 	if maxRanges < 1 {
 		maxRanges = 1
 	}
-	return &RangeBuilder{max: maxRanges, first: -1, last: -1}
+	return &rangeBuilder{max: maxRanges, first: -1, last: -1}
 }
 
 // Add appends the next qualifying range. Ranges must arrive in ascending,
 // non-overlapping order (as the scan produces them).
-func (b *RangeBuilder) Add(start, end int) {
+func (b *rangeBuilder) Add(start, end int) {
 	if end <= start {
 		return
 	}
@@ -91,7 +91,7 @@ func (b *RangeBuilder) Add(start, end int) {
 // mergeSmallestGap merges the range with the globally smallest left gap into
 // its predecessor. Gap values of all other ranges are unaffected because the
 // merged range keeps its end and every other range keeps its start.
-func (b *RangeBuilder) mergeSmallestGap() {
+func (b *rangeBuilder) mergeSmallestGap() {
 	item := heap.Pop(&b.gaps).(gapItem)
 	i := item.idx
 	p := b.prev[i]
@@ -108,25 +108,22 @@ func (b *RangeBuilder) mergeSmallestGap() {
 	b.count--
 }
 
-// Count returns the number of ranges the builder currently holds.
-func (b *RangeBuilder) Count() int { return b.count }
-
 // Finish returns the merged ranges in ascending order.
-func (b *RangeBuilder) Finish() []storage.RowRange {
+func (b *rangeBuilder) Finish() []storage.RowRange {
 	out := make([]storage.RowRange, 0, b.count)
 	for i := b.first; i >= 0; i = b.next[i] {
 		out = append(out, storage.RowRange{Start: b.starts[i], End: b.ends[i]})
 	}
-	storage.AssertRowRanges(out, -1, "core.RangeBuilder.Finish")
+	storage.AssertRowRanges(out, -1, "core.rangeBuilder.Finish")
 	return out
 }
 
-// ReduceRanges is the offline equivalent of the streaming builder: it merges
+// reduceRanges is the offline equivalent of the streaming builder: it merges
 // sorted non-overlapping ranges down to at most maxRanges by keeping the
-// maxRanges-1 largest gaps. Used by tests as the reference implementation
-// and by Extend when re-compacting an entry.
-func ReduceRanges(ranges []storage.RowRange, maxRanges int) []storage.RowRange {
-	b := NewRangeBuilder(maxRanges)
+// maxRanges-1 largest gaps. Insert uses it to bound a fresh entry and Extend
+// to re-compact an extended one.
+func reduceRanges(ranges []storage.RowRange, maxRanges int) []storage.RowRange {
+	b := newRangeBuilder(maxRanges)
 	for _, r := range ranges {
 		b.Add(r.Start, r.End)
 	}

@@ -62,7 +62,7 @@ func coveredRows(ranges []storage.RowRange) map[int]bool {
 }
 
 func TestRangeBuilderNoReduction(t *testing.T) {
-	b := NewRangeBuilder(10)
+	b := newRangeBuilder(10)
 	b.Add(0, 5)
 	b.Add(10, 12)
 	got := b.Finish()
@@ -73,7 +73,7 @@ func TestRangeBuilderNoReduction(t *testing.T) {
 }
 
 func TestRangeBuilderCoalescesAdjacent(t *testing.T) {
-	b := NewRangeBuilder(10)
+	b := newRangeBuilder(10)
 	b.Add(0, 5)
 	b.Add(5, 8)
 	b.Add(8, 9)
@@ -81,13 +81,10 @@ func TestRangeBuilderCoalescesAdjacent(t *testing.T) {
 	if len(got) != 1 || got[0] != (storage.RowRange{Start: 0, End: 9}) {
 		t.Fatalf("got %v", got)
 	}
-	if b.Count() != 1 {
-		t.Fatalf("count %d", b.Count())
-	}
 }
 
 func TestRangeBuilderIgnoresEmpty(t *testing.T) {
-	b := NewRangeBuilder(10)
+	b := newRangeBuilder(10)
 	b.Add(5, 5)
 	b.Add(7, 3)
 	if len(b.Finish()) != 0 {
@@ -97,7 +94,7 @@ func TestRangeBuilderIgnoresEmpty(t *testing.T) {
 
 func TestRangeBuilderMergesSmallestGap(t *testing.T) {
 	// Three ranges with gaps 2 and 50; max 2 ranges: the gap of 2 merges.
-	b := NewRangeBuilder(2)
+	b := newRangeBuilder(2)
 	b.Add(0, 10)
 	b.Add(12, 20) // gap 2
 	b.Add(70, 80) // gap 50
@@ -109,7 +106,7 @@ func TestRangeBuilderMergesSmallestGap(t *testing.T) {
 }
 
 func TestRangeBuilderSingleRangeLimit(t *testing.T) {
-	b := NewRangeBuilder(1)
+	b := newRangeBuilder(1)
 	b.Add(5, 10)
 	b.Add(100, 110)
 	b.Add(500, 501)
@@ -122,7 +119,7 @@ func TestRangeBuilderSingleRangeLimit(t *testing.T) {
 func TestRangeBuilderPaperExample(t *testing.T) {
 	// §4.1.1: "the ranges [1,2] and [4,6] are merged into a single range
 	// [1,6]" (paper uses inclusive ends; ours are exclusive).
-	b := NewRangeBuilder(1)
+	b := newRangeBuilder(1)
 	b.Add(1, 3)
 	b.Add(4, 7)
 	got := b.Finish()
@@ -137,7 +134,7 @@ func TestRangeBuilderMatchesOfflineReference(t *testing.T) {
 		n := 1 + r.Intn(200)
 		maxR := 1 + r.Intn(20)
 		in := genRanges(r, n)
-		b := NewRangeBuilder(maxR)
+		b := newRangeBuilder(maxR)
 		for _, rr := range in {
 			b.Add(rr.Start, rr.End)
 		}
@@ -175,7 +172,7 @@ func TestRangeBuilderInvariantsQuick(t *testing.T) {
 		n := int(nRaw)%150 + 1
 		maxR := int(maxRaw)%16 + 1
 		in := genRanges(r, n)
-		b := NewRangeBuilder(maxR)
+		b := newRangeBuilder(maxR)
 		for _, rr := range in {
 			b.Add(rr.Start, rr.End)
 		}

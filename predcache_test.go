@@ -255,50 +255,6 @@ func TestExplainAndCacheEntries(t *testing.T) {
 	}
 }
 
-func TestLakeAPI(t *testing.T) {
-	schema := predcache.Schema{
-		{Name: "k", Type: predcache.Int64},
-		{Name: "v", Type: predcache.Float64},
-	}
-	tbl := predcache.NewLakeTable("lt", schema)
-	cache := predcache.NewLakeCache(64)
-	b := predcache.NewBatch(schema)
-	for i := 0; i < 1000; i++ {
-		b.Cols[0].Ints = append(b.Cols[0].Ints, int64(i))
-		b.Cols[1].Floats = append(b.Cols[1].Floats, float64(i%100))
-	}
-	b.N = 1000
-	id, err := tbl.AddFile(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	matches, stats, err := predcache.LakeScan(tbl, "v >= 95", cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 50 || stats.CacheHit {
-		t.Fatalf("cold: %d matches, hit=%v", len(matches), stats.CacheHit)
-	}
-	matches, stats, err = predcache.LakeScan(tbl, "v >= 95", cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 50 || !stats.CacheHit || stats.RowsScanned > 60 {
-		t.Fatalf("warm: %d matches, hit=%v, scanned=%d", len(matches), stats.CacheHit, stats.RowsScanned)
-	}
-	tbl.RemoveFiles(id)
-	matches, _, err = predcache.LakeScan(tbl, "v >= 95", cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 0 {
-		t.Fatal("matches from removed file")
-	}
-	if _, _, err := predcache.LakeScan(tbl, "not valid (((", cache); err == nil {
-		t.Fatal("bad predicate accepted")
-	}
-}
-
 // Vacuum renumbers rows, so every entry of the table is stale afterwards. It
 // drops them on the spot: waiting for the next lookup of each key would keep
 // the entries of predicates that never come back for ever.
