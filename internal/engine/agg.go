@@ -293,8 +293,22 @@ type aggTable struct {
 	states   []aggCol
 }
 
-func newAggTable(width int, baggs []*boundAgg) *aggTable {
-	return &aggTable{groups: newKeyTable(width, 0), states: newAggCols(baggs)}
+// newAggTable returns a table whose keys, firstRow and states hold n
+// groups before any of them grows.
+func newAggTable(width, n int, baggs []*boundAgg) *aggTable {
+	return &aggTable{groups: newKeyTable(width, n), firstRow: make([]int32, 0, n), states: newAggCols(baggs)}
+}
+
+// tableSize is what each of parts partition tables is sized for when the
+// last run wrote groups: an even share plus a sixteenth and 16 more (what
+// an unsized table starts with), so neither a hash split's imbalance nor a
+// few groups more than last time grow it. Without a count it is 0.
+func tableSize(groups, parts int) int {
+	if groups == 0 {
+		return 0
+	}
+	share := groups / parts
+	return share + share/16 + 16
 }
 
 // groupOf returns the dense group index of row of k, creating the group on
@@ -496,7 +510,7 @@ func (a *Agg) overChain(ec *ExecCtx, sp obs.SpanRef, j *Join) (*Relation, error)
 
 	pa := parAccounting{workers: ec.workers(total), morsels: nm}
 	out := a.outCols(groupCols, baggs)
-	if err := runGrouped(ec, in, baggs, &pa, out); err != nil {
+	if err := runGrouped(ec, in, baggs, a.groupCount(), &pa, out); err != nil {
 		return nil, err
 	}
 	pa.finish(ec, sp)
@@ -549,7 +563,7 @@ func (a *Agg) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	if len(groupCols) == 0 {
 		err = runGlobal(ec, baggs, bounds, in, &pa, out)
 	} else {
-		err = runGrouped(ec, &relInput{rel: in, keys: groupKeys, bounds: bounds}, baggs, &pa, out)
+		err = runGrouped(ec, &relInput{rel: in, keys: groupKeys, bounds: bounds}, baggs, a.groupCount(), &pa, out)
 	}
 	if err != nil {
 		return nil, err
@@ -635,26 +649,31 @@ func runGlobal(ec *ExecCtx, baggs []*boundAgg, bounds []expr.Bound, in *Relation
 
 // runGrouped aggregates in's rows into out's columns: a single worker
 // streams every morsel into one table, more hash-partition the groups.
-func runGrouped(ec *ExecCtx, in groupInput, baggs []*boundAgg, pa *parAccounting, out []RelCol) error {
+// The tables are sized for the groups last holds, the count of the plan's
+// last complete run, capped at one group per input row; a complete run
+// stores its own count there. The size is capacity only: a table holding
+// more groups grows, and group ids and order do not depend on it.
+func runGrouped(ec *ExecCtx, in groupInput, baggs []*boundAgg, last *atomic.Int64, pa *parAccounting, out []RelCol) error {
 	width := len(out) - len(baggs)
+	groups := min(int(last.Load()), in.base(in.morsels()))
 	var tables []*aggTable
 	var err error
 	if pa.workers <= 1 {
-		tables, err = runGroupedSerial(ec, in, baggs, width, pa)
+		tables, err = runGroupedSerial(ec, in, baggs, width, groups, pa)
 	} else {
-		tables, err = runGroupedParallel(ec, in, baggs, width, pa)
+		tables, err = runGroupedParallel(ec, in, baggs, width, groups, pa)
 	}
 	if err != nil {
 		return err
 	}
-	collectGroups(tables, out, width)
+	last.Store(int64(collectGroups(tables, out, width)))
 	return nil
 }
 
-// runGroupedSerial is the single-worker grouped path: one table, one
-// streaming pass in row order.
-func runGroupedSerial(ec *ExecCtx, in groupInput, baggs []*boundAgg, width int, pa *parAccounting) ([]*aggTable, error) {
-	t := newAggTable(width, baggs)
+// runGroupedSerial is the single-worker grouped path: one table, sized for
+// the groups, one streaming pass in row order.
+func runGroupedSerial(ec *ExecCtx, in groupInput, baggs []*boundAgg, width, groups int, pa *parAccounting) ([]*aggTable, error) {
+	t := newAggTable(width, tableSize(groups, 1), baggs)
 	cur := &morselCursor{rows: in.morsels() * morselSize}
 	err := pa.run(1, func() error {
 		scr := acquireMorselScratch()
@@ -675,10 +694,12 @@ func runGroupedSerial(ec *ExecCtx, in groupInput, baggs []*boundAgg, width int, 
 // sort into the morsel's own segment of rowBuf, preserving row order).
 // Phase 2 workers claim partitions and fold each partition's rows iterating
 // morsels in ascending order — every group therefore accumulates its rows
-// in global row order, exactly like the serial pass.
-func runGroupedParallel(ec *ExecCtx, in groupInput, baggs []*boundAgg, width int, pa *parAccounting) ([]*aggTable, error) {
+// in global row order, exactly like the serial pass. Each partition's
+// table is sized for its share of groups.
+func runGroupedParallel(ec *ExecCtx, in groupInput, baggs []*boundAgg, width, groups int, pa *parAccounting) ([]*aggTable, error) {
 	nm := in.morsels()
 	nP := partitionsFor(pa.workers)
+	size := tableSize(groups, nP)
 	pshift := partShift(nP)
 	rowBuf := make([]int32, in.base(nm)) // morsel m owns rowBuf[base(m):base(m+1)]
 	moffs := make([]int32, nm*(nP+1))    // per-morsel partition offsets into its segment
@@ -725,7 +746,7 @@ func runGroupedParallel(ec *ExecCtx, in groupInput, baggs []*boundAgg, width int
 			if p >= nP {
 				return nil
 			}
-			t := newAggTable(width, baggs)
+			t := newAggTable(width, size, baggs)
 			tables[p] = t
 			for m := 0; m < nm; m++ {
 				if m&15 == 0 {
@@ -755,8 +776,8 @@ func runGroupedParallel(ec *ExecCtx, in groupInput, baggs []*boundAgg, width int
 // bit, then the aggregates — ordered by first occurrence. Each group lives
 // in exactly one partition, whose table already lists its groups in
 // first-occurrence order, so a k-way merge on the first row reproduces the
-// serial order without a sort.
-func collectGroups(tables []*aggTable, out []RelCol, width int) {
+// serial order without a sort. It returns the number of groups written.
+func collectGroups(tables []*aggTable, out []RelCol, width int) int {
 	total := 0
 	for _, t := range tables {
 		total += len(t.firstRow)
@@ -783,4 +804,5 @@ func collectGroups(tables []*aggTable, out []RelCol, width int) {
 			t.states[ai].result(&out[width+ai], k, g)
 		}
 	}
+	return total
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
 
 	"github.com/predcache/predcache/internal/expr"
@@ -12,14 +13,20 @@ import (
 
 // TestAggBytesPerGroup bounds what grouped aggregation allocates per
 // group: growing a relation of distinct keys from 20k to 80k rows may add,
-// per added group, at most four times its table bytes (the key word, a
-// typed state per aggregate, its firstRow entry and two key-table slots)
-// plus its output row and its partition-scatter slot. Four times: a
-// doubling array's capacity is at most twice its length, and the arrays it
-// outgrew add up to at most that capacity again. A state array that grew
-// on its own, by append's smaller steps, or a state wider than its
-// function needs, exceeds it. The input is materialized up front, so scan
-// scratch stays out of the count.
+// per added group, no more than the budget of its row, cold or warm. The
+// cold row is a plan's first run, whose tables start small and double: at
+// most four times its table bytes (the key word, a typed state per
+// aggregate, its firstRow entry and two key-table slots) plus its output
+// row and its partition-scatter slot. Four times: a doubling array's
+// capacity is at most twice its length, and the arrays it outgrew add up
+// to at most that capacity again. A state array that grew on its own, by
+// append's smaller steps, or a state wider than its function needs,
+// exceeds it. The warm row is every later run, whose tables are sized for
+// the groups the first run wrote: the table bytes once, with tableSize's
+// sixteenth of slack, and up to four slots a group (an index at most half
+// full, rounded up to a power of two), plus the output. The input is
+// materialized up front and a first plan warms the scratch pools, so scan
+// and morsel scratch stay out of the count.
 func TestAggBytesPerGroup(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const smallGroups, largeGroups = 20000, 80000
@@ -28,7 +35,7 @@ func TestAggBytesPerGroup(t *testing.T) {
 		{Func: AggSum, Arg: expr.Col("v"), Name: "s"},
 		{Func: AggAvg, Arg: expr.Col("v"), Name: "a"},
 	}
-	bytes := func(groups, workers int) float64 {
+	bytes := func(groups, workers int) (cold, warm float64) {
 		keys, vals := make([]int64, groups), make([]float64, groups)
 		for i := range keys {
 			keys[i] = int64(i * 7)
@@ -41,34 +48,94 @@ func TestAggBytesPerGroup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan := &Agg{Input: &Materialized{Rel: rel}, GroupBy: []string{"k"}, Aggs: aggs}
-		run := func() {
-			out, err := plan.Execute(&ExecCtx{MaxWorkers: workers})
-			if err != nil || out.NumRows() != groups {
-				t.Fatalf("%v groups, err %v", out, err)
+		newPlan := func() *Agg {
+			return &Agg{Input: &Materialized{Rel: rel}, GroupBy: []string{"k"}, Aggs: aggs}
+		}
+		alloc := func(plan *Agg, runs int) float64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				out, err := plan.Execute(&ExecCtx{MaxWorkers: workers})
+				if err != nil || out.NumRows() != groups {
+					t.Fatalf("%v groups, err %v", out, err)
+				}
 			}
+			runtime.ReadMemStats(&after)
+			return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 		}
-		run() // warm the scratch pools
-		const runs = 5
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			run()
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+		alloc(newPlan(), 1) // warm the scratch pools
+		plan := newPlan()
+		cold = alloc(plan, 1)
+		return cold, alloc(plan, 5)
 	}
 	// Per group: the key word, count 8 B, sum 8 B, avg 16 B, firstRow 4 B
-	// and two int32 slots; the output row (key and three aggregates) and
-	// the int32 the parallel path scatters it through.
-	const table, output = 8 + 8 + 8 + 16 + 4 + 2*4, 4*8 + 4
-	budget := float64(4*table + output)
+	// and a key-table slot of 4 B; the output row (key and three
+	// aggregates) and the int32 the parallel path scatters it through.
+	const table, slot, output = 8 + 8 + 8 + 16 + 4, 4, 4*8 + 4
+	coldBudget := float64(4*(table+2*slot) + output)
+	warmBudget := float64(table+4*slot)*17/16 + output
 	for _, workers := range []int{1, 4} {
-		perGroup := (bytes(largeGroups, workers) - bytes(smallGroups, workers)) / (largeGroups - smallGroups)
-		t.Logf("workers=%d: %.1f B allocated per added group, budget %.0f", workers, perGroup, budget)
-		if perGroup > budget {
-			t.Errorf("workers=%d: grouped aggregation allocates %.1f B per added group, budget %.0f", workers, perGroup, budget)
+		smallCold, smallWarm := bytes(smallGroups, workers)
+		largeCold, largeWarm := bytes(largeGroups, workers)
+		for _, row := range []struct {
+			name         string
+			small, large float64
+			budget       float64
+		}{{"cold", smallCold, largeCold, coldBudget}, {"warm", smallWarm, largeWarm, warmBudget}} {
+			perGroup := (row.large - row.small) / (largeGroups - smallGroups)
+			t.Logf("workers=%d %s: %.1f B allocated per added group, budget %.1f", workers, row.name, perGroup, row.budget)
+			if perGroup > row.budget {
+				t.Errorf("workers=%d %s: grouped aggregation allocates %.1f B per added group, budget %.1f", workers, row.name, perGroup, row.budget)
+			}
 		}
+	}
+}
+
+// TestAggSizeHintIsCapacityOnly runs grouped aggregations over both group
+// inputs, a relation under a fused filter and a join chain's tuples, with
+// the group-count cell unset, far below the group count, equal to it and
+// far above it (past the input's rows), at W ∈ {1,2,4,7}. The count sizes
+// the tables and nothing else, so every output must be bit-identical to
+// the unset serial run's, and every run must store the groups it wrote.
+func TestAggSizeHintIsCapacityOnly(t *testing.T) {
+	d := newTestDB(t, 20000, 40, 4, 51)
+	join := &Join{
+		Left:     &Scan{Table: "items"},
+		Right:    &Scan{Table: "dims"},
+		LeftKeys: []string{"dim_id"}, RightKeys: []string{"d_id"}, Type: InnerJoin,
+	}
+	for _, tc := range []struct {
+		name string
+		in   Node
+		by   []string
+	}{
+		{"relation", &Filter{Input: &Scan{Table: "items"}, Pred: expr.Cmp("qty", expr.Le, expr.Int(30))}, []string{"dim_id", "qty"}},
+		{"relation_float", &Scan{Table: "items"}, []string{"price", "mode"}},
+		{"chain", join, []string{"d_cat", "qty", "mode"}},
+		{"chain_float", join, []string{"price", "d_rank"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			aggs := chainAggs("qty", "price")
+			run := func(hint int64, workers int) *Relation {
+				plan := &Agg{Input: tc.in, GroupBy: tc.by, Aggs: aggs, groups: new(atomic.Int64)}
+				plan.groups.Store(hint)
+				out := execWith(t, d.cat, plan, workers > 1, workers)
+				if got := plan.groups.Load(); got != int64(out.NumRows()) {
+					t.Fatalf("hint %d, workers=%d: stored %d groups, wrote %d", hint, workers, got, out.NumRows())
+				}
+				return out
+			}
+			want := run(0, 1)
+			groups := int64(want.NumRows())
+			if groups < 500 {
+				t.Fatalf("test setup: %d groups", groups)
+			}
+			for _, hint := range []int64{0, groups / 50, groups, 100 * groups} {
+				for _, w := range []int{1, 2, 4, 7} {
+					requireIdentical(t, want, run(hint, w))
+				}
+			}
+		})
 	}
 }
 

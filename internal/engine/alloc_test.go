@@ -55,7 +55,7 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sumAgg := []*boundAgg{{spec: AggSpec{Func: AggSum}}}
-	groups := newAggTable(len(groupKeys), sumAgg)
+	groups := newAggTable(len(groupKeys), 0, sumAgg)
 	for _, row := range sel {
 		groups.groupOf(groupKeys, row, int32(row))
 	}
@@ -242,5 +242,44 @@ func scanPhaseRuns(t *testing.T) []allocCase {
 				}
 			}
 		}},
+	}
+}
+
+// TestJoinPartitionsSizedExactly builds a partitioned join table over
+// unique keys and requires every partition's key words, chain heads and
+// chain tails to end at exactly the capacity they were given: pass 1
+// counts each partition's rows, so no partition outgrows its reservation
+// and none is sized for more rows than it gets.
+func TestJoinPartitionsSizedExactly(t *testing.T) {
+	const n = 5 * morselSize
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(i) * 3
+	}
+	rel, err := NewRelation([]RelCol{{Name: "k", Type: storage.Int64, Ints: keys}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, k, err := relKeyCols(rel, []string{"k"}, "join key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jt, err := buildJoinTable(&ExecCtx{}, rel, k, &parAccounting{workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jt.parts) < 2 {
+		t.Fatalf("test setup: %d partitions", len(jt.parts))
+	}
+	rows := 0
+	for pi, p := range jt.parts {
+		rows += len(p.heads)
+		if cap(p.keys.words) != len(p.keys.words) || cap(p.heads) != len(p.heads) || cap(p.tails) != len(p.tails) {
+			t.Errorf("partition %d: words %d/%d, heads %d/%d, tails %d/%d (len/cap)", pi,
+				len(p.keys.words), cap(p.keys.words), len(p.heads), cap(p.heads), len(p.tails), cap(p.tails))
+		}
+	}
+	if rows != n {
+		t.Fatalf("partitions hold %d keys, want %d", rows, n)
 	}
 }

@@ -180,9 +180,9 @@ func TestJoinChainMatchesMaterialized(t *testing.T) {
 
 // TestAggOverChainCancel cancels a grouped aggregation over a join chain
 // at every cancellation check it makes, serially and on four workers: each
-// cancelled run returns the error, and the only cache entry it may leave
-// is one its probe scan completed before the cancellation, equal to a
-// complete run's.
+// cancelled run returns the error, the only cache entry it may leave is
+// one its probe scan completed before the cancellation, equal to a
+// complete run's, and it leaves the plan's stored group count as it was.
 func TestAggOverChainCancel(t *testing.T) {
 	d := newTestDB(t, 20000, 40, 4, 49)
 	plan := &Agg{
@@ -207,6 +207,9 @@ func TestAggOverChainCancel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// A count no run writes: a cancelled run's partial count is
+			// at most the complete one.
+			unwritten := plan.groupCount().Load() + 1
 			complete := map[string]core.EntrySummary{}
 			for _, e := range cache.Entries() {
 				complete[e.Key] = e
@@ -217,9 +220,13 @@ func TestAggOverChainCancel(t *testing.T) {
 			checks := probe.calls.Load()
 			empty := 0
 			for n := int64(1); n <= checks; n++ {
+				plan.groups.Store(unwritten)
 				cache, err := run(newCountdownCtx(n))
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("cancel at check %d of %d: err = %v", n, checks, err)
+				}
+				if got := plan.groups.Load(); got != unwritten {
+					t.Fatalf("cancel at check %d: stored group count %d, want %d as before the run", n, got, unwritten)
 				}
 				entries := cache.Entries()
 				if len(entries) == 0 {

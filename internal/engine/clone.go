@@ -12,6 +12,10 @@ import (
 // (Join.Execute mutates probe scans transiently via runtimeSJ pushdown), and
 // at Get time to substitute the current query's literals into the template.
 //
+// Every clone of a grouped Agg shares the original's group-count cell
+// (created here when the original has none), so a template and the plans
+// cloned from it size their tables from whichever of them ran last.
+//
 // ok is false when the tree contains a node the cloner does not understand —
 // VirtualScan (its snapshot semantics are per-execution), Materialized, or
 // any future node type — in which case the caller must plan from scratch.
@@ -61,7 +65,11 @@ func ClonePlan(n Node, bind func(expr.Value) expr.Value) (Node, bool) {
 			}
 			aggs[i] = AggSpec{Func: a.Func, Arg: arg, Name: a.Name}
 		}
-		return &Agg{Input: in, GroupBy: append([]string(nil), t.GroupBy...), Aggs: aggs}, true
+		cp := &Agg{Input: in, GroupBy: append([]string(nil), t.GroupBy...), Aggs: aggs}
+		if len(t.GroupBy) > 0 {
+			cp.groups = t.groupCount()
+		}
+		return cp, true
 	case *Project:
 		in, ok := ClonePlan(t.Input, bind)
 		if !ok {

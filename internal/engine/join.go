@@ -70,7 +70,9 @@ func (jt *joinTable) first(k keyCols, row int) int32 {
 // parallel build hash-partitions instead: pass 1 computes every row's
 // partition morsel-parallel, pass 2 has partition workers insert their rows
 // in ascending row order — per-key chain order is identical to the serial
-// build, so parallel and Serial joins return bit-identical results.
+// build, so parallel and Serial joins return bit-identical results. Pass 1
+// also counts each morsel's rows per partition, so every partition is
+// sized for exactly its rows before pass 2 inserts them.
 func buildJoinTable(ec *ExecCtx, rel *Relation, k keyCols, pa *parAccounting) (*joinTable, error) {
 	n := rel.NumRows()
 	nParts := 1
@@ -92,18 +94,27 @@ func buildJoinTable(ec *ExecCtx, rel *Relation, k keyCols, pa *parAccounting) (*
 		return jt, nil
 	}
 
-	// Pass 1: each row's partition, morsel-parallel.
+	// Pass 1: each row's partition and each morsel's partition counts,
+	// morsel-parallel.
+	nm := numMorsels(n)
 	partOf := make([]uint8, n)
+	counts := make([]int32, nm*nParts) // morsel m's rows per partition at counts[m*nParts:]
 	cur := &morselCursor{rows: n}
 	err := pa.run(pa.workers, func() error {
-		return forEachMorsel(ec, cur, func(_, lo, hi int) error {
+		return forEachMorsel(ec, cur, func(m, lo, hi int) error {
+			// Count on the stack: neighbouring morsels' counts share cache
+			// lines, and another worker may be counting one of them.
+			var count [maxPartitions]int32
 			for row := lo; row < hi; row++ {
-				partOf[row] = uint8(k.hash(row) >> jt.pshift)
+				p := uint8(k.hash(row) >> jt.pshift)
+				partOf[row] = p
+				count[p]++
 			}
+			copy(counts[m*nParts:], count[:nParts])
 			return nil
 		})
 	})
-	pa.morsels += numMorsels(n)
+	pa.morsels += nm
 	if err != nil {
 		return nil, err
 	}
@@ -121,8 +132,12 @@ func buildJoinTable(ec *ExecCtx, rel *Relation, k keyCols, pa *parAccounting) (*
 			if err := ec.Cancelled(); err != nil {
 				return err
 			}
+			rows := 0
+			for m := 0; m < nm; m++ {
+				rows += int(counts[m*nParts+pi])
+			}
 			part := &jt.parts[pi]
-			part.init(len(k), n/nParts+1)
+			part.init(len(k), rows)
 			pb := uint8(pi)
 			for row := 0; row < n; row++ {
 				if row&(cancelCheckRows-1) == 0 {

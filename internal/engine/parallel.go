@@ -36,9 +36,13 @@ func (ec *ExecCtx) workers(rows int) int {
 	return max(1, min(w, numMorsels(rows)))
 }
 
+// maxPartitions caps the build/group partition fan-out, bounding
+// per-partition bookkeeping.
+const maxPartitions = 64
+
 // partitionsFor picks the build/group partition fan-out for a worker count:
 // the next power of two ≥ workers (so a hash can be masked instead of
-// modded), capped at 64 to bound per-partition bookkeeping.
+// modded), capped at maxPartitions.
 func partitionsFor(workers int) int {
 	if workers <= 1 {
 		return 1
@@ -47,10 +51,7 @@ func partitionsFor(workers int) int {
 	for p < workers {
 		p <<= 1
 	}
-	if p > 64 {
-		p = 64
-	}
-	return p
+	return min(p, maxPartitions)
 }
 
 // morselCursor hands out morsels of [0, rows) to competing workers. Claims

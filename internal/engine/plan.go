@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"github.com/predcache/predcache/internal/core"
 	"github.com/predcache/predcache/internal/expr"
@@ -185,6 +187,26 @@ type Agg struct {
 	Input   Node
 	GroupBy []string
 	Aggs    []AggSpec
+
+	// groups is the number of groups the last complete grouped run wrote,
+	// the size the next run allocates its tables at. ClonePlan shares the
+	// cell between a plan-cache template and every clone of it; a node
+	// run without one gets its own (groupCount).
+	groups *atomic.Int64
+}
+
+// groupCellMu orders the creation of an Agg's group-count cell against
+// its reads: one node may be cloned or run by several goroutines at once.
+var groupCellMu sync.Mutex
+
+// groupCount returns a's group-count cell, creating it on first use.
+func (a *Agg) groupCount() *atomic.Int64 {
+	groupCellMu.Lock()
+	defer groupCellMu.Unlock()
+	if a.groups == nil {
+		a.groups = new(atomic.Int64)
+	}
+	return a.groups
 }
 
 // NamedScalar is a projection item.

@@ -38,7 +38,7 @@ type PlanCache struct {
 
 type planEntry struct {
 	key     string
-	node    engine.Node // immutable template, slot-tagged
+	node    engine.Node // template, slot-tagged; immutable but for its grouped Aggs' atomic group counts
 	nslots  int
 	deps    []planDep
 	ddlGen  uint64
@@ -98,7 +98,9 @@ func (pc *PlanCache) Get(nq *NormalizedQuery, cat *storage.Catalog, ddlGen uint6
 	pc.mu.Unlock()
 
 	// Clone outside the lock: the template is immutable, and cloning walks
-	// the whole tree.
+	// the whole tree. The one thing written after Put is each grouped
+	// Agg's group count, an atomic.Int64 the clone shares and each of its
+	// runs stores into (engine.ClonePlan).
 	node, ok := engine.ClonePlan(tmpl, func(v expr.Value) expr.Value {
 		if v.Slot >= 1 && v.Slot <= len(nq.Args) {
 			arg := nq.Args[v.Slot-1]
@@ -121,7 +123,9 @@ func (pc *PlanCache) Get(nq *NormalizedQuery, cat *storage.Catalog, ddlGen uint6
 // a literal that went structurally into the plan (constant folding, rewrite)
 // can never be rebound incorrectly. The stored template is a detached clone:
 // the caller's node is about to be executed, and execution mutates scans
-// transiently (semi-join pushdown).
+// transiently (semi-join pushdown). Cloning gives the caller's grouped Agg
+// nodes their group-count cells and shares them with the template, so the first
+// run already sizes the next one's tables.
 func (pc *PlanCache) Put(nq *NormalizedQuery, node engine.Node, cat *storage.Catalog, ddlGen uint64) {
 	if pc == nil || nq == nil || node == nil {
 		return

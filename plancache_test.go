@@ -228,6 +228,53 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	}
 }
 
+// Sessions running grouped statements of one template at once share the
+// template's group-count cell through every clone the plan cache hands
+// out: each run sizes its tables from whichever run stored last, and two
+// literals with different group counts keep moving it. Results must equal
+// the serial runs', and the cell must be race-free.
+func TestPlanCacheGroupCountSharedAcrossClones(t *testing.T) {
+	db := openWithData(t, 20000)
+	queries := []string{
+		"select id, grp, count(*) as n, sum(val) as s, avg(val) as a from t where id < 15000 group by id, grp",
+		"select id, grp, count(*) as n, sum(val) as s, avg(val) as a from t where id < 3000 group by id, grp",
+	}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		want[i] = one(t, db, q).Format(0)
+	}
+	before := db.PlanCacheStats()
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				qi := (g + i) % len(queries)
+				res, err := db.Query(queries[qi])
+				if err != nil {
+					errs <- err
+					return
+				}
+				if got := res.Format(0); got != want[qi] {
+					errs <- fmt.Errorf("session %d run %d of %q: result differs from the serial run", g, i, queries[qi])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	st := db.PlanCacheStats()
+	if st.Hits-before.Hits != 24 || st.Entries != 1 {
+		t.Fatalf("stats = %+v after %+v, want 24 more hits on one template", st, before)
+	}
+}
+
 func TestQueryCtxPreCancelled(t *testing.T) {
 	db := openWithData(t, 100)
 	ctx, cancel := context.WithCancel(context.Background())
