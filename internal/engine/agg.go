@@ -610,12 +610,13 @@ func runGlobal(ec *ExecCtx, baggs []*boundAgg, bounds []expr.Bound, in *Relation
 	for i := range partials {
 		partials[i].resize(max(nm, 1), max(nm, 1)) // one zero state when no rows
 	}
-	cur := &morselCursor{rows: in.n}
+	cur := &taskCursor{n: nm}
 	err := pa.run(pa.workers, func() error {
 		scr := acquireMorselScratch()
 		defer scr.release()
 		ctx := scr.relCtx(in)
-		return forEachMorsel(ec, cur, func(m, lo, hi int) error {
+		return forEachTask(ec, cur, func(m int) error {
+			lo, hi := morselRows(m, in.n)
 			sel := morselSel(scr, ctx, bounds, lo, hi)
 			if len(sel) == 0 {
 				return nil
@@ -647,128 +648,97 @@ func runGlobal(ec *ExecCtx, baggs []*boundAgg, bounds []expr.Bound, in *Relation
 	return nil
 }
 
-// runGrouped aggregates in's rows into out's columns: a single worker
-// streams every morsel into one table, more hash-partition the groups.
+// runGrouped aggregates in's rows into out's columns, hash-partitioning the
+// groups over pa.workers. Phase 1 scatters each morsel's selected rows by
+// group-hash partition (a per-morsel counting sort into the morsel's own
+// segment of rowBuf, preserving row order). Phase 2 workers claim
+// partitions and fold each partition's rows iterating morsels in ascending
+// order — every group therefore accumulates its rows in global row order,
+// for any worker count. A single worker has one partition, every morsel's
+// rows whole, and nothing to scatter.
+//
 // The tables are sized for the groups last holds, the count of the plan's
-// last complete run, capped at one group per input row; a complete run
-// stores its own count there. The size is capacity only: a table holding
-// more groups grows, and group ids and order do not depend on it.
+// last complete run, capped at one group per input row, an even share per
+// partition; a complete run stores its own count there. The size is
+// capacity only: a table holding more groups grows, and group ids and order
+// do not depend on it.
 func runGrouped(ec *ExecCtx, in groupInput, baggs []*boundAgg, last *atomic.Int64, pa *parAccounting, out []RelCol) error {
 	width := len(out) - len(baggs)
-	groups := min(int(last.Load()), in.base(in.morsels()))
-	var tables []*aggTable
-	var err error
-	if pa.workers <= 1 {
-		tables, err = runGroupedSerial(ec, in, baggs, width, groups, pa)
-	} else {
-		tables, err = runGroupedParallel(ec, in, baggs, width, groups, pa)
+	nm := in.morsels()
+	nP := partitionsFor(pa.workers)
+	size := tableSize(min(int(last.Load()), in.base(nm)), nP)
+	var rowBuf, moffs []int32
+	if nP > 1 {
+		pshift := partShift(nP)
+		rowBuf = make([]int32, in.base(nm)) // morsel m owns rowBuf[base(m):base(m+1)]
+		moffs = make([]int32, nm*(nP+1))    // per-morsel partition offsets into its segment
+		cur := &taskCursor{n: nm}
+		err := pa.run(pa.workers, func() error {
+			scr := acquireMorselScratch()
+			defer scr.release()
+			return forEachTask(ec, cur, func(m int) error {
+				_, keys, sel, _ := in.rows(scr, m, nil, true)
+				pids := scr.partIds(len(sel))
+				var count, cursor [maxPartitions]int32
+				for i, row := range sel {
+					p := uint8(keys.hash(row) >> pshift)
+					pids[i] = p
+					count[p]++
+				}
+				offs := moffs[m*(nP+1) : (m+1)*(nP+1)]
+				offs[0] = 0
+				for p := 0; p < nP; p++ {
+					offs[p+1] = offs[p] + count[p]
+					cursor[p] = offs[p]
+				}
+				seg := rowBuf[in.base(m):in.base(m+1)]
+				for i, row := range sel {
+					p := pids[i]
+					seg[cursor[p]] = int32(row)
+					cursor[p]++
+				}
+				return nil
+			})
+		})
+		if err != nil {
+			return err
+		}
 	}
+
+	tables := make([]*aggTable, nP)
+	pcur := &taskCursor{n: nP}
+	err := pa.run(pa.workers, func() error {
+		scr := acquireMorselScratch()
+		defer scr.release()
+		return forEachTask(ec, pcur, func(p int) error {
+			t := newAggTable(width, size, baggs)
+			tables[p] = t
+			for m := 0; m < nm; m++ {
+				if err := ec.Cancelled(); err != nil {
+					return err
+				}
+				var seg []int32 // nil: the morsel's rows whole
+				if nP > 1 {
+					offs := moffs[m*(nP+1):]
+					s, e := offs[p], offs[p+1]
+					if s == e {
+						continue
+					}
+					base := in.base(m)
+					seg = rowBuf[base+int(s) : base+int(e)]
+				}
+				if ctx, keys, sel, firsts := in.rows(scr, m, seg, false); len(sel) > 0 {
+					processChunk(t, baggs, ctx, keys, sel, firsts, scr)
+				}
+			}
+			return nil
+		})
+	})
 	if err != nil {
 		return err
 	}
 	last.Store(int64(collectGroups(tables, out, width)))
 	return nil
-}
-
-// runGroupedSerial is the single-worker grouped path: one table, sized for
-// the groups, one streaming pass in row order.
-func runGroupedSerial(ec *ExecCtx, in groupInput, baggs []*boundAgg, width, groups int, pa *parAccounting) ([]*aggTable, error) {
-	t := newAggTable(width, tableSize(groups, 1), baggs)
-	cur := &morselCursor{rows: in.morsels() * morselSize}
-	err := pa.run(1, func() error {
-		scr := acquireMorselScratch()
-		defer scr.release()
-		return forEachMorsel(ec, cur, func(m, _, _ int) error {
-			ctx, keys, sel, firsts := in.rows(scr, m, nil, false)
-			if len(sel) > 0 {
-				processChunk(t, baggs, ctx, keys, sel, firsts, scr)
-			}
-			return nil
-		})
-	})
-	return []*aggTable{t}, err
-}
-
-// runGroupedParallel is the partitioned grouped path. Phase 1 scatters each
-// morsel's selected rows by group-hash partition (a per-morsel counting
-// sort into the morsel's own segment of rowBuf, preserving row order).
-// Phase 2 workers claim partitions and fold each partition's rows iterating
-// morsels in ascending order — every group therefore accumulates its rows
-// in global row order, exactly like the serial pass. Each partition's
-// table is sized for its share of groups.
-func runGroupedParallel(ec *ExecCtx, in groupInput, baggs []*boundAgg, width, groups int, pa *parAccounting) ([]*aggTable, error) {
-	nm := in.morsels()
-	nP := partitionsFor(pa.workers)
-	size := tableSize(groups, nP)
-	pshift := partShift(nP)
-	rowBuf := make([]int32, in.base(nm)) // morsel m owns rowBuf[base(m):base(m+1)]
-	moffs := make([]int32, nm*(nP+1))    // per-morsel partition offsets into its segment
-
-	cur := &morselCursor{rows: nm * morselSize}
-	err := pa.run(pa.workers, func() error {
-		scr := acquireMorselScratch()
-		defer scr.release()
-		return forEachMorsel(ec, cur, func(m, _, _ int) error {
-			_, keys, sel, _ := in.rows(scr, m, nil, true)
-			pids := scr.partIds(len(sel))
-			count, cursor := scr.partCounters(nP)
-			for i, row := range sel {
-				p := uint8(keys.hash(row) >> pshift)
-				pids[i] = p
-				count[p]++
-			}
-			offs := moffs[m*(nP+1) : (m+1)*(nP+1)]
-			offs[0] = 0
-			for p := 0; p < nP; p++ {
-				offs[p+1] = offs[p] + count[p]
-				cursor[p] = offs[p]
-			}
-			seg := rowBuf[in.base(m):in.base(m+1)]
-			for i, row := range sel {
-				p := pids[i]
-				seg[cursor[p]] = int32(row)
-				cursor[p]++
-			}
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	tables := make([]*aggTable, nP)
-	var pcur atomic.Int64
-	err = pa.run(pa.workers, func() error {
-		scr := acquireMorselScratch()
-		defer scr.release()
-		for {
-			p := int(pcur.Add(1)) - 1
-			if p >= nP {
-				return nil
-			}
-			t := newAggTable(width, size, baggs)
-			tables[p] = t
-			for m := 0; m < nm; m++ {
-				if m&15 == 0 {
-					if err := ec.Cancelled(); err != nil {
-						return err
-					}
-				}
-				offs := moffs[m*(nP+1):]
-				s, e := offs[p], offs[p+1]
-				if s == e {
-					continue
-				}
-				base := in.base(m)
-				ctx, keys, sel, firsts := in.rows(scr, m, rowBuf[base+int(s):base+int(e)], false)
-				processChunk(t, baggs, ctx, keys, sel, firsts, scr)
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return tables, nil
 }
 
 // collectGroups writes the partition tables' groups to out — group columns

@@ -17,16 +17,17 @@ import (
 // cold row is a plan's first run, whose tables start small and double: at
 // most four times its table bytes (the key word, a typed state per
 // aggregate, its firstRow entry and two key-table slots) plus its output
-// row and its partition-scatter slot. Four times: a doubling array's
+// row and, on more than one worker, its partition-scatter slot; one worker
+// has one partition and scatters nothing. Four times: a doubling array's
 // capacity is at most twice its length, and the arrays it outgrew add up
 // to at most that capacity again. A state array that grew on its own, by
 // append's smaller steps, or a state wider than its function needs,
 // exceeds it. The warm row is every later run, whose tables are sized for
 // the groups the first run wrote: the table bytes once, with tableSize's
 // sixteenth of slack, and up to four slots a group (an index at most half
-// full, rounded up to a power of two), plus the output. The input is
-// materialized up front and a first plan warms the scratch pools, so scan
-// and morsel scratch stay out of the count.
+// full, rounded up to a power of two), plus the output and scatter slot.
+// The input is materialized up front and a first plan warms the scratch
+// pools, so scan and morsel scratch stay out of the count.
 func TestAggBytesPerGroup(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const smallGroups, largeGroups = 20000, 80000
@@ -70,11 +71,15 @@ func TestAggBytesPerGroup(t *testing.T) {
 	}
 	// Per group: the key word, count 8 B, sum 8 B, avg 16 B, firstRow 4 B
 	// and a key-table slot of 4 B; the output row (key and three
-	// aggregates) and the int32 the parallel path scatters it through.
-	const table, slot, output = 8 + 8 + 8 + 16 + 4, 4, 4*8 + 4
-	coldBudget := float64(4*(table+2*slot) + output)
-	warmBudget := float64(table+4*slot)*17/16 + output
+	// aggregates) and the int32 the partitioned path scatters it through.
+	const table, slot, output, scatter = 8 + 8 + 8 + 16 + 4, 4, 4 * 8, 4
 	for _, workers := range []int{1, 4} {
+		out := float64(output)
+		if workers > 1 {
+			out += scatter
+		}
+		coldBudget := 4*(table+2*slot) + out
+		warmBudget := float64(table+4*slot)*17/16 + out
 		smallCold, smallWarm := bytes(smallGroups, workers)
 		largeCold, largeWarm := bytes(largeGroups, workers)
 		for _, row := range []struct {

@@ -230,7 +230,7 @@ func scanPhaseRuns(t *testing.T) []allocCase {
 		{"filterSlice/sj-entry-hit", 0, filter(state(point, []*semiJoinFilter{sj}), pointScr, block, slice.NumRows(), 1)},
 		{"filterSlice/2000-output-runs", 0, fillEvery},
 		{"gatherSlice/2000-runs", 0, func() {
-			every.results[0].off, every.results[0].sinceCheck = 0, 0
+			every.results[0].off = 0
 			if err := every.gatherSlice(0); err != nil {
 				t.Error(err)
 				return
@@ -245,11 +245,12 @@ func scanPhaseRuns(t *testing.T) []allocCase {
 	}
 }
 
-// TestJoinPartitionsSizedExactly builds a partitioned join table over
-// unique keys and requires every partition's key words, chain heads and
-// chain tails to end at exactly the capacity they were given: pass 1
-// counts each partition's rows, so no partition outgrows its reservation
-// and none is sized for more rows than it gets.
+// TestJoinPartitionsSizedExactly builds a join table over unique keys on
+// one worker and on four, and requires every partition's key words, chain
+// heads and chain tails to end at exactly the capacity they were given:
+// pass 1 counts each partition's rows and one worker's single partition
+// takes every row, so no partition outgrows its reservation and none is
+// sized for more rows than it gets.
 func TestJoinPartitionsSizedExactly(t *testing.T) {
 	const n = 5 * morselSize
 	keys := make([]int64, n)
@@ -264,22 +265,24 @@ func TestJoinPartitionsSizedExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jt, err := buildJoinTable(&ExecCtx{}, rel, k, &parAccounting{workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jt.parts) < 2 {
-		t.Fatalf("test setup: %d partitions", len(jt.parts))
-	}
-	rows := 0
-	for pi, p := range jt.parts {
-		rows += len(p.heads)
-		if cap(p.keys.words) != len(p.keys.words) || cap(p.heads) != len(p.heads) || cap(p.tails) != len(p.tails) {
-			t.Errorf("partition %d: words %d/%d, heads %d/%d, tails %d/%d (len/cap)", pi,
-				len(p.keys.words), cap(p.keys.words), len(p.heads), cap(p.heads), len(p.tails), cap(p.tails))
+	for _, tc := range []struct{ workers, minParts, maxParts int }{{1, 1, 1}, {4, 2, maxPartitions}} {
+		jt, err := buildJoinTable(&ExecCtx{}, rel, k, &parAccounting{workers: tc.workers})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if rows != n {
-		t.Fatalf("partitions hold %d keys, want %d", rows, n)
+		if len(jt.parts) < tc.minParts || len(jt.parts) > tc.maxParts {
+			t.Fatalf("workers=%d: %d partitions", tc.workers, len(jt.parts))
+		}
+		rows := 0
+		for pi, p := range jt.parts {
+			rows += len(p.heads)
+			if cap(p.keys.words) != len(p.keys.words) || cap(p.heads) != len(p.heads) || cap(p.tails) != len(p.tails) {
+				t.Errorf("workers=%d partition %d: words %d/%d, heads %d/%d, tails %d/%d (len/cap)", tc.workers, pi,
+					len(p.keys.words), cap(p.keys.words), len(p.heads), cap(p.heads), len(p.tails), cap(p.tails))
+			}
+		}
+		if rows != n {
+			t.Fatalf("workers=%d: partitions hold %d keys, want %d", tc.workers, rows, n)
+		}
 	}
 }

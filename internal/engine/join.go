@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"github.com/predcache/predcache/internal/bloom"
 	"github.com/predcache/predcache/internal/core"
@@ -66,13 +65,13 @@ func (jt *joinTable) first(k keyCols, row int) int32 {
 }
 
 // buildJoinTable builds the chained hash table over rel's key columns with
-// up to pa.workers workers. A single worker inserts rows 0..n-1 directly. The
-// parallel build hash-partitions instead: pass 1 computes every row's
-// partition morsel-parallel, pass 2 has partition workers insert their rows
-// in ascending row order — per-key chain order is identical to the serial
-// build, so parallel and Serial joins return bit-identical results. Pass 1
-// also counts each morsel's rows per partition, so every partition is
-// sized for exactly its rows before pass 2 inserts them.
+// up to pa.workers workers. A large parallel build hash-partitions: pass 1
+// computes every row's partition morsel-parallel, counting each morsel's
+// rows per partition, and pass 2 has partition workers size each partition
+// for exactly its rows and insert them in ascending row order. A small or
+// single-worker build is pass 2 of one partition, run inline. Per-key chain
+// order is the serial insertion order either way, so parallel and Serial
+// joins return bit-identical results.
 func buildJoinTable(ec *ExecCtx, rel *Relation, k keyCols, pa *parAccounting) (*joinTable, error) {
 	n := rel.NumRows()
 	nParts := 1
@@ -81,17 +80,7 @@ func buildJoinTable(ec *ExecCtx, rel *Relation, k keyCols, pa *parAccounting) (*
 	}
 	jt := &joinTable{pshift: partShift(nParts), parts: make([]joinPart, nParts), next: make([]int32, n)}
 	if nParts == 1 {
-		p := &jt.parts[0]
-		p.init(len(k), n)
-		for row := 0; row < n; row++ {
-			if row&(cancelCheckRows-1) == 0 {
-				if err := ec.Cancelled(); err != nil {
-					return nil, err
-				}
-			}
-			jt.insert(p, k, row)
-		}
-		return jt, nil
+		return jt, jt.fill(ec, k, 0, n, nil)
 	}
 
 	// Pass 1: each row's partition and each morsel's partition counts,
@@ -99,12 +88,13 @@ func buildJoinTable(ec *ExecCtx, rel *Relation, k keyCols, pa *parAccounting) (*
 	nm := numMorsels(n)
 	partOf := make([]uint8, n)
 	counts := make([]int32, nm*nParts) // morsel m's rows per partition at counts[m*nParts:]
-	cur := &morselCursor{rows: n}
+	cur := &taskCursor{n: nm}
 	err := pa.run(pa.workers, func() error {
-		return forEachMorsel(ec, cur, func(m, lo, hi int) error {
+		return forEachTask(ec, cur, func(m int) error {
 			// Count on the stack: neighbouring morsels' counts share cache
 			// lines, and another worker may be counting one of them.
 			var count [maxPartitions]int32
+			lo, hi := morselRows(m, n)
 			for row := lo; row < hi; row++ {
 				p := uint8(k.hash(row) >> jt.pshift)
 				partOf[row] = p
@@ -119,39 +109,39 @@ func buildJoinTable(ec *ExecCtx, rel *Relation, k keyCols, pa *parAccounting) (*
 		return nil, err
 	}
 
-	// Pass 2: partition workers claim partitions and insert their rows in
-	// ascending row order (scanning the byte-sized partition map is cheap
-	// next to the hash inserts it feeds).
-	var pcur atomic.Int64
+	// Pass 2: partition workers claim partitions and fill them.
+	pcur := &taskCursor{n: nParts}
 	err = pa.run(pa.workers, func() error {
-		for {
-			pi := int(pcur.Add(1)) - 1
-			if pi >= nParts {
-				return nil
-			}
-			if err := ec.Cancelled(); err != nil {
-				return err
-			}
+		return forEachTask(ec, pcur, func(pi int) error {
 			rows := 0
 			for m := 0; m < nm; m++ {
 				rows += int(counts[m*nParts+pi])
 			}
-			part := &jt.parts[pi]
-			part.init(len(k), rows)
-			pb := uint8(pi)
-			for row := 0; row < n; row++ {
-				if row&(cancelCheckRows-1) == 0 {
-					if err := ec.Cancelled(); err != nil {
-						return err
-					}
-				}
-				if partOf[row] == pb {
-					jt.insert(part, k, row)
-				}
-			}
-		}
+			return jt.fill(ec, k, pi, rows, partOf)
+		})
 	})
 	return jt, err
+}
+
+// fill sizes partition pi for its rows build rows and inserts them in
+// ascending row order: the rows partOf maps to pi, or every row when partOf
+// is nil (one partition). Scanning the byte-sized partition map is cheap
+// next to the hash inserts it feeds.
+func (jt *joinTable) fill(ec *ExecCtx, k keyCols, pi, rows int, partOf []uint8) error {
+	part := &jt.parts[pi]
+	part.init(len(k), rows)
+	pb := uint8(pi)
+	for row := range jt.next {
+		if row&(cancelCheckRows-1) == 0 {
+			if err := ec.Cancelled(); err != nil {
+				return err
+			}
+		}
+		if partOf == nil || partOf[row] == pb {
+			jt.insert(part, k, row)
+		}
+	}
+	return nil
 }
 
 // joinChain is the maximal left-deep chain of joins under a Join: each
@@ -464,12 +454,13 @@ func (j *Join) probeChain(ec *ExecCtx) (_ *joinChain, err error) {
 	nm, nl := numMorsels(in.NumRows()), len(c.levels)
 	c.tuples = make([][][]int32, nm)
 	counts := make([]int, nm*nl) // morsel m's tuples leaving level l at m*nl+l
-	cur := &morselCursor{rows: in.NumRows()}
+	cur := &taskCursor{n: nm}
 	err = pa.run(c.workers, func() error {
 		scr := acquireMorselScratch()
 		defer scr.release()
 		ctx := scr.relCtx(in)
-		return forEachMorsel(ec, cur, func(m, lo, hi int) error {
+		return forEachTask(ec, cur, func(m int) error {
+			lo, hi := morselRows(m, in.NumRows())
 			c.tuples[m] = c.morselTuples(scr, morselSel(scr, ctx, bounds, lo, hi), counts[m*nl:][:nl])
 			return nil
 		})
@@ -512,9 +503,9 @@ func (j *Join) Execute(ec *ExecCtx) (rel *Relation, err error) {
 		cols[i] = RelCol{Name: oc.Name, Type: oc.Type, Dict: oc.Dict}
 	}
 	sizeCols(cols, offs[nm])
-	gcur := &morselCursor{rows: nm * morselSize}
+	gcur := &taskCursor{n: nm}
 	err = c.pa.run(c.workers, func() error {
-		return forEachMorsel(ec, gcur, func(m, _, _ int) error {
+		return forEachTask(ec, gcur, func(m int) error {
 			for i, oc := range c.out {
 				if offs[m+1] > offs[m] {
 					gatherOut(&cols[i], &oc, c.tuples[m][oc.src], offs[m])

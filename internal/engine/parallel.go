@@ -12,10 +12,10 @@ import (
 	"github.com/predcache/predcache/internal/obs"
 )
 
-// morselSize is the number of rows a worker claims from the shared cursor at
-// a time. It matches cancelCheckRows so every morsel claim doubles as a
-// cancellation point: a cancelled query stops within one morsel of work per
-// worker, preserving the server's cancellation latency bound.
+// morselSize is the number of rows in a morsel, the unit of work of the join
+// and aggregation phases. It matches cancelCheckRows, and every task claim
+// is a cancellation point, so a cancelled query stops within one morsel of
+// work per worker, preserving the server's cancellation latency bound.
 const morselSize = cancelCheckRows
 
 // numMorsels returns how many morsels cover rows.
@@ -54,35 +54,38 @@ func partitionsFor(workers int) int {
 	return min(p, maxPartitions)
 }
 
-// morselCursor hands out morsels of [0, rows) to competing workers. Claims
-// are a single atomic add; workers pull the next morsel whenever they finish
-// one, so skew (an expensive morsel, a descheduled worker) self-balances.
-type morselCursor struct {
+// taskCursor hands out the tasks 0..n-1 of one phase — morsels, slices or
+// hash partitions — to competing workers. A claim is a single atomic add;
+// workers pull the next task whenever they finish one, so skew (an
+// expensive task, a descheduled worker) self-balances.
+type taskCursor struct {
 	next atomic.Int64
-	rows int
+	n    int
 }
 
-// forEachMorsel claims morsels from cur until they run out, invoking
-// fn(m, lo, hi) for each claimed morsel m covering rows [lo, hi). Every
-// claim checks cancellation, so this is the operator's cancellation point.
-func forEachMorsel(ec *ExecCtx, cur *morselCursor, fn func(m, lo, hi int) error) error {
+// forEachTask claims tasks from cur until they run out, invoking fn(i) for
+// each claimed task i. Every claim checks cancellation, so this is every
+// phase's cancellation point; a task's error ends the worker's claims and is
+// returned.
+func forEachTask(ec *ExecCtx, cur *taskCursor, fn func(i int) error) error {
 	for {
-		m := int(cur.next.Add(1)) - 1
-		lo := m * morselSize
-		if lo >= cur.rows {
+		i := int(cur.next.Add(1)) - 1
+		if i >= cur.n {
 			return nil
 		}
 		if err := ec.Cancelled(); err != nil {
 			return err
 		}
-		hi := lo + morselSize
-		if hi > cur.rows {
-			hi = cur.rows
-		}
-		if err := fn(m, lo, hi); err != nil {
+		if err := fn(i); err != nil {
 			return err
 		}
 	}
+}
+
+// morselRows returns the rows [lo, hi) of morsel m over rows input rows.
+func morselRows(m, rows int) (lo, hi int) {
+	lo = m * morselSize
+	return lo, min(lo+morselSize, rows)
 }
 
 // runWorkers, the engine's only spawn site, runs fn on workers goroutines

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -508,6 +509,56 @@ func TestScanBoundedByMaxWorkers(t *testing.T) {
 		}
 		if int64(maxOpen) > tc.want {
 			t.Fatalf("%s: %d slice spans open at once, want at most %d", tc.name, maxOpen, tc.want)
+		}
+	}
+}
+
+// TestForEachTask: over any task and worker count, every task of a phase
+// runs exactly once, a task's error is the phase's error, and a cancelled
+// phase stops at its first claim without running a task.
+func TestForEachTask(t *testing.T) {
+	errTask := errors.New("task failed")
+	for _, n := range []int{0, 1, 5, 64} {
+		for _, workers := range []int{1, 2, 4, 7} {
+			phase := func(ec *ExecCtx, fn func(i int) error) error {
+				cur := &taskCursor{n: n}
+				_, _, err := runWorkers(workers, func() error { return forEachTask(ec, cur, fn) })
+				return err
+			}
+			ran := make([]atomic.Int64, n)
+			if err := phase(&ExecCtx{}, func(i int) error { ran[i].Add(1); return nil }); err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+			}
+			for i := range ran {
+				if got := ran[i].Load(); got != 1 {
+					t.Errorf("n=%d workers=%d: task %d ran %d times", n, workers, i, got)
+				}
+			}
+
+			// With no task, nothing fails and no claim sees the cancellation.
+			wantErr := func(err error) error {
+				if n == 0 {
+					return nil
+				}
+				return err
+			}
+			err := phase(&ExecCtx{}, func(i int) error {
+				if i == n-1 {
+					return errTask
+				}
+				return nil
+			})
+			if !errors.Is(err, wantErr(errTask)) {
+				t.Errorf("n=%d workers=%d: failing task's phase returned %v", n, workers, err)
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			var runs atomic.Int64
+			err = phase(&ExecCtx{Ctx: ctx}, func(int) error { runs.Add(1); return nil })
+			if runs.Load() != 0 || !errors.Is(err, wantErr(context.Canceled)) {
+				t.Errorf("n=%d workers=%d: cancelled phase ran %d tasks and returned %v", n, workers, runs.Load(), err)
+			}
 		}
 	}
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"github.com/predcache/predcache/internal/bloom"
 	"github.com/predcache/predcache/internal/core"
@@ -60,9 +59,7 @@ type sliceScanResult struct {
 	// cache copies what it keeps) and, from the filter phase to the gather
 	// phase, its output runs; Execute releases it after the cache calls.
 	scratch *scanScratch
-	// sinceCheck carries the filter phase's cancellation countdown into the
-	// gather phase; off is the slice's first row in the scan's output.
-	sinceCheck, off int
+	off     int // the slice's first row in the scan's output
 
 	rowsScanned       int64
 	rowsQualified     int64 // the slice's output rows
@@ -107,8 +104,8 @@ type scanState struct {
 	src       []int // per output column: its base-table column, or rowIDCol
 	results   []sliceScanResult
 
-	next   atomic.Int64 // the slice cursor
-	gather bool         // the phase the cursor runs: filter, then gather
+	cur    taskCursor // the slice cursor
+	gather bool       // the phase the cursor runs: filter, then gather
 }
 
 // rowIDCol marks the rowid output column (Scan.RowIDs) in scanState.src.
@@ -194,19 +191,27 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 		}
 	}
 
-	// Step 1: cache lookup, most selective entry wins.
+	// Step 1: cache lookup, most selective entry wins. The cache calls take
+	// the keys as strings, built once here.
 	var cand core.Candidates
 	hit := false
 	useCache := ec.Cache != nil
+	var plainStr, sjStr string
+	if useCache {
+		plainStr = plainKey.String()
+		if sjKeyOK {
+			sjStr = sjCacheKey.String()
+		}
+	}
 	var statsBefore core.Stats
 	if sp.Active() && useCache {
 		statsBefore = ec.Cache.Stats()
 	}
 	if useCache && !ec.ForceCacheInsertOnly {
 		lsp := ec.Trace.Begin(obs.KindCache, "lookup")
-		keys := []string{plainKey.String()}
+		keys := []string{plainStr}
 		if sjKeyOK {
-			keys = append(keys, sjCacheKey.String())
+			keys = append(keys, sjStr)
 		}
 		cand, hit = ec.Cache.Best(keys)
 		if lsp.Active() {
@@ -226,7 +231,7 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 			ec.Stats.CacheMisses.Add(1)
 		}
 	}
-	usedSJEntry := hit && cand.Key != plainKey.String()
+	usedSJEntry := hit && cand.Key != plainStr
 
 	// The layout epoch is captured before the scan lock: if a vacuum slips
 	// in between, the inserted entry carries the pre-vacuum epoch and is
@@ -334,7 +339,7 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	// region, so output, cache entries and counters do not depend on the
 	// worker count.
 	st := &scanState{ec: ec, sp: sp, tbl: tbl, bound: bound, plan: plan, sjs: sjs, sjKeyCols: sjKeyCols,
-		sjMemos: sjMemos, out: out, src: src, results: results}
+		sjMemos: sjMemos, out: out, src: src, results: results, cur: taskCursor{n: numSlices}}
 	work := st.work
 	pa := parAccounting{workers: min(ec.workers(candRows), numSlices)}
 	err = pa.run(pa.workers, work)
@@ -352,7 +357,7 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 					out[j].Ints = make([]int64, total)
 				}
 			}
-			st.next.Store(0)
+			st.cur.next.Store(0)
 			st.gather = true
 			err = pa.run(min(ec.workers(total), numSlices), work)
 		}
@@ -424,7 +429,7 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 				ec.Cache.Insert(sjCacheKey, tbl, epoch, sjDeps, sjRanges, watermarks)
 			}
 			if csp.Active() {
-				csp.SetStr("key", plainKey.String())
+				csp.SetStr("key", plainStr)
 			}
 			csp.End()
 		case !usedSJEntry:
@@ -434,18 +439,18 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 					break // defensive: entry slice count mismatch
 				}
 				if res := &results[i]; len(res.plainRanges) > 0 || res.numRows > cand.Watermarks[i] {
-					ec.Cache.Extend(plainKey.String(), i, res.plainRanges, res.numRows)
+					ec.Cache.Extend(plainStr, i, res.plainRanges, res.numRows)
 				}
 			}
 			// Only (re)build the semi-join entry when none is current: a
 			// steady-state warm scan must not pay entry construction again
 			// ("rigorously avoiding slowdowns", §1).
-			if sjKeyOK && !ec.Cache.Has(sjCacheKey.String()) {
+			if sjKeyOK && !ec.Cache.Has(sjStr) {
 				_, sjRanges, watermarks := insertArgs(results)
 				ec.Cache.Insert(sjCacheKey, tbl, epoch, sjDeps, sjRanges, watermarks)
 			}
 			if csp.Active() {
-				csp.SetStr("key", plainKey.String())
+				csp.SetStr("key", plainStr)
 			}
 			csp.End()
 		default:
@@ -455,11 +460,11 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 					break // defensive: entry slice count mismatch
 				}
 				if res := &results[i]; len(res.sjRanges) > 0 || res.numRows > cand.Watermarks[i] {
-					ec.Cache.Extend(sjCacheKey.String(), i, res.sjRanges, res.numRows)
+					ec.Cache.Extend(sjStr, i, res.sjRanges, res.numRows)
 				}
 			}
 			if csp.Active() {
-				csp.SetStr("key", sjCacheKey.String())
+				csp.SetStr("key", sjStr)
 			}
 			csp.End()
 		}
@@ -484,18 +489,12 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 // work claims slices off the cursor until none is left and runs the current
 // phase on each.
 func (st *scanState) work() error {
-	for i := int(st.next.Add(1)) - 1; i < len(st.results); i = int(st.next.Add(1)) - 1 {
-		var err error
+	return forEachTask(st.ec, &st.cur, func(i int) error {
 		if st.gather {
-			err = st.gatherSlice(i)
-		} else {
-			err = st.filterTraced(i)
+			return st.gatherSlice(i)
 		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+		return st.filterTraced(i)
+	})
 }
 
 // filterTraced runs filterSlice on slice i under a slice span that reports
@@ -652,12 +651,11 @@ func (st *scanState) filterSlice(i int) error {
 	// first row not yet covered; candidates before it are spent.
 	//
 	// sinceCheck counts the candidate rows scanned since the last
-	// cancellation check; it starts full so the first block checks, and a
-	// check runs whenever the next block would take it past cancelCheckRows.
-	// gatherSlice carries on the count. Execute surfaces the error before any
-	// cache insert/extend, so an aborted slice never pollutes the cache with
-	// partial ranges.
-	sinceCheck := cancelCheckRows
+	// cancellation check, the slice's claim being the first; a check runs
+	// whenever the next block would take it past cancelCheckRows. Execute
+	// surfaces the error before any cache insert/extend, so an aborted slice
+	// never pollutes the cache with partial ranges.
+	sinceCheck := 0
 	ci, pos := 0, 0
 	for ci < len(candidates) {
 		if candidates[ci].End <= pos {
@@ -858,7 +856,6 @@ func (st *scanState) filterSlice(i int) error {
 	res.blocksCachePruned = int64((numRows+storage.BlockSize-1)/storage.BlockSize) - res.blocksVisited
 	res.plainRanges, scr.plainRanges = plainRec.ranges, plainRec.ranges
 	res.sjRanges, scr.sjRanges = sjRec.ranges, sjRec.ranges
-	res.sinceCheck = sinceCheck
 	return nil
 }
 
@@ -883,13 +880,13 @@ func (st *scanState) countOutput(n int, scr *scanScratch, res *sliceScanResult) 
 // column over the output runs filterSlice kept, straight from the compressed
 // blocks into rows [res.off, res.off+n) of the output columns, and writes the
 // rowid column from row positions. Runs go in chunks of at most
-// cancelCheckRows rows, a column at a time, with a cancellation check on
-// filterSlice's countdown whenever a chunk would take it past
-// cancelCheckRows.
+// cancelCheckRows rows, a column at a time, with a cancellation check
+// whenever a chunk would take the rows since the last one, the slice's claim
+// being the first, past cancelCheckRows.
 func (st *scanState) gatherSlice(i int) error {
 	slice, res := st.tbl.Slice(i), &st.results[i]
 	runs := res.scratch.runs
-	off, sinceCheck := res.off, res.sinceCheck
+	off, sinceCheck := res.off, 0
 	for len(runs) > 0 {
 		k, n := 1, runs[0].len()
 		for k < len(runs) && n+runs[k].len() <= cancelCheckRows {

@@ -146,7 +146,7 @@ func (scr *scanScratch) markDecoded(ci int, res *sliceScanResult) {
 // morselScratch owns the per-worker buffers of the morsel-parallel join and
 // aggregation paths: the selection vector one morsel's fused filters compact,
 // the chunked scalar-evaluation vectors, per-row group-state offsets and
-// partition ids, and partition counters.
+// partition ids.
 // Like scanScratch, an instance is private to one worker goroutine from
 // acquire until release; steady-state warm executions allocate nothing here.
 type morselScratch struct {
@@ -176,8 +176,6 @@ type morselScratch struct {
 	pids    []uint8   // per-selected-row partition ids
 	ivec    []int64   // chunked integer scalar evaluation
 	fvec    []float64 // chunked float scalar evaluation
-	pcount  []int32   // per-partition counts (counting-sort scatter)
-	pcur    []int32   // per-partition running cursors
 }
 
 var morselScratchPool = sync.Pool{New: func() any {
@@ -266,20 +264,6 @@ func (scr *morselScratch) partIds(n int) []uint8 {
 		scr.pids = make([]uint8, n)
 	}
 	return scr.pids[:n]
-}
-
-// partCounters returns zeroed per-partition count and cursor vectors.
-func (scr *morselScratch) partCounters(p int) (count, cur []int32) {
-	if cap(scr.pcount) < p {
-		scr.pcount = make([]int32, p)
-		scr.pcur = make([]int32, p)
-	}
-	count, cur = scr.pcount[:p], scr.pcur[:p]
-	for i := range count {
-		count[i] = 0
-		cur[i] = 0
-	}
-	return count, cur
 }
 
 // grow extends dst by n values without a temporary allocation and returns

