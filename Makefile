@@ -91,7 +91,7 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkScanHitOneBlock -benchtime=1x ./internal/engine
 	$(GO) test -run=NONE -bench=BenchmarkTPCHQuery -benchtime=1x ./internal/tpch
 	$(GO) test -run=NONE -bench=BenchmarkTable4TPCHSkewed -benchtime=1x -cpu 1,4 .
-	$(GO) test -run 'TestJoinParallelSerialIdentical|TestAggParallelSerialIdentical|TestJoinChainMatchesMaterialized|TestJoinChainBytesPerProbeRow|TestAggOverChainCancel|TestAggBytesPerGroup|TestGlobalAggOverJoinStaysMaterialized|TestScanBytesPerOutputRow|TestScanWorkerCountIndependent|TestScanCancelAmortisedAndCacheSafe|TestHotPathAllocs|TestWarmParallelPipelineAllocs|TestAggSizeHintIsCapacityOnly|TestJoinPartitionsSizedExactly|TestForEachTask' -cpu 1,4 ./internal/engine
+	$(GO) test -run 'TestJoinParallelSerialIdentical|TestAggParallelSerialIdentical|TestJoinChainMatchesMaterialized|TestJoinChainBytesPerProbeRow|TestAggOverChainCancel|TestAggBytesPerGroup|TestGlobalAggOverJoinStaysMaterialized|TestScanBytesPerOutputRow|TestScanWorkerCountIndependent|TestScanCancelAmortisedAndCacheSafe|TestHotPathAllocs|TestWarmParallelPipelineAllocs|TestAggSizeHintIsCapacityOnly|TestJoinPartitionsSizedExactly|TestForEachTask|TestAggOverScanCancel|TestConcurrentHitsSeePublishedState' -bench='BenchmarkAggOverScan|BenchmarkAppendUnderAggOverScan' -benchtime=1x -cpu 1,4 ./internal/engine ./internal/core
 
 # The benchmark of record (BENCHMARK.json, benchmark/README.md): every
 # workload, RUNS untraced runs with consecutive seeds plus one traced pass

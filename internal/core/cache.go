@@ -69,16 +69,44 @@ type Stats struct {
 	MemBytes          int
 }
 
-// Candidates is the materialized result of a cache hit: for every slice the
-// candidate row ranges (cached qualifying rows up to the watermark) and the
-// watermark itself. Rows at or beyond the watermark must be scanned with the
-// normal path and merged back via Extend.
+// Candidates is the result of a cache hit: a read-only view of the entry's
+// per-slice state as it stood when the hit was served. For every slice it
+// gives the candidate row ranges (cached qualifying rows up to the
+// watermark) and the watermark itself. Rows at or beyond the watermark must
+// be scanned with the normal path and merged back via Extend.
+//
+// The state is shared with the cache, not copied: a published entry's
+// slice state is immutable (Extend publishes a changed copy, Insert a new
+// entry), so a Candidates may be read without the cache's lock for as long
+// as its holder likes, and serving a hit allocates nothing.
 type Candidates struct {
-	Key        string
-	PerSlice   [][]storage.RowRange
-	Watermarks []int
-	EstRows    int
-	Kind       EntryKind
+	Key     string
+	EstRows int
+	Kind    EntryKind
+
+	slices       []*sliceEntry
+	rowsPerBlock int
+}
+
+// NumSlices returns the number of slices the entry covers.
+func (c Candidates) NumSlices() int { return len(c.slices) }
+
+// Watermark returns the number of rows of slice i the entry covers.
+func (c Candidates) Watermark(i int) int { return c.slices[i].watermark }
+
+// AppendRanges appends slice i's candidate row ranges — ascending,
+// non-overlapping and clipped to its watermark — to dst and returns the
+// extended slice. It allocates only if dst must grow.
+func (c Candidates) AppendRanges(i int, dst []storage.RowRange) []storage.RowRange {
+	n := len(dst)
+	se := c.slices[i]
+	if c.Kind == RangeIndex {
+		dst = append(dst, se.ranges...)
+	} else {
+		dst = se.appendBitmapRanges(dst, c.rowsPerBlock)
+	}
+	storage.AssertRowRanges(dst[n:], se.watermark, "core.Candidates.AppendRanges")
+	return dst
 }
 
 // Cache is a per-node predicate cache. All methods are safe for concurrent
@@ -214,28 +242,8 @@ func (c *Cache) Best(keys []string) (Candidates, bool) {
 	c.stats.Hits++
 	best.hits++
 	best.lastHit = time.Now()
-	return c.materializeLocked(best), true
-}
-
-func (c *Cache) materializeLocked(e *entry) Candidates {
-	cand := Candidates{
-		Key:        e.key,
-		PerSlice:   make([][]storage.RowRange, len(e.slices)),
-		Watermarks: make([]int, len(e.slices)),
-		EstRows:    e.estRows(),
-		Kind:       e.kind,
-	}
-	for i := range e.slices {
-		se := &e.slices[i]
-		cand.Watermarks[i] = se.watermark
-		if e.kind == RangeIndex {
-			cand.PerSlice[i] = append([]storage.RowRange(nil), se.ranges...)
-		} else {
-			cand.PerSlice[i] = bitmapRanges(se.bitmap, c.cfg.RowsPerBlock, se.watermark)
-		}
-		storage.AssertRowRanges(cand.PerSlice[i], se.watermark, "core.Cache.materialize")
-	}
-	return cand
+	return Candidates{Key: best.key, EstRows: best.estRows(), Kind: best.kind,
+		slices: best.slices, rowsPerBlock: c.cfg.RowsPerBlock}, true
 }
 
 // Insert records a freshly scanned expression: perSlice holds the precise
@@ -279,12 +287,14 @@ func (c *Cache) Insert(key Key, tbl *storage.Table, epoch uint64, deps []BuildDe
 		layoutEpoch: epoch,
 		deps:        deps,
 		kind:        c.cfg.Kind,
-		slices:      make([]sliceEntry, len(perSlice)),
+		slices:      make([]*sliceEntry, len(perSlice)),
 		createdAt:   time.Now(),
 	}
+	states := make([]sliceEntry, len(perSlice)) // one allocation for all slices
 	for i, ranges := range perSlice {
 		storage.AssertRowRanges(ranges, watermarks[i], "core.Cache.Insert")
-		se := &e.slices[i]
+		se := &states[i]
+		e.slices[i] = se
 		se.watermark = watermarks[i]
 		if c.cfg.Kind == RangeIndex {
 			se.ranges = reduceRanges(ranges, c.cfg.MaxRanges)
@@ -295,7 +305,7 @@ func (c *Cache) Insert(key Key, tbl *storage.Table, epoch uint64, deps []BuildDe
 			for _, r := range ranges {
 				bitmapSet(se.bitmap, r.Start, r.End, c.cfg.RowsPerBlock)
 			}
-			se.estRows = storage.RangesRowCount(bitmapRanges(se.bitmap, c.cfg.RowsPerBlock, se.watermark))
+			se.estRows, _ = bitmapCount(se.bitmap, c.cfg.RowsPerBlock, se.watermark)
 		}
 	}
 	e.mem = e.memBytes()
@@ -324,11 +334,17 @@ func (c *Cache) Extend(key string, slice int, tailRanges []storage.RowRange, new
 		c.stats.Invalidations++
 		return
 	}
-	se := &e.slices[slice]
-	if newWatermark <= se.watermark {
+	if newWatermark <= e.slices[slice].watermark {
 		return
 	}
 	storage.AssertRowRanges(tailRanges, newWatermark, "core.Cache.Extend")
+	// Copy on write: hits served earlier hold e.slices and the states it
+	// points to, and read them without c.mu. Only the extended slice's
+	// state is copied; the others are shared with the old version.
+	ses := append([]*sliceEntry(nil), e.slices...)
+	se := new(sliceEntry)
+	*se = *e.slices[slice]
+	ses[slice] = se
 	c.mem -= e.mem
 	if e.kind == RangeIndex {
 		merged := append(append([]storage.RowRange(nil), se.ranges...), tailRanges...)
@@ -336,16 +352,16 @@ func (c *Cache) Extend(key string, slice int, tailRanges []storage.RowRange, new
 		se.estRows = storage.RangesRowCount(se.ranges)
 	} else {
 		numBlocks := (newWatermark + c.cfg.RowsPerBlock - 1) / c.cfg.RowsPerBlock
-		words := (numBlocks + 63) / 64
-		for len(se.bitmap) < words {
-			se.bitmap = append(se.bitmap, 0)
-		}
+		bm := make([]uint64, max((numBlocks+63)/64, len(se.bitmap)))
+		copy(bm, se.bitmap)
 		for _, r := range tailRanges {
-			bitmapSet(se.bitmap, r.Start, r.End, c.cfg.RowsPerBlock)
+			bitmapSet(bm, r.Start, r.End, c.cfg.RowsPerBlock)
 		}
-		se.estRows = storage.RangesRowCount(bitmapRanges(se.bitmap, c.cfg.RowsPerBlock, newWatermark))
+		se.bitmap = bm
+		se.estRows, _ = bitmapCount(bm, c.cfg.RowsPerBlock, newWatermark)
 	}
 	se.watermark = newWatermark
+	e.slices = ses
 	e.mem = e.memBytes()
 	c.mem += e.mem
 	c.stats.Extends++
@@ -409,12 +425,12 @@ func (c *Cache) Entries() []EntrySummary {
 	var out []EntrySummary
 	for e := c.head; e != nil; e = e.lruNext {
 		ranges := 0
-		for i := range e.slices {
-			se := &e.slices[i]
+		for _, se := range e.slices {
 			if e.kind == RangeIndex {
 				ranges += len(se.ranges)
 			} else {
-				ranges += len(bitmapRanges(se.bitmap, c.cfg.RowsPerBlock, se.watermark))
+				_, runs := bitmapCount(se.bitmap, c.cfg.RowsPerBlock, se.watermark)
+				ranges += runs
 			}
 		}
 		out = append(out, EntrySummary{

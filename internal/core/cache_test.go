@@ -72,11 +72,11 @@ func TestCacheInsertLookupRange(t *testing.T) {
 	if cand.Kind != RangeIndex {
 		t.Fatal("wrong kind")
 	}
-	if len(cand.PerSlice) != 2 || cand.Watermarks[0] != 3000 || cand.Watermarks[1] != 2000 {
+	if cand.NumSlices() != 2 || cand.Watermark(0) != 3000 || cand.Watermark(1) != 2000 {
 		t.Fatalf("candidates %+v", cand)
 	}
-	if cand.PerSlice[0][0] != (storage.RowRange{Start: 10, End: 20}) {
-		t.Fatalf("ranges %+v", cand.PerSlice[0])
+	if cand.AppendRanges(0, nil)[0] != (storage.RowRange{Start: 10, End: 20}) {
+		t.Fatalf("ranges %+v", cand.AppendRanges(0, nil))
 	}
 	if cand.EstRows != 25 {
 		t.Fatalf("est rows %d", cand.EstRows)
@@ -99,7 +99,7 @@ func TestCacheInsertLookupBitmap(t *testing.T) {
 		t.Fatal("miss")
 	}
 	want := []storage.RowRange{{Start: 0, End: 1000}, {Start: 3000, End: 4000}}
-	got := cand.PerSlice[0]
+	got := cand.AppendRanges(0, nil)
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("bitmap candidates %v", got)
 	}
@@ -199,10 +199,10 @@ func TestCacheExtendRange(t *testing.T) {
 	if !ok {
 		t.Fatal("miss after extend")
 	}
-	if cand.Watermarks[0] != 3000 {
-		t.Fatalf("watermark %d", cand.Watermarks[0])
+	if cand.Watermark(0) != 3000 {
+		t.Fatalf("watermark %d", cand.Watermark(0))
 	}
-	rs := cand.PerSlice[0]
+	rs := cand.AppendRanges(0, nil)
 	if len(rs) != 2 || rs[1] != (storage.RowRange{Start: 2100, End: 2110}) {
 		t.Fatalf("ranges %v", rs)
 	}
@@ -212,7 +212,7 @@ func TestCacheExtendRange(t *testing.T) {
 	// Extend with a lower watermark is a no-op.
 	c.Extend(key.String(), 0, []storage.RowRange{{Start: 0, End: 1}}, 2500)
 	cand, _ = c.Best([]string{key.String()})
-	if cand.Watermarks[0] != 3000 {
+	if cand.Watermark(0) != 3000 {
 		t.Fatal("watermark regressed")
 	}
 	// Extend of unknown key / out-of-range slice is a no-op.
@@ -230,7 +230,7 @@ func TestCacheExtendBitmap(t *testing.T) {
 	if !ok {
 		t.Fatal("miss")
 	}
-	rs := cand.PerSlice[0]
+	rs := cand.AppendRanges(0, nil)
 	want := []storage.RowRange{{Start: 0, End: 1000}, {Start: 4000, End: 5000}}
 	if len(rs) != 2 || rs[0] != want[0] || rs[1] != want[1] {
 		t.Fatalf("ranges %v", rs)
@@ -306,8 +306,8 @@ func TestCacheReinsertReplaces(t *testing.T) {
 	c.Insert(key, tbl, tbl.LayoutEpoch(), nil, [][]storage.RowRange{{{Start: 0, End: 10}}}, []int{500})
 	c.Insert(key, tbl, tbl.LayoutEpoch(), nil, [][]storage.RowRange{{{Start: 50, End: 60}}}, []int{1000})
 	cand, _ := c.Best([]string{key.String()})
-	if len(cand.PerSlice[0]) != 1 || cand.PerSlice[0][0].Start != 50 {
-		t.Fatalf("reinsert did not replace: %v", cand.PerSlice[0])
+	if len(cand.AppendRanges(0, nil)) != 1 || cand.AppendRanges(0, nil)[0].Start != 50 {
+		t.Fatalf("reinsert did not replace: %v", cand.AppendRanges(0, nil))
 	}
 	if c.Stats().Entries != 1 {
 		t.Fatal("duplicate entries")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"time"
 
 	"github.com/predcache/predcache/internal/storage"
@@ -23,7 +24,10 @@ func (k EntryKind) String() string {
 	return "range"
 }
 
-// sliceEntry holds the cached qualifying rows of one data slice.
+// sliceEntry holds the cached qualifying rows of one data slice. Once an
+// entry is published, its sliceEntry values and the arrays they point to
+// are never written again: a hit's Candidates reads them without the
+// cache's lock, so Extend publishes a changed copy instead.
 type sliceEntry struct {
 	// watermark is the number of rows of the slice that the entry covers;
 	// rows appended later are scanned normally and merged in (§4.3.1).
@@ -40,7 +44,7 @@ type entry struct {
 	layoutEpoch uint64
 	deps        []BuildDep
 	kind        EntryKind
-	slices      []sliceEntry
+	slices      []*sliceEntry
 	mem         int
 
 	// Introspection bookkeeping, written under the owning Cache's mutex:
@@ -94,31 +98,54 @@ func bitmapSet(bits []uint64, start, end, rowsPerBlock int) {
 	}
 }
 
-// bitmapRanges expands the set bits into row ranges clipped to limit rows.
-func bitmapRanges(bits []uint64, rowsPerBlock, limit int) []storage.RowRange {
-	var out []storage.RowRange
-	numBlocks := (limit + rowsPerBlock - 1) / rowsPerBlock
-	runStart := -1
-	for b := 0; b < numBlocks; b++ {
-		set := bits[b>>6]&(1<<(b&63)) != 0
-		if set && runStart < 0 {
-			runStart = b
-		}
-		if !set && runStart >= 0 {
-			out = append(out, storage.RowRange{Start: runStart * rowsPerBlock, End: b * rowsPerBlock})
-			runStart = -1
-		}
+// appendBitmapRanges appends every run of the slice's set bitmap blocks to
+// dst as one row range, the last clipped to the watermark. It only reads
+// the sliceEntry, which is never written once published.
+func (se *sliceEntry) appendBitmapRanges(dst []storage.RowRange, rowsPerBlock int) []storage.RowRange {
+	n := (se.watermark + rowsPerBlock - 1) / rowsPerBlock
+	for b := nextBlock(se.bitmap, 0, n, true); b < n; {
+		e := nextBlock(se.bitmap, b, n, false)
+		dst = append(dst, storage.RowRange{Start: b * rowsPerBlock, End: min(e*rowsPerBlock, se.watermark)})
+		b = nextBlock(se.bitmap, e, n, true)
 	}
-	if runStart >= 0 {
-		end := numBlocks * rowsPerBlock
-		if end > limit {
-			end = limit
+	return dst
+}
+
+// nextBlock returns the first block at or after b, below n, whose bit is
+// set (or clear, when set is false), or n if there is none.
+func nextBlock(bm []uint64, b, n int, set bool) int {
+	for b < n {
+		w := bm[b>>6]
+		if !set {
+			w = ^w
 		}
-		out = append(out, storage.RowRange{Start: runStart * rowsPerBlock, End: end})
+		if w >>= uint(b & 63); w != 0 {
+			return min(b+bits.TrailingZeros64(w), n)
+		}
+		b = (b | 63) + 1
 	}
-	// Clip the last range to the limit (it may end mid-block).
-	if n := len(out); n > 0 && out[n-1].End > limit {
-		out[n-1].End = limit
+	return n
+}
+
+// bitmapCount returns the rows the set blocks below limit's block cover,
+// clipped to limit, and the number of runs of set blocks: what expanding
+// the bitmap would yield, counted without expanding it.
+func bitmapCount(bm []uint64, rowsPerBlock, limit int) (rows, runs int) {
+	n := (limit + rowsPerBlock - 1) / rowsPerBlock
+	blocks := 0
+	var prevTop uint64 // the previous word's last bit
+	for w := 0; w*64 < n; w++ {
+		word := bm[w]
+		if rem := n - w*64; rem < 64 {
+			word &= 1<<uint(rem) - 1
+		}
+		blocks += bits.OnesCount64(word)
+		runs += bits.OnesCount64(word &^ (word<<1 | prevTop)) // set bits whose predecessor is clear
+		prevTop = word >> 63
 	}
-	return out
+	rows = blocks * rowsPerBlock
+	if last := n - 1; last >= 0 && bm[last>>6]&(1<<uint(last&63)) != 0 {
+		rows -= n*rowsPerBlock - limit
+	}
+	return rows, runs
 }

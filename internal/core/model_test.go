@@ -108,11 +108,11 @@ func TestCacheMatchesModel(t *testing.T) {
 					delete(model, ks)
 					continue
 				}
-				if cand.Watermarks[0] != m.watermark {
-					t.Fatalf("seed %d step %d: watermark %d model %d", seed, step, cand.Watermarks[0], m.watermark)
+				if cand.Watermark(0) != m.watermark {
+					t.Fatalf("seed %d step %d: watermark %d model %d", seed, step, cand.Watermark(0), m.watermark)
 				}
 				got := map[int]bool{}
-				for _, rr := range cand.PerSlice[0] {
+				for _, rr := range cand.AppendRanges(0, nil) {
 					for i := rr.Start; i < rr.End; i++ {
 						got[i] = true
 					}

@@ -199,22 +199,28 @@ func TestRangeBuilderInvariantsQuick(t *testing.T) {
 	}
 }
 
+// expandBitmap is a bitmap slice entry's candidate ranges up to limit rows.
+func expandBitmap(bits []uint64, rowsPerBlock, limit int) []storage.RowRange {
+	se := sliceEntry{bitmap: bits, watermark: limit}
+	return se.appendBitmapRanges(nil, rowsPerBlock)
+}
+
 func TestBitmapSetAndRanges(t *testing.T) {
 	bits := make([]uint64, 2) // 128 blocks
 	bitmapSet(bits, 0, 999, 1000)
 	bitmapSet(bits, 5000, 7001, 1000) // blocks 5,6,7
-	got := bitmapRanges(bits, 1000, 100000)
+	got := expandBitmap(bits, 1000, 100000)
 	want := []storage.RowRange{{Start: 0, End: 1000}, {Start: 5000, End: 8000}}
 	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("got %v", got)
 	}
 	// Clipping to the watermark.
-	got = bitmapRanges(bits, 1000, 7500)
+	got = expandBitmap(bits, 1000, 7500)
 	if got[1].End != 7500 {
 		t.Fatalf("not clipped: %v", got)
 	}
 	// Empty set.
-	if out := bitmapRanges(make([]uint64, 1), 1000, 5000); len(out) != 0 {
+	if out := expandBitmap(make([]uint64, 1), 1000, 5000); len(out) != 0 {
 		t.Fatalf("empty bitmap produced %v", out)
 	}
 	// Zero-length set is a no-op.
@@ -236,7 +242,15 @@ func TestBitmapNoFalseNegativesQuick(t *testing.T) {
 		for _, rr := range in {
 			bitmapSet(bits, rr.Start, rr.End, rowsPerBlock)
 		}
-		cov := coveredRows(bitmapRanges(bits, rowsPerBlock, limit))
+		out := expandBitmap(bits, rowsPerBlock, limit)
+		if storage.ValidateRanges(out, limit) != nil {
+			return false
+		}
+		// Counting without expanding agrees with the expansion.
+		if rows, runs := bitmapCount(bits, rowsPerBlock, limit); rows != storage.RangesRowCount(out) || runs != len(out) {
+			return false
+		}
+		cov := coveredRows(out)
 		for row := range coveredRows(in) {
 			if !cov[row] {
 				return false

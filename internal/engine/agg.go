@@ -334,17 +334,11 @@ func (t *aggTable) groupOf(k keyCols, row int, first int32) int32 {
 // processChunk folds one chunk of selected rows into the table: group
 // lookup into the scratch group-index vector, then one accumulate pass per
 // aggregate over the scratch-evaluated argument chunk. firsts[i] is the
-// global position of sel[i]; nil means sel holds global positions.
+// global position of sel[i].
 func processChunk(t *aggTable, baggs []*boundAgg, ctx *expr.BlockCtx, keys keyCols, sel []int, firsts []int32, scr *morselScratch) {
 	gidx := scr.groupIdx(len(sel))
-	if firsts == nil {
-		for i, row := range sel {
-			gidx[i] = t.groupOf(keys, row, int32(row))
-		}
-	} else {
-		for i, row := range sel {
-			gidx[i] = t.groupOf(keys, row, firsts[i])
-		}
+	for i, row := range sel {
+		gidx[i] = t.groupOf(keys, row, firsts[i])
 	}
 	for ai, ba := range baggs {
 		iv, fv := evalChunk(ba, ctx, sel, scr)
@@ -352,76 +346,113 @@ func processChunk(t *aggTable, baggs []*boundAgg, ctx *expr.BlockCtx, keys keyCo
 	}
 }
 
-// groupInput is what grouped aggregation reads, one morsel at a time: a
-// materialized relation, or the tuples leaving a join chain. Morsel m's
-// rows take slots base(m) up to base(m+1) of the input's row space.
+// groupInput is what aggregation reads, one morsel at a time: a
+// materialized relation, the tuples leaving a join chain, or a scan's
+// output runs. Morsel m's rows take slots base(m) up to base(m+1) of the
+// input's row space, at most maxMorselRows of them; within the morsel, a
+// row is known by its position.
 type groupInput interface {
 	morsels() int
 	base(m int) int
 	// rows prepares morsel m's rows in scr, all of them when seg is nil,
-	// else the ones seg lists by their sel values (as a nil seg returned
-	// them), in seg's order. It returns the context and key columns to
-	// read them with, the selection, and each selected row's global
-	// position (nil when sel holds it). With keysOnly, only the key columns
-	// need to be readable.
-	rows(scr *morselScratch, m int, seg []int32, keysOnly bool) (*expr.BlockCtx, keyCols, []int, []int32)
+	// else the ones seg lists by their position, ascending. It returns
+	// the context and key columns to read them with, the selection (a nil
+	// seg's selects rows by their position), and each selected row's
+	// global position. With keysOnly, only the key columns need to be
+	// readable.
+	rows(scr *morselScratch, m int, seg []uint16, keysOnly bool) (*expr.BlockCtx, keyCols, []int, []int32)
 }
 
 // relInput is a materialized relation under fused filters; morsels are
-// its fixed 4096-row spans.
+// its fixed 4096-row spans, each read through a context over its rows.
 type relInput struct {
 	rel    *Relation
-	keys   keyCols
+	keys   []int // the group columns
 	bounds []expr.Bound
 }
 
 func (r *relInput) morsels() int   { return numMorsels(r.rel.n) }
 func (r *relInput) base(m int) int { return min(m*morselSize, r.rel.n) }
 
-func (r *relInput) rows(scr *morselScratch, m int, seg []int32, _ bool) (*expr.BlockCtx, keyCols, []int, []int32) {
-	ctx := scr.relCtx(r.rel)
+func (r *relInput) rows(scr *morselScratch, m int, seg []uint16, _ bool) (*expr.BlockCtx, keyCols, []int, []int32) {
+	lo, hi := r.base(m), r.base(m+1)
+	ctx := scr.relCtx(r.rel, lo, hi)
+	var sel []int
 	if seg != nil {
-		return ctx, r.keys, scr.selFromInt32(seg), nil
+		sel = scr.selFromSeg(seg)
+	} else {
+		sel = morselSel(scr, ctx, r.bounds, 0, hi-lo)
 	}
-	return ctx, r.keys, morselSel(scr, ctx, r.bounds, r.base(m), r.base(m+1)), nil
+	return ctx, scr.ctxKeys(ctx, r.keys), sel, scr.positions(lo, sel)
 }
 
-// chainInput is the tuples leaving a join chain's top, read in place; its
-// morsels are the probe morsels.
+// maxMorselRows bounds the rows of one aggregation input morsel: the
+// partition scatter names a row by its uint16 position in its morsel.
+const maxMorselRows = 1 << 16
+
+// chainInput is the tuples leaving a join chain's top, read in place. Its
+// morsels are the probe morsels, each cut into pieces of maxMorselRows
+// tuples when its fanout leaves more.
 type chainInput struct {
 	tuples [][][]int32 // per probe morsel, a row list per source
+	probe  []int       // per morsel: the probe morsel its tuples are of
+	poffs  []int       // probe morsel p's tuples are output positions poffs[p] up to poffs[p+1]
 	offs   []int       // morsel m's tuples are output positions offs[m] up to offs[m+1]
 	cols   []chainCol  // the chain's output columns
 	keys   []int       // the group columns, indexes into cols
 	read   []int       // every column keys and aggregate arguments read, ascending
 }
 
-func (in *chainInput) morsels() int   { return len(in.tuples) }
+// newChainInput cuts c's probe morsels into the input's morsels.
+func newChainInput(c *joinChain) *chainInput {
+	nm := len(c.tuples)
+	in := &chainInput{tuples: c.tuples, probe: make([]int, 0, nm), poffs: c.offs, offs: make([]int, 0, nm+1), cols: c.out}
+	for p := range nm {
+		for lo, hi := c.offs[p], c.offs[p+1]; ; {
+			in.probe = append(in.probe, p)
+			in.offs = append(in.offs, lo)
+			if lo = min(lo+maxMorselRows, hi); lo == hi {
+				break
+			}
+		}
+	}
+	in.offs = append(in.offs, c.offs[nm])
+	return in
+}
+
+func (in *chainInput) morsels() int   { return len(in.probe) }
 func (in *chainInput) base(m int) int { return in.offs[m] }
 
 // rows gathers the columns read into the worker's scratch, one vector per
 // column over the tuples, each value from its source row (0 for an
 // unmatched left outer row, as gatherRows writes it), and selects every
 // position of them. seg lists tuples by their position in the morsel.
-func (in *chainInput) rows(scr *morselScratch, m int, seg []int32, keysOnly bool) (*expr.BlockCtx, keyCols, []int, []int32) {
+func (in *chainInput) rows(scr *morselScratch, m int, seg []uint16, keysOnly bool) (*expr.BlockCtx, keyCols, []int, []int32) {
 	n := in.offs[m+1] - in.offs[m]
-	src := in.tuples[m]
 	if n == 0 {
 		return nil, nil, nil, nil
 	}
+	p := in.probe[m]
+	lo := in.offs[m] - in.poffs[p]
+	src := grow(scr.srcRows[:0], len(in.tuples[p]))
+	scr.srcRows = src
+	for s, rows := range in.tuples[p] {
+		src[s] = nil
+		if rows == nil {
+			continue
+		}
+		rows = rows[lo : lo+n]
+		if seg != nil {
+			picked := slot(&scr.srows, s, len(seg))
+			for i, q := range seg {
+				picked[i] = rows[q]
+			}
+			rows = picked
+		}
+		src[s] = rows
+	}
 	if seg != nil {
 		n = len(seg)
-		src = grow(scr.srcRows[:0], len(in.tuples[m]))
-		scr.srcRows = src
-		for s, rows := range in.tuples[m] {
-			src[s] = nil
-			if rows != nil {
-				src[s] = slot(&scr.srows, s, n)
-				for i, p := range seg {
-					src[s][i] = rows[p]
-				}
-			}
-		}
 	}
 	ctx := &scr.ctx
 	ctx.Reset(len(in.cols), nil)
@@ -442,26 +473,179 @@ func (in *chainInput) rows(scr *morselScratch, m int, seg []int32, keysOnly bool
 			ctx.SetInt(ci, v)
 		}
 	}
-	keys := scr.ckeys[:0]
-	for _, ci := range in.keys {
-		if in.cols[ci].Type == storage.Float64 {
-			keys = append(keys, keyCol{floats: scr.cfloats[ci], float: true})
-		} else {
-			keys = append(keys, keyCol{ints: scr.cints[ci]})
-		}
+	keys, base := scr.ctxKeys(ctx, in.keys), in.offs[m]
+	if seg == nil {
+		sel := scr.identitySel(0, n)
+		return ctx, keys, sel, scr.positions(base, sel)
 	}
-	scr.ckeys = keys
-	firsts := grow(scr.firsts[:0], n)
-	scr.firsts = firsts
-	base := int32(in.offs[m])
-	for i := range firsts {
-		if seg != nil {
-			firsts[i] = base + seg[i]
-		} else {
-			firsts[i] = base + int32(i)
-		}
-	}
+	// The gathered tuples are seg's, in seg's order: select all of them, at
+	// the positions seg gives.
+	firsts := scr.positions(base, scr.selFromSeg(seg))
 	return ctx, keys, scr.identitySel(0, n), firsts
+}
+
+// scanInput is a scan's output read in place by the aggregate directly
+// above it: the output runs the scan's phase 1 kept per slice, which stay
+// valid, under the scan lock, until the scan closes after the aggregate.
+// Its morsels are the 4096-row spans of the scan's output positions, the
+// rows of the relation the scan would have materialized, so global
+// partials, group order and every float sum are that relation's.
+type scanInput struct {
+	st     *scanState
+	starts []runPos // per morsel: where its first output row is
+	keys   []int    // the group columns, indexes into st.out
+	read   []int    // every column keys and aggregate arguments read, ascending
+}
+
+// runPos addresses an output row of a scan: skip rows into output run run
+// of slice slice.
+type runPos struct{ slice, run, skip int }
+
+// runSeg is a stretch of a morsel's runs that reads one slice: runs up to
+// index end of the morsel's list, rows rows in all.
+type runSeg struct{ slice, end, rows int }
+
+// newScanInput indexes st's output runs by morsel.
+func newScanInput(st *scanState) *scanInput {
+	nm := numMorsels(st.total)
+	in := &scanInput{st: st, starts: make([]runPos, nm)}
+	m := 0
+	for s := range st.results {
+		pos := st.results[s].off
+		for r, run := range st.results[s].scratch.runs {
+			for ; m < nm && m*morselSize < pos+run.len(); m++ {
+				in.starts[m] = runPos{slice: s, run: r, skip: m*morselSize - pos}
+			}
+			pos += run.len()
+		}
+	}
+	return in
+}
+
+func (in *scanInput) morsels() int   { return len(in.starts) }
+func (in *scanInput) base(m int) int { return min(m*morselSize, in.st.total) }
+
+// rows gathers morsel m's read columns (only its key columns, with
+// keysOnly) from the scan's runs into the worker's scratch, one vector per
+// column, and selects every row of the morsel. Given a partition's seg,
+// it reads only the rows seg lists by their position in the morsel, and
+// selects all of those.
+func (in *scanInput) rows(scr *morselScratch, m int, seg []uint16, keysOnly bool) (*expr.BlockCtx, keyCols, []int, []int32) {
+	lo, hi := morselRows(m, in.st.total)
+	n := hi - lo
+	// The morsel's runs, the first and last clipped to it, in stretches of
+	// one slice each.
+	runs, segs := scr.sruns[:0], scr.ssegs[:0]
+	for p, left := in.starts[m], n; left > 0; {
+		sliceRuns := in.st.results[p.slice].scratch.runs
+		if p.run == len(sliceRuns) {
+			p = runPos{slice: p.slice + 1}
+			continue
+		}
+		run := sliceRuns[p.run]
+		run.lo += uint16(p.skip)
+		if run.len() > left {
+			run.hi = run.lo + uint16(left)
+		}
+		left -= run.len()
+		if len(segs) == 0 || segs[len(segs)-1].slice != p.slice {
+			segs = append(segs, runSeg{slice: p.slice})
+		}
+		runs = append(runs, run)
+		segs[len(segs)-1].end = len(runs)
+		segs[len(segs)-1].rows += run.len()
+		p = runPos{slice: p.slice, run: p.run + 1}
+	}
+	scr.sruns, scr.ssegs = runs, segs
+
+	ctx := &scr.ctx
+	ctx.Reset(len(in.st.out), nil)
+	read := in.read
+	if keysOnly {
+		read = in.keys
+	}
+	if seg != nil {
+		// A partition's segment of the morsel: read only its rows.
+		blks, rows := scr.segRows(runs, segs, seg)
+		ctx.N = len(seg)
+		for _, ci := range read {
+			dst := in.scratchCol(scr, ctx, ci, len(seg))
+			gatherPoints(&dst, in.st.tbl, in.st.src[ci], blks, rows)
+		}
+		firsts := scr.positions(lo, scr.selFromSeg(seg)) // before sel takes the scratch vector
+		return ctx, scr.ctxKeys(ctx, in.keys), scr.identitySel(0, len(seg)), firsts
+	}
+	ctx.N = n
+	for _, ci := range read {
+		dst := in.scratchCol(scr, ctx, ci, n)
+		from, off := 0, 0
+		for _, sg := range segs {
+			gatherRuns(&dst, in.st.tbl.Slice(sg.slice), sg.slice, in.st.src[ci], runs[from:sg.end], off)
+			from, off = sg.end, off+sg.rows
+		}
+	}
+	sel := scr.identitySel(0, n)
+	return ctx, scr.ctxKeys(ctx, in.keys), sel, scr.positions(lo, sel)
+}
+
+// scratchCol returns a column over the worker's n-value scratch vector for
+// output column ci, which ctx reads as column ci.
+func (in *scanInput) scratchCol(scr *morselScratch, ctx *expr.BlockCtx, ci, n int) RelCol {
+	dst := RelCol{Type: in.st.out[ci].Type}
+	if dst.Type == storage.Float64 {
+		dst.Floats = slot(&scr.cfloats, ci, n)
+		ctx.SetFloat(ci, dst.Floats)
+	} else {
+		dst.Ints = slot(&scr.cints, ci, n)
+		ctx.SetInt(ci, dst.Ints)
+	}
+	return dst
+}
+
+// rowBlock is a stretch of a segment's rows in one block: rows up to index
+// end of the segment's block-relative rows, in block blk of slice slice.
+type rowBlock struct {
+	slice, blk int32
+	end        int
+}
+
+// segRows maps the positions seg lists (ascending) of the rows runs lists,
+// in the stretches segs, to block-relative rows, in stretches of one block.
+func (scr *morselScratch) segRows(runs []outRun, segs []runSeg, seg []uint16) ([]rowBlock, []uint16) {
+	blks, rows := scr.rblks[:0], grow(scr.rrows[:0], len(seg))
+	r, s, start := 0, 0, 0 // run r holds positions start up to start+runs[r].len()
+	for i, q := range seg {
+		pos := int(q)
+		for pos >= start+runs[r].len() {
+			start += runs[r].len()
+			r++
+		}
+		for r >= segs[s].end {
+			s++
+		}
+		rows[i] = runs[r].lo + uint16(pos-start)
+		if k := len(blks) - 1; k < 0 || blks[k].slice != int32(segs[s].slice) || blks[k].blk != runs[r].blk {
+			blks = append(blks, rowBlock{slice: int32(segs[s].slice), blk: runs[r].blk})
+		}
+		blks[len(blks)-1].end = i + 1
+	}
+	scr.rblks, scr.rrows = blks, rows
+	return blks, rows
+}
+
+// readCols returns the indexes in src of the group columns keys and of
+// every column the aggregates' arguments read, ascending, each once.
+func readCols(keys []int, baggs []*boundAgg, src expr.Source) []int {
+	read := append(make([]int, 0, len(keys)+2*len(baggs)), keys...)
+	for _, ba := range baggs {
+		if ba.bs != nil {
+			for _, name := range ba.spec.Arg.ScalarColumns(nil) {
+				read = append(read, src.ColumnIndex(name))
+			}
+		}
+	}
+	slices.Sort(read)
+	return slices.Compact(read)
 }
 
 // overChain is a grouped aggregation directly over a join: it runs the
@@ -483,7 +667,7 @@ func (a *Agg) overChain(ec *ExecCtx, sp obs.SpanRef, j *Join) (*Relation, error)
 	top.End()
 	sp.SetInt("rows.in", int64(total))
 
-	in := &chainInput{tuples: c.tuples, offs: c.offs, cols: c.out}
+	in := newChainInput(c)
 	groupCols := make([]*RelCol, len(a.GroupBy))
 	for i, name := range a.GroupBy {
 		ci := c.ColumnIndex(name)
@@ -497,16 +681,7 @@ func (a *Agg) overChain(ec *ExecCtx, sp obs.SpanRef, j *Join) (*Relation, error)
 	if err != nil {
 		return nil, err
 	}
-	read := slices.Clone(in.keys)
-	for _, ba := range baggs {
-		if ba.bs != nil {
-			for _, name := range ba.spec.Arg.ScalarColumns(nil) {
-				read = append(read, c.ColumnIndex(name))
-			}
-		}
-	}
-	slices.Sort(read)
-	in.read = slices.Compact(read)
+	in.read = readCols(in.keys, baggs, c)
 
 	pa := parAccounting{workers: ec.workers(total), morsels: nm}
 	out := a.outCols(groupCols, baggs)
@@ -517,10 +692,67 @@ func (a *Agg) overChain(ec *ExecCtx, sp obs.SpanRef, j *Join) (*Relation, error)
 	return NewRelation(out)
 }
 
+// overScan is an aggregation directly over a scan. It opens the scan,
+// aggregates the output runs the scan's phase 1 kept in place (scanInput),
+// gathering each morsel's group keys and argument columns into worker
+// scratch, and closes the scan once the aggregate is done, so the scan's
+// output is never materialized and the cache learns of the scan only when
+// its consumer completed. The scan lock is held throughout.
+func (a *Agg) overScan(ec *ExecCtx, sp obs.SpanRef, s *Scan) (*Relation, error) {
+	st, err := s.open(ec)
+	if err != nil {
+		return nil, err
+	}
+	out, err := a.overRuns(ec, sp, st)
+	if err := st.close(err); err != nil {
+		return nil, err
+	}
+	return NewRelation(out)
+}
+
+// overRuns aggregates an open scan's output runs into the aggregate's
+// output columns. It binds against the scan's output columns, as the
+// materialized path binds against the relation they would fill.
+func (a *Agg) overRuns(ec *ExecCtx, sp obs.SpanRef, st *scanState) ([]RelCol, error) {
+	shape, err := NewRelation(st.out) // the scan's output columns, no rows
+	if err != nil {
+		return nil, err
+	}
+	sp.SetInt("rows.in", int64(st.total))
+	groupCols, _, err := relKeyCols(shape, a.GroupBy, "group-by column")
+	if err != nil {
+		return nil, err
+	}
+	baggs, err := bindAggs(a.Aggs, shape)
+	if err != nil {
+		return nil, err
+	}
+	in := newScanInput(st)
+	for _, name := range a.GroupBy {
+		in.keys = append(in.keys, shape.ColumnIndex(name))
+	}
+	in.read = readCols(in.keys, baggs, shape)
+
+	pa := parAccounting{workers: ec.workers(st.total), morsels: in.morsels()}
+	out := a.outCols(groupCols, baggs)
+	if len(groupCols) == 0 {
+		err = runGlobal(ec, baggs, in, &pa, out)
+	} else {
+		err = runGrouped(ec, in, baggs, a.groupCount(), &pa, out)
+	}
+	if err != nil {
+		return nil, err
+	}
+	pa.finish(ec, sp)
+	return out, nil
+}
+
 // Execute performs hash aggregation, morsel-parallel under
 // ExecCtx.MaxWorkers. A grouped aggregation directly over a join reads the
-// join chain's tuples in place (overChain). Otherwise Filter nodes directly
-// under the input stream as per-morsel selection vectors. Grouped
+// join chain's tuples in place (overChain), and any aggregation directly
+// over a scan reads the scan's output runs in place (overScan). Otherwise
+// Filter nodes directly under the input stream as per-morsel selection
+// vectors. Grouped
 // aggregation hash-partitions by group key and accumulates each
 // partition's rows in global row order; global aggregation accumulates
 // per-morsel partial states merged in morsel order — both make parallel
@@ -531,8 +763,13 @@ func (a *Agg) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	if err = ec.Cancelled(); err != nil {
 		return nil, err
 	}
-	if j, ok := a.Input.(*Join); ok && len(a.GroupBy) > 0 {
-		return a.overChain(ec, sp, j)
+	switch in := a.Input.(type) {
+	case *Join:
+		if len(a.GroupBy) > 0 {
+			return a.overChain(ec, sp, in)
+		}
+	case *Scan:
+		return a.overScan(ec, sp, in)
 	}
 	inNode, fusedPreds := fusedFilterInput(a.Input)
 	in, err := inNode.Execute(ec)
@@ -541,7 +778,7 @@ func (a *Agg) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	}
 	setRowsIn(sp, in)
 
-	groupCols, groupKeys, err := relKeyCols(in, a.GroupBy, "group-by column")
+	groupCols, _, err := relKeyCols(in, a.GroupBy, "group-by column")
 	if err != nil {
 		return nil, err
 	}
@@ -560,10 +797,14 @@ func (a *Agg) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	n := in.NumRows()
 	pa := parAccounting{workers: ec.workers(n), morsels: numMorsels(n)}
 	out := a.outCols(groupCols, baggs)
+	rin := &relInput{rel: in, bounds: bounds}
+	for _, name := range a.GroupBy {
+		rin.keys = append(rin.keys, in.ColumnIndex(name))
+	}
 	if len(groupCols) == 0 {
-		err = runGlobal(ec, baggs, bounds, in, &pa, out)
+		err = runGlobal(ec, baggs, rin, &pa, out)
 	} else {
-		err = runGrouped(ec, &relInput{rel: in, keys: groupKeys, bounds: bounds}, baggs, a.groupCount(), &pa, out)
+		err = runGrouped(ec, rin, baggs, a.groupCount(), &pa, out)
 	}
 	if err != nil {
 		return nil, err
@@ -604,8 +845,8 @@ func sizeCols(out []RelCol, n int) {
 // partial states, merged in morsel index order. Every worker count —
 // including one — runs the same partial/merge structure, so the result is
 // identical for any degree of parallelism.
-func runGlobal(ec *ExecCtx, baggs []*boundAgg, bounds []expr.Bound, in *Relation, pa *parAccounting, out []RelCol) error {
-	nm := numMorsels(in.n)
+func runGlobal(ec *ExecCtx, baggs []*boundAgg, in groupInput, pa *parAccounting, out []RelCol) error {
+	nm := in.morsels()
 	partials := newAggCols(baggs)
 	for i := range partials {
 		partials[i].resize(max(nm, 1), max(nm, 1)) // one zero state when no rows
@@ -614,10 +855,8 @@ func runGlobal(ec *ExecCtx, baggs []*boundAgg, bounds []expr.Bound, in *Relation
 	err := pa.run(pa.workers, func() error {
 		scr := acquireMorselScratch()
 		defer scr.release()
-		ctx := scr.relCtx(in)
 		return forEachTask(ec, cur, func(m int) error {
-			lo, hi := morselRows(m, in.n)
-			sel := morselSel(scr, ctx, bounds, lo, hi)
+			ctx, _, sel, _ := in.rows(scr, m, nil, false)
 			if len(sel) == 0 {
 				return nil
 			}
@@ -667,11 +906,12 @@ func runGrouped(ec *ExecCtx, in groupInput, baggs []*boundAgg, last *atomic.Int6
 	nm := in.morsels()
 	nP := partitionsFor(pa.workers)
 	size := tableSize(min(int(last.Load()), in.base(nm)), nP)
-	var rowBuf, moffs []int32
+	var rowBuf []uint16
+	var moffs []int32
 	if nP > 1 {
 		pshift := partShift(nP)
-		rowBuf = make([]int32, in.base(nm)) // morsel m owns rowBuf[base(m):base(m+1)]
-		moffs = make([]int32, nm*(nP+1))    // per-morsel partition offsets into its segment
+		rowBuf = make([]uint16, in.base(nm)) // morsel m owns rowBuf[base(m):base(m+1)]
+		moffs = make([]int32, nm*(nP+1))     // per-morsel partition offsets into its segment
 		cur := &taskCursor{n: nm}
 		err := pa.run(pa.workers, func() error {
 			scr := acquireMorselScratch()
@@ -694,7 +934,7 @@ func runGrouped(ec *ExecCtx, in groupInput, baggs []*boundAgg, last *atomic.Int6
 				seg := rowBuf[in.base(m):in.base(m+1)]
 				for i, row := range sel {
 					p := pids[i]
-					seg[cursor[p]] = int32(row)
+					seg[cursor[p]] = uint16(row)
 					cursor[p]++
 				}
 				return nil
@@ -717,7 +957,7 @@ func runGrouped(ec *ExecCtx, in groupInput, baggs []*boundAgg, last *atomic.Int6
 				if err := ec.Cancelled(); err != nil {
 					return err
 				}
-				var seg []int32 // nil: the morsel's rows whole
+				var seg []uint16 // nil: the morsel's rows whole
 				if nP > 1 {
 					offs := moffs[m*(nP+1):]
 					s, e := offs[p], offs[p+1]

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/predcache/predcache/internal/bloom"
+	"github.com/predcache/predcache/internal/core"
 	"github.com/predcache/predcache/internal/expr"
 	"github.com/predcache/predcache/internal/storage"
 )
@@ -13,7 +14,9 @@ import (
 // TestHotPathAllocs pins the exact allocation count of the engine's inner
 // loops. Hashing, key lookup, morsel selection, accumulation, a join
 // level's probe, output gathering, an aggregation's gather of a chain's
-// tuples and a scan's filter and gather phases allocate nothing; a join chain's probe morsel allocates exactly its output lists. A construct that allocates per call
+// tuples or of a scan's output runs, a scan's filter and gather phases and
+// a predicate-cache hit allocate nothing; a join chain's probe morsel
+// allocates exactly its output lists. A construct that allocates per call
 // (an FNV hasher, a []byte copy of a key, a boxed value, a fresh slice grown
 // row by row) moves the count on the first run.
 func TestHotPathAllocs(t *testing.T) {
@@ -79,9 +82,10 @@ func TestHotPathAllocs(t *testing.T) {
 	probeCol, buildCol := chainCol{RelCol: rel.Col(0)}, chainCol{RelCol: rel.Col(2), src: 1}
 	// An aggregation reading that chain's tuples in place, keyed on the
 	// probe column, its argument the build column.
-	chainIn := &chainInput{tuples: [][][]int32{tuples}, offs: []int{0, len(tuples[0])},
-		cols: []chainCol{probeCol, buildCol}, keys: []int{0}, read: []int{0, 1}}
-	seg := []int32{5, 9, 4000}
+	chainIn := newChainInput(&joinChain{tuples: [][][]int32{tuples}, offs: []int{0, len(tuples[0])},
+		out: []chainCol{probeCol, buildCol}})
+	chainIn.keys, chainIn.read = []int{0}, []int{0, 1}
+	seg := []uint16{5, 9, 4000}
 
 	// One typed state column per function, four groups each.
 	state := func(fn AggFunc, intArg bool) *aggCol {
@@ -164,7 +168,11 @@ type allocCase struct {
 //     row;
 //   - filterSlice with "a = 5", which one row of every block passes, keeping
 //     2,000 output runs;
-//   - gatherSlice of those 2,000 runs into an id column.
+//   - gatherSlice of those 2,000 runs into an id column;
+//   - scanInput.rows over the same runs, an aggregate reading them in
+//     place: the one morsel whole, and a partition's segment of it;
+//   - a bitmap-entry and a range-entry hit on a third of the blocks,
+//     through Cache.Best and Candidates.AppendRanges into a reused list.
 //
 // The runs hold their scratches rather than drawing them from the pool per
 // run (the race detector makes sync.Pool drop items at random), so only the
@@ -180,9 +188,8 @@ func scanPhaseRuns(t *testing.T) []allocCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	numCols := len(tbl.Schema())
-	pointScr := acquireScanScratch(numCols, make([]*storage.Dict, numCols))
-	everyScr := acquireScanScratch(numCols, make([]*storage.Dict, numCols))
+	pointScr := acquireScanScratch(tbl)
+	everyScr := acquireScanScratch(tbl)
 	state := func(p expr.Pred, sjs []*semiJoinFilter) *scanState {
 		bound, err := expr.Bind(p, tbl)
 		if err != nil {
@@ -221,8 +228,49 @@ func scanPhaseRuns(t *testing.T) []allocCase {
 	all := storage.RowRange{Start: 0, End: blocks * storage.BlockSize}
 	every := state(expr.Cmp("a", expr.Eq, expr.Int(5)), nil)
 	fillEvery := filter(every, everyScr, all, 0, blocks)
-	fillEvery() // the output runs the gather reads
+	fillEvery() // the output runs the gather and scanInput read
 	out[0].Ints = make([]int64, blocks)
+	every.total = blocks
+	in := newScanInput(every)
+	in.keys, in.read = []int{0}, []int{0}
+	mscr := &morselScratch{}
+	// rows checks the id values a scanInput.rows call gathered and selected:
+	// a segment's rows alone, in its order.
+	rows := func(seg []uint16) func() {
+		want := [3]int64{5, 1005, 1999005} // the whole morsel's first two and last
+		if seg != nil {
+			want = [3]int64{5*storage.BlockSize + 5, 9*storage.BlockSize + 5, 1500*storage.BlockSize + 5}
+		}
+		return func() {
+			ctx, keys, sel, firsts := in.rows(mscr, 0, seg, false)
+			got := [3]int64{keys[0].ints[sel[0]], ctx.Ints(0)[sel[1]], ctx.Ints(0)[sel[len(sel)-1]]}
+			if seg == nil && len(sel) != blocks || seg != nil && (firsts[2] != 1500 || ctx.N != len(seg)) || got != want {
+				t.Errorf("scanInput.rows selected %d rows, ids %v, want %v", len(sel), got, want)
+			}
+		}
+	}
+	// hit serves an entry holding the qualifying row of every third block.
+	hit := func(kind core.EntryKind) func() {
+		var ranges []storage.RowRange
+		for k := 0; k < blocks; k += 3 {
+			ranges = append(ranges, storage.RowRange{Start: k*storage.BlockSize + 5, End: k*storage.BlockSize + 6})
+		}
+		cache := core.NewCache(core.Config{Kind: kind})
+		key := core.Key{Table: "loop", Predicate: "(= a 5)"}
+		cache.Insert(key, tbl, tbl.LayoutEpoch(), nil, [][]storage.RowRange{ranges}, []int{slice.NumRows()})
+		keys := []string{key.String()}
+		var dst []storage.RowRange
+		return func() {
+			cand, ok := cache.Best(keys)
+			if !ok {
+				t.Error("miss")
+				return
+			}
+			if dst = cand.AppendRanges(0, dst[:0]); len(dst) != len(ranges) {
+				t.Errorf("%d candidate ranges, want %d", len(dst), len(ranges))
+			}
+		}
+	}
 	return []allocCase{
 		{"filterSlice/one-block", 0, filter(state(point, nil), pointScr, block, 0, 1)},
 		{"filterSlice/2000-blocks", 0, filter(state(point, nil), pointScr, all, 0, 1)},
@@ -242,6 +290,10 @@ func scanPhaseRuns(t *testing.T) []allocCase {
 				}
 			}
 		}},
+		{"scanInput.rows/all", 0, rows(nil)},
+		{"scanInput.rows/seg", 0, rows([]uint16{5, 9, 1500})},
+		{"Cache.Best+AppendRanges/bitmap-hit", 0, hit(core.BitmapIndex)},
+		{"Cache.Best+AppendRanges/range-hit", 0, hit(core.RangeIndex)},
 	}
 }
 

@@ -458,7 +458,7 @@ func (j *Join) probeChain(ec *ExecCtx) (_ *joinChain, err error) {
 	err = pa.run(c.workers, func() error {
 		scr := acquireMorselScratch()
 		defer scr.release()
-		ctx := scr.relCtx(in)
+		ctx := scr.relCtx(in, 0, in.n)
 		return forEachTask(ec, cur, func(m int) error {
 			lo, hi := morselRows(m, in.NumRows())
 			c.tuples[m] = c.morselTuples(scr, morselSel(scr, ctx, bounds, lo, hi), counts[m*nl:][:nl])

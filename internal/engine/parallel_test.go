@@ -257,6 +257,29 @@ func TestAggParallelSerialIdentical(t *testing.T) {
 			}
 		})
 	}
+	// A grouped aggregate over a join whose one probe morsel fans out past
+	// maxMorselRows tuples: each of 40 dims rows matches about 2,000 items.
+	t.Run("group_over_join_fanout", func(t *testing.T) {
+		fan := newTestDB(t, 80000, 40, 4, 44)
+		plan := &Agg{
+			Input: &Join{
+				Left: &Scan{Table: "dims"}, Right: &Scan{Table: "items"},
+				LeftKeys: []string{"d_id"}, RightKeys: []string{"dim_id"}, Type: InnerJoin,
+			},
+			GroupBy: []string{"qty"}, Aggs: allAggs,
+		}
+		serial := execWith(t, fan.cat, plan, false, 0)
+		tuples := int64(0)
+		for _, c := range serial.ColByName("cnt").Ints {
+			tuples += c
+		}
+		if tuples <= maxMorselRows {
+			t.Fatalf("%d join tuples, want more than one morsel's %d", tuples, maxMorselRows)
+		}
+		for _, w := range []int{1, 2, 4, 7} {
+			requireIdentical(t, serial, execWith(t, fan.cat, plan, true, w))
+		}
+	})
 }
 
 // TestJoinAboveAggPipeline runs a full filter→join→agg pipeline both ways.
@@ -381,13 +404,68 @@ func TestParallelStatsAccounting(t *testing.T) {
 	}
 }
 
+// cachedEntry is the candidates an entry serves, expanded: its watermark
+// and candidate ranges per slice.
+type cachedEntry struct {
+	Watermarks []int
+	PerSlice   [][]storage.RowRange
+}
+
 // cacheContents maps every entry's key to the candidates it serves.
-func cacheContents(c *core.Cache) map[string]core.Candidates {
-	out := map[string]core.Candidates{}
+func cacheContents(c *core.Cache) map[string]cachedEntry {
+	out := map[string]cachedEntry{}
 	for _, e := range c.Entries() {
-		out[e.Key], _ = c.Best([]string{e.Key})
+		cand, _ := c.Best([]string{e.Key})
+		var ce cachedEntry
+		for i := 0; i < cand.NumSlices(); i++ {
+			ce.Watermarks = append(ce.Watermarks, cand.Watermark(i))
+			ce.PerSlice = append(ce.PerSlice, cand.AppendRanges(i, nil))
+		}
+		out[e.Key] = ce
 	}
 	return out
+}
+
+// coldWarm executes plan cold, then warm, against a fresh cache, requires
+// the warm run to hit, and returns both results and the entries left.
+func coldWarm(t *testing.T, d *testDB, plan Node, ec ExecCtx) (cold, warm *Relation, entries map[string]cachedEntry) {
+	t.Helper()
+	ec.Catalog, ec.Snapshot, ec.Cache = d.cat, d.cat.Snapshot(), core.NewCache(core.DefaultConfig())
+	for _, out := range []**Relation{&cold, &warm} {
+		ec.Stats = &storage.ScanStats{}
+		rel, err := plan.Execute(&ec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*out = rel
+	}
+	if ec.Stats.CacheHits.Load() == 0 {
+		t.Fatal("warm run did not hit")
+	}
+	return cold, warm, cacheContents(ec.Cache)
+}
+
+// materialized hides a node's type from the aggregate above it, which then
+// reads the relation the node's Execute returns, as it reads any input
+// that is neither a *Scan nor a *Join.
+type materialized struct{ Node }
+
+// cutSum is a global sum of vals with its partials cut every cut values,
+// each summed from zero and merged in order, as runGlobal sums morsels.
+func cutSum(vals []float64, cut int) float64 {
+	var total float64
+	for lo := 0; lo < len(vals); lo += cut {
+		var part float64
+		for _, v := range vals[lo:min(lo+cut, len(vals))] {
+			part += v
+		}
+		if lo == 0 {
+			total = part
+		} else {
+			total += part
+		}
+	}
+	return total
 }
 
 // TestScanWorkerCountIndependent: each slice gathers into its own region of
@@ -396,6 +474,13 @@ func cacheContents(c *core.Cache) map[string]core.Candidates {
 // cold (miss, insert) and warm (hit), on the dense path, with a residual
 // filter (its columns projected or not), with rowids, and under a join that
 // pushes a semi-join filter into it.
+//
+// An aggregate directly over a scan reads the scan's output runs in place.
+// Grouped and global, at every worker count, it must give the bits, and
+// leave the cache entries, of the same aggregate run serially over the
+// relation Scan.Execute returns — missing, hitting, and after deletes. The
+// global sum is one that rounds differently when its partials are cut at
+// other than 4096 output rows.
 func TestScanWorkerCountIndependent(t *testing.T) {
 	plans := []struct {
 		name string
@@ -423,36 +508,102 @@ func TestScanWorkerCountIndependent(t *testing.T) {
 	for _, slices := range []int{1, 4, 7} {
 		d := newTestDB(t, 30000, 40, slices, 47) // 8 morsels: room for 7 workers
 		for _, tc := range plans {
-			// run executes the plan cold then warm against a fresh cache.
-			run := func(ec ExecCtx) (cold, warm *Relation, entries map[string]core.Candidates) {
-				t.Helper()
-				ec.Catalog, ec.Snapshot, ec.Cache = d.cat, d.cat.Snapshot(), core.NewCache(core.DefaultConfig())
-				for _, out := range []**Relation{&cold, &warm} {
-					ec.Stats = &storage.ScanStats{}
-					rel, err := tc.plan.Execute(&ec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					*out = rel
-				}
-				if ec.Stats.CacheHits.Load() == 0 {
-					t.Fatal("warm run did not hit")
-				}
-				return cold, warm, cacheContents(ec.Cache)
-			}
-			refCold, refWarm, refEntries := run(ExecCtx{Serial: true})
+			refCold, refWarm, refEntries := coldWarm(t, d, tc.plan, ExecCtx{Serial: true})
 			if len(refEntries) == 0 {
 				t.Fatal("serial run cached nothing")
 			}
 			for _, w := range []int{1, 2, 4, 7} {
 				t.Run(fmt.Sprintf("%s/slices=%d/workers=%d", tc.name, slices, w), func(t *testing.T) {
-					cold, warm, entries := run(ExecCtx{MaxWorkers: w})
+					cold, warm, entries := coldWarm(t, d, tc.plan, ExecCtx{MaxWorkers: w})
 					requireIdentical(t, refCold, cold)
 					requireIdentical(t, refWarm, warm)
 					if !reflect.DeepEqual(refEntries, entries) {
 						t.Fatalf("cache entries differ from the serial run's:\nserial %+v\ngot    %+v", refEntries, entries)
 					}
 				})
+			}
+		}
+	}
+
+	// "residual" adds a vectorized-path filter, so runs are cut by rows that
+	// fail it as well as by blocks.
+	scan := &Scan{Table: "items", Filter: expr.Cmp("qty", expr.Le, expr.Int(30)), Project: []string{"mode", "qty", "price"}}
+	residual := &Scan{Table: "items", Filter: expr.And(expr.Cmp("qty", expr.Le, expr.Int(40)), expr.CmpCols("qty", expr.Lt, "dim_id")),
+		Project: []string{"mode", "qty", "price"}}
+	// Two sums whose terms have full mantissas, so nearly every addition
+	// rounds: between them, every cut tried below changes some bit.
+	price := expr.Col("price")
+	sum := AggSpec{Func: AggSum, Arg: expr.Arith(price, expr.Div, expr.Col("qty")), Name: "s"}
+	qty := expr.Col("qty")
+	sum3 := AggSpec{Func: AggSum, Name: "s3", // price² / qty³
+		Arg: expr.Arith(expr.Arith(price, expr.Mul, price), expr.Div, expr.Arith(expr.Arith(qty, expr.Mul, qty), expr.Mul, qty))}
+	terms := func(rel *Relation) (s, s3 []float64) {
+		for i, p := range rel.ColByName("price").Floats {
+			q := float64(rel.ColByName("qty").Ints[i])
+			s, s3 = append(s, p/q), append(s3, p*p/(q*q*q))
+		}
+		return s, s3
+	}
+	aggs := []struct {
+		name string
+		agg  Agg
+		cuts bool // check that the sums see a wrong cut
+	}{
+		{"grouped", Agg{Input: scan, GroupBy: []string{"mode"}, Aggs: []AggSpec{{Func: AggCount, Name: "c"}, sum,
+			{Func: AggAvg, Arg: expr.Col("price"), Name: "a"}, {Func: AggMin, Arg: expr.Col("qty"), Name: "lo"},
+			{Func: AggMax, Arg: expr.Col("price"), Name: "hi"}, {Func: AggCountDistinct, Arg: expr.Col("qty"), Name: "d"}}}, false},
+		{"grouped_residual", Agg{Input: residual, GroupBy: []string{"qty", "mode"}, Aggs: []AggSpec{sum}}, false},
+		{"global", Agg{Input: scan, Aggs: []AggSpec{{Func: AggCount, Name: "c"}, sum, sum3, {Func: AggMax, Arg: expr.Col("qty"), Name: "hi"}}}, true},
+		{"global_residual", Agg{Input: residual, Aggs: []AggSpec{sum, sum3, {Func: AggAvg, Arg: expr.Col("price"), Name: "a"}}}, false},
+	}
+	for _, slices := range []int{1, 4, 7} {
+		d := newTestDB(t, 30000, 40, slices, 49)
+		for _, deleted := range []bool{false, true} {
+			if deleted {
+				// Every fifth row of every slice, so deletes cut runs everywhere.
+				for si := 0; si < slices; si++ {
+					var rows []int
+					for r := 0; r < d.items.Slice(si).NumRows(); r += 5 {
+						rows = append(rows, r)
+					}
+					d.items.DeleteRows(si, rows, d.cat.NextXID())
+				}
+			}
+			for _, tc := range aggs {
+				fused, ref := tc.agg, tc.agg
+				ref.Input = materialized{tc.agg.Input}
+				refCold, refWarm, refEntries := coldWarm(t, d, &ref, ExecCtx{Serial: true})
+				if tc.cuts {
+					// The reference sums the materialized output in 4096-row
+					// partials; cut anywhere else, the sum has other bits.
+					rel, err := tc.agg.Input.Execute(&ExecCtx{Catalog: d.cat, Snapshot: d.cat.Snapshot()})
+					if err != nil {
+						t.Fatal(err)
+					}
+					ts, ts3 := terms(rel)
+					got := [2]uint64{math.Float64bits(refWarm.ColByName("s").Floats[0]), math.Float64bits(refWarm.ColByName("s3").Floats[0])}
+					cut := func(n int) [2]uint64 {
+						return [2]uint64{math.Float64bits(cutSum(ts, n)), math.Float64bits(cutSum(ts3, n))}
+					}
+					if want := cut(morselSize); got != want {
+						t.Fatalf("%s: reference sums %x, 4096-row partials give %x", tc.name, got, want)
+					}
+					for _, n := range []int{1000, morselSize - 1, morselSize + 1, 2 * morselSize, len(ts)} {
+						if cut(n) == got {
+							t.Fatalf("%s: partials of %d rows sum to the bits of 4096-row ones: the check cannot see a wrong cut", tc.name, n)
+						}
+					}
+				}
+				for _, w := range []int{1, 2, 4, 7} {
+					t.Run(fmt.Sprintf("agg_over_scan/%s/slices=%d/deleted=%v/workers=%d", tc.name, slices, deleted, w), func(t *testing.T) {
+						cold, warm, entries := coldWarm(t, d, &fused, ExecCtx{MaxWorkers: w})
+						requireIdentical(t, refCold, cold)
+						requireIdentical(t, refWarm, warm)
+						if !reflect.DeepEqual(refEntries, entries) {
+							t.Fatalf("cache entries differ from the materialized run's:\nmaterialized %+v\nfused        %+v", refEntries, entries)
+						}
+					})
+				}
 			}
 		}
 	}

@@ -48,7 +48,7 @@ func hashString(s string) uint64 {
 }
 
 // sliceScanResult is the per-slice outcome of a scan. The counters are
-// slice-local so the hot loop avoids shared atomics; Execute folds them into
+// slice-local so the hot loop avoids shared atomics; close folds them into
 // ec.Stats (and the scan's trace span) once per scan.
 type sliceScanResult struct {
 	plainRanges       []storage.RowRange // rows passing the filter (pre-bloom, pre-visibility)
@@ -56,8 +56,9 @@ type sliceScanResult struct {
 	plainFrom, sjFrom int                // the recorders' rangeRecorder.from
 	numRows           int
 	// scratch holds the slice's candidates, the two range lists above (the
-	// cache copies what it keeps) and, from the filter phase to the gather
-	// phase, its output runs; Execute releases it after the cache calls.
+	// cache copies what it keeps) and, from the filter phase until the scan's
+	// consumer is done, its output runs; close releases it after the cache
+	// calls.
 	scratch *scanScratch
 	off     int // the slice's first row in the scan's output
 
@@ -86,11 +87,11 @@ func (p *sliceBoundsProvider) FloatBounds(col int) (float64, float64, bool) {
 	return p.slice.Column(col).FloatBounds(p.block)
 }
 
-// scanState is one execution of a scan as its workers see it: what every
-// slice reads and none writes — the bound predicate with its kernel plan, the
-// pushed semi-join filters, the output columns with the base-table column
-// each reads — and the per-slice results, handed out one slice at a time by
-// a cursor that each phase runs over once.
+// scanState is one execution of a scan, from open to close. Its workers see
+// what every slice reads and none writes — the bound predicate with its
+// kernel plan, the pushed semi-join filters, the output columns with the
+// base-table column each reads — and the per-slice results, handed out one
+// slice at a time by a cursor that each phase runs over once.
 type scanState struct {
 	ec        *ExecCtx
 	sp        obs.SpanRef // the scan's span, parent of the slice spans
@@ -103,9 +104,41 @@ type scanState struct {
 	out       []RelCol
 	src       []int // per output column: its base-table column, or rowIDCol
 	results   []sliceScanResult
+	total     int // output rows: every slice's rowsQualified, once phase 1 is done
 
-	cur    taskCursor // the slice cursor
-	gather bool       // the phase the cursor runs: filter, then gather
+	cur taskCursor // the slice cursor
+
+	// Between open and close: the scan lock's release, the phases' worker
+	// accounting, and the scan's side of the predicate cache — its keys,
+	// the lookup's outcome, and what close inserts or extends.
+	unlock           func()
+	pa               parAccounting
+	cand             core.Candidates
+	table, pred      string // the cache key's table and predicate
+	plainStr, sjStr  string // the keys as the cache takes them
+	epoch            uint64
+	evictions, inval int64 // the cache's counts at open, for a traced scan's deltas
+
+	gather      bool // the phase the cursor runs: filter, then gather
+	useCache    bool
+	hit         bool
+	sjKeyOK     bool // every pushed semi-join filter is describable
+	usedSJEntry bool // the hit served the semi-join key's entry
+}
+
+// plainKey is the cache key of the scan's filter.
+func (st *scanState) plainKey() core.Key { return core.Key{Table: st.table, Predicate: st.pred} }
+
+// sjKey is the cache key of the scan with its semi-join filters, and the
+// build sides that entry depends on.
+func (st *scanState) sjKey() (core.Key, []core.BuildDep) {
+	k := st.plainKey()
+	var deps []core.BuildDep
+	for _, sj := range st.sjs {
+		k.SemiJoins = append(k.SemiJoins, sj.sjKey)
+		deps = append(deps, sj.deps...)
+	}
+	return k, deps
 }
 
 // rowIDCol marks the rowid output column (Scan.RowIDs) in scanState.src.
@@ -140,15 +173,35 @@ func scanColumns(tbl *storage.Table, project []string, alias string, rowIDs bool
 // range-restricted scan to cached candidate ranges on a hit (step 5),
 // re-evaluates the predicate on candidates to eliminate false positives,
 // and inserts/extends cache entries from the qualifying ranges the
-// vectorized scan produced (steps 3-4).
-func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
-	sp := beginNodeSpan(ec, s)
-	defer func() { endNodeSpan(sp, rel, err) }()
+// vectorized scan produced (steps 3-4). It is open, a gather of every
+// output row into an exact-size relation, and close.
+func (s *Scan) Execute(ec *ExecCtx) (*Relation, error) {
+	st, err := s.open(ec)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.close(st.gatherAll()); err != nil {
+		return nil, err
+	}
+	return NewRelation(st.out)
+}
 
+// open starts an execution of the scan: the cache lookup, the table's scan
+// lock and phase 1 over every slice, which leaves each slice's output runs
+// in its scratch, its first output position in off, and the output's row
+// count in st.total. The scan's consumer then reads the runs — gatherAll,
+// or an aggregate reading them in place (scanInput) — and hands its error
+// to close, which releases the lock and only then feeds the cache. Until
+// close, the scan holds the table's scan lock, so every writer of the
+// table — DML and vacuum — waits for the consumer too. An error open
+// returns has already been through close.
+func (s *Scan) open(ec *ExecCtx) (*scanState, error) {
+	st := &scanState{ec: ec, sp: beginNodeSpan(ec, s)}
 	tbl, ok := ec.Catalog.Table(s.Table)
 	if !ok {
-		return nil, fmt.Errorf("engine: unknown table %s", s.Table)
+		return nil, st.close(fmt.Errorf("engine: unknown table %s", s.Table))
 	}
+	st.tbl = tbl
 	pred := s.Filter
 	if pred == nil {
 		pred = expr.TruePred{}
@@ -166,7 +219,7 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	for i, sj := range sjs {
 		ci := tbl.ColumnIndex(sj.keyCol)
 		if ci < 0 {
-			return nil, fmt.Errorf("engine: semi-join key %s not in table %s", sj.keyCol, s.Table)
+			return nil, st.close(fmt.Errorf("engine: semi-join key %s not in table %s", sj.keyCol, s.Table))
 		}
 		sjKeyCols[i] = ci
 	}
@@ -174,50 +227,42 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	// Cache keys: the plain filter key, plus the semi-join key when every
 	// pushed filter is describable (§4.4: entries with and without semi-join
 	// filters live in the same cache).
-	plainKey := core.Key{Table: s.Table, Predicate: pred.Key()}
-	var sjCacheKey core.Key
-	var sjDeps []core.BuildDep
-	sjKeyOK := false
+	st.table, st.pred, st.sjs = s.Table, pred.Key(), sjs
 	if len(sjs) > 0 && !ec.DisableSemiJoinCache {
-		sjKeyOK = true
-		sjCacheKey = core.Key{Table: s.Table, Predicate: pred.Key()}
+		st.sjKeyOK = true
 		for _, sj := range sjs {
 			if !sj.cacheable {
-				sjKeyOK = false
+				st.sjKeyOK = false
 				break
 			}
-			sjCacheKey.SemiJoins = append(sjCacheKey.SemiJoins, sj.sjKey)
-			sjDeps = append(sjDeps, sj.deps...)
 		}
 	}
 
 	// Step 1: cache lookup, most selective entry wins. The cache calls take
 	// the keys as strings, built once here.
-	var cand core.Candidates
-	hit := false
-	useCache := ec.Cache != nil
-	var plainStr, sjStr string
-	if useCache {
-		plainStr = plainKey.String()
-		if sjKeyOK {
-			sjStr = sjCacheKey.String()
+	st.useCache = ec.Cache != nil
+	if st.useCache {
+		st.plainStr = st.plainKey().String()
+		if st.sjKeyOK {
+			sjKey, _ := st.sjKey()
+			st.sjStr = sjKey.String()
 		}
 	}
-	var statsBefore core.Stats
-	if sp.Active() && useCache {
-		statsBefore = ec.Cache.Stats()
+	if st.sp.Active() && st.useCache {
+		before := ec.Cache.Stats()
+		st.evictions, st.inval = before.Evictions, before.Invalidations
 	}
-	if useCache && !ec.ForceCacheInsertOnly {
+	if st.useCache && !ec.ForceCacheInsertOnly {
 		lsp := ec.Trace.Begin(obs.KindCache, "lookup")
-		keys := []string{plainStr}
-		if sjKeyOK {
-			keys = append(keys, sjStr)
+		keys := []string{st.plainStr}
+		if st.sjKeyOK {
+			keys = append(keys, st.sjStr)
 		}
-		cand, hit = ec.Cache.Best(keys)
+		st.cand, st.hit = ec.Cache.Best(keys)
 		if lsp.Active() {
-			if hit {
+			if st.hit {
 				lsp.SetStr("outcome", "hit")
-				lsp.SetStr("entry", cand.Key)
+				lsp.SetStr("entry", st.cand.Key)
 			} else {
 				lsp.SetStr("outcome", "miss")
 			}
@@ -225,31 +270,29 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 		lsp.End()
 	}
 	if ec.Stats != nil {
-		if hit {
+		if st.hit {
 			ec.Stats.CacheHits.Add(1)
-		} else if useCache {
+		} else if st.useCache {
 			ec.Stats.CacheMisses.Add(1)
 		}
 	}
-	usedSJEntry := hit && cand.Key != plainStr
+	st.usedSJEntry = st.hit && st.cand.Key != st.plainStr
 
 	// The layout epoch is captured before the scan lock: if a vacuum slips
 	// in between, the inserted entry carries the pre-vacuum epoch and is
 	// conservatively treated as stale on its first lookup.
-	epoch := tbl.LayoutEpoch()
-	unlock := tbl.RLockScan()
+	st.epoch = tbl.LayoutEpoch()
+	st.unlock = tbl.RLockScan()
 
 	// Binding happens under the scan lock: it snapshots string dictionaries
 	// (LIKE memos, code lookups), which concurrent appends may grow.
 	bound, err := expr.Bind(pred, tbl)
 	if err != nil {
-		unlock()
-		return nil, err
+		return nil, st.close(err)
 	}
 	out, src, err := scanColumns(tbl, project, s.Alias, s.RowIDs)
 	if err != nil {
-		unlock()
-		return nil, err
+		return nil, st.close(err)
 	}
 	// Split the bound predicate into encoded-domain kernels plus a residual
 	// (decode-then-Eval) part. The split is per-scan, not per-block; blocks
@@ -259,11 +302,6 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 		plan = expr.NoKernelPlan(bound)
 	} else {
 		plan = expr.PlanKernels(bound)
-	}
-	numCols := len(tbl.Schema())
-	dicts := make([]*storage.Dict, numCols)
-	for i := 0; i < numCols; i++ {
-		dicts[i] = tbl.Dict(i)
 	}
 	sjMemos := make([][]bool, len(sjs))
 	for i, sj := range sjs {
@@ -280,40 +318,43 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 
 	numSlices := tbl.NumSlices()
 	results := make([]sliceScanResult, numSlices)
+	st.results = results // close releases the scratches acquired below
 	// Each slice's candidates: the entry's ranges plus the tail past its
 	// watermark on a hit, every row otherwise. Their row count picks the
 	// worker count, so a one-block hit runs inline and a full-table miss
 	// uses every worker.
+	hit, cand := st.hit, &st.cand
 	candRows := 0
 	for i := range results {
 		res := &results[i]
 		res.numRows = tbl.Slice(i).NumRows()
-		// The recorders start at the rows the cache takes (steps 3-4 below):
-		// both entries whole on a miss; on a hit, the entry's rows past its
-		// watermark, and a plain-key hit may insert the semi-join entry whole.
+		// The recorders start at the rows the cache takes (steps 3-4 in
+		// close): both entries whole on a miss; on a hit, the entry's rows
+		// past its watermark, and a plain-key hit may insert the semi-join
+		// entry whole.
 		res.plainFrom, res.sjFrom = math.MaxInt, math.MaxInt
-		if useCache {
+		if st.useCache {
 			from := 0
 			if hit {
 				from = math.MaxInt
-				if i < len(cand.Watermarks) {
-					from = cand.Watermarks[i]
+				if i < cand.NumSlices() {
+					from = cand.Watermark(i)
 				}
 			}
 			switch {
-			case usedSJEntry:
+			case st.usedSJEntry:
 				res.sjFrom = from
-			case sjKeyOK:
+			case st.sjKeyOK:
 				res.plainFrom, res.sjFrom = from, 0
 			default:
 				res.plainFrom = from
 			}
 		}
-		res.scratch = acquireScanScratch(numCols, dicts)
+		res.scratch = acquireScanScratch(tbl)
 		candidates := res.scratch.cands[:0]
-		if hit && i < len(cand.PerSlice) && cand.Watermarks[i] <= res.numRows {
-			candidates = append(candidates, cand.PerSlice[i]...)
-			if watermark := cand.Watermarks[i]; watermark < res.numRows {
+		if hit && i < cand.NumSlices() && cand.Watermark(i) <= res.numRows {
+			candidates = cand.AppendRanges(i, candidates)
+			if watermark := cand.Watermark(i); watermark < res.numRows {
 				candidates = append(candidates, storage.RowRange{Start: watermark, End: res.numRows})
 			}
 		} else if res.numRows > 0 {
@@ -324,49 +365,64 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 			candRows += r.End - r.Start
 		}
 	}
-	// Scratches are released only after the gather phase has read their
-	// output runs and the cache their range lists.
+	// Phase 1 filters every slice down to its output runs and so counts its
+	// output rows, each slice's output positions following the previous
+	// slice's. Each slice writes only its own result, so output positions,
+	// cache entries and counters do not depend on the worker count.
+	st.bound, st.plan, st.sjKeyCols, st.sjMemos = bound, plan, sjKeyCols, sjMemos
+	st.out, st.src, st.cur = out, src, taskCursor{n: numSlices}
+	st.pa.workers = min(ec.workers(candRows), numSlices)
+	if err := st.pa.run(st.pa.workers, st.work); err != nil {
+		return nil, st.close(err)
+	}
+	for i := range results {
+		results[i].off = st.total
+		st.total += int(results[i].rowsQualified)
+	}
+	return st, nil
+}
+
+// gatherAll is phase 2 of a materializing scan: it allocates every output
+// column once, at its exact size, and gathers each slice's rows straight
+// from the compressed blocks into the slice's own region of it, in slice
+// order, on as many workers as the output rows call for.
+func (st *scanState) gatherAll() error {
+	if st.total == 0 {
+		return nil
+	}
+	for j := range st.out {
+		if st.out[j].Type == storage.Float64 {
+			st.out[j].Floats = make([]float64, st.total)
+		} else {
+			st.out[j].Ints = make([]int64, st.total)
+		}
+	}
+	st.cur.next.Store(0)
+	st.gather = true
+	return st.pa.run(min(st.ec.workers(st.total), len(st.results)), st.work)
+}
+
+// close ends an execution of the scan once its consumer has finished with
+// err. It releases the scan lock; then, for a complete scan only, it
+// publishes the counters, feeds the cache and closes the scan's span. A
+// cancelled or failed scan (or consumer) never inserts or extends an entry.
+// The slices' scratches go back to the pool last, after the cache has
+// copied their range lists. It returns err.
+func (st *scanState) close(err error) error {
+	if st.unlock != nil {
+		st.unlock()
+	}
 	defer func() {
-		for i := range results {
-			results[i].scratch.release()
+		for i := range st.results {
+			st.results[i].scratch.release()
 		}
 	}()
-	// Phase 1 filters every slice down to its output runs and so counts its
-	// output rows; the output is then allocated at its exact size, and phase 2
-	// gathers each slice's rows straight from the compressed blocks into the
-	// slice's own region of it, in slice order, on as many workers as its
-	// output rows call for. Each slice writes only its own result and output
-	// region, so output, cache entries and counters do not depend on the
-	// worker count.
-	st := &scanState{ec: ec, sp: sp, tbl: tbl, bound: bound, plan: plan, sjs: sjs, sjKeyCols: sjKeyCols,
-		sjMemos: sjMemos, out: out, src: src, results: results, cur: taskCursor{n: numSlices}}
-	work := st.work
-	pa := parAccounting{workers: min(ec.workers(candRows), numSlices)}
-	err = pa.run(pa.workers, work)
-	if err == nil {
-		total := 0
-		for i := range results {
-			results[i].off = total
-			total += int(results[i].rowsQualified)
-		}
-		if total > 0 {
-			for j := range out {
-				if out[j].Type == storage.Float64 {
-					out[j].Floats = make([]float64, total)
-				} else {
-					out[j].Ints = make([]int64, total)
-				}
-			}
-			st.cur.next.Store(0)
-			st.gather = true
-			err = pa.run(min(ec.workers(total), numSlices), work)
-		}
-	}
-	unlock()
+	ec, sp, results := st.ec, st.sp, st.results
 	if err != nil {
-		return nil, err
+		endNodeSpan(sp, nil, err)
+		return err
 	}
-	pa.finish(ec, sp)
+	st.pa.finish(ec, sp)
 
 	// Fold the slice-local counters into the shared query stats in one pass
 	// (per-scan rather than per-block atomics keep the hot loop cheap).
@@ -394,9 +450,9 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	}
 	if sp.Active() {
 		switch {
-		case !useCache:
+		case !st.useCache:
 			sp.SetStr("cache", "off")
-		case hit:
+		case st.hit:
 			sp.SetStr("cache", "hit")
 		default:
 			sp.SetStr("cache", "miss")
@@ -413,58 +469,61 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	}
 
 	// Steps 3-4: feed the cache from the ranges the vectorized scan
-	// (performed after releasing the scan lock: cache bookkeeping reads
-	// table versions, which must not nest inside the table's read lock)
-	// produced. On a miss both keys are inserted; on a plain-key hit the
-	// semi-join entry can still be inserted (its rows are a subset of the
-	// candidates scanned); on a semi-join-entry hit only that entry is
-	// extended — plain qualifying rows outside the entry were never visited.
-	if useCache {
+	// produced, after releasing the scan lock (cache bookkeeping reads
+	// table versions, which must not nest inside the table's read lock).
+	// On a miss both keys are inserted; on a plain-key hit the semi-join
+	// entry can still be inserted (its rows are a subset of the candidates
+	// scanned); on a semi-join-entry hit only that entry is extended —
+	// plain qualifying rows outside the entry were never visited.
+	if st.useCache {
+		cand := &st.cand
 		switch {
-		case !hit:
+		case !st.hit:
 			csp := ec.Trace.Begin(obs.KindCache, "insert")
 			plainRanges, sjRanges, watermarks := insertArgs(results)
-			ec.Cache.Insert(plainKey, tbl, epoch, nil, plainRanges, watermarks)
-			if sjKeyOK {
-				ec.Cache.Insert(sjCacheKey, tbl, epoch, sjDeps, sjRanges, watermarks)
+			ec.Cache.Insert(st.plainKey(), st.tbl, st.epoch, nil, plainRanges, watermarks)
+			if st.sjKeyOK {
+				sjKey, deps := st.sjKey()
+				ec.Cache.Insert(sjKey, st.tbl, st.epoch, deps, sjRanges, watermarks)
 			}
 			if csp.Active() {
-				csp.SetStr("key", plainStr)
+				csp.SetStr("key", st.plainStr)
 			}
 			csp.End()
-		case !usedSJEntry:
+		case !st.usedSJEntry:
 			csp := ec.Trace.Begin(obs.KindCache, "extend")
 			for i := range results {
-				if i >= len(cand.Watermarks) {
+				if i >= cand.NumSlices() {
 					break // defensive: entry slice count mismatch
 				}
-				if res := &results[i]; len(res.plainRanges) > 0 || res.numRows > cand.Watermarks[i] {
-					ec.Cache.Extend(plainStr, i, res.plainRanges, res.numRows)
+				if res := &results[i]; len(res.plainRanges) > 0 || res.numRows > cand.Watermark(i) {
+					ec.Cache.Extend(st.plainStr, i, res.plainRanges, res.numRows)
 				}
 			}
 			// Only (re)build the semi-join entry when none is current: a
 			// steady-state warm scan must not pay entry construction again
 			// ("rigorously avoiding slowdowns", §1).
-			if sjKeyOK && !ec.Cache.Has(sjStr) {
+			if st.sjKeyOK && !ec.Cache.Has(st.sjStr) {
 				_, sjRanges, watermarks := insertArgs(results)
-				ec.Cache.Insert(sjCacheKey, tbl, epoch, sjDeps, sjRanges, watermarks)
+				sjKey, deps := st.sjKey()
+				ec.Cache.Insert(sjKey, st.tbl, st.epoch, deps, sjRanges, watermarks)
 			}
 			if csp.Active() {
-				csp.SetStr("key", plainStr)
+				csp.SetStr("key", st.plainStr)
 			}
 			csp.End()
 		default:
 			csp := ec.Trace.Begin(obs.KindCache, "extend")
 			for i := range results {
-				if i >= len(cand.Watermarks) {
+				if i >= cand.NumSlices() {
 					break // defensive: entry slice count mismatch
 				}
-				if res := &results[i]; len(res.sjRanges) > 0 || res.numRows > cand.Watermarks[i] {
-					ec.Cache.Extend(sjStr, i, res.sjRanges, res.numRows)
+				if res := &results[i]; len(res.sjRanges) > 0 || res.numRows > cand.Watermark(i) {
+					ec.Cache.Extend(st.sjStr, i, res.sjRanges, res.numRows)
 				}
 			}
 			if csp.Active() {
-				csp.SetStr("key", sjStr)
+				csp.SetStr("key", st.sjStr)
 			}
 			csp.End()
 		}
@@ -473,17 +532,20 @@ func (s *Scan) Execute(ec *ExecCtx) (rel *Relation, err error) {
 	// the span reports them as registry deltas across this execution; under
 	// concurrency another query's activity can leak into the delta, which is
 	// acceptable for a diagnostic annotation.
-	if sp.Active() && useCache {
+	if sp.Active() && st.useCache {
 		after := ec.Cache.Stats()
-		if d := after.Evictions - statsBefore.Evictions; d > 0 {
+		if d := after.Evictions - st.evictions; d > 0 {
 			sp.SetInt("cache.evictions", d)
 		}
-		if d := after.Invalidations - statsBefore.Invalidations; d > 0 {
+		if d := after.Invalidations - st.inval; d > 0 {
 			sp.SetInt("cache.invalidations", d)
 		}
 	}
-
-	return NewRelation(out)
+	if sp.Active() {
+		sp.SetInt("rows.out", int64(st.total))
+	}
+	sp.End()
+	return nil
 }
 
 // work claims slices off the cursor until none is left and runs the current
@@ -652,8 +714,8 @@ func (st *scanState) filterSlice(i int) error {
 	//
 	// sinceCheck counts the candidate rows scanned since the last
 	// cancellation check, the slice's claim being the first; a check runs
-	// whenever the next block would take it past cancelCheckRows. Execute
-	// surfaces the error before any cache insert/extend, so an aborted slice
+	// whenever the next block would take it past cancelCheckRows. close
+	// takes the error before any cache insert/extend, so an aborted slice
 	// never pollutes the cache with partial ranges.
 	sinceCheck := 0
 	ci, pos := 0, 0
@@ -906,6 +968,27 @@ func (st *scanState) gatherSlice(i int) error {
 		runs, off = runs[k:], off+n
 	}
 	return nil
+}
+
+// gatherPoints writes column ci's values of rows, in the stretches of one
+// block blks lists — the rowids when ci is rowIDCol — to dst.
+func gatherPoints(dst *RelCol, tbl *storage.Table, ci int, blks []rowBlock, rows []uint16) {
+	from := 0
+	for _, b := range blks {
+		rs := rows[from:b.end]
+		switch {
+		case ci == rowIDCol:
+			base := int64(b.slice)<<32 | int64(int(b.blk)*storage.BlockSize)
+			for j, r := range rs {
+				dst.Ints[from+j] = base + int64(r)
+			}
+		case dst.Type == storage.Float64:
+			tbl.Slice(int(b.slice)).Column(ci).ReadFloatRows(int(b.blk), rs, dst.Floats[from:b.end])
+		default:
+			tbl.Slice(int(b.slice)).Column(ci).ReadIntRows(int(b.blk), rs, dst.Ints[from:b.end])
+		}
+		from = b.end
+	}
 }
 
 // gatherRuns writes column ci's values of the rows of runs — the rowids

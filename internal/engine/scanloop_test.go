@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/predcache/predcache/internal/core"
 	"github.com/predcache/predcache/internal/expr"
@@ -286,6 +289,66 @@ func testScanCancel(t *testing.T, filter expr.Pred, slices int) {
 	}
 }
 
+// TestAggOverScanCancel: an aggregate directly over a scan reads the scan's
+// output runs while the scan is open, and the scan feeds the cache only
+// when it closes after the aggregate. Cancelled at any one of its checks —
+// in the scan's phase 1 or in the aggregate's phases — a run errors and
+// leaves no entry; a complete run leaves one. Grouped and global, inline
+// and on four workers over four slices.
+func TestAggOverScanCancel(t *testing.T) {
+	const rows = 40 * storage.BlockSize
+	scan := &Scan{Table: "loop", Filter: expr.Cmp("a", expr.Ge, expr.Int(10)), Project: []string{"a", "b"}}
+	aggs := []AggSpec{{Func: AggCount, Name: "c"}, {Func: AggSum, Arg: expr.Col("b"), Name: "s"}}
+	for _, tc := range []struct {
+		name string
+		agg  *Agg
+	}{
+		{"grouped", &Agg{Input: scan, GroupBy: []string{"a"}, Aggs: aggs}},
+		{"global", &Agg{Input: scan, Aggs: aggs}},
+	} {
+		for _, w := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, w), func(t *testing.T) {
+				cat, _ := loopTable(t, rows, w)
+				run := func(ctx context.Context, cache *core.Cache) (*obs.Trace, error) {
+					tr := obs.NewTrace()
+					ec := &ExecCtx{Catalog: cat, Cache: cache, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{},
+						Trace: tr, Ctx: ctx, MaxWorkers: w}
+					_, err := tc.agg.Execute(ec)
+					return tr, err
+				}
+				probe := newCountdownCtx(1 << 30)
+				if _, err := run(probe, core.NewCache(core.DefaultConfig())); err != nil {
+					t.Fatal(err)
+				}
+				checks := probe.calls.Load()
+				cache := core.NewCache(core.DefaultConfig())
+				inAgg := 0
+				for n := int64(1); n <= checks; n++ {
+					tr, err := run(newCountdownCtx(n), cache)
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("cancel at check %d of %d: err = %v", n, checks, err)
+					}
+					if entries := cache.Entries(); len(entries) != 0 {
+						t.Fatalf("cancel at check %d of %d left entries %+v", n, checks, entries)
+					}
+					if sliceSpansInt(tr, "rows.scanned") == rows {
+						inAgg++
+					}
+				}
+				if inAgg == 0 {
+					t.Fatalf("none of %d cancellations fell after the scan's phase 1", checks)
+				}
+				if _, err := run(context.Background(), cache); err != nil {
+					t.Fatal(err)
+				}
+				if st := cache.Stats(); st.Inserts != 1 || st.Entries != 1 {
+					t.Fatalf("complete run after the cancelled ones: %+v", st)
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkScanHitOneBlock is the candidate-driven loop's case: a hit that
 // leaves one candidate block of 2,000.
 func BenchmarkScanHitOneBlock(b *testing.B) {
@@ -310,6 +373,40 @@ func BenchmarkScanHitOneBlock(b *testing.B) {
 		if err != nil || rel.NumRows() != 1 {
 			b.Fatalf("rows %d err %v", rel.NumRows(), err)
 		}
+	}
+}
+
+// BenchmarkAggOverScanHit is a warm bitmap-entry hit under count(*) and
+// sum(id) on a four-slice table of 400 blocks, about half of which the
+// entry keeps: the hit expands the entry straight into the scan's pooled
+// candidate lists, and the aggregate reads the scan's output runs in place,
+// so no scan output column is allocated. It reports B/op and allocs/op.
+func BenchmarkAggOverScanHit(b *testing.B) {
+	cat, _ := loopTable(b, 400*storage.BlockSize, 4)
+	agg := &Agg{
+		Input: &Scan{Table: "loop", Filter: expr.Cmp("b", expr.Lt, expr.Int(100)), Project: []string{"id"}},
+		Aggs:  []AggSpec{{Func: AggCount, Name: "c"}, {Func: AggSum, Arg: expr.Col("id"), Name: "s"}},
+	}
+	// A cancellable context, as every server session's statement has.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ec := &ExecCtx{Catalog: cat, Cache: core.NewCache(core.DefaultConfig()), Snapshot: cat.Snapshot(),
+		Stats: &storage.ScanStats{}, Ctx: ctx}
+	cold, err := agg.Execute(ec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rel, err := agg.Execute(ec)
+		if err != nil || rel.Col(0).Ints[0] != cold.Col(0).Ints[0] {
+			b.Fatalf("count %d, cold %d, err %v", rel.Col(0).Ints[0], cold.Col(0).Ints[0], err)
+		}
+	}
+	b.StopTimer()
+	if hits := ec.Stats.CacheHits.Load(); hits != int64(b.N) {
+		b.Fatalf("%d hits in %d warm runs", hits, b.N)
 	}
 }
 
@@ -381,5 +478,89 @@ func TestScanBytesPerOutputRow(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// groupsAgg is a grouped aggregate over a whole-table scan of a loopTable
+// with about 2,000 groups, whose rows every hash partition holds some of in
+// every morsel.
+func groupsAgg() *Agg {
+	return &Agg{
+		Input:   &Scan{Table: "loop"},
+		GroupBy: []string{"b"},
+		Aggs:    []AggSpec{{Func: AggCount, Name: "c"}, {Func: AggSum, Arg: expr.Col("id"), Name: "s"}, {Func: AggSum, Arg: expr.Col("a"), Name: "t"}},
+	}
+}
+
+// BenchmarkAggOverScanGroups runs groupsAgg over 400 blocks: at W > 1,
+// phase 2 reads each partition's rows of every morsel, so its cost should
+// not grow with the worker count.
+func BenchmarkAggOverScanGroups(b *testing.B) {
+	cat, _ := loopTable(b, 400*storage.BlockSize, 4)
+	agg := groupsAgg()
+	ec := &ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), Stats: &storage.ScanStats{}}
+	if _, err := agg.Execute(ec); err != nil { // sizes the tables from here on
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := agg.Execute(ec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAppendUnderAggOverScan times one-row appends, 0-4 ms apart, to a
+// table that another goroutine aggregates over in a loop, on two workers. An
+// aggregate directly over a scan holds the table's scan lock until it is
+// done, and an append waits for that lock. It reports the appends' p50 and
+// p99 latency and the aggregates run per second; ns/op includes the pauses.
+func BenchmarkAppendUnderAggOverScan(b *testing.B) {
+	for _, grouped := range []bool{false, true} {
+		b.Run(fmt.Sprintf("grouped=%v", grouped), func(b *testing.B) {
+			cat, tbl := loopTable(b, 400*storage.BlockSize, 4)
+			agg := groupsAgg()
+			if !grouped {
+				agg.GroupBy = nil
+			}
+			var stop atomic.Bool
+			var runs atomic.Int64
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					if _, err := agg.Execute(&ExecCtx{Catalog: cat, Snapshot: cat.Snapshot(), MaxWorkers: 2}); err != nil {
+						b.Error(err)
+						return
+					}
+					runs.Add(1)
+				}
+			}()
+			r := rand.New(rand.NewSource(1))
+			lat := make([]time.Duration, b.N)
+			b.ResetTimer()
+			for i := range lat {
+				batch := storage.NewBatch(tbl.Schema())
+				for c := range batch.Cols {
+					batch.Cols[c].Ints = []int64{int64(i)}
+				}
+				batch.N = 1
+				t0 := time.Now()
+				if err := tbl.Append(batch, cat.NextXID()); err != nil {
+					b.Fatal(err)
+				}
+				lat[i] = time.Since(t0)
+				time.Sleep(time.Duration(r.Intn(4000)) * time.Microsecond)
+			}
+			el := b.Elapsed()
+			stop.Store(true)
+			wg.Wait()
+			slices.Sort(lat)
+			b.ReportMetric(float64(lat[len(lat)/2].Microseconds()), "p50-µs")
+			b.ReportMetric(float64(lat[len(lat)*99/100].Microseconds()), "p99-µs")
+			b.ReportMetric(float64(runs.Load())/el.Seconds(), "aggs/s")
+		})
 	}
 }

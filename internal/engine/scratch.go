@@ -18,17 +18,19 @@ import (
 // acquire until release. The filter phase (filterSlice) fills runs with the
 // runs of every block's qualifying visible rows; the gather phase
 // (gatherSlice) reads them back to decode the slice's output rows straight
-// into the scan's result, so no output value lives in the scratch. Execute
-// releases the scratch once the gather phase and the cache calls that read
-// its range lists are done.
+// into the scan's result, or an aggregate over the scan reads them in place
+// (scanInput), so no output value lives in the scratch. The scan's close
+// releases the scratch once its consumer and the cache calls that read its
+// range lists are done.
 type scanScratch struct {
 	numCols int
 	ctx     *expr.BlockCtx
-	ints    [][]int64   // per-column decode buffers, BlockSize, lazy
-	floats  [][]float64 // per-column decode buffers, BlockSize, lazy
-	loaded  []bool      // column vector valid for the current block
-	counted []bool      // column counted in blocks.accessed this block
-	decoded []bool      // column counted in blocks.decoded this block
+	dicts   []*storage.Dict // the table's, per column: ctx reads them
+	ints    [][]int64       // per-column decode buffers, BlockSize, lazy
+	floats  [][]float64     // per-column decode buffers, BlockSize, lazy
+	loaded  []bool          // column vector valid for the current block
+	counted []bool          // column counted in blocks.accessed this block
+	decoded []bool          // column counted in blocks.decoded this block
 
 	mask   storage.BlockMask  // the current block's selection bitmap
 	sel    []int              // mask as a selection vector (vectorized path only)
@@ -80,11 +82,17 @@ func ScratchPoolStats() (gets, news int64) {
 	return scratchPoolGets.Load(), scratchPoolNews.Load()
 }
 
-// acquireScanScratch returns a scratch sized for numCols columns with a
-// reset BlockCtx. dicts is shared read-only across scan workers.
-func acquireScanScratch(numCols int, dicts []*storage.Dict) *scanScratch {
+// acquireScanScratch returns a scratch sized for tbl's columns with a
+// BlockCtx reset over tbl's dictionaries.
+func acquireScanScratch(tbl *storage.Table) *scanScratch {
 	scratchPoolGets.Add(1)
 	scr := scanScratchPool.Get().(*scanScratch)
+	numCols := len(tbl.Schema())
+	dicts := scr.dicts[:0]
+	for i := range numCols {
+		dicts = append(dicts, tbl.Dict(i))
+	}
+	scr.dicts = dicts
 	if cap(scr.ints) < numCols {
 		scr.ints = make([][]int64, numCols)
 		scr.floats = make([][]float64, numCols)
@@ -152,8 +160,8 @@ func (scr *scanScratch) markDecoded(ci int, res *sliceScanResult) {
 type morselScratch struct {
 	sel []int // morsel selection vector (cap morselSize)
 	// The worker's evaluation context, over a relation's vectors or the
-	// ones an aggregation over a join chain gathers per morsel, with the
-	// scratch composite predicates and scalars take.
+	// ones an aggregation over a join chain or a scan gathers per morsel,
+	// with the scratch composite predicates and scalars take.
 	ctx expr.BlockCtx
 	// Join chain levels: output tuples' input tuples, the tuples' rows per
 	// source (a set per level parity) and gathered key vectors.
@@ -163,11 +171,20 @@ type morselScratch struct {
 	kints   [][]int64
 	kfloats [][]float64
 	// Aggregation over a join chain: each source's rows of the selected
-	// tuples (srcRows, pointing into srows when a segment picks them), the
-	// read columns' values (indexed by column), the group key over them,
-	// and the tuples' output positions.
+	// tuples (srcRows, pointing into srows when a segment picks them).
 	srcRows [][]int32
 	srows   [][]int32
+	// Aggregation over a scan: a morsel's output runs and their stretches
+	// of one slice each.
+	sruns []outRun
+	ssegs []runSeg
+	// A partition's segment of that morsel: its block-relative rows, in
+	// stretches of one block.
+	rrows []uint16
+	rblks []rowBlock
+	// Aggregation: the read columns' values a chain or scan input gathers
+	// (indexed by column), the group key over the context's vectors, and
+	// the selected rows' global positions.
 	cints   [][]int64
 	cfloats [][]float64
 	ckeys   keyCols
@@ -200,16 +217,17 @@ func (scr *morselScratch) release() {
 	morselScratchPool.Put(scr)
 }
 
-// relCtx returns the worker's context over r's column vectors.
-func (scr *morselScratch) relCtx(r *Relation) *expr.BlockCtx {
+// relCtx returns the worker's context over rows [lo, hi) of r's column
+// vectors: row lo is the context's row 0.
+func (scr *morselScratch) relCtx(r *Relation, lo, hi int) *expr.BlockCtx {
 	ctx := &scr.ctx
 	ctx.Reset(len(r.cols), nil)
-	ctx.N = r.n
+	ctx.N = hi - lo
 	for i := range r.cols {
 		if c := &r.cols[i]; c.Type == storage.Float64 {
-			ctx.SetFloat(i, c.Floats)
+			ctx.SetFloat(i, c.Floats[lo:hi])
 		} else {
-			ctx.SetInt(i, c.Ints)
+			ctx.SetInt(i, c.Ints[lo:hi])
 		}
 	}
 	return ctx
@@ -228,9 +246,9 @@ func (scr *morselScratch) identitySel(lo, hi int) []int {
 	return sel
 }
 
-// selFromInt32 widens a scattered int32 row segment into the scratch
-// selection vector (expr evaluation takes []int selections).
-func (scr *morselScratch) selFromInt32(rows []int32) []int {
+// selFromSeg widens a partition's segment of a morsel's row positions into
+// the scratch selection vector (expr evaluation takes []int selections).
+func (scr *morselScratch) selFromSeg(rows []uint16) []int {
 	if cap(scr.sel) < len(rows) {
 		scr.sel = make([]int, len(rows))
 	}
@@ -239,6 +257,28 @@ func (scr *morselScratch) selFromInt32(rows []int32) []int {
 		sel[i] = int(r)
 	}
 	return sel
+}
+
+// ctxKeys returns the key columns keys over ctx's vectors.
+func (scr *morselScratch) ctxKeys(ctx *expr.BlockCtx, keys []int) keyCols {
+	k := scr.ckeys[:0]
+	for _, ci := range keys {
+		f := ctx.Floats(ci)
+		k = append(k, keyCol{ints: ctx.Ints(ci), floats: f, float: f != nil})
+	}
+	scr.ckeys = k
+	return k
+}
+
+// positions returns the global positions of a morsel's rows at positions
+// sel, the morsel's first row being at base.
+func (scr *morselScratch) positions(base int, sel []int) []int32 {
+	p := grow(scr.firsts[:0], len(sel))
+	scr.firsts = p
+	for i, r := range sel {
+		p[i] = int32(base + r)
+	}
+	return p
 }
 
 // vecs returns the chunk evaluation vectors sized for n rows.

@@ -59,6 +59,7 @@ func TestHotPathAllocs(t *testing.T) {
 		}
 	}
 	ints, floats := make([]int64, BlockSize), make([]float64, BlockSize)
+	someRows := []uint16{3, 4, 90, 512, 999}
 	var sink bool
 
 	for _, tc := range []struct {
@@ -79,6 +80,9 @@ func TestHotPathAllocs(t *testing.T) {
 		{"ReadIntRange/raw", func() { rawCol.ReadIntRange(1, 10, 900, ints) }},
 		{"ReadIntRange/tail", func() { forCol.ReadIntRange(2, 0, 100, ints) }},
 		{"ReadFloatRange", func() { floatCol.ReadFloatRange(0, 10, 900, floats) }},
+		{"ReadIntRows/FOR", func() { forCol.ReadIntRows(1, someRows, ints) }},
+		{"ReadIntRows/RLE", func() { rleCol.ReadIntRows(1, someRows, ints) }},
+		{"ReadFloatRows", func() { floatCol.ReadFloatRows(0, someRows, floats) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if got := testing.AllocsPerRun(20, tc.fn); got != 0 {

@@ -110,8 +110,42 @@ func TestReadIntRangeEquivalence(t *testing.T) {
 					}
 				}
 			}
+			// ReadIntRows over every row, the first and last, and random
+			// ascending subsets of every density.
+			rowSets := [][]uint16{everyRow(bn), {0}, {uint16(bn - 1)}, {0, uint16(bn - 1)}}
+			for i := 0; i < 40; i++ {
+				rowSets = append(rowSets, randomRows(r, bn, r.Float64()))
+			}
+			for _, rows := range rowSets {
+				c.ReadIntRows(bi, rows, part)
+				for j, row := range rows {
+					if part[j] != full[row] {
+						t.Fatalf("%s: block %d ReadIntRows row %d = %d, want %d", name, bi, row, part[j], full[row])
+					}
+				}
+			}
 		}
 	}
+}
+
+// everyRow lists rows 0 up to n.
+func everyRow(n int) []uint16 {
+	rows := make([]uint16, n)
+	for i := range rows {
+		rows[i] = uint16(i)
+	}
+	return rows
+}
+
+// randomRows lists each of rows 0 up to n with probability p, ascending.
+func randomRows(r *rand.Rand, n int, p float64) []uint16 {
+	var rows []uint16
+	for i := 0; i < n; i++ {
+		if r.Float64() < p {
+			rows = append(rows, uint16(i))
+		}
+	}
+	return rows
 }
 
 // TestReadFloatRangeEquivalence checks the float range reader, including the
@@ -145,6 +179,13 @@ func TestReadFloatRangeEquivalence(t *testing.T) {
 			for j := 0; j < want; j++ {
 				if part[j] != full[lo+j] {
 					t.Fatalf("block %d ReadFloatRange(%d,%d)[%d] = %v, want %v", bi, lo, hi, j, part[j], full[lo+j])
+				}
+			}
+			rows := randomRows(r, bn, r.Float64())
+			c.ReadFloatRows(bi, rows, part)
+			for j, row := range rows {
+				if part[j] != full[row] {
+					t.Fatalf("block %d ReadFloatRows row %d = %v, want %v", bi, row, part[j], full[row])
 				}
 			}
 		}

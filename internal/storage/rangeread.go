@@ -74,6 +74,61 @@ func rleReadRange(words []uint64, lo, hi int, dst []int64) {
 	}
 }
 
+// ReadIntRows decodes the block-relative rows of block i that rows lists,
+// ascending and each below the block's row count, into dst[:len(rows)].
+// Each row costs O(1) (raw, FOR, the open tail), and an RLE block is one
+// pass over its runs, where a ReadIntRange per scattered row would seek
+// once for each.
+func (c *ColumnStore) ReadIntRows(i int, rows []uint16, dst []int64) {
+	if i >= len(c.blocks) {
+		for j, r := range rows {
+			dst[j] = c.tailInts[r]
+		}
+		return
+	}
+	b := c.blocks[i]
+	switch b.Enc {
+	case EncRaw:
+		for j, r := range rows {
+			dst[j] = int64(b.Words[r])
+		}
+	case EncRLE:
+		w, end := 0, int(b.Words[1]) // run w/2 ends before row end
+		for j, r := range rows {
+			for int(r) >= end {
+				w += 2
+				end += int(b.Words[w+1])
+			}
+			dst[j] = int64(b.Words[w])
+		}
+	case EncFOR:
+		base := int64(b.Words[0])
+		width := uint(forWidth(b.MinI, b.MaxI))
+		if width == 0 {
+			for j := range rows {
+				dst[j] = base
+			}
+			return
+		}
+		mask, src := ^uint64(0)>>(64-width), b.Words[1:]
+		for j, r := range rows {
+			dst[j] = base + int64(forField(src, uint(r)*width, width, mask))
+		}
+	}
+}
+
+// ReadFloatRows copies the block-relative rows of float block i that rows
+// lists into dst[:len(rows)], as ReadIntRows does for integers.
+func (c *ColumnStore) ReadFloatRows(i int, rows []uint16, dst []float64) {
+	src := c.tailFloats
+	if i < len(c.blocks) {
+		src = c.blocks[i].Floats
+	}
+	for j, r := range rows {
+		dst[j] = src[r]
+	}
+}
+
 // ReadFloatRange copies rows [lo, hi) of float block i into dst and returns
 // the number of values written. Float blocks are stored uncompressed, so
 // this is a clipped copy.
