@@ -24,8 +24,9 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Just the DML-vs-vacuum and concurrency stress tests, under the race
-# detector with the pcdebug assertions compiled in — the harshest setting.
+# Just the DML-vs-vacuum, concurrent-writer and snapshot tests and the
+# concurrency stress tests, under the race detector with the pcdebug
+# assertions compiled in — the harshest setting.
 # The kernel equivalence oracles ride along: they hammer the pooled scan
 # scratch and the encoded/decoded split from many goroutines, and
 # TestKernelDMLEquivalence holds DeleteWhere/UpdateWhere row matching (an
@@ -33,7 +34,7 @@ race:
 # target's seed corpus and the block-loop tests. CI runs this target, not a
 # copy of its commands.
 stress:
-	$(GO) test -race -tags pcdebug -run 'TestDMLVacuumRace|TestConcurrentQueriesAndDML|TestRaceStressParallelScans|TestRaceStressParallelOperators|TestKernel' -count=2 .
+	$(GO) test -race -tags pcdebug -run 'TestDMLVacuumRace|TestSelfJoinUnder|TestConcurrentUpdatesKeepRowCount|TestDeleteRacesUpdate|TestConcurrentQueriesAndDML|TestRaceStressParallelScans|TestRaceStressParallelOperators|TestKernel' -count=2 .
 	$(GO) test -race -tags pcdebug -run 'TestKernel|TestEvalPredRanges|TestReadIntRange|TestReadFloatRange|FuzzEvalPred' ./internal/storage ./internal/expr
 	$(GO) test -race -tags pcdebug -run 'TestScan|TestRunWorkers' ./internal/engine
 
@@ -86,7 +87,7 @@ admin-smoke systab-smoke trace-smoke server-smoke:
 # TPC-H query on skewed SF 0.05 (BenchmarkTPCHQuery/Q<n>) ride along at one
 # iteration.
 bench-smoke:
-	$(GO) test -run=NONE -bench='BenchmarkScan|BenchmarkEmit|BenchmarkDML' -benchtime=1x .
+	$(GO) test -run=NONE -bench='BenchmarkScan|BenchmarkEmit|BenchmarkDML|BenchmarkSnapshotPin' -benchtime=1x .
 	$(GO) test -run=NONE -bench=BenchmarkEvalPred -benchtime=1x ./internal/storage
 	$(GO) test -run=NONE -bench=BenchmarkScanHitOneBlock -benchtime=1x ./internal/engine
 	$(GO) test -run=NONE -bench=BenchmarkTPCHQuery -benchtime=1x ./internal/tpch

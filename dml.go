@@ -40,7 +40,9 @@ func (db *DB) Insert(table string, batch *Batch) error {
 	if !ok {
 		return fmt.Errorf("predcache: unknown table %s", table)
 	}
-	return tbl.Append(batch, db.cat.NextXID())
+	unlock := tbl.LockWrites()
+	defer unlock()
+	return db.cat.Commit(func(xid uint64) error { return tbl.Append(batch, xid) })
 }
 
 // Load sorts the batch by the table's sort key (if any) and appends it; the
@@ -50,20 +52,14 @@ func (db *DB) Load(table string, batch *Batch) error {
 	if !ok {
 		return fmt.Errorf("predcache: unknown table %s", table)
 	}
-	return tbl.SortedLoad(batch, db.cat.NextXID())
+	unlock := tbl.LockWrites()
+	defer unlock()
+	return db.cat.Commit(func(xid uint64) error { return tbl.SortedLoad(batch, xid) })
 }
-
-// dmlEpochRetries bounds how often DeleteWhere/UpdateWhere re-match rows
-// after a concurrent Vacuum renumbered the table between match and mutate.
-// After that many lost races the statement takes the table's layout gate
-// (blocking further vacuums) and finishes pessimistically, so DML always
-// makes progress even against a back-to-back vacuum loop.
-const dmlEpochRetries = 4
 
 // DeleteWhere marks all rows matching pred as deleted (out-of-place MVCC
 // delete; row numbers do not change, so predicate-cache entries stay valid).
-// It returns the number of rows this statement deleted (rows a concurrent
-// statement deleted first are not counted twice).
+// It returns the number of rows deleted.
 func (db *DB) DeleteWhere(table string, pred Pred) (int, error) {
 	return db.mutateWhere(table, pred, true, nil)
 }
@@ -71,19 +67,21 @@ func (db *DB) DeleteWhere(table string, pred Pred) (int, error) {
 // UpdateWhere implements out-of-place updates (§4.3.3): matching rows are
 // deleted and re-inserted with apply() mutating a columnar copy. The delete
 // and append commit atomically — a failed append (e.g. apply produced
-// mismatched column lengths) leaves the table unchanged. apply may run more
-// than once if a concurrent Vacuum forces a re-match; it always receives a
-// freshly materialized batch. Returns the number of updated rows.
+// mismatched column lengths) leaves the table unchanged. apply runs once,
+// while the statement holds the table's write gate, so it must not write to
+// the table itself. Returns the number of updated rows.
 func (db *DB) UpdateWhere(table string, pred Pred, apply func(b *Batch)) (int, error) {
 	return db.mutateWhere(table, pred, false, apply)
 }
 
-// mutateWhere is DeleteWhere (del) and UpdateWhere (apply). Each attempt
-// finds the visible matching rows with one engine scan, which also copies
-// them for an update, and mutates them through the AtEpoch table methods.
-// The scan skips the predicate cache, which DML never reads or feeds (one-off
-// DML ranges would churn its LRU), and runs through Execute, not db.Run: it
-// emits no QueryEvent and leaves LastQueryStats to the last SELECT.
+// mutateWhere is DeleteWhere (del) and UpdateWhere (apply). It holds the
+// table's write gate from the match scan through the mutation, so the scan's
+// snapshot sees every earlier write to the table and no other writer or
+// vacuum touches the matched rows before the mutation. The scan also copies
+// the rows for an update. It skips the predicate cache, which DML never
+// reads or feeds (one-off DML ranges would churn its LRU), and runs through
+// Execute, not db.Run: it emits no QueryEvent and leaves LastQueryStats to
+// the last SELECT.
 func (db *DB) mutateWhere(table string, pred Pred, del bool, apply func(b *Batch)) (n int, err error) {
 	start := time.Now()
 	defer func() {
@@ -103,53 +101,34 @@ func (db *DB) mutateWhere(table string, pred Pred, del bool, apply func(b *Batch
 		op = "update"
 		scan.Project = nil // every column: the update re-inserts whole rows
 	}
-	for attempt := 0; ; attempt++ {
-		last := attempt == dmlEpochRetries
-		if last {
-			unlock := tbl.LockLayout() // exclude vacuums: the epoch cannot change now
-			defer unlock()
-		}
-		// The epoch is read before the scan takes the table lock, never
-		// after: a vacuum in between fails the AtEpoch check below and the
-		// loop matches again, while an epoch read after the scan could vouch
-		// for row numbers a vacuum has already renumbered.
-		epoch := tbl.LayoutEpoch()
-		ec := db.execCtx()
-		ec.Cache = nil
-		rel, err := scan.Execute(ec)
-		if err != nil {
-			return 0, fmt.Errorf("predcache: %s %s: %w", op, table, err)
-		}
-		if rel.NumRows() == 0 {
-			tbl.BumpVersion() // the statement still invalidates result caches
-			return 0, nil
-		}
-		// Rowids arrive in slice order, then row order, and an update
-		// appends its copies in that order.
-		rows := make([][]int, tbl.NumSlices())
-		for _, id := range rel.Col(0).Ints {
-			rows[id>>32] = append(rows[id>>32], int(uint32(id)))
-		}
-		if del {
-			if n, ok := tbl.DeleteRowsAtEpoch(rows, db.cat.NextXID(), epoch); ok {
-				return n, nil
-			}
-		} else {
-			nb := updateBatch(tbl, rel)
-			apply(nb)
-			ok, err := tbl.UpdateRowsAtEpoch(rows, nb, db.cat.NextXID(), epoch)
-			if err != nil {
-				return 0, fmt.Errorf("predcache: update %s: %w", table, err)
-			}
-			if ok {
-				return nb.N, nil
-			}
-		}
-		// A vacuum renumbered the rows between match and mutate: re-match.
-		if last {
-			return 0, fmt.Errorf("predcache: %s %s: table layout changed while the layout gate was held", op, table)
-		}
+	unlock := tbl.LockWrites()
+	defer unlock()
+	ec := db.execCtx() // its snapshot needs no pin: the gate keeps vacuum out
+	ec.Cache = nil
+	rel, err := scan.Execute(ec)
+	if err != nil {
+		return 0, fmt.Errorf("predcache: %s %s: %w", op, table, err)
 	}
+	if rel.NumRows() == 0 {
+		tbl.BumpVersion() // the statement still invalidates result caches
+		return 0, nil
+	}
+	// Rowids arrive in slice order, then row order, and an update appends
+	// its copies in that order.
+	rows := make([][]int, tbl.NumSlices())
+	for _, id := range rel.Col(0).Ints {
+		rows[id>>32] = append(rows[id>>32], int(uint32(id)))
+	}
+	if del {
+		err = db.cat.Commit(func(xid uint64) error { n = tbl.DeleteRows(rows, xid); return nil })
+		return n, err
+	}
+	nb := updateBatch(tbl, rel)
+	apply(nb)
+	if err := db.cat.Commit(func(xid uint64) error { return tbl.UpdateRows(rows, nb, xid) }); err != nil {
+		return 0, fmt.Errorf("predcache: update %s: %w", table, err)
+	}
+	return nb.N, nil
 }
 
 // updateBatch turns an update's scan output (rowid, then every column) into
@@ -187,7 +166,9 @@ func (db *DB) Vacuum(table string) error {
 	if !ok {
 		return fmt.Errorf("predcache: unknown table %s", table)
 	}
-	tbl.Vacuum(db.cat.Snapshot())
+	// Rows deleted after the oldest running statement's snapshot stay: that
+	// statement may still read them.
+	kept := tbl.Vacuum(db.cat.Horizon())
 	// The new layout epoch makes every entry of the table stale. Lookups
 	// would drop them one by one, but an entry whose predicate never comes
 	// back is never looked up again and would stay for good.
@@ -198,7 +179,7 @@ func (db *DB) Vacuum(table string) error {
 	if db.logger != nil {
 		db.logger.Info("vacuum",
 			"table", table, "wall_us", time.Since(start).Microseconds(),
-			"rows", tbl.NumRows())
+			"rows", tbl.NumRows(), "kept_rows", kept)
 	}
 	return nil
 }

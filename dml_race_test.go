@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	predcache "github.com/predcache/predcache"
 	"github.com/predcache/predcache/internal/obs"
@@ -143,11 +144,14 @@ func TestRunCtxDefaultsParallel(t *testing.T) {
 
 // TestDMLVacuumRace interleaves UpdateWhere/DeleteWhere with Vacuum and
 // parallel cached scans on a sort-keyed table. Vacuum renumbers physical
-// rows, so without the epoch re-verification the DML statements would delete
-// or update arbitrary rows captured under the old numbering. Invariants:
-// readers never miss a row that was never touched (no false negatives from
-// the predicate cache), every deleted id disappears exactly once, and the
-// final row count is exact. Run with -race.
+// rows, so a DML statement whose match scan and mutation straddled a vacuum
+// would delete or update arbitrary rows captured under the old numbering;
+// the table's write gate, held from the match scan to the mutation, keeps
+// vacuums out. Invariants: readers see exactly one version of a row that was
+// never touched (no false negatives from the predicate cache) and of a row
+// being updated (no snapshot sees an update half applied or its old version
+// vacuumed away), every deleted id disappears exactly once, and the final
+// row count is exact. Run with -race.
 func TestDMLVacuumRace(t *testing.T) {
 	const n = 12000
 	schema := predcache.Schema{
@@ -237,18 +241,19 @@ func TestDMLVacuumRace(t *testing.T) {
 
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
-		go func(w int) { // readers: cached scans over untouched ids
+		go func(w int) { // readers: cached scans over untouched and updated ids
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				id := 4 * ((w*50 + i) % (n / 4))
-				res, err := db.Query(fmt.Sprintf("select count(*) as c from t where id = %d", id))
-				if err != nil {
-					errCh <- fmt.Errorf("reader %d: %w", w, err)
-					return
-				}
-				if got := res.Col(0).Ints[0]; got != 1 {
-					errCh <- fmt.Errorf("reader %d: id %d visible %d times, want 1", w, id, got)
-					return
+				for _, id := range []int{4 * ((w*50 + i) % (n / 4)), 4*((w*50+i)%40) + 1} {
+					res, err := db.Query(fmt.Sprintf("select count(*) as c from t where id = %d", id))
+					if err != nil {
+						errCh <- fmt.Errorf("reader %d: %w", w, err)
+						return
+					}
+					if got := res.Col(0).Ints[0]; got != 1 {
+						errCh <- fmt.Errorf("reader %d: id %d visible %d times, want 1", w, id, got)
+						return
+					}
 				}
 			}
 		}(w)
@@ -282,5 +287,180 @@ func TestDMLVacuumRace(t *testing.T) {
 			t.Fatalf("id %d appears more than once after concurrent updates", id)
 		}
 		seen[id] = true
+	}
+}
+
+// selfJoin counts t joined with itself on (id, val). Every visible row
+// matches exactly its own version, so at any consistent snapshot the count is
+// the table's row count, however the rows are being updated.
+const selfJoin = "select count(*) as c from t as a, t as b where a.id = b.id and a.val = b.val"
+
+// readsUnder runs write until it returns while three readers loop query,
+// and returns how many of the readers' statements counted something other
+// than want, out of how many ran. The writer runs for at most d.
+func readsUnder(t *testing.T, db *predcache.DB, query string, want int64, d time.Duration, write func(deadline time.Time) error) (wrong, total int64) {
+	t.Helper()
+	var done atomic.Bool
+	var nWrong, nTotal atomic.Int64
+	var wg sync.WaitGroup
+	errCh := make(chan error, 4)
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				res, err := db.Query(query)
+				if err != nil {
+					errCh <- err
+					return
+				}
+				nTotal.Add(1)
+				if res.Col(0).Ints[0] != want {
+					nWrong.Add(1)
+				}
+			}
+		}()
+	}
+	err := write(time.Now().Add(d))
+	done.Store(true)
+	wg.Wait()
+	close(errCh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	return nWrong.Load(), nTotal.Load()
+}
+
+// bumpVal adds one to every updated row's val.
+func bumpVal(b *predcache.Batch) {
+	for i := range b.Cols[2].Floats {
+		b.Cols[2].Floats[i]++
+	}
+}
+
+// TestSelfJoinUnderUpdate: a statement's snapshot may include only xids
+// whose rows are fully applied. If an UPDATE's xid became visible before its
+// copies landed, one scan of the self-join could read the table before the
+// update and the other after it, and the count would fall short.
+func TestSelfJoinUnderUpdate(t *testing.T) {
+	db := openWithData(t, 4000, predcache.WithoutPredicateCache())
+	all := mustPred(t, "id >= 0")
+	wrong, total := readsUnder(t, db, selfJoin, 4000, time.Second, func(deadline time.Time) error {
+		for time.Now().Before(deadline) {
+			if _, err := db.UpdateWhere("t", all, bumpVal); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	t.Logf("%d of %d self-join counts under a looping UPDATE were not 4000", wrong, total)
+	if wrong > 0 {
+		t.Fail()
+	}
+}
+
+// TestSelfJoinUnderUpdateVacuum: vacuum may reclaim only row versions that
+// no running statement can see. Reclaiming up to the latest snapshot removes
+// an updated row's old version under a statement whose snapshot predates the
+// update, and that statement cannot see the new version either.
+func TestSelfJoinUnderUpdateVacuum(t *testing.T) {
+	db := openWithData(t, 4000, predcache.WithoutPredicateCache())
+	wrong, total := readsUnder(t, db, selfJoin, 4000, time.Second, func(deadline time.Time) error {
+		for k := 0; time.Now().Before(deadline); k++ {
+			if _, err := db.UpdateWhere("t", mustPred(t, fmt.Sprintf("id = %d", k%4000)), bumpVal); err != nil {
+				return err
+			}
+			if err := db.Vacuum("t"); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	t.Logf("%d of %d self-join counts under UPDATE + VACUUM were not 4000", wrong, total)
+	if wrong > 0 {
+		t.Fail()
+	}
+}
+
+// TestConcurrentUpdatesKeepRowCount: two UPDATEs of the same rows must not
+// both copy them. Unless writers on a table exclude each other, both match
+// the same version, each appends its own copy, and the rows multiply.
+func TestConcurrentUpdatesKeepRowCount(t *testing.T) {
+	db := openWithData(t, 2000, predcache.WithoutPredicateCache())
+	all := mustPred(t, "id >= 0")
+	var wg sync.WaitGroup
+	errCh := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				if _, err := db.UpdateWhere("t", all, bumpVal); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	res, err := db.Query("select count(*) as c from t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Col(0).Ints[0]; got != 2000 {
+		t.Fatalf("%d rows visible after two concurrent UPDATE loops, want 2000", got)
+	}
+}
+
+// TestDeleteRacesUpdate: a DELETE and an UPDATE of every row, run at once,
+// must leave the table empty, as either serial order does. Unless the second
+// writer sees the first one's rows, the update's copies survive the delete.
+func TestDeleteRacesUpdate(t *testing.T) {
+	all := mustPred(t, "id >= 0")
+	const rounds = 20
+	survived := 0
+	for r := 0; r < rounds; r++ {
+		db := openWithData(t, 2000, predcache.WithoutPredicateCache())
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		errCh := make(chan error, 2)
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := db.DeleteWhere("t", all); err != nil {
+				errCh <- err
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := db.UpdateWhere("t", all, bumpVal); err != nil {
+				errCh <- err
+			}
+		}()
+		close(start)
+		wg.Wait()
+		close(errCh)
+		for err := range errCh {
+			t.Fatal(err)
+		}
+		res, err := db.Query("select count(*) as c from t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Col(0).Ints[0] != 0 {
+			survived++
+		}
+	}
+	if survived > 0 {
+		t.Fatalf("rows survived a DELETE racing an UPDATE in %d of %d rounds", survived, rounds)
 	}
 }

@@ -1,8 +1,10 @@
 package predcache
 
 import (
+	"fmt"
 	"io"
 	"log/slog"
+	"sync"
 	"testing"
 
 	"github.com/predcache/predcache/internal/obs"
@@ -73,6 +75,45 @@ func TestEmitAllocs(t *testing.T) {
 	t.Logf("emit: %v allocs with the trace dropped, %v admitted", drop, admit)
 	if drop != 0 || admit > 2 {
 		t.Fatalf("emit allocates %v objects when the trace is dropped (want 0), %v when admitted (want <= 2)", drop, admit)
+	}
+}
+
+// TestSnapshotPinAllocs: every statement pins its snapshot in execute and
+// unpins it when execution returns, and neither allocates, beside another
+// statement pinned at the same snapshot or at an older one.
+func TestSnapshotPinAllocs(t *testing.T) {
+	db := Open()
+	older := db.cat.Pin()
+	defer db.cat.Unpin(older)
+	same := testing.AllocsPerRun(100, func() { db.cat.Unpin(db.cat.Pin()) })
+	_ = db.cat.Commit(func(uint64) error { return nil }) // apply cannot fail
+	newer := testing.AllocsPerRun(100, func() { db.cat.Unpin(db.cat.Pin()) })
+	t.Logf("pin+unpin: %v allocs at a pinned snapshot, %v at a new one", same, newer)
+	if same != 0 || newer != 0 {
+		t.Fatalf("pin+unpin allocates %v objects at a pinned snapshot and %v at a new one, want 0", same, newer)
+	}
+}
+
+// BenchmarkSnapshotPin prices the snapshot registry every statement passes
+// through, Pin then Unpin, from 1 and from 4 goroutines at once; ns/op is
+// wall time per pair (DESIGN.md §9 carries the figures).
+func BenchmarkSnapshotPin(b *testing.B) {
+	for _, g := range []int{1, 4} {
+		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
+			db := Open()
+			b.ReportAllocs()
+			var wg sync.WaitGroup
+			for w := 0; w < g; w++ {
+				wg.Add(1)
+				go func(n int) {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						db.cat.Unpin(db.cat.Pin())
+					}
+				}((b.N + w) / g)
+			}
+			wg.Wait()
+		})
 	}
 }
 

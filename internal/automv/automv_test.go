@@ -56,7 +56,7 @@ func (f *fix) append(t *testing.T, rows int, seed int64) {
 		b.Cols[3].Ints = append(b.Cols[3].Ints, d)
 	}
 	b.N = rows
-	if err := f.tbl.Append(b, f.cat.NextXID()); err != nil {
+	if err := f.cat.Commit(func(xid uint64) error { return f.tbl.Append(b, xid) }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -288,7 +288,7 @@ func TestFullRebuildOnDelete(t *testing.T) {
 	modeCol := f.tbl.ColumnIndex("mode")
 	s.Column(modeCol).ReadIntBlock(0, scratch)
 	unlock()
-	f.tbl.DeleteRows(0, []int{0, 1, 2, 3, 4}, f.cat.NextXID())
+	_ = f.cat.Commit(func(xid uint64) error { f.tbl.DeleteRows([][]int{{0, 1, 2, 3, 4}}, xid); return nil }) // apply cannot fail
 	deletedAir := int64(0)
 	dict := f.tbl.Dict(modeCol)
 	for i := 0; i < 5; i++ {

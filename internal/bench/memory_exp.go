@@ -170,7 +170,7 @@ func (r *Runner) Table1() error {
 	}
 	ingest := func(cat *storage.Catalog, t *storage.Table, seed int64) error {
 		extra := tpch.Generate(tpch.Config{SF: 0.0005, Skewed: true, Seed: seed})
-		return t.Append(extra.Batches["lineitem"], cat.NextXID())
+		return cat.Commit(func(xid uint64) error { return t.Append(extra.Batches["lineitem"], xid) })
 	}
 	coldRun := func(cat *storage.Catalog, q string) (time.Duration, error) {
 		plan, err := sql.PlanSQL(q, cat)

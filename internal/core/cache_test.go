@@ -147,7 +147,7 @@ func TestCacheBuildDepInvalidation(t *testing.T) {
 		t.Fatal("miss before dim change")
 	}
 	// DML on the build side invalidates the join entry.
-	dim.DeleteRows(0, []int{1}, 5)
+	dim.DeleteRows([][]int{{1}}, 5)
 	if _, ok := c.Best([]string{key.String()}); ok {
 		t.Fatal("join entry survived build-side DML")
 	}
@@ -155,7 +155,7 @@ func TestCacheBuildDepInvalidation(t *testing.T) {
 	// watermark, deletes by visibility).
 	key2 := simpleKey("fact", "p2")
 	c.Insert(key2, fact, fact.LayoutEpoch(), nil, [][]storage.RowRange{{{Start: 0, End: 10}}}, []int{1000})
-	fact.DeleteRows(0, []int{1}, 6)
+	fact.DeleteRows([][]int{{1}}, 6)
 	if _, ok := c.Best([]string{key2.String()}); !ok {
 		t.Fatal("plain entry dropped by probe-side delete")
 	}

@@ -62,6 +62,13 @@ func itemsBatch(n int, seed int64, numDims int) *storage.Batch {
 	return b
 }
 
+// deleteRows deletes rows of one slice of tbl in a statement of its own.
+func deleteRows(cat *storage.Catalog, tbl *storage.Table, slice int, rows []int) {
+	perSlice := make([][]int, tbl.NumSlices())
+	perSlice[slice] = rows
+	_ = cat.Commit(func(xid uint64) error { tbl.DeleteRows(perSlice, xid); return nil }) // apply cannot fail
+}
+
 func newTestDB(t testing.TB, itemRows, dimRows, slices int, seed int64) *testDB {
 	t.Helper()
 	cat := storage.NewCatalog()
@@ -74,7 +81,7 @@ func newTestDB(t testing.TB, itemRows, dimRows, slices int, seed int64) *testDB 
 		t.Fatal(err)
 	}
 	ib := itemsBatch(itemRows, seed, dimRows)
-	if err := items.Append(ib, cat.NextXID()); err != nil {
+	if err := cat.Commit(func(xid uint64) error { return items.Append(ib, xid) }); err != nil {
 		t.Fatal(err)
 	}
 	cats := []string{"A", "B", "C", "D"}
@@ -86,7 +93,7 @@ func newTestDB(t testing.TB, itemRows, dimRows, slices int, seed int64) *testDB 
 		db.Cols[2].Ints = append(db.Cols[2].Ints, int64(r.Intn(100)))
 	}
 	db.N = dimRows
-	if err := dims.Append(db, cat.NextXID()); err != nil {
+	if err := cat.Commit(func(xid uint64) error { return dims.Append(db, xid) }); err != nil {
 		t.Fatal(err)
 	}
 	return &testDB{cat: cat, items: items, dims: dims, ib: ib, db: db, deletedItems: map[int]bool{}}
@@ -250,7 +257,7 @@ func TestScanCacheSurvivesInserts(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		extra.Cols[0].Ints[i] += 10000
 	}
-	if err := d.items.Append(extra, d.cat.NextXID()); err != nil {
+	if err := d.cat.Commit(func(xid uint64) error { return d.items.Append(extra, xid) }); err != nil {
 		t.Fatal(err)
 	}
 	// Reference now includes appended rows.
@@ -318,7 +325,7 @@ func TestScanCacheExtendEqualsColdInsert(t *testing.T) {
 		}
 		extra.Cols[1].Ints[0], extra.Cols[2].Ints[0] = hitDim, 20
 		next += extra.N
-		if err := d.items.Append(extra, d.cat.NextXID()); err != nil {
+		if err := d.cat.Commit(func(xid uint64) error { return d.items.Append(extra, xid) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -377,7 +384,7 @@ func TestScanCacheSurvivesDeletes(t *testing.T) {
 		deletedIDs[scratch[i]] = true
 	}
 	unlock()
-	d.items.DeleteRows(0, rows, d.cat.NextXID())
+	deleteRows(d.cat, d.items, 0, rows)
 
 	var want []int64
 	for i := 0; i < d.ib.N; i++ {
@@ -402,7 +409,7 @@ func TestScanCacheInvalidatedByVacuum(t *testing.T) {
 	scan := &Scan{Table: "items", Filter: p, Project: []string{"id"}}
 	cache := core.NewCache(core.DefaultConfig())
 	d.exec(t, scan, cache)
-	d.items.DeleteRows(0, []int{0, 1, 2}, d.cat.NextXID())
+	deleteRows(d.cat, d.items, 0, []int{0, 1, 2})
 	d.items.Vacuum(d.cat.Snapshot())
 
 	rel, s := d.exec(t, scan, cache)
@@ -607,7 +614,7 @@ func TestSemiJoinPushdownCachesJoinResult(t *testing.T) {
 
 	// DML on the build side must invalidate the semi-join entry but the scan
 	// must still return correct (new) results.
-	d.dims.DeleteRows(0, []int{0}, d.cat.NextXID())
+	deleteRows(d.cat, d.dims, 0, []int{0})
 	r3, _ := d.exec(t, mkJoin(), cache)
 	// Recompute reference: dim 0 deleted.
 	dimOK := map[int64]bool{}
@@ -895,7 +902,7 @@ func TestCachedScanEqualsColdScanUnderDML(t *testing.T) {
 						nb.Cols[0].Ints[i] = nextID
 						nextID++
 					}
-					if err := d.items.Append(nb, d.cat.NextXID()); err != nil {
+					if err := d.cat.Commit(func(xid uint64) error { return d.items.Append(nb, xid) }); err != nil {
 						t.Fatal(err)
 					}
 				case 1: // delete a few random rows of a random slice
@@ -906,7 +913,7 @@ func TestCachedScanEqualsColdScanUnderDML(t *testing.T) {
 						for k := 0; k < 20; k++ {
 							rows = append(rows, r.Intn(n))
 						}
-						d.items.DeleteRows(slice, rows, d.cat.NextXID())
+						deleteRows(d.cat, d.items, slice, rows)
 					}
 				case 2: // occasionally vacuum
 					if r.Intn(4) == 0 {
@@ -1004,7 +1011,7 @@ func TestCacheWithSortKeyTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tbl.SortedLoad(itemsBatch(8000, 40, 10), cat.NextXID()); err != nil {
+	if err := cat.Commit(func(xid uint64) error { return tbl.SortedLoad(itemsBatch(8000, 40, 10), xid) }); err != nil {
 		t.Fatal(err)
 	}
 	d := &testDB{cat: cat, items: tbl}
@@ -1028,7 +1035,7 @@ func TestCacheWithSortKeyTable(t *testing.T) {
 	}
 	// Insert-buffer appends keep the entry alive; vacuum re-sorts and
 	// invalidates.
-	if err := tbl.Append(itemsBatch(1000, 41, 10), cat.NextXID()); err != nil {
+	if err := cat.Commit(func(xid uint64) error { return tbl.Append(itemsBatch(1000, 41, 10), xid) }); err != nil {
 		t.Fatal(err)
 	}
 	warm3, s3 := d.exec(t, scan, cache)
@@ -1073,7 +1080,7 @@ func TestStringKeyJoin(t *testing.T) {
 		fb.Cols[1].Strings = append(fb.Cols[1].Strings, cities[r.Intn(len(cities))])
 	}
 	fb.N = 5000
-	if err := facts.Append(fb, cat.NextXID()); err != nil {
+	if err := cat.Commit(func(xid uint64) error { return facts.Append(fb, xid) }); err != nil {
 		t.Fatal(err)
 	}
 	gb := storage.NewBatch(dims.Schema())
@@ -1084,7 +1091,7 @@ func TestStringKeyJoin(t *testing.T) {
 		gb.Cols[1].Strings = append(gb.Cols[1].Strings, regions[cities[i]])
 	}
 	gb.N = len(cities)
-	if err := dims.Append(gb, cat.NextXID()); err != nil {
+	if err := cat.Commit(func(xid uint64) error { return dims.Append(gb, xid) }); err != nil {
 		t.Fatal(err)
 	}
 	for _, push := range []bool{true, false} {
@@ -1156,10 +1163,10 @@ func TestMultiKeyJoin(t *testing.T) {
 		}
 	}
 	bb.N = 70
-	if err := a.Append(ab, cat.NextXID()); err != nil {
+	if err := cat.Commit(func(xid uint64) error { return a.Append(ab, xid) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := bt.Append(bb, cat.NextXID()); err != nil {
+	if err := cat.Commit(func(xid uint64) error { return bt.Append(bb, xid) }); err != nil {
 		t.Fatal(err)
 	}
 	j := &Join{
@@ -1205,10 +1212,10 @@ func TestMultiKeyJoin(t *testing.T) {
 			db.N++
 		}
 	}
-	if err := c.Append(cb, cat.NextXID()); err != nil {
+	if err := cat.Commit(func(xid uint64) error { return c.Append(cb, xid) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Append(db, cat.NextXID()); err != nil {
+	if err := cat.Commit(func(xid uint64) error { return d.Append(db, xid) }); err != nil {
 		t.Fatal(err)
 	}
 	j = &Join{

@@ -98,7 +98,7 @@ func TestJoinFloatKeyBitExact(t *testing.T) {
 		lb.Cols[1].Ints = append(lb.Cols[1].Ints, int64(i))
 	}
 	lb.N = len(lKeys)
-	if err := lt.Append(lb, cat.NextXID()); err != nil {
+	if err := cat.Commit(func(xid uint64) error { return lt.Append(lb, xid) }); err != nil {
 		t.Fatal(err)
 	}
 	rb := storage.NewBatch(rSchema)
@@ -107,7 +107,7 @@ func TestJoinFloatKeyBitExact(t *testing.T) {
 		rb.Cols[1].Ints = append(rb.Cols[1].Ints, int64(100+i))
 	}
 	rb.N = len(rKeys)
-	if err := rt.Append(rb, cat.NextXID()); err != nil {
+	if err := cat.Commit(func(xid uint64) error { return rt.Append(rb, xid) }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -566,7 +566,7 @@ func TestScanWorkerCountIndependent(t *testing.T) {
 					for r := 0; r < d.items.Slice(si).NumRows(); r += 5 {
 						rows = append(rows, r)
 					}
-					d.items.DeleteRows(si, rows, d.cat.NextXID())
+					deleteRows(d.cat, d.items, si, rows)
 				}
 			}
 			for _, tc := range aggs {
@@ -798,7 +798,7 @@ func TestScanWorkerPanicFailsQueryOnly(t *testing.T) {
 
 	// Delete and vacuum take the layout lock exclusively: they return only if
 	// every faulted scan released its read lock.
-	d.items.DeleteRows(0, []int{0}, d.cat.NextXID())
+	deleteRows(d.cat, d.items, 0, []int{0})
 	d.items.Vacuum(d.cat.Snapshot())
 
 	// With an entry in place and rows past its watermark, a faulted hit does
@@ -806,7 +806,7 @@ func TestScanWorkerPanicFailsQueryOnly(t *testing.T) {
 	if err := run(4, context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.items.Append(itemsBatch(8000, 50, 40), d.cat.NextXID()); err != nil {
+	if err := d.cat.Commit(func(xid uint64) error { return d.items.Append(itemsBatch(8000, 50, 40), xid) }); err != nil {
 		t.Fatal(err)
 	}
 	faulted(4)

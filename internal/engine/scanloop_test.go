@@ -45,7 +45,7 @@ func loopTable(t testing.TB, rows, slices int) (*storage.Catalog, *storage.Table
 		batch.Cols[2].Ints = append(batch.Cols[2].Ints, int64((1001*k+j)%2000))
 	}
 	batch.N = rows
-	if err := tbl.Append(batch, cat.NextXID()); err != nil {
+	if err := cat.Commit(func(xid uint64) error { return tbl.Append(batch, xid) }); err != nil {
 		t.Fatal(err)
 	}
 	return cat, tbl
@@ -272,7 +272,7 @@ func testScanCancel(t *testing.T, filter expr.Pred, slices int) {
 		more.Cols[2].Ints = append(more.Cols[2].Ints, 0)
 	}
 	more.N = 20 * storage.BlockSize
-	if err := tbl.Append(more, cat.NextXID()); err != nil {
+	if err := cat.Commit(func(xid uint64) error { return tbl.Append(more, xid) }); err != nil {
 		t.Fatal(err)
 	}
 	for n := int64(1); n <= 3; n++ {
@@ -436,7 +436,7 @@ func TestScanBytesPerOutputRow(t *testing.T) {
 			batch.Cols[2].Floats = append(batch.Cols[2].Floats, float64(r)/8)
 		}
 		batch.N = rows
-		if err := tbl.Append(batch, cat.NextXID()); err != nil {
+		if err := cat.Commit(func(xid uint64) error { return tbl.Append(batch, xid) }); err != nil {
 			t.Fatal(err)
 		}
 		return cat
@@ -548,7 +548,7 @@ func BenchmarkAppendUnderAggOverScan(b *testing.B) {
 				}
 				batch.N = 1
 				t0 := time.Now()
-				if err := tbl.Append(batch, cat.NextXID()); err != nil {
+				if err := cat.Commit(func(xid uint64) error { return tbl.Append(batch, xid) }); err != nil {
 					b.Fatal(err)
 				}
 				lat[i] = time.Since(t0)

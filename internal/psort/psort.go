@@ -148,7 +148,7 @@ func Reorganize(cat *storage.Catalog, tableName string, preds []expr.Pred) (Cost
 	if err != nil {
 		return cost, err
 	}
-	if err := nt.Append(batch, cat.NextXID()); err != nil {
+	if err := cat.Commit(func(xid uint64) error { return nt.Append(batch, xid) }); err != nil {
 		return cost, err
 	}
 	return cost, nil

@@ -32,7 +32,7 @@ func setup(t *testing.T, rows int) (*storage.Catalog, *storage.Batch) {
 		b.Cols[3].Strings = append(b.Cols[3].Strings, []string{"a", "b", "c"}[r.Intn(3)])
 	}
 	b.N = rows
-	if err := tbl.Append(b, cat.NextXID()); err != nil {
+	if err := cat.Commit(func(xid uint64) error { return tbl.Append(b, xid) }); err != nil {
 		t.Fatal(err)
 	}
 	return cat, b
@@ -118,7 +118,7 @@ func TestReorganizeMultiplePredicates(t *testing.T) {
 func TestReorganizeDropsDeletedRows(t *testing.T) {
 	cat, _ := setup(t, 5000)
 	tbl, _ := cat.Table("t")
-	tbl.DeleteRows(0, []int{0, 1, 2}, cat.NextXID())
+	_ = cat.Commit(func(xid uint64) error { tbl.DeleteRows([][]int{{0, 1, 2}}, xid); return nil }) // apply cannot fail
 	if _, err := Reorganize(cat, "t", []expr.Pred{expr.Cmp("x", expr.Lt, expr.Int(50))}); err != nil {
 		t.Fatal(err)
 	}

@@ -62,7 +62,7 @@ func TestInvalidationOnAnyDML(t *testing.T) {
 	t2 := mkTable(t, "t2", 10)
 	c.Put("join", mkResult(t, 5), []*storage.Table{t1, t2})
 	// DML on the second table invalidates too.
-	t2.DeleteRows(0, []int{0}, 2)
+	t2.DeleteRows([][]int{{0}}, 2)
 	if _, ok := c.Get("join"); ok {
 		t.Fatal("stale result served")
 	}

@@ -71,9 +71,9 @@ func assertSliceMVCC(s *Slice, ctx string) {
 }
 
 // assertRowsInSlice panics unless every captured physical row number is
-// within the slice's current row count. Epoch-checked DML relies on this: a
-// matching layout epoch guarantees captured row numbers still address the
-// rows they matched.
+// within the slice's current row count. DML relies on this: the write gate,
+// held from the match scan through the mutation, keeps captured row numbers
+// addressing the rows they matched.
 func assertRowsInSlice(rows []int, numRows int, ctx string) {
 	for _, r := range rows {
 		if r < 0 || r >= numRows {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,7 +13,12 @@ import (
 type Catalog struct {
 	mu     sync.RWMutex
 	tables map[string]*Table // guarded by mu
-	xid    atomic.Uint64
+
+	commitMu sync.Mutex
+	xid      atomic.Uint64 // the last published xid; written only under commitMu
+
+	pinMu sync.Mutex
+	pins  []uint64 // guarded by pinMu; the running statements' snapshots, ascending
 }
 
 // NewCatalog returns an empty catalog. Transaction ids start at 1.
@@ -20,12 +26,53 @@ func NewCatalog() *Catalog {
 	return &Catalog{tables: make(map[string]*Table)}
 }
 
-// NextXID allocates a fresh transaction id for a writing statement.
-func (c *Catalog) NextXID() uint64 { return c.xid.Add(1) }
+// Commit runs one writing statement: it allocates the next xid, runs apply
+// with it, and publishes the xid to snapshots only after apply returns.
+// Commits are serialized. A failed apply must leave the tables unchanged.
+// Lock order: a table's write gate, then commitMu, then the table's lock.
+func (c *Catalog) Commit(apply func(xid uint64) error) error {
+	c.commitMu.Lock()
+	defer c.commitMu.Unlock()
+	xid := c.xid.Load() + 1
+	err := apply(xid)
+	c.xid.Store(xid)
+	return err
+}
 
-// Snapshot returns the snapshot id a read-only statement should run at: all
-// transactions allocated so far are visible.
+// Snapshot returns the last published xid: every committed statement is
+// visible at it. Unlike Pin, it does not hold back vacuum.
 func (c *Catalog) Snapshot() uint64 { return c.xid.Load() }
+
+// Pin returns the current snapshot and keeps Horizon at or below it until
+// the matching Unpin. Choosing and registering the snapshot is one step
+// under pinMu, so no vacuum computes a horizon past it in between.
+func (c *Catalog) Pin() uint64 {
+	c.pinMu.Lock()
+	defer c.pinMu.Unlock()
+	s := c.xid.Load()
+	c.pins = append(c.pins, s) // published xids only grow: pins stays ascending
+	return s
+}
+
+// Unpin releases a snapshot Pin returned.
+func (c *Catalog) Unpin(snapshot uint64) {
+	c.pinMu.Lock()
+	defer c.pinMu.Unlock()
+	i := slices.Index(c.pins, snapshot)
+	c.pins = slices.Delete(c.pins, i, i+1)
+}
+
+// Horizon returns the oldest pinned snapshot, or the current one when none
+// is pinned. A row deleted at or before it is invisible to every running and
+// future statement, so vacuum may reclaim it.
+func (c *Catalog) Horizon() uint64 {
+	c.pinMu.Lock()
+	defer c.pinMu.Unlock()
+	if len(c.pins) == 0 {
+		return c.xid.Load()
+	}
+	return c.pins[0]
+}
 
 // CreateTable creates and registers a table.
 func (c *Catalog) CreateTable(name string, schema Schema, numSlices int, sortKey ...string) (*Table, error) {

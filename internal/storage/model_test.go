@@ -87,7 +87,7 @@ func TestTableMatchesModelUnderRandomOps(t *testing.T) {
 					nextID++
 				}
 				b.N = n
-				if err := tbl.Append(b, cat.NextXID()); err != nil {
+				if err := cat.Commit(func(xid uint64) error { return tbl.Append(b, xid) }); err != nil {
 					t.Fatal(err)
 				}
 			case 4, 5, 6: // delete random visible ids
@@ -118,7 +118,6 @@ func TestTableMatchesModelUnderRandomOps(t *testing.T) {
 					}
 				}
 				// ...and find their physical rows in the table.
-				xid := cat.NextXID()
 				unlock := tbl.RLockScan()
 				type loc struct {
 					slice int
@@ -143,13 +142,11 @@ func TestTableMatchesModelUnderRandomOps(t *testing.T) {
 					}
 				}
 				unlock()
-				perSlice := map[int][]int{}
+				perSlice := make([][]int, tbl.NumSlices())
 				for _, l := range locs {
 					perSlice[l.slice] = append(perSlice[l.slice], l.row)
 				}
-				for si, rows := range perSlice {
-					tbl.DeleteRows(si, rows, xid)
-				}
+				_ = cat.Commit(func(xid uint64) error { tbl.DeleteRows(perSlice, xid); return nil }) // apply cannot fail
 			case 7, 8: // vacuum
 				tbl.Vacuum(cat.Snapshot())
 				// The model compacts too (deleted rows disappear).

@@ -30,16 +30,15 @@ func NewBatch(schema Schema) *Batch {
 // Table is a columnar relation partitioned into data slices.
 //
 // Concurrency: a table-level RWMutex serializes DML against scans. Scans of
-// different slices run in parallel under the read lock.
+// different slices run in parallel under the read lock. Writers also take
+// the write gate (LockWrites), which admits one at a time.
 type Table struct {
 	mu sync.RWMutex
 
-	// layoutGate serializes layout changes (Vacuum) against DML statements
-	// that need the layout stable across a match/mutate pair. Vacuum holds it
-	// for the whole reorganization; LockLayout exposes it as the pessimistic
-	// fallback after optimistic epoch-checked DML keeps losing to concurrent
-	// vacuums. Lock order: layoutGate before mu, never the reverse.
-	layoutGate sync.Mutex
+	// writeGate admits one writer at a time (see LockWrites). Vacuum holds
+	// it for the whole reorganization, and DML from its match scan through
+	// its mutation. Lock order: writeGate before mu, never the reverse.
+	writeGate sync.Mutex
 
 	// name, schema, colIdx and sortKey are immutable after NewTable. The
 	// dicts and slices slice headers are also fixed at construction: only
@@ -311,20 +310,6 @@ func (t *Table) sortBatch(b *Batch) {
 	}
 }
 
-// DeleteRows marks rows of one slice deleted at xid (out-of-place delete,
-// §4.3.2). Row numbers do not change; scans eliminate the rows via the
-// visibility check, so predicate-cache entries remain valid.
-func (t *Table) DeleteRows(slice int, rows []int, xid uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := t.slices[slice]
-	for _, r := range rows {
-		s.deleteRow(r, xid)
-	}
-	t.version++
-	t.deleteOps++
-}
-
 // DeleteOps returns the number of DELETE statements executed.
 func (t *Table) DeleteOps() uint64 {
 	t.mu.RLock()
@@ -344,10 +329,11 @@ func (t *Table) BumpVersion() {
 // Vacuum reclaims rows that were deleted at or before horizon, merges the
 // insert buffer, and re-sorts if the table has a sort key. Physical row
 // numbers change, so the layout epoch is bumped — the event that invalidates
-// predicate-cache entries (§4.3.2).
-func (t *Table) Vacuum(horizon uint64) {
-	t.layoutGate.Lock()
-	defer t.layoutGate.Unlock()
+// predicate-cache entries (§4.3.2). It returns the number of deleted rows it
+// kept because they were deleted after the horizon.
+func (t *Table) Vacuum(horizon uint64) (kept int) {
+	t.writeGate.Lock()
+	defer t.writeGate.Unlock()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 
@@ -394,6 +380,9 @@ func (t *Table) Vacuum(horizon uint64) {
 					default:
 						b.Cols[ci].Ints = append(b.Cols[ci].Ints, c.IntAt(row, iScratch))
 					}
+				}
+				if d != 0 {
+					kept++
 				}
 				xids = append(xids, s.insertXID[row])
 				delXIDs = append(delXIDs, d)
@@ -479,6 +468,7 @@ func (t *Table) Vacuum(horizon uint64) {
 	}
 	t.layoutEpoch++
 	t.version++
+	return kept
 }
 
 func applyPermBatch(b *Batch, perm []int, schema Schema) {

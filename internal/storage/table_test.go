@@ -3,6 +3,8 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -132,7 +134,7 @@ func TestMVCCVisibility(t *testing.T) {
 		t.Fatal("deletion headers before the first delete")
 	}
 	liveBytes := s.MemBytes()
-	tbl.DeleteRows(0, []int{3}, 7)
+	tbl.DeleteRows([][]int{{3}}, 7)
 	if got := s.MemBytes() - liveBytes; got != 10*8 {
 		t.Fatalf("first delete added %d header bytes, want 80", got)
 	}
@@ -149,7 +151,7 @@ func TestMVCCVisibility(t *testing.T) {
 		t.Fatal("HasDeletionsIn false positive")
 	}
 	// Deleting again keeps the earliest xid.
-	tbl.DeleteRows(0, []int{3}, 9)
+	tbl.DeleteRows([][]int{{3}}, 9)
 	if s.DeleteXIDs()[3] != 7 {
 		t.Fatal("re-delete overwrote xid")
 	}
@@ -177,7 +179,7 @@ func TestTableVersioning(t *testing.T) {
 		t.Fatal("append did not bump version")
 	}
 	v1 := tbl.Version()
-	tbl.DeleteRows(0, []int{0}, 2)
+	tbl.DeleteRows([][]int{{0}}, 2)
 	if tbl.Version() == v1 {
 		t.Fatal("delete did not bump version")
 	}
@@ -193,8 +195,8 @@ func TestVacuumReclaimsAndBumpsEpoch(t *testing.T) {
 	if err := tbl.Append(fillBatch(2500, 5), 1); err != nil {
 		t.Fatal(err)
 	}
-	tbl.DeleteRows(0, []int{0, 1, 2}, 2)
-	tbl.DeleteRows(1, []int{5}, 3)
+	tbl.DeleteRows([][]int{{0, 1, 2}}, 2)
+	tbl.DeleteRows([][]int{1: {5}}, 3)
 	e0 := tbl.LayoutEpoch()
 	tbl.Vacuum(10)
 	if tbl.LayoutEpoch() == e0 {
@@ -217,7 +219,7 @@ func TestVacuumKeepsRecentDeletes(t *testing.T) {
 	if err := tbl.Append(fillBatch(100, 6), 1); err != nil {
 		t.Fatal(err)
 	}
-	tbl.DeleteRows(0, []int{7}, 50)
+	tbl.DeleteRows([][]int{{7}}, 50)
 	tbl.Vacuum(10) // horizon below the delete xid: row must survive
 	if got := tbl.NumRows(); got != 100 {
 		t.Fatalf("NumRows=%d want 100", got)
@@ -225,6 +227,64 @@ func TestVacuumKeepsRecentDeletes(t *testing.T) {
 	s := tbl.Slice(0)
 	if !s.HasDeletionsIn(0, 100) {
 		t.Fatal("recent delete mark lost by vacuum")
+	}
+}
+
+// visibleIDs returns the ids of tbl's rows visible at snapshot, sorted.
+func visibleIDs(tbl *Table, snapshot uint64) []int64 {
+	unlock := tbl.RLockScan()
+	defer unlock()
+	var ids []int64
+	buf := make([]int64, BlockSize)
+	for si := 0; si < tbl.NumSlices(); si++ {
+		s := tbl.Slice(si)
+		for blk := 0; blk < s.NumBlocks(); blk++ {
+			n := s.Column(0).ReadIntBlock(blk, buf)
+			for i := 0; i < n; i++ {
+				if s.Visible(blk*BlockSize+i, snapshot) {
+					ids = append(ids, buf[i])
+				}
+			}
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+// TestVacuumKeepsRowsPinnedSnapshotSees: a statement pins its snapshot, rows
+// are deleted after it, and a vacuum at the catalog's horizon runs. The
+// pinned snapshot must still see every row it saw, and the vacuum reports
+// the deleted rows it kept for that reason; once the pin is released the
+// next vacuum reclaims them.
+func TestVacuumKeepsRowsPinnedSnapshotSees(t *testing.T) {
+	cat := NewCatalog()
+	tbl, err := cat.CreateTable("t", testSchema(), 2, "day")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.Commit(func(xid uint64) error { return tbl.SortedLoad(fillBatch(3000, 8), xid) }); err != nil {
+		t.Fatal(err)
+	}
+	pinned := cat.Pin()
+	before := visibleIDs(tbl, pinned)
+	del := [][]int{{0, 5, 17, 1200}, {3, 999}}
+	var deleted int
+	_ = cat.Commit(func(xid uint64) error { deleted = tbl.DeleteRows(del, xid); return nil }) // apply cannot fail
+	if deleted != 6 {
+		t.Fatalf("deleted %d rows, want 6", deleted)
+	}
+	if kept := tbl.Vacuum(cat.Horizon()); kept != deleted {
+		t.Fatalf("vacuum kept %d rows deleted after the horizon, want %d", kept, deleted)
+	}
+	if after := visibleIDs(tbl, pinned); !reflect.DeepEqual(after, before) {
+		t.Fatalf("pinned snapshot sees %d rows after vacuum, %d before", len(after), len(before))
+	}
+	if got := len(visibleIDs(tbl, cat.Snapshot())); got != 3000-deleted {
+		t.Fatalf("current snapshot sees %d rows, want %d", got, 3000-deleted)
+	}
+	cat.Unpin(pinned)
+	if kept := tbl.Vacuum(cat.Horizon()); kept != 0 || tbl.NumRows() != 3000-deleted {
+		t.Fatalf("vacuum without pins kept %d deleted rows and left %d rows, want 0 and %d", kept, tbl.NumRows(), 3000-deleted)
 	}
 }
 
@@ -361,10 +421,20 @@ func TestCatalog(t *testing.T) {
 	if c.Snapshot() != 0 {
 		t.Fatal("fresh catalog snapshot != 0")
 	}
-	x1 := c.NextXID()
-	x2 := c.NextXID()
-	if x1 != 1 || x2 != 2 || c.Snapshot() != 2 {
-		t.Fatal("xid sequence broken")
+	var xids []uint64
+	for i := 0; i < 2; i++ {
+		if err := c.Commit(func(xid uint64) error {
+			if c.Snapshot() != xid-1 {
+				t.Errorf("xid %d visible to snapshots before its rows are in", xid)
+			}
+			xids = append(xids, xid)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if xids[0] != 1 || xids[1] != 2 || c.Snapshot() != 2 {
+		t.Fatalf("xid sequence %v, snapshot %d; want [1 2], 2", xids, c.Snapshot())
 	}
 	tbl, err := c.CreateTable("a", testSchema(), 2)
 	if err != nil || tbl == nil {
@@ -447,7 +517,7 @@ func TestAccessorCoverage(t *testing.T) {
 	if tbl.DeleteOps() != 0 {
 		t.Fatal("delete ops")
 	}
-	tbl.DeleteRows(0, []int{0}, 2)
+	tbl.DeleteRows([][]int{{0}}, 2)
 	if tbl.DeleteOps() != 1 {
 		t.Fatal("delete ops after delete")
 	}
@@ -501,7 +571,7 @@ func TestDistinctCount(t *testing.T) {
 		t.Fatalf("float distinct %d", got)
 	}
 	// Version change invalidates the cache.
-	tbl.DeleteRows(0, []int{0}, 2)
+	tbl.DeleteRows([][]int{{0}}, 2)
 	if got := tbl.DistinctCount(0); got != 7 {
 		t.Fatal("post-DML distinct")
 	}

@@ -165,7 +165,7 @@ func TestTableStorageSnapshot(t *testing.T) {
 		batch.Cols[1].Strings = append(batch.Cols[1].Strings, "v")
 		batch.N++
 	}
-	if err := tbl.Append(batch, cat.NextXID()); err != nil {
+	if err := cat.Commit(func(xid uint64) error { return tbl.Append(batch, xid) }); err != nil {
 		t.Fatal(err)
 	}
 	vt := TableStorageTable(cat)

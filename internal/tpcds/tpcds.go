@@ -268,7 +268,7 @@ func (d *Data) Load(cat *storage.Catalog, slices int) error {
 		if err != nil {
 			return err
 		}
-		if err := tbl.Append(d.Batches[name], cat.NextXID()); err != nil {
+		if err := cat.Commit(func(xid uint64) error { return tbl.Append(d.Batches[name], xid) }); err != nil {
 			return err
 		}
 	}

@@ -222,17 +222,14 @@ func changeRows(t *testing.T, cat *storage.Catalog) {
 		tbl, _ := cat.Table(name)
 		rel := tableRows(t, cat, name)
 		extra, _ := rowsBatch(tbl, rel, 53, 0, false)
-		if err := tbl.Append(extra, cat.NextXID()); err != nil {
+		if err := cat.Commit(func(xid uint64) error { return tbl.Append(extra, xid) }); err != nil {
 			t.Fatal(err)
 		}
 		_, deleted := rowsBatch(tbl, rel, 41, 1, false)
-		xid := cat.NextXID()
-		for slice, rows := range deleted {
-			tbl.DeleteRows(slice, rows, xid)
-		}
+		_ = cat.Commit(func(xid uint64) error { tbl.DeleteRows(deleted, xid); return nil }) // apply cannot fail
 		updated, rows := rowsBatch(tbl, rel, 43, 2, true)
-		if ok, err := tbl.UpdateRowsAtEpoch(rows, updated, cat.NextXID(), tbl.LayoutEpoch()); !ok || err != nil {
-			t.Fatalf("update %s: epoch matched %v, %v", name, ok, err)
+		if err := cat.Commit(func(xid uint64) error { return tbl.UpdateRows(rows, updated, xid) }); err != nil {
+			t.Fatalf("update %s: %v", name, err)
 		}
 	}
 }
@@ -244,7 +241,7 @@ func vacuumAndAppend(t *testing.T, cat *storage.Catalog) {
 		tbl, _ := cat.Table(name)
 		tbl.Vacuum(cat.Snapshot())
 		extra, _ := rowsBatch(tbl, tableRows(t, cat, name), 47, 3, false)
-		if err := tbl.Append(extra, cat.NextXID()); err != nil {
+		if err := cat.Commit(func(xid uint64) error { return tbl.Append(extra, xid) }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -181,8 +181,11 @@ func (db *DB) run(st *statement, node engine.Node, ec *engine.ExecCtx) (*Result,
 // attribution. It saves the stats snapshot behind LastQueryStats and hands
 // back a shallow copy of the result with the per-query counters attached —
 // concurrent callers each see their own Result.Stats instead of racing on
-// the DB-wide accessor.
+// the DB-wide accessor. The statement reads at a snapshot it pins for the
+// whole execution, so no vacuum reclaims a row version it can see.
 func (db *DB) execute(st *statement, node engine.Node, ec *engine.ExecCtx) (*Result, error) {
+	ec.Snapshot = db.cat.Pin()
+	defer db.cat.Unpin(ec.Snapshot)
 	ev := &st.ev
 	ev.Executed = true
 	// SQL statements get full resource attribution: pprof labels on the
@@ -316,13 +319,11 @@ func (db *DB) Run(node engine.Node) (*Result, error) {
 
 // RunCtx executes a plan with a caller-provided execution context (the
 // benchmark harness uses this for ablation switches). Zero-valued fields are
-// defaulted from the database: catalog, snapshot, stats and MaxWorkers.
+// defaulted from the database: catalog, stats and MaxWorkers. The snapshot
+// is always the statement's own, pinned as in Run.
 func (db *DB) RunCtx(node engine.Node, ec *engine.ExecCtx) (*Result, error) {
 	if ec.Catalog == nil {
 		ec.Catalog = db.cat
-	}
-	if ec.Snapshot == 0 {
-		ec.Snapshot = db.cat.Snapshot()
 	}
 	if ec.Stats == nil {
 		ec.Stats = &storage.ScanStats{}
